@@ -44,10 +44,14 @@ var workloads = map[string]func(cfg config) bench{
 const (
 	// An untraced run sets up at least minSetups times, and more until
 	// the set-ups took setupBudget in total (at most maxSetups);
-	// setup_s is their median.
+	// setup_s is their median. A shared host's speed can swing by a
+	// fifth from one second to the next, so the set-ups span a few
+	// seconds, not one (on a shared 2-vCPU VM this cut the run-to-run
+	// deviation of setup_s by a third on serve-mixed and by half on
+	// multitask-bursty).
 	minSetups   = 5
-	maxSetups   = 41
-	setupBudget = time.Second
+	maxSetups   = 1000
+	setupBudget = 3 * time.Second
 	// warmup runs the loop untimed first, so heap growth and cold
 	// host caches do not land in the first window.
 	warmup = time.Second

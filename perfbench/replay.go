@@ -218,10 +218,13 @@ func needOf(s *assign.Schedule) need {
 	return n
 }
 
-// replayAdmission replays fabric admission: seeded iterations of the
-// mix's instances claim tiles in arrival order; a refused grant
-// retires the oldest in-flight instance and retries, and each
-// iteration ends with every instance retired.
+// replayAdmission times fabric grants (fabric.grant_us): seeded
+// iterations of the mix's instances claim tiles in arrival order; a
+// refused grant retires the oldest in-flight instance and retries, and
+// each iteration ends with every instance retired. The loop is the
+// benchmark's own driver, not the kernel's admission traffic, so its
+// refusals are not reported; fabric.grant_refused_ratio comes from the
+// kernel's admission events instead (see instrument).
 func replayAdmission(tr *tracer, in replayInputs) error {
 	rng := rand.New(rand.NewSource(in.seed))
 	for _, ad := range in.admissions {
@@ -251,7 +254,6 @@ func replayAdmission(tr *tracer, in replayInputs) error {
 						flights = append(flights, claim)
 						break
 					}
-					tr.count("fabric.refused", 1)
 					if len(flights) == 0 {
 						return fmt.Errorf("%s admission refused a claim of %d tiles on an idle fabric", ad.alloc.Name(), n.tiles)
 					}
@@ -377,7 +379,7 @@ func replayServe(tr *tracer, in replayInputs, cfg config) error {
 				tr.fail("replay simulate", err)
 				continue
 			}
-			tr.simResult(resp.Loads, resp.PrefetchHits, resp.Reuses, resp.Subtasks, resp.Instances, resp.PeakQueued)
+			tr.simResult(resp.Loads, resp.PrefetchHits, resp.Reuses, resp.Subtasks)
 		}
 		for _, body := range in.sweeps {
 			data, err := st.post("sweep", st.coordURL+"/v1/sweep", body)

@@ -162,8 +162,10 @@ func (t *tracer) setInproc(key string, ms float64) {
 	t.mu.Unlock()
 }
 
-// simResult folds one simulation's counters into the per-layer ratios.
-func (t *tracer) simResult(loads, prefetchHits, reuses, subtasks, instances, peakQueued int) {
+// simResult folds one simulation's counters into the per-layer ratios
+// whose numerator and denominator both come from the result, so served
+// replies and instrumented runs may both contribute.
+func (t *tracer) simResult(loads, prefetchHits, reuses, subtasks int) {
 	if t == nil {
 		return
 	}
@@ -172,7 +174,15 @@ func (t *tracer) simResult(loads, prefetchHits, reuses, subtasks, instances, pea
 	t.counts["sim.prefetch_hits"] += int64(prefetchHits)
 	t.counts["sim.reuses"] += int64(reuses)
 	t.counts["sim.subtasks"] += int64(subtasks)
-	t.counts["sim.instances"] += int64(instances)
+	t.mu.Unlock()
+}
+
+// seamResult folds the counters of one run that went through
+// instrument, so ratios over seam calls divide by instances of the
+// same runs.
+func (t *tracer) seamResult(instances, peakQueued int) {
+	t.mu.Lock()
+	t.counts["seam.instances"] += int64(instances)
 	if int64(peakQueued) > t.counts["fabric.peak_queued"] {
 		t.counts["fabric.peak_queued"] = int64(peakQueued)
 	}
@@ -304,18 +314,30 @@ func (t *tracer) instrument(opt sim.Options, rec *obs.Recorder) (sim.Options, fu
 			// The recorder's stage events carry whole microseconds. The
 			// select stage takes well under one, so it always reads
 			// zero there and is not reported; execute takes tens.
+			// Admission events give the kernel's own grant refusals:
+			// an instance admitted later than it arrived waited behind
+			// a refused grant (its own or the queue head's).
 			var exe agg
+			var admitted, queued int64
 			for _, ev := range rec.Events() {
-				if ev.Kind == obs.KindStage && ev.Detail == "execute" {
+				switch {
+				case ev.Kind == obs.KindStage && ev.Detail == "execute":
 					exe.n++
 					exe.ns += ev.WallUS * int64(time.Microsecond)
+				case ev.Kind == obs.KindAdmit:
+					admitted++
+				case ev.Kind == obs.KindQueue:
+					queued++
 				}
 			}
 			t.add("sim.execute", exe.n, time.Duration(exe.ns))
+			t.count("fabric.admitted", admitted)
+			t.count("fabric.queued", queued)
 			t.count("trace.drops", rec.Drops())
 		}
 		if res != nil {
-			t.simResult(res.Loads, res.PrefetchHits, res.Reuses, res.Subtasks, res.Instances, res.PeakQueued)
+			t.simResult(res.Loads, res.PrefetchHits, res.Reuses, res.Subtasks)
+			t.seamResult(res.Instances, res.PeakQueued)
 		}
 	}
 }
@@ -598,10 +620,10 @@ func (t *tracer) perLayer() map[string]metric {
 	m["prefetch.hit_ratio"] = metric{ratio(t.counted("sim.prefetch_hits"), t.counted("sim.loads")), "ratio"}
 	us("reconfig.map_us", "reconfig.map")
 	us("reconfig.victim_us", "reconfig.victim")
-	m["reconfig.victim_calls"] = metric{ratio(t.calls("reconfig.victim"), t.counted("sim.instances")), "1/instance"}
+	m["reconfig.victim_calls"] = metric{ratio(t.calls("reconfig.victim"), t.counted("seam.instances")), "1/instance"}
 	m["reconfig.reuse_ratio"] = metric{ratio(t.counted("sim.reuses"), t.counted("sim.subtasks")), "ratio"}
 	us("fabric.grant_us", "fabric.grant")
-	m["fabric.grant_refused_ratio"] = metric{ratio(t.counted("fabric.refused"), t.calls("fabric.grant")), "ratio"}
+	m["fabric.grant_refused_ratio"] = metric{ratio(t.counted("fabric.queued"), t.counted("fabric.admitted")), "ratio"}
 	m["fabric.peak_queued"] = metric{float64(t.counted("fabric.peak_queued")), "count"}
 	us("sim.iteration_us", "sim.iteration")
 	us("sim.draw_us", "sim.draw")
