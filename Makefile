@@ -34,8 +34,13 @@ lint: ## gofmt (diff check) + go vet
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
+.PHONY: perfbench-check
+perfbench-check: ## vet + test the nested perfbench module, which the root ./... skips
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && \
+		GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
+
 .PHONY: check
-check: lint build test ## what CI runs
+check: lint build test perfbench-check ## what CI runs
 
 .PHONY: experiments
 experiments: ## regenerate every table and figure of the paper

@@ -18,15 +18,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"drhwsched/internal/engine"
 	"drhwsched/internal/experiments"
 	"drhwsched/internal/stats"
 )
 
+// experimentNames are the accepted -run values.
+const experimentNames = "all|table1|figure6|figure7|scaling|ablations"
+
 func main() {
 	var (
-		which      = flag.String("run", "all", "experiment to run: all|table1|figure6|figure7|scaling|ablations")
+		which      = flag.String("run", "all", "experiment to run: "+experimentNames)
 		iterations = flag.Int("iterations", 1000, "simulation iterations per data point (paper: 1000)")
 		seed       = flag.Int64("seed", 2005, "random seed")
 		csv        = flag.Bool("csv", false, "also print figure series as CSV")
@@ -34,6 +39,10 @@ func main() {
 		cacheStats = flag.Bool("cachestats", false, "print analysis-cache statistics at exit")
 	)
 	flag.Parse()
+	if !slices.Contains(strings.Split(experimentNames, "|"), *which) {
+		fmt.Fprintf(os.Stderr, "experiments: unknown -run %q (use %s)\n", *which, experimentNames)
+		os.Exit(2)
+	}
 
 	eng := engine.New(engine.Config{Workers: *workers})
 	opt := experiments.FigureOptions{Iterations: *iterations, Seed: *seed, Engine: eng}

@@ -193,6 +193,13 @@ func Decode(key string, data []byte) (*core.Analysis, error) {
 	n := len(w.Graph.Subtasks)
 	g := graph.New(w.Graph.Name)
 	for _, st := range w.Graph.Subtasks {
+		// The same duration rules the workload parser enforces.
+		if st.ExecUS <= 0 {
+			return nil, fmt.Errorf("peerstore: decode: subtask %q: exec time %d µs is not positive", st.Name, st.ExecUS)
+		}
+		if st.LoadUS < 0 {
+			return nil, fmt.Errorf("peerstore: decode: subtask %q: load time %d µs is negative", st.Name, st.LoadUS)
+		}
 		id := g.AddConfigured(st.Name, model.Dur(st.ExecUS), graph.ConfigID(st.Config))
 		if st.LoadUS != 0 {
 			g.SetLoad(id, model.Dur(st.LoadUS))

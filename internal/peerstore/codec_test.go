@@ -163,18 +163,31 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		if err := json.Unmarshal(data, &env); err != nil {
 			t.Fatalf("unmarshal: %v", err)
 		}
-		var w artifactWire
-		if err := json.Unmarshal(env.Artifact, &w); err != nil {
-			t.Fatalf("unmarshal artifact: %v", err)
-		}
-		w.CS = []int{99}
-		payload, _ := json.Marshal(w)
-		reframed, err := reframe(key, payload)
-		if err != nil {
-			t.Fatalf("reframe: %v", err)
-		}
-		if _, err := Decode(key, reframed); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Fatalf("Decode accepted an out-of-range critical set: %v", err)
+		for _, c := range []struct {
+			name   string
+			mutate func(*artifactWire)
+			want   string
+		}{
+			{"critical-set", func(w *artifactWire) { w.CS = []int{99} }, "out of range"},
+			{"exec-zero", func(w *artifactWire) { w.Graph.Subtasks[0].ExecUS = 0 }, "exec time"},
+			{"exec-negative", func(w *artifactWire) { w.Graph.Subtasks[1].ExecUS = -5 }, "exec time"},
+			{"load-negative", func(w *artifactWire) { w.Graph.Subtasks[0].LoadUS = -1 }, "load time"},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				var w artifactWire
+				if err := json.Unmarshal(env.Artifact, &w); err != nil {
+					t.Fatalf("unmarshal artifact: %v", err)
+				}
+				c.mutate(&w)
+				payload, _ := json.Marshal(w)
+				reframed, err := reframe(key, payload)
+				if err != nil {
+					t.Fatalf("reframe: %v", err)
+				}
+				if _, err := Decode(key, reframed); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Decode accepted the artifact or named the wrong fault (want %q): %v", c.want, err)
+				}
+			})
 		}
 	})
 }

@@ -338,9 +338,8 @@ func TestSimulateMultitaskStreamReportsInFlight(t *testing.T) {
 // TestSimulateParallelism: a workload that opts into sharded execution
 // via "sim.parallelism" reports "execution": "sharded" and its worker
 // count on the wire — under serial and partition admission alike — and
-// the one still-unsupported combination (greedy admission with lane
-// executors) is a 400 on both the plain and streaming paths, never a
-// 500.
+// a document that still carries the retired "lanes" key runs the
+// in-order execute stage, like the same document without it.
 func TestSimulateParallelism(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
@@ -395,35 +394,25 @@ func TestSimulateParallelism(t *testing.T) {
 		}
 	}
 
-	// Greedy admission keeps the typed lane rejection: its grants read
-	// whole-fabric residency, so the event loop cannot be laned.
-	greedyLanes := strings.Replace(multitaskDoc,
-		`"multitask": {"mode": "partition", "partitions": 2}`,
-		`"multitask": {"mode": "greedy", "lanes": 2}`, 1)
-	for _, path := range []string{"/v1/simulate", "/v1/simulate?stream=iterations"} {
-		resp, body = post(t, ts.URL+path, greedyLanes)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s with greedy+lanes: status = %d, want 400: %s", path, resp.StatusCode, body)
-		}
-		if !strings.Contains(body, "greedy multitask admission cannot shard") {
-			t.Fatalf("%s error does not name the lane constraint: %s", path, body)
-		}
-	}
-
-	// Partition admission with lanes is the supported intra-run sharding.
+	// "lanes" is no longer part of the schema; like any unknown key it
+	// is ignored, so the run matches the in-order partition run.
 	laned := strings.Replace(multitaskDoc,
 		`"multitask": {"mode": "partition", "partitions": 2}`,
 		`"multitask": {"mode": "partition", "partitions": 2, "lanes": 2}`, 1)
 	resp, body = post(t, ts.URL+"/v1/simulate", laned)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("laned run: status = %d: %s", resp.StatusCode, body)
+		t.Fatalf("document with lanes: status = %d: %s", resp.StatusCode, body)
 	}
-	var lr SimulateResponse
-	if err := json.Unmarshal([]byte(body), &lr); err != nil {
+	_, want := post(t, ts.URL+"/v1/simulate", multitaskDoc)
+	var got, ref SimulateResponse
+	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatal(err)
 	}
-	if lr.MultitaskMode != "partition" || lr.MaxInFlight < 2 {
-		t.Fatalf("laned run aggregates look wrong: mode=%q maxInFlight=%d", lr.MultitaskMode, lr.MaxInFlight)
+	if err := json.Unmarshal([]byte(want), &ref); err != nil {
+		t.Fatal(err)
+	}
+	if got.ActualMS != ref.ActualMS || got.ResponseP99MS != ref.ResponseP99MS {
+		t.Fatalf("document with lanes diverged from the in-order run: %+v vs %+v", got, ref)
 	}
 }
 

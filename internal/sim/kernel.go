@@ -67,16 +67,6 @@ type kernel struct {
 	partitions int
 	clock      model.Time
 
-	// lanes is the resolved Multitask.Lanes: 0 keeps the in-order
-	// execute stage, >= 1 shards it round-wise across that many lane
-	// executors (lanes.go). The lane state below is built lazily on
-	// first use, per kernel, so shard kernels get their own lanes.
-	lanes        int
-	laneKs       []*kernel
-	laneAcc      []*fabric.Fabric
-	lanePartials []Result
-	laneErrs     []error
-
 	useReuse  bool
 	interTask bool
 
@@ -88,10 +78,10 @@ type kernel struct {
 	isrc         IndexedSource
 	polRng       *rand.Rand
 
-	mkQ tailEstimator // per-iteration makespan tail (ms)
-	ovQ tailEstimator // per-iteration overhead tail (ms)
-	qdQ tailEstimator // per-instance queueing-delay tail (ms)
-	rtQ tailEstimator // per-instance response-time tail (ms)
+	mkQ *stats.Sketch // per-iteration makespan tail (ms)
+	ovQ *stats.Sketch // per-iteration overhead tail (ms)
+	qdQ *stats.Sketch // per-instance queueing-delay tail (ms)
+	rtQ *stats.Sketch // per-instance response-time tail (ms)
 
 	maxInFlight int
 	peakQueued  int
@@ -104,16 +94,6 @@ type kernel struct {
 	curIter int
 
 	sc scratch
-}
-
-// tailEstimator is the streaming-quantile seam: the sequential path
-// keeps the P² estimator (stats.Quantiles) whose estimates all
-// historical aggregates are pinned against; the sharded path uses the
-// mergeable sketch (stats.Sketch) so per-shard tails combine into one
-// order-invariant result.
-type tailEstimator interface {
-	Add(float64)
-	Quantile(float64) float64
 }
 
 // flight is one admitted, not-yet-retired instance of the execute
@@ -206,14 +186,8 @@ func Validate(mix []TaskMix, p platform.Platform, opt Options) error {
 	if err := validateWeights(mix); err != nil {
 		return err
 	}
-	_, _, _, lanes, err := opt.Multitask.resolve(p.Tiles)
-	if err != nil {
+	if _, _, _, err := opt.Multitask.resolve(p.Tiles); err != nil {
 		return err
-	}
-	if opt.Trace != nil && lanes > 0 {
-		// The lane executor runs a round's instances concurrently; their
-		// events cannot interleave into the in-order run timeline.
-		return fmt.Errorf("sim: tracing (Options.Trace) requires the in-order execute stage: set Multitask.Lanes 0, not %d", lanes)
 	}
 	arrivals := opt.Arrivals
 	if arrivals == nil {
@@ -275,7 +249,7 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 		rng: rand.New(rand.NewSource(opt.Seed)),
 		src: src,
 	}
-	k.alloc, k.modeName, k.partitions, k.lanes, err = opt.Multitask.resolve(p.Tiles)
+	k.alloc, k.modeName, k.partitions, err = opt.Multitask.resolve(p.Tiles)
 	if err != nil {
 		return nil, err
 	}
@@ -305,19 +279,7 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 	}
 
 	k.fab = fabric.New(p, policy)
-	if k.shardWorkers > 0 {
-		// Sharded runs merge per-shard tails into the master's
-		// sketches; the sequential path keeps the P²-pinned estimators.
-		k.mkQ = stats.NewSketch(0)
-		k.ovQ = stats.NewSketch(0)
-		k.qdQ = stats.NewSketch(0)
-		k.rtQ = stats.NewSketch(0)
-	} else {
-		k.mkQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-		k.ovQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-		k.qdQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-		k.rtQ = stats.NewQuantiles(0.5, 0.95, 0.99)
-	}
+	k.newTails()
 	return k, nil
 }
 
@@ -328,6 +290,16 @@ func (k *kernel) bindScratch() {
 	k.sc.endOfFn = func(id graph.SubtaskID) model.Time { return k.sc.tl.ExecEnd[id] }
 	k.sc.criticalFn = func(id graph.SubtaskID) bool { return k.sc.curAnalysis.IsCritical(id) }
 	k.sc.residentFn = func(id graph.SubtaskID) bool { return k.sc.resident[id] }
+}
+
+// newTails gives the kernel empty tail sketches. Sketches are the one
+// tail estimator on every path: a sharded run merges its shards'
+// sketches into the master's, and merging is exact and order-invariant.
+func (k *kernel) newTails() {
+	k.mkQ = stats.NewSketch(0)
+	k.ovQ = stats.NewSketch(0)
+	k.qdQ = stats.NewSketch(0)
+	k.rtQ = stats.NewSketch(0)
 }
 
 // prepare is the design-time stage: schedule (and in deadline mode,
@@ -553,9 +525,6 @@ func (k *kernel) selectInstances(todo []int) ([]*prepared, bool, error) {
 // one instance is in flight at a time and the loop reproduces the
 // sequential back-to-back replay bit for bit.
 func (k *kernel) executeIteration(instances []*prepared) (int, error) {
-	if k.lanes > 0 {
-		return k.executeIterationLanes(instances)
-	}
 	sc := &k.sc
 	arrival := k.clock
 	flights := sc.flights[:0]

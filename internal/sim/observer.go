@@ -45,7 +45,9 @@ type IterationRecord struct {
 type Observer func(IterationRecord)
 
 // Tail summarizes a per-iteration distribution: streaming P50/P95/P99
-// estimates (P² algorithm, internal/stats) in milliseconds.
+// estimates in milliseconds, read from a mergeable quantile sketch
+// (stats.Sketch) and so within its 1 % relative error of the exact
+// sample quantiles.
 type Tail struct {
 	P50 float64
 	P95 float64

@@ -141,10 +141,10 @@ func (k *kernel) runSharded() (*Result, error) {
 		for i, d := range sh.ispBusy {
 			k.ispBusy[i] += d
 		}
-		for _, m := range [...]struct{ dst, src tailEstimator }{
+		for _, m := range [...][2]*stats.Sketch{
 			{k.mkQ, sh.mkQ}, {k.ovQ, sh.ovQ}, {k.qdQ, sh.qdQ}, {k.rtQ, sh.rtQ},
 		} {
-			if err := m.dst.(*stats.Sketch).Merge(m.src.(*stats.Sketch)); err != nil {
+			if err := m[0].Merge(m[1]); err != nil {
 				return nil, err
 			}
 		}
@@ -212,7 +212,6 @@ func (k *kernel) newShard() (*kernel, error) {
 		alloc:        k.alloc,
 		modeName:     k.modeName,
 		partitions:   k.partitions,
-		lanes:        k.lanes,
 		useReuse:     k.useReuse,
 		interTask:    k.interTask,
 		shardWorkers: k.shardWorkers,
@@ -248,10 +247,7 @@ func (k *kernel) newShard() (*kernel, error) {
 	}
 	sh.isrc = isrc
 
-	sh.mkQ = stats.NewSketch(0)
-	sh.ovQ = stats.NewSketch(0)
-	sh.qdQ = stats.NewSketch(0)
-	sh.rtQ = stats.NewSketch(0)
+	sh.newTails()
 	sh.bindScratch()
 	return sh, nil
 }

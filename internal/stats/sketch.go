@@ -12,15 +12,13 @@ import (
 // whose width is chosen so every quantile estimate is within a relative
 // error Alpha of an exact sample quantile.
 //
-// Unlike the P² estimator (Quantiles), whose marker state depends on
-// the order observations arrive, a Sketch is a pure function of the
-// observation multiset: bucket counts are integers, so feeding the same
-// observations in any order — or splitting them across shards and
-// merging the shards' sketches in any order or grouping — produces the
-// exact same state, bucket for bucket. That is what lets the parallel
-// simulation kernel report tail percentiles that are bit-identical
-// regardless of how many workers the iteration stream was sharded
-// across. Merge is the bucket-wise sum, so it is associative and
+// A Sketch is a pure function of the observation multiset: bucket
+// counts are integers, so feeding the same observations in any order —
+// or splitting them across shards and merging the shards' sketches in
+// any order or grouping — produces the exact same state, bucket for
+// bucket. That is what lets the simulation kernel report tail
+// percentiles that are bit-identical regardless of how many workers the
+// iteration stream was sharded across. Merge is the bucket-wise sum, so it is associative and
 // commutative exactly, not just within tolerance.
 type Sketch struct {
 	alpha   float64

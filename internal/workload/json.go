@@ -43,7 +43,7 @@ import (
 //	        "scheduler_cost": false, "no_intertask": false,
 //	        "deadline_ms": 0, "parallelism": 0,
 //	        "arrivals": {"process": "onoff", "p_on": 0.95},
-//	        "multitask": {"mode": "partition", "partitions": 2, "lanes": 0}}
+//	        "multitask": {"mode": "partition", "partitions": 2}}
 //
 // The optional "arrivals" block inside "sim" selects the workload
 // arrival process (see ArrivalsDoc): the default Bernoulli draw, a
@@ -104,10 +104,9 @@ type SimDoc struct {
 	// Trace enables run-time event tracing (fabric events, kernel
 	// stage timings) into a bounded recorder the caller drains after
 	// the run; absent or disabled means no recorder (the hot path pays
-	// one pointer check). Tracing requires the in-order sequential
-	// kernel path (an explicit parallelism >= 1 or lanes >= 1 is
-	// rejected; parallelism -1 degrades to sequential) and never alters
-	// aggregates.
+	// one pointer check). Tracing requires the sequential kernel path
+	// (an explicit parallelism >= 1 is rejected; parallelism -1
+	// degrades to sequential) and never alters aggregates.
 	Trace *TraceDoc `json:"trace,omitempty"`
 }
 
@@ -135,15 +134,10 @@ type TraceDoc struct {
 // of consecutive free blocks that fits it; greedy mode claims exactly
 // the needed free tiles anywhere, preferring ones already holding the
 // instance's configurations. Instances that fit no claim queue until
-// an in-flight instance completes. Lanes (partition mode only) shards
-// the execute stage's event loop itself: an admission round's
-// instances run concurrently on that many lane executors over their
-// disjoint claims, with results identical for every lanes >= 1 (see
-// sim.Multitask.Lanes); 0 keeps the in-order stage.
+// an in-flight instance completes.
 type MultitaskDoc struct {
 	Mode       string `json:"mode"`
 	Partitions int    `json:"partitions,omitempty"`
-	Lanes      int    `json:"lanes,omitempty"`
 }
 
 // Resolve materializes the admission configuration. Partition-count
@@ -153,7 +147,7 @@ func (md *MultitaskDoc) Resolve() (sim.Multitask, error) {
 	if md == nil {
 		return sim.Multitask{}, nil
 	}
-	return ParseMultitask(md.Mode, md.Partitions, md.Lanes)
+	return ParseMultitask(md.Mode, md.Partitions)
 }
 
 // ArrivalsDoc is the optional arrival-process block inside "sim":
@@ -527,14 +521,12 @@ func ParsePolicy(name string, seed int64) (reconfig.Policy, bool, error) {
 // ParseMultitask maps the wire form of the fabric admission mode ("" or
 // "serial" means the paper's one-instance-at-a-time model). partitions
 // is the fixed block count of partition mode (0 keeps the sim default
-// of 2); lanes shards the execute stage's event loop (partition mode
-// only, 0 keeps the in-order stage). Range validation against the
-// platform's tile count — and the lane/mode compatibility checks —
-// happen when the simulation starts.
-func ParseMultitask(mode string, partitions, lanes int) (sim.Multitask, error) {
+// of 2). Range validation against the platform's tile count happens
+// when the simulation starts.
+func ParseMultitask(mode string, partitions int) (sim.Multitask, error) {
 	switch mode {
 	case "", "serial", "partition", "greedy":
-		return sim.Multitask{Mode: mode, Partitions: partitions, Lanes: lanes}, nil
+		return sim.Multitask{Mode: mode, Partitions: partitions}, nil
 	}
 	return sim.Multitask{}, fmt.Errorf("workload: unknown multitask mode %q (%s)", mode, Usage(MultitaskModes()))
 }
