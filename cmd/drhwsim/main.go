@@ -35,14 +35,13 @@
 // Chrome trace-event JSON file — load it in Perfetto or
 // chrome://tracing to see per-tile loads (prefetch hits vs demand
 // misses), executions, port stalls, evictions, and ISP activity on a
-// shared timeline. Event tracing needs the sequential path, so
-// -trace-out conflicts with an explicit -parallelism.
+// shared timeline. It works with every -parallelism.
 //
-// -parallelism shards the iteration stream across P worker goroutines
-// with counter-derived per-iteration RNG streams; aggregates are
+// -parallelism cuts the iteration stream into 32-iteration
+// replications spread over P worker goroutines; aggregates are
 // bit-identical for every P >= 1 (-1 uses one worker per CPU) under
-// every multitask admission mode. 0 (the default) keeps the sequential
-// reference path.
+// every multitask admission mode. 0 (the default) runs the whole
+// stream as one replication, the paper's single warm chain.
 package main
 
 import (
@@ -78,8 +77,8 @@ func main() {
 		traceFile   = flag.String("trace", "", "JSON arrival log for -arrivals trace (array of iterations, each an array of task indices)")
 		multitask   = flag.String("multitask", "serial", "fabric admission mode: "+workload.Usage(workload.MultitaskModes()))
 		partitions  = flag.Int("partitions", 0, "fixed tile-partition count for -multitask partition (0: 2)")
-		parallelism = flag.Int("parallelism", 0, "worker goroutines for sharded execution (0: sequential, -1: one per CPU)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run (Perfetto-loadable; sequential path only)")
+		parallelism = flag.Int("parallelism", 0, "worker goroutines for 32-iteration replications (0: one whole-run replication, -1: one per CPU)")
+		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run (Perfetto-loadable)")
 	)
 	flag.Parse()
 
@@ -132,7 +131,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pol, lookahead, err := workload.ParsePolicy(*policy, *seed)
+	pol, lookahead, err := workload.ParsePolicy(*policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drhwsim: %v\n", err)
 		os.Exit(2)

@@ -308,13 +308,12 @@ const (
 	Hybrid             = sim.Hybrid
 )
 
-// AutoParallelism, assigned to SimOptions.Parallelism, shards the
-// iteration stream across one worker per CPU under every fabric
-// admission mode (serial, partition and greedy), quietly degrading to
-// the sequential path when sharding is impossible (tracing on, or an
-// arrival process without indexed draws). Sharded aggregates are
-// bit-identical for every worker count; the resolved count is recorded
-// in SimResult.Workers.
+// AutoParallelism, assigned to SimOptions.Parallelism, cuts the
+// iteration stream into 32-iteration replications spread over one
+// worker per CPU, under every fabric admission mode (serial, partition
+// and greedy) and with tracing on or off. Its aggregates equal those of
+// every explicit worker count; the resolved count is recorded in
+// SimResult.Workers.
 const AutoParallelism = sim.AutoParallelism
 
 // Simulate runs a dynamic application mix on the modelled platform.
@@ -325,7 +324,7 @@ func Simulate(mix []TaskMix, p Platform, opt SimOptions) (*SimResult, error) {
 // Run-time observability: event tracing and trace-context propagation.
 type (
 	// TraceRecorder collects simulation events into a bounded ring
-	// when assigned to SimOptions.Trace (sequential path only). Nil is
+	// when assigned to SimOptions.Trace, at every Parallelism. Nil is
 	// valid and means tracing off with zero hot-path cost.
 	TraceRecorder = obs.Recorder
 	// TraceEvent is one recorded occurrence: admissions, queue waits,

@@ -80,9 +80,9 @@ func ExampleSimulate() {
 	fmt.Printf("overhead: %.2f%%\n", r.OverheadPct)
 	fmt.Printf("reuse: %.1f%% of subtask instances\n", r.ReusePct)
 	// Output:
-	// instances: 83
+	// instances: 80
 	// overhead: 0.13%
-	// reuse: 16.5% of subtask instances
+	// reuse: 17.9% of subtask instances
 }
 
 // ExampleNewEngine batches simulations on the concurrent experiment

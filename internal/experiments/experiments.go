@@ -300,7 +300,7 @@ func AblationReplacement(opt FigureOptions) (*stats.Table, error) {
 		{"lru", reconfig.LRU{}, false},
 		{"fifo", reconfig.FIFO{}, false},
 		{"belady", reconfig.Belady{}, true},
-		{"random", reconfig.Random{Rng: rand.New(rand.NewSource(opt.Seed))}, false},
+		{"random", reconfig.Random{}, false},
 	}
 	var runs []engine.Run
 	for _, pc := range policies {

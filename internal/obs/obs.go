@@ -114,9 +114,9 @@ const DefaultCapacity = 1 << 16
 // not usable; build with NewRecorder. A nil *Recorder is a valid
 // "disabled" recorder: Record is a no-op and Enabled reports false.
 //
-// Record is safe for concurrent use, but the simulation kernel only
-// feeds it from the sequential path (tracing rejects sharded
-// execution), so the mutex is uncontended there.
+// Record is safe for concurrent use, but the simulation kernel feeds
+// it from one goroutine (a traced run executes its replications in
+// order), so the mutex is uncontended there.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event

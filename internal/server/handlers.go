@@ -193,10 +193,11 @@ type SimulateResponse struct {
 	MultitaskMode string `json:"multitask_mode"`
 	Partitions    int    `json:"partitions,omitempty"`
 	MaxInFlight   int    `json:"max_in_flight"`
-	// Execution names the kernel path the run took: "sequential" or
-	// "sharded" (see the workload "sim.parallelism" field); Workers is
-	// the worker count a sharded run fanned out to (absent when
-	// sequential).
+	// Execution names how the run was cut into replications:
+	// "sequential" (one whole-run replication) or "sharded"
+	// (32-iteration replications; see the workload "sim.parallelism"
+	// field); Workers is the worker count a sharded run fanned out to
+	// (absent when sequential).
 	Execution       string  `json:"execution"`
 	Workers         int     `json:"workers,omitempty"`
 	QueueDelayP50MS float64 `json:"queue_delay_p50_ms"`
@@ -329,7 +330,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		}
 		return badRequest("%v", err)
 	}
-	s.observeRun(res, spec.Options.Parallelism, spec.Options.Trace)
+	s.observeRun(res, spec.Options.Trace)
 	resp := simulateResponse(spec.Name, spec.Platform.String(), res)
 	resp.Cache = cacheWire(s.eng.CacheStats())
 	return writeJSON(w, resp)
@@ -337,10 +338,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 
 // observeRun folds one completed simulation (and its recorder's drop
 // count, when the run was traced) into the /metrics families.
-// requested is the document's sim.parallelism, which classifies a
-// sequential outcome as a deliberate choice or a fallback.
-func (s *Server) observeRun(res *sim.Result, requested int, rec *obs.Recorder) {
-	s.metrics.observeSim(res, requested)
+func (s *Server) observeRun(res *sim.Result, rec *obs.Recorder) {
+	s.metrics.observeSim(res)
 	if rec != nil {
 		s.metrics.observeTraceDrops(rec.Drops())
 	}
@@ -367,8 +366,7 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request, spec *workl
 		opt.Trace = obs.NewRecorder(0)
 	}
 	rec := opt.Trace
-	// Reject anything the kernel would refuse (including tracing with
-	// sharded parallelism) before committing the 200.
+	// Reject anything the kernel would refuse before committing the 200.
 	if err := sim.Validate(spec.Mix, spec.Platform, opt); err != nil {
 		return badRequest("%v", err)
 	}
@@ -379,7 +377,7 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request, spec *workl
 		}
 		return badRequest("%v", err)
 	}
-	s.observeRun(res, opt.Parallelism, rec)
+	s.observeRun(res, rec)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -452,7 +450,7 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, spec *wo
 		// tells the client (instrument logs the late error).
 		return fmt.Errorf("simulate stream: %w", err)
 	}
-	s.observeRun(res, opt.Parallelism, opt.Trace)
+	s.observeRun(res, opt.Trace)
 	if writeErr != nil {
 		return fmt.Errorf("simulate stream: writing iteration: %w", writeErr)
 	}
@@ -556,16 +554,8 @@ func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
 			o := opt
 			o.Approach = ap
 			// Cells run concurrently; a single recorder shared across
-			// them would interleave unrelated timelines (and the kernel
-			// refuses tracing off the sequential path anyway).
+			// them would interleave unrelated timelines.
 			o.Trace = nil
-			// Cells run concurrently, so each needs its own policy
-			// value: a stateful policy (random's *rand.Rand) shared
-			// across workers would race.
-			o.Policy, o.Lookahead, err = workload.ParsePolicy(spec.PolicyName, o.Seed)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
 			runs = append(runs, engine.Run{X: x, Line: line, Mix: spec.Mix, Platform: p, Options: o})
 		}
 	}
@@ -604,7 +594,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			failed++
 			cell.Error = rr.Err.Error()
 		} else {
-			s.metrics.observeSim(rr.Result, rr.Run.Options.Parallelism)
+			s.metrics.observeSim(rr.Result)
 			cell.OverheadPct = rr.Result.OverheadPct
 			cell.IdealMS = rr.Result.IdealTotal.Milliseconds()
 			cell.ActualMS = rr.Result.ActualTotal.Milliseconds()

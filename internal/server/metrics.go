@@ -55,9 +55,8 @@ type metrics struct {
 	requests map[string]map[int]int64
 	latency  map[string]*histogram
 
-	simSequential int64 // completed runs that took the sequential kernel path
-	simSharded    int64 // completed runs that took the chunk-sharded path
-	simFallbacks  int64 // runs that asked for parallelism but degraded to sequential
+	simSequential int64 // completed runs executed as one whole-run replication
+	simSharded    int64 // completed runs executed as 32-iteration replications
 
 	prefetchHits    int64
 	demandMisses    int64
@@ -98,21 +97,14 @@ func (m *metrics) observe(endpoint string, code int, d time.Duration) {
 
 // observeSim folds one completed simulation into the run-outcome
 // families. SavedLoads counts the loads the approach skipped relative
-// to the no-reuse baseline — the reconfigurations avoided. requested
-// is the run's Options.Parallelism: a run that asked for workers
-// (explicitly or via auto) but still executed sequentially counts as a
-// parallel fallback — the signal that tracing or a non-shardable
-// arrival process quietly pinned this replica to one core.
-func (m *metrics) observeSim(res *sim.Result, requested int) {
+// to the no-reuse baseline — the reconfigurations avoided.
+func (m *metrics) observeSim(res *sim.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if res.Execution == "sharded" {
 		m.simSharded++
 	} else {
 		m.simSequential++
-		if requested != 0 {
-			m.simFallbacks++
-		}
 	}
 	m.prefetchHits += int64(res.PrefetchHits)
 	m.demandMisses += int64(res.DemandMisses)
@@ -185,8 +177,6 @@ func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 	fmt.Fprintf(&buf, "# TYPE drhwd_sim_runs_total counter\n")
 	fmt.Fprintf(&buf, "drhwd_sim_runs_total{execution=\"sequential\"} %d\n", m.simSequential)
 	fmt.Fprintf(&buf, "drhwd_sim_runs_total{execution=\"sharded\"} %d\n", m.simSharded)
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_parallel_fallbacks_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_sim_parallel_fallbacks_total %d\n", m.simFallbacks)
 	fmt.Fprintf(&buf, "# TYPE drhwd_sim_prefetch_hits_total counter\n")
 	fmt.Fprintf(&buf, "drhwd_sim_prefetch_hits_total %d\n", m.prefetchHits)
 	fmt.Fprintf(&buf, "# TYPE drhwd_sim_demand_misses_total counter\n")

@@ -56,11 +56,11 @@ func TestMetricsGolden(t *testing.T) {
 	m.observeSim(&sim.Result{
 		PrefetchHits: 7, DemandMisses: 3, Loads: 10, SavedLoads: 4,
 		PeakQueued: 2, ISPBusy: []model.Dur{model.Dur(1500000)},
-	}, 0)
-	// One sharded run and one auto request that fell back to the
-	// sequential path pin the execution-split families.
-	m.observeSim(&sim.Result{Execution: "sharded", Workers: 2}, 2)
-	m.observeSim(&sim.Result{Execution: "sequential"}, sim.AutoParallelism)
+	})
+	// One sharded and one more sequential run pin the execution-split
+	// families.
+	m.observeSim(&sim.Result{Execution: "sharded", Workers: 2})
+	m.observeSim(&sim.Result{Execution: "sequential"})
 	m.observeTraceDrops(5)
 
 	// A tiered store with deterministic traffic (one Put + local hit,
@@ -116,8 +116,6 @@ drhwd_request_duration_seconds_count{endpoint="simulate"} 1
 # TYPE drhwd_sim_runs_total counter
 drhwd_sim_runs_total{execution="sequential"} 2
 drhwd_sim_runs_total{execution="sharded"} 1
-# TYPE drhwd_sim_parallel_fallbacks_total counter
-drhwd_sim_parallel_fallbacks_total 1
 # TYPE drhwd_sim_prefetch_hits_total counter
 drhwd_sim_prefetch_hits_total 7
 # TYPE drhwd_sim_demand_misses_total counter
@@ -204,7 +202,6 @@ func TestMetricsEndpointValidates(t *testing.T) {
 	for _, want := range []string{
 		"drhwd_sim_runs_total{execution=\"sequential\"} ",
 		"drhwd_sim_runs_total{execution=\"sharded\"} ",
-		"drhwd_sim_parallel_fallbacks_total ",
 		"drhwd_sim_prefetch_hits_total ",
 		"drhwd_sim_demand_misses_total ",
 		"drhwd_sim_reconfig_paid_total ",
@@ -279,17 +276,29 @@ func TestSimulateTraceEvents(t *testing.T) {
 	}
 }
 
-// TestSimulateTraceRejectsParallel: tracing is a sequential-path
-// feature; a sharded document must be refused before the 200 commits.
-func TestSimulateTraceRejectsParallel(t *testing.T) {
+// TestSimulateTraceParallel: tracing works at every parallelism — a
+// sharded document streams its events on one timeline, and the
+// trailer reports the sharded execution.
+func TestSimulateTraceParallel(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	doc := strings.Replace(tracedDoc, `"seed": 3,`, `"seed": 3, "parallelism": 2,`, 1)
+	// 70 iterations span three 32-iteration replications.
+	doc := strings.Replace(tracedDoc, `"iterations": 10, "seed": 3,`,
+		`"iterations": 70, "seed": 3, "parallelism": 2,`, 1)
 	resp, body := post(t, ts.URL+"/v1/simulate?trace=events", doc)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400: %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(body, "Parallelism") {
-		t.Fatalf("error does not explain the parallelism conflict: %s", body)
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	var sum TraceSummary
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
+		t.Fatalf("bad trailer %q: %v", lines[len(lines)-1], err)
+	}
+	if !sum.Done || sum.Execution != "sharded" || sum.Workers != 2 || sum.Iterations != 70 {
+		t.Fatalf("trailer done=%v execution=%q workers=%d iterations=%d, want a done 70-iteration sharded run on 2 workers",
+			sum.Done, sum.Execution, sum.Workers, sum.Iterations)
+	}
+	if sum.Events != len(lines)-1 || sum.Events == 0 {
+		t.Fatalf("trailer reports %d events, stream carried %d", sum.Events, len(lines)-1)
 	}
 }
 

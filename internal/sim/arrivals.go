@@ -15,8 +15,10 @@ import (
 //
 // An Arrivals value is immutable configuration and safe to share across
 // concurrent runs (the engine reuses one value for every cell of a
-// sweep); all per-run state lives in the ArrivalSource created by
-// Start.
+// sweep); all per-run state lives in the sources it starts. The kernel
+// only draws by index, so a process must also implement
+// ShardableArrivals to run; Start and ArrivalSource remain for callers
+// that drive a sequential source themselves.
 type Arrivals interface {
 	// Name identifies the process on the wire (workload JSON, CLI).
 	Name() string
@@ -38,25 +40,26 @@ type ArrivalSource interface {
 	Draw(rng *rand.Rand, dst []int) []int
 }
 
-// ShardableArrivals is the seam of the sharded execution mode
-// (Options.Parallelism >= 1): a process that can produce any
-// iteration's arrivals by index, independently of the iterations drawn
-// before it. All built-in processes implement it; a custom Arrivals
-// that does not is rejected by Validate when sharding is requested.
+// ShardableArrivals is the kernel's arrival seam: a process that can
+// produce any iteration's arrivals by index, independently of the
+// iterations drawn before it, which is what lets every run cut its
+// iteration stream into replications. All built-in processes implement
+// it; a custom Arrivals that does not is rejected by Validate at every
+// Parallelism.
 type ShardableArrivals interface {
 	Arrivals
 	// StartSharded validates the process for a run of the given mix
 	// size, iteration count and seed, and returns a fresh indexed
 	// source. Sequential cross-iteration state (the on-off Markov
 	// phase) is precomputed here from a dedicated seed stream, so every
-	// shard derives the identical sequence. Each shard calls
-	// StartSharded itself; an IndexedSource belongs to one shard.
+	// worker derives the identical sequence. Each worker calls
+	// StartSharded itself; an IndexedSource belongs to one worker.
 	StartSharded(tasks, iterations int, seed int64) (IndexedSource, error)
 }
 
 // IndexedSource draws iterations by index: DrawAt(i, ...) returns the
 // same arrivals whether or not any other index was drawn before it, on
-// this source or another shard's.
+// this source or another worker's.
 type IndexedSource interface {
 	// DrawAt appends iteration iter's task indices, in execution
 	// order, to dst and returns the extended slice. rng is positioned
@@ -67,9 +70,9 @@ type IndexedSource interface {
 
 // Bernoulli is the paper's §7 arrival process and the default: each
 // application appears independently with probability P, at least one
-// always runs, and the order is shuffled uniformly. The kernel's
-// RNG-consumption order matches the pre-kernel simulator draw for
-// draw, so fixed seeds reproduce historical aggregates bit for bit.
+// always runs, and the order is shuffled uniformly. Draw consumes its
+// generator exactly as the pre-kernel simulator did; the kernel runs
+// the same draw on each iteration's own stream.
 type Bernoulli struct {
 	// P is the per-application inclusion probability; zero or negative
 	// means the paper's 0.8.
@@ -168,21 +171,48 @@ func (o OnOff) Start(tasks int) (ArrivalSource, error) {
 		}
 	}
 	return &onOffSource{
-		pOn:     o.POn,
-		pOff:    o.POff,
-		onToOff: o.OnToOff,
-		offToOn: o.OffToOn,
-		on:      !o.StartOff,
-		tasks:   tasks,
+		onOffDraw: onOffDraw{pOn: o.POn, pOff: o.POff, tasks: tasks},
+		onToOff:   o.OnToOff,
+		offToOn:   o.OffToOn,
+		on:        !o.StartOff,
 	}, nil
 }
 
+// onOffDraw is the per-iteration inclusion draw both on-off sources
+// share: every application under the phase's probability, then a
+// shuffle.
+type onOffDraw struct {
+	pOn, pOff float64
+	tasks     int
+	buf       []int
+}
+
+func (d *onOffDraw) draw(on bool, rng *rand.Rand, dst []int) []int {
+	p := d.pOff
+	if on {
+		p = d.pOn
+	}
+	for mi := 0; mi < d.tasks; mi++ {
+		if rng.Float64() < p {
+			dst = append(dst, mi)
+		}
+	}
+	if len(dst) == 0 && on && p > 0 {
+		// Busy phases never idle (unless POn is literally zero); quiet
+		// phases may.
+		dst = append(dst, rng.Intn(d.tasks))
+	}
+	d.buf = dst
+	rng.Shuffle(len(dst), d.swap)
+	return dst
+}
+
+func (d *onOffDraw) swap(i, j int) { d.buf[i], d.buf[j] = d.buf[j], d.buf[i] }
+
 type onOffSource struct {
-	pOn, pOff        float64
+	onOffDraw
 	onToOff, offToOn float64
 	on               bool
-	tasks            int
-	buf              []int
 }
 
 func (s *onOffSource) Draw(rng *rand.Rand, dst []int) []int {
@@ -196,35 +226,16 @@ func (s *onOffSource) Draw(rng *rand.Rand, dst []int) []int {
 			s.on = true
 		}
 	}
-	p := s.pOff
-	if s.on {
-		p = s.pOn
-	}
-	for mi := 0; mi < s.tasks; mi++ {
-		if rng.Float64() < p {
-			dst = append(dst, mi)
-		}
-	}
-	if len(dst) == 0 && s.on && p > 0 {
-		// Busy phases never idle (unless POn is literally zero); quiet
-		// phases may.
-		dst = append(dst, rng.Intn(s.tasks))
-	}
-	s.buf = dst
-	rng.Shuffle(len(dst), s.swap)
-	return dst
+	return s.draw(s.on, rng, dst)
 }
-
-func (s *onOffSource) swap(i, j int) { s.buf[i], s.buf[j] = s.buf[j], s.buf[i] }
 
 // StartSharded implements ShardableArrivals. The Markov phase sequence
 // is the one sequential dependency of this process, so it is
 // precomputed for the whole run from the dedicated phase stream of the
 // run seed — every shard derives the identical sequence — and DrawAt
 // then draws iteration i's inclusions under phases[i] from the
-// iteration's own stream. (The sharded discipline differs from the
-// sequential one by construction: transition draws do not share a
-// generator with inclusion draws.)
+// iteration's own stream. (This differs from Draw by construction:
+// transition draws do not share a generator with inclusion draws.)
 func (o OnOff) StartSharded(tasks, iterations int, seed int64) (IndexedSource, error) {
 	if _, err := o.Start(tasks); err != nil {
 		return nil, err
@@ -249,36 +260,17 @@ func (o OnOff) StartSharded(tasks, iterations int, seed int64) (IndexedSource, e
 		}
 		phases[i] = on
 	}
-	return &onOffIndexed{pOn: o.POn, pOff: o.POff, phases: phases, tasks: tasks}, nil
+	return &onOffIndexed{onOffDraw{pOn: o.POn, pOff: o.POff, tasks: tasks}, phases}, nil
 }
 
 type onOffIndexed struct {
-	pOn, pOff float64
-	phases    []bool
-	tasks     int
-	buf       []int
+	onOffDraw
+	phases []bool
 }
 
 func (s *onOffIndexed) DrawAt(iter int, rng *rand.Rand, dst []int) []int {
-	on := s.phases[iter]
-	p := s.pOff
-	if on {
-		p = s.pOn
-	}
-	for mi := 0; mi < s.tasks; mi++ {
-		if rng.Float64() < p {
-			dst = append(dst, mi)
-		}
-	}
-	if len(dst) == 0 && on && p > 0 {
-		dst = append(dst, rng.Intn(s.tasks))
-	}
-	s.buf = dst
-	rng.Shuffle(len(dst), s.swap)
-	return dst
+	return s.draw(s.phases[iter], rng, dst)
 }
-
-func (s *onOffIndexed) swap(i, j int) { s.buf[i], s.buf[j] = s.buf[j], s.buf[i] }
 
 // Trace replays a recorded arrival log: iteration i runs exactly the
 // task indices of entry i mod len(Iterations), in order. It consumes no

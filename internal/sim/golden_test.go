@@ -1,9 +1,9 @@
-// Golden pins: the staged kernel with default Bernoulli arrivals must
-// reproduce the pre-kernel simulator bit for bit. The expected values
-// below were captured by running the monolithic pre-refactor sim.Run
-// (commit c1c418a) on the built-in corpus under fixed seeds; any drift
-// in RNG consumption order, accounting, or scheduling semantics shows
-// up as a mismatch here.
+// Golden pins for the default execution (Parallelism 0, one whole-run
+// replication) with default Bernoulli arrivals. The values were first
+// captured from the monolithic pre-refactor simulator (commit c1c418a)
+// and re-pinned once when every run moved onto the chunk executor's
+// per-iteration random streams; any drift in stream consumption order,
+// accounting, or scheduling semantics shows up as a mismatch here.
 package sim_test
 
 import (
@@ -46,13 +46,13 @@ func TestGoldenPreRefactorAggregates(t *testing.T) {
 		pointEnergy    float64
 	}
 	cases := []golden{
-		{"multimedia", sim.NoPrefetch, 1, 200, 0, 42161000, 53797000, 645, 3698, 0, 0, 0, 3698, 0, 44376, 0},
-		{"multimedia", sim.DesignTimePrefetch, 1, 200, 0, 42161000, 45081000, 645, 3698, 0, 0, 0, 3698, 0, 44376, 0},
-		{"multimedia", sim.RunTime, 1, 200, 0, 42161000, 44869000, 645, 3337, 0, 361, 0, 3698, 0, 40044, 0},
-		{"multimedia", sim.RunTimeInterTask, 1, 200, 0, 42161000, 42165000, 645, 3337, 0, 361, 0, 3698, 0, 40044, 0},
-		{"multimedia", sim.Hybrid, 1, 200, 0, 42161000, 42165000, 645, 3337, 1042, 361, 270, 3698, 0, 40044, 0},
-		{"pocketgl", sim.Hybrid, 7, 100, 0, 5807600, 5823600, 100, 604, 202, 396, 192, 1000, 0, 7248, 0},
-		{"multimedia", sim.Hybrid, 3, 100, 120 * model.Millisecond, 21602000, 21618000, 327, 1876, 1559, 0, 0, 1876, 95, 22512, 2433132},
+		{"multimedia", sim.NoPrefetch, 1, 200, 0, 41724000, 53024000, 628, 3636, 0, 0, 0, 3636, 0, 43632, 0},
+		{"multimedia", sim.DesignTimePrefetch, 1, 200, 0, 41724000, 44540000, 628, 3636, 0, 0, 0, 3636, 0, 43632, 0},
+		{"multimedia", sim.RunTime, 1, 200, 0, 41724000, 44326000, 628, 3274, 0, 362, 0, 3636, 0, 39288, 0},
+		{"multimedia", sim.RunTimeInterTask, 1, 200, 0, 41724000, 41730000, 628, 3274, 0, 362, 0, 3636, 0, 39288, 0},
+		{"multimedia", sim.Hybrid, 1, 200, 0, 41724000, 41732000, 628, 3274, 1025, 362, 285, 3636, 0, 39288, 0},
+		{"pocketgl", sim.Hybrid, 7, 100, 0, 5844775, 5860775, 100, 604, 202, 396, 197, 1000, 0, 7248, 0},
+		{"multimedia", sim.Hybrid, 3, 100, 120 * model.Millisecond, 21766000, 21778000, 326, 1875, 1551, 0, 0, 1875, 95, 22500, 2449950},
 	}
 	for _, c := range cases {
 		c := c
@@ -70,7 +70,7 @@ func TestGoldenPreRefactorAggregates(t *testing.T) {
 			}
 			check := func(name string, got, want any) {
 				if got != want {
-					t.Errorf("%s = %v, pre-refactor value %v", name, got, want)
+					t.Errorf("%s = %v, pinned value %v", name, got, want)
 				}
 			}
 			check("IdealTotal", r.IdealTotal, c.ideal)

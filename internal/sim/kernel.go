@@ -38,28 +38,34 @@ import (
 // complete independently; an arrival whose claim does not fit queues
 // until an in-flight instance releases tiles. Under the default serial
 // admission every claim is the whole fabric, the loop degenerates to
-// the sequential back-to-back replay, and the aggregates are
-// bit-identical to the pre-fabric kernel (pinned by the golden tests).
+// the back-to-back replay of the paper's one-instance-owns-the-FPGA
+// model (TestMultitaskSerialBitIdentical pins the equivalence).
 //
 // All per-instance working memory lives in the kernel's scratch, so the
 // hot path performs no allocations after the first iterations warm the
 // buffers (BenchmarkSimRun and TestSimRunAllocs track this, for the
 // serial and multitask paths both).
 
-// kernel carries one run's state across the stages. In sharded mode
-// (Options.Parallelism >= 1) one master kernel owns the prepared
-// artifacts and the final aggregate while each worker drives its own
-// shard kernel — a full copy of the run-time state (fabric, scratch,
-// RNG, estimators) over the shared read-only design-time tables — so
-// the single-goroutine hot path below runs unchanged on every shard.
+// kernel carries one run's state across the stages. The master kernel
+// owns the prepared artifacts and the final aggregate and runs the
+// replications itself when one worker does; otherwise each worker
+// drives its own shard kernel — a full copy of the run-time state
+// (fabric, scratch, generators, estimators) over the shared read-only
+// design-time tables — so the single-goroutine hot path below runs
+// unchanged on every kernel.
 type kernel struct {
 	mix  []TaskMix
 	p    platform.Platform
 	opt  Options
-	rng  *rand.Rand
-	src  ArrivalSource
 	prep [][]*scenPrep
-	res  *Result
+	res  *Result // the aggregate, or the running replication's partial
+
+	// rng is re-pointed at each iteration's draw stream, and polRng
+	// (random replacement policy only) at its policy stream; isrc is
+	// the indexed arrival source.
+	rng    *rand.Rand
+	polRng *rand.Rand
+	isrc   IndexedSource
 
 	fab        *fabric.Fabric
 	alloc      fabric.Allocation
@@ -70,13 +76,10 @@ type kernel struct {
 	useReuse  bool
 	interTask bool
 
-	// shardWorkers is the resolved Parallelism: 0 sequential, >= 1
-	// sharded. isrc and polRng exist on shard kernels only: the indexed
-	// arrival source and, under the random replacement policy, the
-	// shard's policy generator (re-pointed at each iteration's stream).
-	shardWorkers int
-	isrc         IndexedSource
-	polRng       *rand.Rand
+	// workers is the resolved Parallelism: 0 for one whole-run
+	// replication, >= 1 for 32-iteration replications on that many
+	// workers.
+	workers int
 
 	mkQ *stats.Sketch // per-iteration makespan tail (ms)
 	ovQ *stats.Sketch // per-iteration overhead tail (ms)
@@ -89,9 +92,12 @@ type kernel struct {
 
 	// rec is the observability seam: nil on every untraced run (the
 	// hot path pays one pointer check), the Options.Trace recorder
-	// otherwise. curIter tags emitted events with the iteration.
-	rec     *obs.Recorder
-	curIter int
+	// otherwise. curIter tags emitted events with the iteration;
+	// traceBase is the sum of the end clocks of the replications
+	// before the running one, which every event is shifted by.
+	rec       *obs.Recorder
+	curIter   int
+	traceBase model.Time
 
 	sc scratch
 }
@@ -172,88 +178,80 @@ func validateWeights(mix []TaskMix) error {
 
 // Validate reports the error a Run with these inputs would fail with
 // before any simulation work happens: platform validity, a non-empty
-// mix, degenerate scenario weights, the arrival process (started
-// against the mix size), and the multitask admission configuration.
-// Streaming callers use it to reject a bad request before committing a
-// success status to the wire; Run performs the same checks itself.
+// mix, degenerate scenario weights, the multitask admission
+// configuration, the Parallelism value, and the arrival process
+// (started against the mix size, iteration count and seed). Streaming
+// callers use it to reject a bad request before committing a success
+// status to the wire; Run performs the same checks itself.
 func Validate(mix []TaskMix, p platform.Platform, opt Options) error {
+	_, err := validate(mix, p, opt)
+	return err
+}
+
+// validate is Validate returning the started arrival source, which the
+// master kernel then draws from.
+func validate(mix []TaskMix, p platform.Platform, opt Options) (IndexedSource, error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	if len(mix) == 0 {
-		return fmt.Errorf("sim: empty task mix")
+		return nil, fmt.Errorf("sim: empty task mix")
 	}
 	if err := validateWeights(mix); err != nil {
-		return err
+		return nil, err
 	}
 	if _, _, _, err := opt.Multitask.resolve(p.Tiles); err != nil {
-		return err
+		return nil, err
 	}
+	if _, err := opt.effectiveWorkers(); err != nil {
+		return nil, err
+	}
+	iters := opt.Iterations
+	if iters <= 0 {
+		iters = 1000
+	}
+	return startArrivals(opt, len(mix), iters)
+}
+
+// startArrivals starts the run's indexed arrival source: Options.Arrivals,
+// or the Bernoulli default under InclusionProb.
+func startArrivals(opt Options, tasks, iterations int) (IndexedSource, error) {
 	arrivals := opt.Arrivals
 	if arrivals == nil {
 		arrivals = Bernoulli{P: opt.InclusionProb}
 	}
-	workers, err := opt.effectiveWorkers(arrivals)
-	if err != nil {
-		return err
+	sa, ok := arrivals.(ShardableArrivals)
+	if !ok {
+		return nil, fmt.Errorf("sim: arrival process %q has no indexed per-iteration draw (ShardableArrivals)",
+			arrivals.Name())
 	}
-	if _, err := arrivals.Start(len(mix)); err != nil {
-		return err
-	}
-	if workers > 0 {
-		iters := opt.Iterations
-		if iters <= 0 {
-			iters = 1000
-		}
-		// effectiveWorkers established the interface; start the indexed
-		// source too so a bad trace/seed fails here, not mid-run.
-		if _, err := arrivals.(ShardableArrivals).StartSharded(len(mix), iters, opt.Seed); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sa.StartSharded(tasks, iterations, opt.Seed)
 }
 
 // newKernel validates the inputs, resolves defaults, and runs the
 // design-time preparation stage.
 func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error) {
-	// Validate is the single source of truth for what a run rejects —
-	// streaming servers rely on it matching this constructor exactly.
-	if err := Validate(mix, p, opt); err != nil {
+	// validate is the single source of truth for what a run rejects —
+	// streaming servers rely on Validate matching this constructor
+	// exactly.
+	isrc, err := validate(mix, p, opt)
+	if err != nil {
 		return nil, err
 	}
 	if opt.Iterations <= 0 {
 		opt.Iterations = 1000
-	}
-	policy := opt.Policy
-	if policy == nil {
-		policy = reconfig.LRU{}
-	}
-	arrivals := opt.Arrivals
-	if arrivals == nil {
-		arrivals = Bernoulli{P: opt.InclusionProb}
-	}
-	src, err := arrivals.Start(len(mix))
-	if err != nil {
-		return nil, err
 	}
 	analyze := opt.Analyzer
 	if analyze == nil {
 		analyze = core.Analyze
 	}
 
-	k := &kernel{
-		mix: mix,
-		p:   p,
-		opt: opt,
-		rng: rand.New(rand.NewSource(opt.Seed)),
-		src: src,
-	}
+	k := &kernel{mix: mix, p: p, opt: opt}
 	k.alloc, k.modeName, k.partitions, err = opt.Multitask.resolve(p.Tiles)
 	if err != nil {
 		return nil, err
 	}
-	k.shardWorkers, err = opt.effectiveWorkers(arrivals)
+	k.workers, err = opt.effectiveWorkers()
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +259,6 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 	k.interTask = opt.Approach == RunTimeInterTask ||
 		(opt.Approach == Hybrid && !opt.DisableInterTask)
 	k.rec = opt.Trace
-	k.ispBusy = make([]model.Dur, p.ISPs)
-	k.bindScratch()
 
 	var prep0 time.Time
 	if k.rec != nil {
@@ -278,28 +274,45 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 		})
 	}
 
-	k.fab = fabric.New(p, policy)
-	k.newTails()
+	k.initRunState(isrc)
 	return k, nil
 }
 
+// initRunState gives the kernel its private run-time state: the
+// iteration and policy generators, the indexed arrival source, the
+// fabric, the tail sketches and the scratch closures.
+func (k *kernel) initRunState(isrc IndexedSource) {
+	k.rng = rand.New(&splitmixSource{})
+	k.isrc = isrc
+	k.ispBusy = make([]model.Dur, k.p.ISPs)
+	policy := k.opt.Policy
+	if policy == nil {
+		policy = reconfig.LRU{}
+	}
+	if _, ok := policy.(reconfig.Random); ok {
+		// The one stateful policy: every kernel draws victims from its
+		// own generator, re-pointed per iteration (iterate), so victim
+		// choices stay a function of the iteration alone.
+		k.polRng = rand.New(&splitmixSource{})
+		policy = reconfig.Random{Rng: k.polRng}
+	}
+	k.fab = fabric.New(k.p, policy)
+	// A run on several workers merges its shards' sketches into the
+	// master's; merging is exact and order-invariant.
+	k.mkQ = stats.NewSketch(0)
+	k.ovQ = stats.NewSketch(0)
+	k.qdQ = stats.NewSketch(0)
+	k.rtQ = stats.NewSketch(0)
+	k.bindScratch()
+}
+
 // bindScratch installs the per-kernel scratch closures the hot path
-// hands to the layers below without allocating per instance. Each shard
+// hands to the layers below without allocating per instance. Each
 // kernel binds its own set over its own scratch.
 func (k *kernel) bindScratch() {
 	k.sc.endOfFn = func(id graph.SubtaskID) model.Time { return k.sc.tl.ExecEnd[id] }
 	k.sc.criticalFn = func(id graph.SubtaskID) bool { return k.sc.curAnalysis.IsCritical(id) }
 	k.sc.residentFn = func(id graph.SubtaskID) bool { return k.sc.resident[id] }
-}
-
-// newTails gives the kernel empty tail sketches. Sketches are the one
-// tail estimator on every path: a sharded run merges its shards'
-// sketches into the master's, and merging is exact and order-invariant.
-func (k *kernel) newTails() {
-	k.mkQ = stats.NewSketch(0)
-	k.ovQ = stats.NewSketch(0)
-	k.qdQ = stats.NewSketch(0)
-	k.rtQ = stats.NewSketch(0)
 }
 
 // prepare is the design-time stage: schedule (and in deadline mode,
@@ -382,38 +395,20 @@ func (k *kernel) canceled() error {
 	return k.opt.Context.Err()
 }
 
-// run executes the per-iteration stages and finishes the aggregate.
-func (k *kernel) run() (*Result, error) {
-	if k.shardWorkers > 0 {
-		return k.runSharded()
-	}
-	for iter := 0; iter < k.opt.Iterations; iter++ {
-		if err := k.canceled(); err != nil {
-			return nil, fmt.Errorf("sim: canceled after %d of %d iterations: %w", iter, k.opt.Iterations, err)
-		}
-		// Stage 1: draw this iteration's application set and order (the
-		// TCM run-time scheduler identifies the current scenario of
-		// every running task before selecting points).
-		todo := k.src.Draw(k.rng, k.sc.todo[:0])
-		k.sc.todo = todo
-
-		rec, err := k.iterate(iter, todo)
-		if err != nil {
-			return nil, err
-		}
-		if k.opt.Observer != nil {
-			k.opt.Observer(rec)
-		}
-	}
-	return k.finish(), nil
-}
-
-// iterate runs stages 2–4 for one iteration whose arrivals are already
-// drawn, folding the outcome into k.res and the tail estimators, and
-// returns the iteration's record. It is the body shared by the
-// sequential loop and the sharded executor.
-func (k *kernel) iterate(iter int, todo []int) (IterationRecord, error) {
+// iterate runs one iteration: stage 1 draws its application set and
+// order from the iteration's own streams (the TCM run-time scheduler
+// identifies the current scenario of every running task before
+// selecting points), stages 2–4 select, execute and account, folding
+// the outcome into k.res and the tail estimators. It returns the
+// iteration's record.
+func (k *kernel) iterate(iter int) (IterationRecord, error) {
 	k.curIter = iter
+	reseedStream(k.rng, k.opt.Seed, drawDomain, int64(iter))
+	if k.polRng != nil {
+		reseedStream(k.polRng, k.opt.Seed, policyDomain, int64(iter))
+	}
+	todo := k.isrc.DrawAt(iter, k.rng, k.sc.todo[:0])
+	k.sc.todo = todo
 
 	// Stage 2: select one prepared artifact per arrival.
 	var stage0 time.Time
@@ -428,7 +423,7 @@ func (k *kernel) iterate(iter int, todo []int) (IterationRecord, error) {
 		k.res.DeadlineMisses++
 	}
 	if k.rec != nil {
-		k.rec.Record(obs.Event{
+		k.record(obs.Event{
 			Kind: obs.KindStage, Iter: iter, Tile: -1, Port: -1, ISP: -1,
 			Start: k.clock, End: k.clock,
 			Detail: "select", WallUS: time.Since(stage0).Microseconds(),
@@ -448,7 +443,7 @@ func (k *kernel) iterate(iter int, todo []int) (IterationRecord, error) {
 		k.maxInFlight = peak
 	}
 	if k.rec != nil {
-		k.rec.Record(obs.Event{
+		k.record(obs.Event{
 			Kind: obs.KindStage, Iter: iter, Tile: -1, Port: -1, ISP: -1,
 			Start: clock0, End: k.clock,
 			Detail: "execute", WallUS: time.Since(stage0).Microseconds(),
@@ -565,16 +560,16 @@ func (k *kernel) executeIteration(instances []*prepared) (int, error) {
 				seq := k.res.Instances - 1 // runInstance just accounted it
 				name := pr.sched.G.Name
 				if now > arrival {
-					k.rec.Record(obs.Event{
+					k.record(obs.Event{
 						Kind: obs.KindQueue, Iter: k.curIter, Seq: seq, Task: name,
 						Tile: -1, Port: -1, ISP: -1, Start: arrival, End: now,
 					})
 				}
-				k.rec.Record(obs.Event{
+				k.record(obs.Event{
 					Kind: obs.KindAdmit, Iter: k.curIter, Seq: seq, Task: name,
 					Tile: -1, Port: -1, ISP: -1, Start: now, End: now,
 				})
-				k.rec.Record(obs.Event{
+				k.record(obs.Event{
 					Kind: obs.KindRetire, Iter: k.curIter, Seq: seq, Task: name,
 					Tile: -1, Port: -1, ISP: -1, Start: now, End: end,
 					Ideal: k.sc.inst.ideal, Overhead: k.sc.inst.overhead,
@@ -885,7 +880,7 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 			sub := s.G.Subtask(id)
 			if tl.LoadStart[id] != schedule.NoEvent {
 				if prev != "" && prev != sub.Config {
-					k.rec.Record(obs.Event{
+					k.record(obs.Event{
 						Kind: obs.KindVictim, Iter: k.curIter, Seq: seq, Task: name,
 						Subtask: sub.Name, Config: string(prev), Detail: string(sub.Config),
 						Tile: phys, Port: -1, ISP: -1,
@@ -897,7 +892,7 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 				if tl.LoadPort != nil {
 					port = tl.LoadPort[id]
 				}
-				k.rec.Record(obs.Event{
+				k.record(obs.Event{
 					Kind: obs.KindLoad, Iter: k.curIter, Seq: seq, Task: name,
 					Subtask: sub.Name, Config: string(sub.Config),
 					Tile: phys, Port: port, ISP: -1,
@@ -905,7 +900,7 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 					Prefetch: tl.ExecStart[id] > tl.LoadEnd[id],
 				})
 			}
-			k.rec.Record(obs.Event{
+			k.record(obs.Event{
 				Kind: obs.KindExec, Iter: k.curIter, Seq: seq, Task: name,
 				Subtask: sub.Name, Config: string(sub.Config),
 				Tile: phys, Port: -1, ISP: -1,
@@ -916,7 +911,7 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 	for v := s.Tiles; v < len(s.TileOrder); v++ {
 		for _, id := range s.TileOrder[v] {
 			sub := s.G.Subtask(id)
-			k.rec.Record(obs.Event{
+			k.record(obs.Event{
 				Kind: obs.KindISPBusy, Iter: k.curIter, Seq: seq, Task: name,
 				Subtask: sub.Name, Tile: -1, Port: -1, ISP: v - s.Tiles,
 				Start: tl.ExecStart[id], End: tl.ExecEnd[id],
@@ -928,7 +923,7 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 	for _, w := range sc.initWindows {
 		v := s.Assignment[w.Subtask]
 		sub := s.G.Subtask(w.Subtask)
-		k.rec.Record(obs.Event{
+		k.record(obs.Event{
 			Kind: obs.KindLoad, Iter: k.curIter, Seq: seq, Task: name,
 			Subtask: sub.Name, Config: string(sub.Config), Detail: "init",
 			Tile: mapping.PhysOf[v], Port: 0, ISP: -1,
@@ -937,12 +932,20 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 		})
 	}
 	if sc.inst.loads > 0 && portBusyUntil > start {
-		k.rec.Record(obs.Event{
+		k.record(obs.Event{
 			Kind: obs.KindPortStall, Iter: k.curIter, Seq: seq, Task: name,
 			Tile: -1, Port: -1, ISP: -1,
 			Start: start, End: portBusyUntil,
 		})
 	}
+}
+
+// record shifts ev from the running replication's clock onto the run's
+// timeline and records it. Only called when tracing is on.
+func (k *kernel) record(ev obs.Event) {
+	ev.Start += k.traceBase
+	ev.End += k.traceBase
+	k.rec.Record(ev)
 }
 
 // tileLastFrom finds each processor row's last activity (the end of its
@@ -1004,11 +1007,11 @@ func (k *kernel) finish() *Result {
 	res.MaxInFlight = k.maxInFlight
 	res.PeakQueued = k.peakQueued
 	res.ISPBusy = k.ispBusy
-	if k.shardWorkers > 0 {
+	if k.workers > 0 {
 		res.Execution = "sharded"
 	} else {
 		res.Execution = "sequential"
 	}
-	res.Workers = k.shardWorkers
+	res.Workers = k.workers
 	return res
 }

@@ -2,44 +2,42 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
-	"drhwsched/internal/fabric"
-	"drhwsched/internal/model"
-	"drhwsched/internal/reconfig"
 	"drhwsched/internal/stats"
 )
 
-// The sharded executor (Options.Parallelism >= 1).
+// The chunk executor: the one way every run executes.
 //
-// The iteration stream is cut into fixed-size chunks, each an
-// independent Monte-Carlo replication: a shard starts a chunk on a cold
-// fabric at clock zero, then runs the chunk's iterations with the same
-// staged warm-chain body as the sequential path — tile residency and
-// availability carry across the iterations inside a chunk (the paper's
-// cross-iteration reuse mechanism stays alive), and reset at chunk
-// boundaries. Every iteration's randomness comes from its own
-// counter-derived stream (seed.go), so a chunk's outcome is a pure
+// The iteration stream is cut into chunks, each an independent
+// Monte-Carlo replication: a chunk starts on a cold fabric at clock
+// zero, then runs its iterations with the staged warm-chain body — tile
+// residency and availability carry across the iterations inside a
+// chunk (the paper's cross-iteration reuse mechanism) and reset at
+// chunk boundaries. Parallelism 0 makes the whole run one chunk, the
+// paper's single warm chain; Parallelism >= 1 cuts shardChunk-iteration
+// chunks. Every iteration's randomness comes from its own
+// counter-derived streams (seed.go), so a chunk's outcome is a pure
 // function of (inputs, Seed, chunk index) — the only remaining
-// shard-count hazard is accumulation order, handled by merging the
+// worker-count hazard is accumulation order, handled by merging the
 // per-chunk partials in chunk-index order — and any worker count
 // produces bit-identical Results.
 //
-// Work distribution is chunk self-scheduling: workers pull chunk
-// indices from an atomic counter, so a straggler chunk never idles the
-// other workers, and the assignment of chunks to workers is free to
-// vary between runs without affecting any result.
+// One worker — Parallelism 0 or 1, and every traced run — executes the
+// chunks in order on the caller's goroutine, on the master kernel, and
+// calls the Observer after every iteration. More workers pull chunk
+// indices from an atomic counter (chunk self-scheduling: a straggler
+// chunk never idles the others) and the caller's goroutine flushes the
+// buffered observer records as the completed chunk prefix grows.
 
-// shardChunk is the fixed replication length and scheduling grain of
-// the sharded executor. Chunk boundaries depend only on the iteration
-// count — never on the worker count — and every chunk accumulates into
-// its own Result partial, merged in chunk-index order. That makes even
-// the non-associative float sums (LoadEnergy, PointEnergy)
-// bit-identical for every Parallelism and every scheduling order;
-// integer sums, max merges and sketch merges are order-invariant
-// anyway.
+// shardChunk is the replication length and scheduling grain at
+// Parallelism >= 1. Chunk boundaries depend only on the iteration count
+// — never on the worker count — and every chunk accumulates into its
+// own Result partial, merged in chunk-index order. That makes even the
+// non-associative float sums (LoadEnergy, PointEnergy) bit-identical
+// for every Parallelism >= 1 and every scheduling order; integer sums,
+// max merges and sketch merges are order-invariant anyway.
 const shardChunk = 32
 
 // chunkDone is a worker's completion report for one chunk.
@@ -48,14 +46,50 @@ type chunkDone struct {
 	err   error
 }
 
-// runSharded executes the iteration stream across shardWorkers workers
-// and merges the chunk partials into the master aggregate.
-func (k *kernel) runSharded() (*Result, error) {
+// run executes the iteration stream chunk by chunk and merges the chunk
+// partials into the aggregate.
+func (k *kernel) run() (*Result, error) {
 	total := k.opt.Iterations
-	chunks := (total + shardChunk - 1) / shardChunk
-	workers := min(k.shardWorkers, chunks)
+	chunk := shardChunk
+	if k.workers == 0 {
+		chunk = total
+	}
+	partials := make([]Result, (total+chunk-1)/chunk)
+	agg := k.res
+	var err error
+	if k.workers <= 1 || k.rec != nil {
+		err = k.runInOrder(chunk, partials)
+	} else {
+		err = k.runParallel(chunk, partials)
+	}
+	k.res = agg
+	if err != nil {
+		return nil, err
+	}
+	for c := range partials {
+		agg.addChunk(&partials[c])
+	}
+	return k.finish(), nil
+}
 
-	partials := make([]Result, chunks)
+// runInOrder executes every chunk on the master kernel in chunk order,
+// streaming observer records as iterations complete. Each chunk's
+// events are shifted by the end clocks of the chunks before it.
+func (k *kernel) runInOrder(chunk int, partials []Result) error {
+	for c := range partials {
+		if err := k.runChunk(c, chunk, &partials[c], k.opt.Observer); err != nil {
+			return err
+		}
+		k.traceBase += k.clock
+	}
+	return nil
+}
+
+// runParallel executes the chunks on min(workers, chunks) shard
+// kernels and folds the shards' run-wide statistics into the master.
+func (k *kernel) runParallel(chunk int, partials []Result) error {
+	chunks := len(partials)
+	workers := min(k.workers, chunks)
 	var recs [][]IterationRecord
 	if k.opt.Observer != nil {
 		recs = make([][]IterationRecord, chunks)
@@ -64,7 +98,7 @@ func (k *kernel) runSharded() (*Result, error) {
 	for i := range shards {
 		sh, err := k.newShard()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		shards[i] = sh
 	}
@@ -84,7 +118,11 @@ func (k *kernel) runSharded() (*Result, error) {
 				if c >= chunks {
 					return
 				}
-				err := sh.runChunk(c, total, &partials[c], recs)
+				var emit Observer
+				if recs != nil {
+					emit = func(rec IterationRecord) { recs[c] = append(recs[c], rec) }
+				}
+				err := sh.runChunk(c, chunk, &partials[c], emit)
 				if err != nil {
 					failed.Store(true)
 				}
@@ -125,19 +163,12 @@ func (k *kernel) runSharded() (*Result, error) {
 		}
 	}
 	if firstErr != nil {
-		return nil, firstErr
+		return firstErr
 	}
 
-	for c := range partials {
-		k.res.addChunk(&partials[c])
-	}
 	for _, sh := range shards {
-		if sh.maxInFlight > k.maxInFlight {
-			k.maxInFlight = sh.maxInFlight
-		}
-		if sh.peakQueued > k.peakQueued {
-			k.peakQueued = sh.peakQueued
-		}
+		k.maxInFlight = max(k.maxInFlight, sh.maxInFlight)
+		k.peakQueued = max(k.peakQueued, sh.peakQueued)
 		for i, d := range sh.ispBusy {
 			k.ispBusy[i] += d
 		}
@@ -145,110 +176,61 @@ func (k *kernel) runSharded() (*Result, error) {
 			{k.mkQ, sh.mkQ}, {k.ovQ, sh.ovQ}, {k.qdQ, sh.qdQ}, {k.rtQ, sh.rtQ},
 		} {
 			if err := m[0].Merge(m[1]); err != nil {
-				return nil, err
+				return err
 			}
 		}
-	}
-	return k.finish(), nil
-}
-
-// runChunk executes the replication of iterations [c*shardChunk,
-// min((c+1)*shardChunk, total)) on this shard: cold fabric and clock at
-// the chunk start, warm chaining within, accumulation into the chunk's
-// own partial. Observer records are buffered per chunk (recs non-nil)
-// for the coordinator to flush in order.
-func (sh *kernel) runChunk(c, total int, partial *Result, recs [][]IterationRecord) error {
-	sh.res = partial
-	sh.fab.Reset()
-	sh.clock = 0
-	lo := c * shardChunk
-	hi := min(lo+shardChunk, total)
-	var buf []IterationRecord
-	if recs != nil {
-		buf = make([]IterationRecord, 0, hi-lo)
-	}
-	for iter := lo; iter < hi; iter++ {
-		if err := sh.canceled(); err != nil {
-			return fmt.Errorf("sim: canceled during sharded run: %w", err)
-		}
-		rec, err := sh.shardIterate(iter)
-		if err != nil {
-			return err
-		}
-		if recs != nil {
-			buf = append(buf, rec)
-		}
-	}
-	if recs != nil {
-		recs[c] = buf
 	}
 	return nil
 }
 
-// shardIterate runs one iteration of a chunk replication: randomness
-// from the iteration's own streams, fabric state carried from the
-// chunk's earlier iterations.
-func (sh *kernel) shardIterate(iter int) (IterationRecord, error) {
-	reseedStream(sh.rng, sh.opt.Seed, drawDomain, int64(iter))
-	if sh.polRng != nil {
-		reseedStream(sh.polRng, sh.opt.Seed, policyDomain, int64(iter))
+// runChunk executes chunk c — iterations [c*chunk, min((c+1)*chunk,
+// Iterations)) — on this kernel: cold fabric and clock at the chunk
+// start, warm chaining within, accumulation into the chunk's own
+// partial, and emit (when non-nil) called after every iteration.
+func (k *kernel) runChunk(c, chunk int, partial *Result, emit Observer) error {
+	k.res = partial
+	k.fab.Reset()
+	k.clock = 0
+	lo := c * chunk
+	hi := min(lo+chunk, k.opt.Iterations)
+	for iter := lo; iter < hi; iter++ {
+		if err := k.canceled(); err != nil {
+			return fmt.Errorf("sim: canceled after %d of %d iterations: %w", iter, k.opt.Iterations, err)
+		}
+		rec, err := k.iterate(iter)
+		if err != nil {
+			return err
+		}
+		if emit != nil {
+			emit(rec)
+		}
 	}
-	todo := sh.isrc.DrawAt(iter, sh.rng, sh.sc.todo[:0])
-	sh.sc.todo = todo
-	return sh.iterate(iter, todo)
+	return nil
 }
 
 // newShard clones the master kernel into a worker-owned copy: shared
 // read-only design-time tables (mix, platform, prepared artifacts,
-// admission policy), private everything-else (fabric, scratch,
-// estimators, generators). The clone's hot path is the same
-// single-goroutine code the sequential kernel runs.
+// admission policy), private run-time state (initRunState). The clone's
+// hot path is the same single-goroutine code the master runs.
 func (k *kernel) newShard() (*kernel, error) {
-	sh := &kernel{
-		mix:          k.mix,
-		p:            k.p,
-		opt:          k.opt,
-		prep:         k.prep,
-		alloc:        k.alloc,
-		modeName:     k.modeName,
-		partitions:   k.partitions,
-		useReuse:     k.useReuse,
-		interTask:    k.interTask,
-		shardWorkers: k.shardWorkers,
-		rng:          rand.New(&splitmixSource{}),
-		ispBusy:      make([]model.Dur, k.p.ISPs),
-	}
-	policy := k.opt.Policy
-	if policy == nil {
-		policy = reconfig.LRU{}
-	}
-	if _, ok := policy.(reconfig.Random); ok {
-		// The one stateful policy: each shard draws victims from its
-		// own generator, re-pointed per iteration (shardIterate), so
-		// victim choices stay a function of the iteration alone.
-		sh.polRng = rand.New(&splitmixSource{})
-		policy = reconfig.Random{Rng: sh.polRng}
-	}
-	sh.fab = fabric.New(k.p, policy)
-
-	arrivals := k.opt.Arrivals
-	if arrivals == nil {
-		arrivals = Bernoulli{P: k.opt.InclusionProb}
-	}
-	sa, ok := arrivals.(ShardableArrivals)
-	if !ok {
-		// Unreachable through Run — Validate rejects this — but kept
-		// for direct constructor misuse.
-		return nil, fmt.Errorf("sim: arrival process %q cannot run sharded: it has no indexed per-iteration draw", arrivals.Name())
-	}
-	isrc, err := sa.StartSharded(len(k.mix), k.opt.Iterations, k.opt.Seed)
+	// Every shard starts its own indexed source: sources keep draw
+	// buffers, so one belongs to one kernel.
+	isrc, err := startArrivals(k.opt, len(k.mix), k.opt.Iterations)
 	if err != nil {
 		return nil, err
 	}
-	sh.isrc = isrc
-
-	sh.newTails()
-	sh.bindScratch()
+	sh := &kernel{
+		mix:        k.mix,
+		p:          k.p,
+		opt:        k.opt,
+		prep:       k.prep,
+		alloc:      k.alloc,
+		modeName:   k.modeName,
+		partitions: k.partitions,
+		useReuse:   k.useReuse,
+		interTask:  k.interTask,
+	}
+	sh.initRunState(isrc)
 	return sh, nil
 }
 

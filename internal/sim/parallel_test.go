@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"drhwsched/internal/model"
-	"drhwsched/internal/obs"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/reconfig"
 	"drhwsched/internal/sim"
@@ -330,7 +329,7 @@ func TestShardedMultitaskObserverOrder(t *testing.T) {
 	}
 }
 
-// TestParallelismValidation: other bad combinations fail up front with
+// TestParallelismValidation: bad combinations fail up front with
 // matching errors from Validate and Run.
 func TestParallelismValidation(t *testing.T) {
 	p := platform.Default(8)
@@ -339,7 +338,7 @@ func TestParallelismValidation(t *testing.T) {
 	cases := []sim.Options{
 		{Approach: sim.RunTime, Iterations: 5, Parallelism: -2},
 		{Approach: sim.RunTime, Iterations: 5, Parallelism: 2, Arrivals: sequentialOnly{}},
-		{Approach: sim.RunTime, Iterations: 5, Parallelism: 2, Trace: obs.NewRecorder(0)},
+		{Approach: sim.RunTime, Iterations: 5, Parallelism: 0, Arrivals: sequentialOnly{}},
 	}
 	for _, opt := range cases {
 		vErr := sim.Validate(mix, p, opt)
@@ -352,9 +351,9 @@ func TestParallelismValidation(t *testing.T) {
 	}
 }
 
-// sequentialOnly is an arrival process without indexed draws: explicit
-// sharding requests against it must be rejected, not silently run
-// sequentially — only AutoParallelism may degrade.
+// sequentialOnly is an arrival process without indexed draws: every
+// run draws iterations by index, so it is rejected at every
+// Parallelism.
 type sequentialOnly struct{}
 
 func (sequentialOnly) Name() string { return "sequential-only" }
@@ -397,33 +396,6 @@ func TestAutoParallelism(t *testing.T) {
 	}
 }
 
-// TestAutoParallelismFallback: the two cases sharding is impossible —
-// tracing on, no indexed arrival draws — degrade AutoParallelism to the
-// sequential path (Workers 0) where an explicit count errors.
-func TestAutoParallelismFallback(t *testing.T) {
-	p := platform.Default(8)
-	p.ISPs = 1
-	mix := goldenMix("multimedia")
-	cases := []struct {
-		name string
-		mut  func(*sim.Options)
-	}{
-		{"arrivals", func(o *sim.Options) { o.Arrivals = sequentialOnly{} }},
-		{"trace", func(o *sim.Options) { o.Trace = obs.NewRecorder(0) }},
-	}
-	for _, c := range cases {
-		opt := sim.Options{Approach: sim.NoPrefetch, Iterations: 8, Seed: 2, Parallelism: sim.AutoParallelism}
-		c.mut(&opt)
-		r, err := sim.Run(mix, p, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if r.Execution != "sequential" || r.Workers != 0 {
-			t.Fatalf("%s: Execution = %q Workers = %d, want the sequential fallback", c.name, r.Execution, r.Workers)
-		}
-	}
-}
-
 // TestShardedContextCancel: a canceled context stops a sharded run with
 // the context's error.
 func TestShardedContextCancel(t *testing.T) {
@@ -437,6 +409,34 @@ func TestShardedContextCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
+	}
+}
+
+// TestObserverStreamsWholeRunChunk: a Parallelism 0 run is one
+// 1000-iteration chunk, yet its Observer still sees every iteration as
+// it completes — so an observer that cancels the run's context stops it
+// at the next iteration boundary, not at the end of the chunk.
+func TestObserverStreamsWholeRunChunk(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	records := 0
+	_, err := sim.Run(goldenMix("multimedia"), platform.Default(8), sim.Options{
+		Approach:   sim.NoPrefetch,
+		Iterations: 1000,
+		Seed:       1,
+		Context:    ctx,
+		Observer: func(rec sim.IterationRecord) {
+			records++
+			if rec.Iteration == 10 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if records > 11 {
+		t.Fatalf("observer saw %d records after a cancel at iteration 10, want at most 11", records)
 	}
 }
 

@@ -2,9 +2,9 @@ package sim
 
 import "math/rand"
 
-// Deterministic seed splitting for the sharded execution mode.
+// Deterministic seed splitting for the chunk executor.
 //
-// Sharded runs give every iteration its own RNG stream, derived from
+// Every run gives every iteration its own RNG stream, derived from
 // (Options.Seed, iteration index) by counter hashing — no stream ever
 // observes another's position, so an iteration's draws are a pure
 // function of the run seed and its index, independent of which worker
@@ -56,7 +56,7 @@ func streamState(seed int64, domain uint64, index int64) uint64 {
 // splitmixSource is a splitmix64 rand.Source64: 64-bit state, one
 // add-and-mix per output. Seed(s) jumps directly to state s — unlike
 // rngSource, every distinct state is a distinct stream — which is what
-// lets one rand.Rand per shard be re-pointed at each iteration's stream
+// lets one rand.Rand per kernel be re-pointed at each iteration's stream
 // without allocating.
 type splitmixSource struct {
 	state uint64

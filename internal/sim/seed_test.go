@@ -78,13 +78,12 @@ func TestStreamRandDocumentedOrder(t *testing.T) {
 	}
 }
 
-// TestLegacyBernoulliDrawOrderPinned pins the sequential path's RNG
-// discipline: the default Bernoulli source consumes rand.NewSource(seed)
-// draws in the pre-kernel order (one Float64 per task, a Shuffle, no
-// draw for single-scenario tasks). The golden aggregate tests pin the
-// same thing end to end; this isolates the arrival layer so a future
-// sharded-mode edit that touches the sequential draw path fails here
-// with a readable diff, not as an opaque aggregate drift.
+// TestLegacyBernoulliDrawOrderPinned pins the Bernoulli draw
+// discipline — the pre-kernel order (one Float64 per task, a Shuffle,
+// no draw for single-scenario tasks) — that the indexed source runs on
+// every iteration's own stream. It isolates the arrival layer so an
+// edit to the draw fails here with a readable diff, not as an opaque
+// aggregate drift.
 func TestLegacyBernoulliDrawOrderPinned(t *testing.T) {
 	src, err := Bernoulli{P: 0.8}.Start(5)
 	if err != nil {

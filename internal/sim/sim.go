@@ -11,11 +11,17 @@
 // Pareto point selection, event-driven instance execution over the
 // shared fabric layer (internal/fabric) on reusable scratch buffers,
 // and accounting that feeds streaming tail estimators and an optional
-// per-iteration Observer. Options.Multitask selects how instances are
-// admitted onto the fabric: serially (the paper's one-instance-owns-
-// the-FPGA model, the default) or concurrently onto disjoint tile
-// claims (partition / greedy online hardware multitasking), with
-// per-instance queueing-delay and response-time tails in the Result.
+// per-iteration Observer. One chunk executor (parallel.go) drives that
+// body for every run: the iteration stream is cut into replications,
+// each starting on a cold fabric, and every iteration draws from its
+// own counter-derived random streams (seed.go). Options.Parallelism
+// picks the cut — one whole-run replication by default, 32-iteration
+// replications spread over N workers otherwise. Options.Multitask
+// selects how instances are admitted onto the fabric: serially (the
+// paper's one-instance-owns-the-FPGA model, the default) or
+// concurrently onto disjoint tile claims (partition / greedy online
+// hardware multitasking), with per-instance queueing-delay and
+// response-time tails in the Result.
 //
 // Five scheduling approaches are selectable, matching the five
 // simulations of §7:
@@ -89,13 +95,10 @@ type TaskMix struct {
 	ScenarioWeights []float64
 }
 
-// AutoParallelism asks Run to pick the shard worker count itself: one
-// per available CPU, under every admission mode (serial, partition and
-// greedy all shard chunk-wise). It quietly falls back to the sequential
-// path in the two cases sharding is impossible — event tracing is on,
-// or the arrival process has no indexed per-iteration draw — where an
-// explicit worker count would error instead. The chosen count is
-// recorded in Result.Workers.
+// AutoParallelism asks Run to pick the worker count itself: one per
+// available CPU, with the 32-iteration replications of any explicit
+// worker count, so its results equal those of Parallelism 1. The
+// chosen count is recorded in Result.Workers.
 const AutoParallelism = -1
 
 // Options configure a simulation run.
@@ -104,36 +107,34 @@ type Options struct {
 	Iterations int // paper: 1000
 	Seed       int64
 
-	// Parallelism selects the kernel's execution mode.
+	// Parallelism selects how the iteration stream is cut into
+	// replications and how many workers run them. Every run goes
+	// through the same chunk executor: a replication starts on a cold
+	// fabric at clock zero and chains tile residency, availability
+	// timelines and the clock across its iterations (the paper's §7
+	// model), and every iteration draws from its own counter-derived
+	// random streams (seed.go), so a replication's outcome is a pure
+	// function of the inputs, Seed and its position.
 	//
-	// 0 (the default) is the sequential warm-fabric path: iterations
-	// run back to back on one goroutine, and tile residency,
-	// availability timelines and the clock carry across iterations —
-	// the paper's §7 model and the golden reference all historical
-	// aggregates are pinned against.
+	// 0 (the default) runs the whole iteration stream as one
+	// replication on the caller's goroutine — the paper's single warm
+	// chain.
 	//
-	// A value >= 1 switches to sharded execution: the iteration stream
-	// is cut into fixed-size chunks, each an independent Monte-Carlo
-	// replication — cold fabric at the chunk start, the usual warm
-	// chaining within the chunk — with every iteration drawing from its
-	// own counter-derived RNG stream (seed.go), distributed across that
-	// many workers. Aggregates are a pure function of the inputs and
-	// Seed — every Parallelism >= 1 yields bit-identical Results
-	// (scalars exactly, tails from the same merged sketch), so
-	// Parallelism: 1 is the sequential reference of the sharded family.
-	// Note that 0 and 1 differ in semantics, not only in speed:
-	// residency chains across a chunk, not across the whole run.
+	// A value >= 1 cuts the stream into 32-iteration replications and
+	// distributes them across that many workers. Aggregates do not
+	// depend on the worker count: every Parallelism >= 1 yields
+	// bit-identical Results (scalars exactly, tails from the same
+	// merged sketch). 0 and 1 differ in semantics, not only in speed:
+	// residency chains across the whole run at 0, across a replication
+	// at 1. AutoParallelism (-1) uses one worker per available CPU. The
+	// resolved worker count lands in Result.Workers.
 	//
-	// Sharding works under every admission mode: partition and greedy
-	// runs replicate chunk-wise exactly like serial ones, with the
-	// in-flight set drained at each chunk close (the event loop already
-	// drains before returning, so a chunk boundary is an iteration
-	// boundary). AutoParallelism (-1) uses one worker per available
-	// CPU, falling back to the sequential path when sharding is
-	// impossible — tracing on, or an arrival process without indexed
-	// draws (ShardableArrivals; the built-in Bernoulli, OnOff and Trace
-	// processes all have them) — where an explicit count errors
-	// instead. The resolved worker count lands in Result.Workers.
+	// Every admission mode replicates this way: partition and greedy
+	// runs drain their in-flight set at every iteration boundary, so a
+	// replication boundary is an iteration boundary. The arrival
+	// process must draw iterations by index (ShardableArrivals; the
+	// built-in Bernoulli, OnOff and Trace processes all do) at every
+	// Parallelism.
 	Parallelism int
 
 	// Policy is the replacement policy (nil: LRU, the default module).
@@ -169,11 +170,10 @@ type Options struct {
 	// never alters results — a traced run's aggregates are
 	// bit-identical to the untraced run — and a nil recorder costs
 	// one pointer check on the hot path (the allocation budgets pin
-	// this). Tracing requires the sequential path: sharded chunks
-	// replay on private cold fabrics whose clocks all start at zero,
-	// so their event streams cannot interleave into one meaningful
-	// timeline. An explicit Parallelism >= 1 with Trace set is
-	// rejected; AutoParallelism degrades to sequential.
+	// this). Tracing works at every Parallelism: a traced run executes
+	// its replications in order on the caller's goroutine, and shifts
+	// each replication's events by the end clocks of the ones before
+	// it, so the recorder holds one timeline.
 	Trace *obs.Recorder
 	// DisableInterTask turns the inter-task optimization off for the
 	// Hybrid approach (ablation A2). RunTime/RunTimeInterTask are
@@ -206,39 +206,17 @@ type Options struct {
 	Context context.Context
 }
 
-// effectiveWorkers resolves the Parallelism knob against the run's
-// arrival process and tracing configuration: 0 means the sequential
-// warm-fabric path, any positive count means sharded execution with
-// that many workers. Explicit counts are strict — they error when
-// sharding is impossible (tracing on, or no indexed arrival draws) —
-// while AutoParallelism degrades to the sequential path in those
-// cases (drhwd counts the fallbacks in its /metrics exposition). The
-// admission mode never matters: serial, partition and greedy runs all
-// shard chunk-wise.
-func (o Options) effectiveWorkers(arrivals Arrivals) (int, error) {
+// effectiveWorkers resolves the Parallelism knob: 0 is the whole-run
+// replication, any positive count is 32-iteration replications on that
+// many workers, and AutoParallelism picks one worker per CPU.
+func (o Options) effectiveWorkers() (int, error) {
 	switch {
-	case o.Parallelism == 0:
-		return 0, nil
 	case o.Parallelism == AutoParallelism:
-		if o.Trace != nil {
-			return 0, nil
-		}
-		if _, ok := arrivals.(ShardableArrivals); !ok {
-			return 0, nil
-		}
 		return runtime.GOMAXPROCS(0), nil
-	case o.Parallelism > 0:
-		if o.Trace != nil {
-			return 0, fmt.Errorf("sim: tracing requires the sequential path: unset Options.Trace or set Parallelism 0, not %d",
-				o.Parallelism)
-		}
-		if _, ok := arrivals.(ShardableArrivals); !ok {
-			return 0, fmt.Errorf("sim: arrival process %q has no indexed per-iteration draw and cannot run sharded (parallelism %d)",
-				arrivals.Name(), o.Parallelism)
-		}
+	case o.Parallelism >= 0:
 		return o.Parallelism, nil
 	default:
-		return 0, fmt.Errorf("sim: parallelism %d is invalid (0 sequential, %d auto, or a positive worker count)",
+		return 0, fmt.Errorf("sim: parallelism %d is invalid (0 whole run, %d auto, or a positive worker count)",
 			o.Parallelism, AutoParallelism)
 	}
 }
@@ -312,14 +290,13 @@ type Result struct {
 	Partitions    int
 	MaxInFlight   int
 
-	// Execution names the kernel path: "sequential" (warm-fabric
-	// reference, Parallelism 0) or "sharded" (independent per-iteration
+	// Execution names how the run was cut: "sequential" (one whole-run
+	// replication, Parallelism 0) or "sharded" (32-iteration
 	// replications, Parallelism >= 1). Workers records the resolved
-	// worker count of a sharded run — the explicit Parallelism, or the
-	// CPU count AutoParallelism chose — and stays 0 on the sequential
-	// path, including the AutoParallelism fallbacks. Workers is the one
-	// field that legitimately varies with the worker count: every other
-	// field of a sharded Result is bit-identical for every
+	// worker count — the explicit Parallelism, or the CPU count
+	// AutoParallelism chose — and stays 0 at Parallelism 0. Workers is
+	// the one field that legitimately varies with the worker count:
+	// every other field of a sharded Result is bit-identical for every
 	// Parallelism >= 1, and the shard-invariance suite normalizes
 	// Workers before comparing whole Results.
 	Execution string

@@ -9,8 +9,8 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"drhwsched/internal/graph"
@@ -34,6 +34,10 @@ func tracedMix() []sim.TaskMix {
 	return append(goldenMix("multimedia"), sim.TaskMix{Task: tcm.NewTask("mixed", g)})
 }
 
+// TestTraceCrossCheck runs every approach at Parallelism 0 (one
+// whole-run replication) and, as subtests, at Parallelism 2 and
+// AutoParallelism, where the 60 iterations span two 32-iteration
+// replications whose events must land on one timeline.
 func TestTraceCrossCheck(t *testing.T) {
 	approaches := []sim.Approach{
 		sim.NoPrefetch, sim.DesignTimePrefetch, sim.RunTime, sim.RunTimeInterTask, sim.Hybrid,
@@ -41,142 +45,156 @@ func TestTraceCrossCheck(t *testing.T) {
 	for _, ap := range approaches {
 		ap := ap
 		t.Run(ap.String(), func(t *testing.T) {
-			p := platform.Default(8)
-			p.ISPs = 1
-			mix := tracedMix()
-			opt := sim.Options{Approach: ap, Iterations: 60, Seed: 11}
-
-			base, err := sim.Run(mix, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			rec := obs.NewRecorder(1 << 20)
-			var makespanSum model.Dur
-			topt := opt
-			topt.Trace = rec
-			topt.Observer = func(ir sim.IterationRecord) { makespanSum += ir.Makespan }
-			traced, err := sim.Run(mix, p, topt)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Tracing must never alter results.
-			if !reflect.DeepEqual(base, traced) {
-				t.Fatalf("traced aggregates diverge from untraced:\n untraced: %+v\n traced:   %+v", base, traced)
-			}
-			if rec.Drops() != 0 {
-				t.Fatalf("recorder dropped %d events under a %d-event capacity", rec.Drops(), 1<<20)
-			}
-
-			// Re-derive the aggregates from the event stream.
-			events := rec.Events()
-			var (
-				ideal, overhead                       model.Dur
-				loads, hits, misses, retires, victims int
-				end                                   model.Time
-			)
-			for _, ev := range events {
-				switch ev.Kind {
-				case obs.KindRetire:
-					retires++
-					ideal += ev.Ideal
-					overhead += ev.Overhead
-				case obs.KindLoad:
-					loads++
-					if ev.Prefetch {
-						hits++
-					} else {
-						misses++
-					}
-				case obs.KindVictim:
-					victims++
-				}
-				if ev.Kind != obs.KindStage && ev.End > end {
-					end = ev.End
-				}
-			}
-			if retires != traced.Instances {
-				t.Fatalf("retire events %d != Result.Instances %d", retires, traced.Instances)
-			}
-			if ideal != traced.IdealTotal {
-				t.Fatalf("sum of retire ideal %v != Result.IdealTotal %v", ideal, traced.IdealTotal)
-			}
-			if want := traced.ActualTotal - traced.IdealTotal; overhead != want {
-				t.Fatalf("sum of retire overhead %v != Actual-Ideal %v", overhead, want)
-			}
-			if loads != traced.Loads {
-				t.Fatalf("load events %d != Result.Loads %d", loads, traced.Loads)
-			}
-			if hits != traced.PrefetchHits || misses != traced.DemandMisses {
-				t.Fatalf("event attribution %d hits / %d misses != Result %d / %d",
-					hits, misses, traced.PrefetchHits, traced.DemandMisses)
-			}
-			if hits+misses != traced.Loads {
-				t.Fatalf("attributed loads %d != total loads %d", hits+misses, traced.Loads)
-			}
-			// The final fabric event ends on the final clock: iterations
-			// chain, so the makespans the Observer saw sum to it.
-			if model.Dur(end) != makespanSum {
-				t.Fatalf("latest event end %v != sum of iteration makespans %v", end, makespanSum)
-			}
-
-			// Summarize agrees with the Result on every shared count.
-			sum := obs.Summarize(events)
-			if sum.Instances != traced.Instances || sum.Loads != traced.Loads ||
-				sum.PrefetchHits != traced.PrefetchHits || sum.DemandMisses != traced.DemandMisses {
-				t.Fatalf("Summarize %+v disagrees with Result (instances %d loads %d hits %d misses %d)",
-					sum, traced.Instances, traced.Loads, traced.PrefetchHits, traced.DemandMisses)
-			}
-			if sum.Ideal != traced.IdealTotal {
-				t.Fatalf("Summarize ideal %v != Result.IdealTotal %v", sum.Ideal, traced.IdealTotal)
-			}
-			for i, d := range traced.ISPBusy {
-				if sum.ISPBusy[i] != d {
-					t.Fatalf("ISP %d busy from events %v != Result.ISPBusy %v", i, sum.ISPBusy[i], d)
-				}
-			}
-			if len(traced.ISPBusy) != 1 || traced.ISPBusy[0] == 0 {
-				t.Fatalf("expected software stage to accumulate ISP busy time, got %v", traced.ISPBusy)
-			}
-			if traced.Loads > 0 && ap != sim.NoPrefetch && victims == 0 && traced.Reuses == 0 {
-				// Replacement churn under reuse approaches shows up as
-				// victim events; reuse-free approaches never commit state.
-				t.Logf("no victim events for %v (loads=%d)", ap, traced.Loads)
-			}
-
-			// The exported document must pass the schema validator with
-			// the recorded reconfiguration attribution intact.
-			var buf bytes.Buffer
-			if err := obs.ChromeTrace(&buf, events, rec.Drops()); err != nil {
-				t.Fatal(err)
-			}
-			st, err := obs.ValidateChromeTrace(buf.Bytes())
-			if err != nil {
-				t.Fatalf("exported trace fails schema validation: %v", err)
-			}
-			if st.Loads != traced.Loads || st.PrefetchHits != traced.PrefetchHits || st.DemandMisses != traced.DemandMisses {
-				t.Fatalf("exported trace counts (loads %d hits %d misses %d) != Result (%d / %d / %d)",
-					st.Loads, st.PrefetchHits, st.DemandMisses, traced.Loads, traced.PrefetchHits, traced.DemandMisses)
+			traceCrossCheck(t, ap, 0)
+			for _, par := range []int{2, sim.AutoParallelism} {
+				t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+					traceCrossCheck(t, ap, par)
+				})
 			}
 		})
 	}
 }
 
-// TestTraceRequiresSequential pins that tracing cannot be combined with
-// sharded execution: the chunks replay on private cold fabrics whose
-// clocks all start at zero, so their streams have no shared timeline.
-func TestTraceRequiresSequential(t *testing.T) {
-	mix := goldenMix("multimedia")
+func traceCrossCheck(t *testing.T, ap sim.Approach, parallelism int) {
+	t.Helper()
 	p := platform.Default(8)
-	opt := sim.Options{Approach: sim.Hybrid, Iterations: 32, Seed: 1,
-		Parallelism: 4, Trace: obs.NewRecorder(0)}
-	if err := sim.Validate(mix, p, opt); err == nil ||
-		!strings.Contains(err.Error(), "Parallelism") {
-		t.Fatalf("Validate accepted tracing with Parallelism 4 (err=%v)", err)
+	p.ISPs = 1
+	mix := tracedMix()
+	opt := sim.Options{Approach: ap, Iterations: 60, Seed: 11, Parallelism: parallelism}
+
+	base, err := sim.Run(mix, p, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sim.Run(mix, p, opt); err == nil {
-		t.Fatal("Run accepted tracing with Parallelism 4")
+
+	rec := obs.NewRecorder(1 << 20)
+	var makespanSum model.Dur
+	topt := opt
+	topt.Trace = rec
+	topt.Observer = func(ir sim.IterationRecord) { makespanSum += ir.Makespan }
+	traced, err := sim.Run(mix, p, topt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Tracing must never alter results.
+	if !reflect.DeepEqual(base, traced) {
+		t.Fatalf("traced aggregates diverge from untraced:\n untraced: %+v\n traced:   %+v", base, traced)
+	}
+	if rec.Drops() != 0 {
+		t.Fatalf("recorder dropped %d events under a %d-event capacity", rec.Drops(), 1<<20)
+	}
+
+	// Re-derive the aggregates from the event stream.
+	events := rec.Events()
+	var (
+		ideal, overhead                       model.Dur
+		loads, hits, misses, retires, victims int
+		end, execEnd                          model.Time
+		iterEnd                               = map[int]model.Time{}
+	)
+	for _, ev := range events {
+		switch ev.Kind {
+		case obs.KindRetire:
+			retires++
+			ideal += ev.Ideal
+			overhead += ev.Overhead
+		case obs.KindLoad:
+			loads++
+			if ev.Prefetch {
+				hits++
+			} else {
+				misses++
+			}
+		case obs.KindVictim:
+			victims++
+		}
+		if ev.Kind != obs.KindStage && ev.End > end {
+			end = ev.End
+		}
+		if ev.Kind == obs.KindStage && ev.Detail == "execute" {
+			// Iterations chain on one timeline, replication boundaries
+			// included: each execute window opens where the previous
+			// one closed.
+			if ev.Start != execEnd || ev.End < ev.Start {
+				t.Fatalf("iteration %d executes over [%v, %v]; the previous iteration ended at %v",
+					ev.Iter, ev.Start, ev.End, execEnd)
+			}
+			execEnd = ev.End
+			iterEnd[ev.Iter] = ev.End
+		}
+	}
+	for _, ev := range events {
+		if ev.Kind != obs.KindStage && (ev.Start < 0 || ev.End > iterEnd[ev.Iter]) {
+			t.Fatalf("%v event of iteration %d spans [%v, %v], past its iteration's end %v",
+				ev.Kind, ev.Iter, ev.Start, ev.End, iterEnd[ev.Iter])
+		}
+	}
+	if len(iterEnd) != opt.Iterations {
+		t.Fatalf("%d execute stage events, want one per iteration (%d)", len(iterEnd), opt.Iterations)
+	}
+	if retires != traced.Instances {
+		t.Fatalf("retire events %d != Result.Instances %d", retires, traced.Instances)
+	}
+	if ideal != traced.IdealTotal {
+		t.Fatalf("sum of retire ideal %v != Result.IdealTotal %v", ideal, traced.IdealTotal)
+	}
+	if want := traced.ActualTotal - traced.IdealTotal; overhead != want {
+		t.Fatalf("sum of retire overhead %v != Actual-Ideal %v", overhead, want)
+	}
+	if loads != traced.Loads {
+		t.Fatalf("load events %d != Result.Loads %d", loads, traced.Loads)
+	}
+	if hits != traced.PrefetchHits || misses != traced.DemandMisses {
+		t.Fatalf("event attribution %d hits / %d misses != Result %d / %d",
+			hits, misses, traced.PrefetchHits, traced.DemandMisses)
+	}
+	if hits+misses != traced.Loads {
+		t.Fatalf("attributed loads %d != total loads %d", hits+misses, traced.Loads)
+	}
+	// The final fabric event ends on the final clock: iterations
+	// chain, so the makespans the Observer saw sum to it.
+	if model.Dur(end) != makespanSum {
+		t.Fatalf("latest event end %v != sum of iteration makespans %v", end, makespanSum)
+	}
+
+	// Summarize agrees with the Result on every shared count.
+	sum := obs.Summarize(events)
+	if sum.Instances != traced.Instances || sum.Loads != traced.Loads ||
+		sum.PrefetchHits != traced.PrefetchHits || sum.DemandMisses != traced.DemandMisses {
+		t.Fatalf("Summarize %+v disagrees with Result (instances %d loads %d hits %d misses %d)",
+			sum, traced.Instances, traced.Loads, traced.PrefetchHits, traced.DemandMisses)
+	}
+	if sum.Ideal != traced.IdealTotal {
+		t.Fatalf("Summarize ideal %v != Result.IdealTotal %v", sum.Ideal, traced.IdealTotal)
+	}
+	for i, d := range traced.ISPBusy {
+		if sum.ISPBusy[i] != d {
+			t.Fatalf("ISP %d busy from events %v != Result.ISPBusy %v", i, sum.ISPBusy[i], d)
+		}
+	}
+	if len(traced.ISPBusy) != 1 || traced.ISPBusy[0] == 0 {
+		t.Fatalf("expected software stage to accumulate ISP busy time, got %v", traced.ISPBusy)
+	}
+	if traced.Loads > 0 && ap != sim.NoPrefetch && victims == 0 && traced.Reuses == 0 {
+		// Replacement churn under reuse approaches shows up as
+		// victim events; reuse-free approaches never commit state.
+		t.Logf("no victim events for %v (loads=%d)", ap, traced.Loads)
+	}
+
+	// The exported document must pass the schema validator with
+	// the recorded reconfiguration attribution intact.
+	var buf bytes.Buffer
+	if err := obs.ChromeTrace(&buf, events, rec.Drops()); err != nil {
+		t.Fatal(err)
+	}
+	st, err := obs.ValidateChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatalf("exported trace fails schema validation: %v", err)
+	}
+	if st.Loads != traced.Loads || st.PrefetchHits != traced.PrefetchHits || st.DemandMisses != traced.DemandMisses {
+		t.Fatalf("exported trace counts (loads %d hits %d misses %d) != Result (%d / %d / %d)",
+			st.Loads, st.PrefetchHits, st.DemandMisses, traced.Loads, traced.PrefetchHits, traced.DemandMisses)
 	}
 }
 

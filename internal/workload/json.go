@@ -3,7 +3,6 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
@@ -88,10 +87,10 @@ type SimDoc struct {
 	SchedulerCost bool    `json:"scheduler_cost,omitempty"`
 	NoInterTask   bool    `json:"no_intertask,omitempty"`
 	DeadlineMS    float64 `json:"deadline_ms,omitempty"`
-	// Parallelism selects the kernel's execution mode: 0 (or absent)
-	// the sequential reference path, N >= 1 sharded execution with N
-	// workers, -1 auto (one worker per CPU, degrading to the sequential
-	// path when sharding is impossible). Every admission mode shards.
+	// Parallelism selects how the iteration stream is cut into
+	// replications: 0 (or absent) one whole-run replication, N >= 1
+	// 32-iteration replications on N workers, -1 the same on one worker
+	// per CPU. Every admission mode and every traced run accepts it.
 	// See sim.Options.Parallelism.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Arrivals selects the workload arrival process; absent means the
@@ -104,9 +103,8 @@ type SimDoc struct {
 	// Trace enables run-time event tracing (fabric events, kernel
 	// stage timings) into a bounded recorder the caller drains after
 	// the run; absent or disabled means no recorder (the hot path pays
-	// one pointer check). Tracing requires the sequential kernel path
-	// (an explicit parallelism >= 1 is rejected; parallelism -1
-	// degrades to sequential) and never alters aggregates.
+	// one pointer check). Tracing works at every parallelism and never
+	// alters aggregates.
 	Trace *TraceDoc `json:"trace,omitempty"`
 }
 
@@ -370,11 +368,6 @@ type RunSpec struct {
 	Mix      []sim.TaskMix
 	Platform platform.Platform
 	Options  sim.Options
-	// PolicyName is the wire name behind Options.Policy ("" when the
-	// document pinned none). Callers deriving many concurrent runs from
-	// one spec re-resolve it per run with ParsePolicy — stateful
-	// policies (random) must not be shared across goroutines.
-	PolicyName string
 }
 
 // Subtasks counts the subtask definitions across the spec's scenario
@@ -404,9 +397,6 @@ func ParseRun(data []byte) (*RunSpec, error) {
 		return nil, err
 	}
 	spec := &RunSpec{Name: doc.Name}
-	if doc.Sim != nil {
-		spec.PolicyName = doc.Sim.Policy
-	}
 	for i, task := range tasks {
 		spec.Mix = append(spec.Mix, sim.TaskMix{Task: task, ScenarioWeights: weights[i]})
 	}
@@ -457,7 +447,7 @@ func (sd *SimDoc) Resolve() (sim.Options, error) {
 	if opt.Approach, err = ParseApproach(sd.Approach); err != nil {
 		return opt, err
 	}
-	if opt.Policy, opt.Lookahead, err = ParsePolicy(sd.Policy, sd.Seed); err != nil {
+	if opt.Policy, opt.Lookahead, err = ParsePolicy(sd.Policy); err != nil {
 		return opt, err
 	}
 	opt.Iterations = sd.Iterations
@@ -503,8 +493,9 @@ func ParseApproach(name string) (sim.Approach, error) {
 
 // ParsePolicy maps the wire name of a replacement policy ("" means
 // LRU) and reports whether the policy needs configuration-stream
-// lookahead. seed feeds the random policy.
-func ParsePolicy(name string, seed int64) (reconfig.Policy, bool, error) {
+// lookahead. The random policy's draws come from the kernel's
+// per-iteration policy streams of the run seed.
+func ParsePolicy(name string) (reconfig.Policy, bool, error) {
 	switch name {
 	case "", "lru":
 		return reconfig.LRU{}, false, nil
@@ -513,7 +504,7 @@ func ParsePolicy(name string, seed int64) (reconfig.Policy, bool, error) {
 	case "belady":
 		return reconfig.Belady{}, true, nil
 	case "random":
-		return reconfig.Random{Rng: rand.New(rand.NewSource(seed))}, false, nil
+		return reconfig.Random{}, false, nil
 	}
 	return nil, false, fmt.Errorf("workload: unknown policy %q (%s)", name, Usage(Policies()))
 }

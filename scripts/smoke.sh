@@ -14,7 +14,9 @@
 #      both replicas via repeated -target flags.
 #   3. observability: a drhwsim run with -trace-out must produce a
 #      Chrome trace JSON that tracecheck validates with at least one
-#      reconfiguration event carrying prefetch attribution; a replica's
+#      reconfiguration event carrying prefetch attribution, and a
+#      traced -parallelism 2 run over two 32-iteration replications
+#      must export one that tracecheck validates too; a replica's
 #      /v1/simulate?trace=events stream must deliver load events and a
 #      summary; and a coordinator sweep driven under a fixed W3C
 #      traceparent must leave the same trace ID in the coordinator's
@@ -164,6 +166,12 @@ mkdir -p "$ART"
 "$TMP/drhwsim" -iterations 50 -trace-out "$ART/smoke_trace.json" > /dev/null
 "$TMP/tracecheck" -min-loads 1 -require-prefetch "$ART/smoke_trace.json"
 echo "smoke: drhwsim Chrome trace validates with prefetch attribution"
+
+# Tracing works at every parallelism: 64 iterations on 2 workers are
+# two replications whose events land on one timeline.
+"$TMP/drhwsim" -parallelism 2 -iterations 64 -trace-out "$ART/smoke_trace_p2.json" > /dev/null
+"$TMP/tracecheck" -min-loads 1 "$ART/smoke_trace_p2.json"
+echo "smoke: drhwsim -parallelism 2 Chrome trace validates"
 
 # The replica's event-trace stream: NDJSON events with load lines,
 # terminated by a done=true summary.
