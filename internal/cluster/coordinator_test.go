@@ -393,6 +393,7 @@ func TestCoordinatorRejects(t *testing.T) {
 		"bad json":   {`{"workload": nope}`, http.StatusBadRequest},
 		"no values":  {fmt.Sprintf(`{"workload": %s}`, planDoc), http.StatusBadRequest},
 		"too large":  {sweepBody(`[2, 3, 4, 5]`), http.StatusRequestEntityTooLarge},
+		"huge tiles": {sweepBody(`[1000000000]`), http.StatusBadRequest},
 		"bad method": {"", http.StatusMethodNotAllowed},
 	}
 	for name, tc := range cases {

@@ -24,7 +24,7 @@ type Grid struct {
 	Param  string          // "tiles" (default) or "seed"
 	Values []int
 	Lines  []string
-	keys   []string // shard key per value position
+	keys   []string // shard key per value position; nil until shardKeys
 	spec   *workload.RunSpec
 }
 
@@ -32,6 +32,8 @@ type Grid struct {
 // the checks drhwd applies (so the coordinator refuses what a replica
 // would refuse, before fanning anything out). Size bounds are the
 // caller's job — Subtasks and Cells report the quantities to check.
+// Shard keys are derived on first use (Key, Assign), so a caller that
+// refuses an oversize grid never schedules its scenarios.
 func ParseGrid(req *server.SweepRequest) (*Grid, error) {
 	if len(req.Workload) == 0 {
 		return nil, fmt.Errorf("sweep: missing workload document")
@@ -51,9 +53,11 @@ func ParseGrid(req *server.SweepRequest) (*Grid, error) {
 		param = "tiles"
 	}
 	if param == "tiles" {
+		p := spec.Platform
 		for _, x := range req.Values {
-			if x < 1 {
-				return nil, fmt.Errorf("sweep: tile count %d out of range", x)
+			p.Tiles = x
+			if err := p.Validate(); err != nil {
+				return nil, fmt.Errorf("sweep: tile count %d out of range: %v", x, err)
 			}
 		}
 	}
@@ -66,18 +70,13 @@ func ParseGrid(req *server.SweepRequest) (*Grid, error) {
 			return nil, err
 		}
 	}
-	g := &Grid{
+	return &Grid{
 		Raw:    req.Workload,
 		Param:  param,
 		Values: req.Values,
 		Lines:  lines,
-		keys:   make([]string, len(req.Values)),
 		spec:   spec,
-	}
-	for vi, x := range req.Values {
-		g.keys[vi] = shardKey(spec, param, x, vi)
-	}
-	return g, nil
+	}, nil
 }
 
 // Cells is the grid size.
@@ -92,16 +91,29 @@ func (g *Grid) Subtasks() int { return g.spec.Subtasks() }
 func (g *Grid) Index(vi, li int) int { return vi*len(g.Lines) + li }
 
 // Key returns the shard key of value position vi.
-func (g *Grid) Key(vi int) string { return g.keys[vi] }
+func (g *Grid) Key(vi int) string { return g.shardKeys()[vi] }
+
+// shardKeys derives every value's shard key on first call. A Grid is
+// used by one goroutine, so no lock guards the cache.
+func (g *Grid) shardKeys() []string {
+	if g.keys == nil {
+		g.keys = make([]string, len(g.Values))
+		for vi, x := range g.Values {
+			g.keys[vi] = shardKey(g.spec, g.Param, x, vi)
+		}
+	}
+	return g.keys
+}
 
 // Assign partitions the given value positions over the ring by shard
 // key, returning node → value positions (each list ascending, so the
 // sub-request sent to a replica enumerates its values in global grid
 // order).
 func (g *Grid) Assign(r *Ring, vis []int) map[string][]int {
+	keys := g.shardKeys()
 	out := map[string][]int{}
 	for _, vi := range vis {
-		node := r.Lookup(g.keys[vi])
+		node := r.Lookup(keys[vi])
 		if node == "" {
 			continue
 		}

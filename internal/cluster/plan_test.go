@@ -81,6 +81,19 @@ func TestGridShardKeys(t *testing.T) {
 	}
 }
 
+// TestParseGridDefersShardKeys: parsing schedules nothing, so the
+// coordinator's size checks run before any scenario of any value is
+// assigned; keys appear on first use.
+func TestParseGridDefersShardKeys(t *testing.T) {
+	g := mustGrid(t, "tiles", []int{3, 4}, []string{"hybrid"})
+	if g.keys != nil {
+		t.Fatal("ParseGrid derived shard keys before the caller's size checks")
+	}
+	if g.Key(1) == "" || len(g.keys) != 2 {
+		t.Fatalf("keys after first use = %d", len(g.keys))
+	}
+}
+
 func TestGridAssignCoversPending(t *testing.T) {
 	g := mustGrid(t, "tiles", []int{2, 3, 4, 5, 6, 7}, []string{"hybrid"})
 	ring := NewRing([]string{"http://a", "http://b"}, 64)
@@ -113,6 +126,7 @@ func TestGridRejects(t *testing.T) {
 		"no values":   {Workload: json.RawMessage(planDoc)},
 		"bad param":   {Workload: json.RawMessage(planDoc), Param: "voltage", Values: []int{4}},
 		"bad tiles":   {Workload: json.RawMessage(planDoc), Values: []int{0}},
+		"huge tiles":  {Workload: json.RawMessage(planDoc), Values: []int{4, 1000000000}},
 		"bad line":    {Workload: json.RawMessage(planDoc), Values: []int{4}, Approaches: []string{"nope"}},
 		"bad doc":     {Workload: json.RawMessage(`{"tasks": 7}`), Values: []int{4}},
 	}

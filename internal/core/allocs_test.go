@@ -1,0 +1,44 @@
+package core_test
+
+import (
+	"testing"
+
+	"drhwsched/internal/assign"
+	"drhwsched/internal/core"
+	"drhwsched/internal/platform"
+	"drhwsched/internal/workload"
+)
+
+// TestAnalyzeAllocs pins the design-time phase's allocation budget on
+// the paper's six multimedia scenarios (8 tiles, Spread placement).
+// The CS-selection loop evaluates many candidate load sets through
+// BranchBound; with every search node evaluated on one reusable
+// scratch a pass costs ~1.5k allocations, against ~6.1k when each
+// node allocated its own timeline. The bound sits at half the latter,
+// so a return to allocating per candidate fails loudly.
+func TestAnalyzeAllocs(t *testing.T) {
+	p := platform.Default(8)
+	var scheds []*assign.Schedule
+	for _, task := range workload.MultimediaTasks() {
+		for _, g := range task.Scenarios {
+			s, err := assign.List(g, p, assign.Options{Placement: assign.Spread})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheds = append(scheds, s)
+		}
+	}
+	if len(scheds) != 6 {
+		t.Fatalf("multimedia set has %d scenarios, want 6", len(scheds))
+	}
+	pass := func() {
+		for _, s := range scheds {
+			if _, err := core.Analyze(s, p, core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, pass); allocs > 3000 {
+		t.Fatalf("core.Analyze allocates %.0f objects per pass over the multimedia scenarios; budget 3000", allocs)
+	}
+}

@@ -55,6 +55,12 @@ func Default(n int) Platform {
 	}
 }
 
+// maxCount bounds the tile, ISP and port counts. The schedulers and the
+// fabric allocate per processor and per port, so an unbounded count in
+// a request document would size those buffers; 1024 is far above any
+// platform the paper or the workloads describe (at most 16 tiles).
+const maxCount = 1024
+
 // Validate reports whether the description is usable.
 func (p Platform) Validate() error {
 	if p.Tiles < 1 {
@@ -68,6 +74,9 @@ func (p Platform) Validate() error {
 	}
 	if p.ISPs < 0 {
 		return fmt.Errorf("platform: negative ISP count %d", p.ISPs)
+	}
+	if p.Tiles > maxCount || p.ISPs > maxCount || p.Ports > maxCount {
+		return fmt.Errorf("platform: %d tiles, %d ISPs, %d ports exceeds the limit of %d each", p.Tiles, p.ISPs, p.Ports, maxCount)
 	}
 	return nil
 }

@@ -27,11 +27,18 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Tiles: 0, Ports: 1},
 		{Tiles: 1, Ports: 0},
 		{Tiles: 1, Ports: 1, ReconfigLatency: -1},
+		{Tiles: maxCount + 1, Ports: 1},
+		{Tiles: 1, Ports: maxCount + 1},
+		{Tiles: 1, Ports: 1, ISPs: maxCount + 1},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
+	}
+	edge := Platform{Tiles: maxCount, Ports: maxCount, ISPs: maxCount}
+	if err := edge.Validate(); err != nil {
+		t.Errorf("platform at the limit: %v", err)
 	}
 }
 

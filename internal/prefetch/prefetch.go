@@ -18,6 +18,13 @@
 //     algorithm inside the design-time phase and for Table 1's
 //     "Prefetch" column; for large graphs it falls back to List, exactly
 //     as the paper keeps [7] "for large graphs".
+//
+// Each scheduler has one implementation, on a reusable Scratch of
+// id-indexed buffers (scratch.go). The allocating entry points —
+// Schedule and Evaluate — run it on a fresh Scratch, so design time and
+// the simulator's per-instance loop make the same decisions.
+// BranchBound runs its incumbent, bounds and leaf evaluations on one
+// Scratch per call.
 package prefetch
 
 import (
@@ -62,9 +69,11 @@ type Scheduler interface {
 	Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error)
 }
 
-// engineInput assembles the schedule.Input shared by all policies.
-func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) schedule.Input {
-	in := s.EngineInput(p, order)
+// engineInput is the one place Bounds become a schedule.Input: it loads
+// exactly the subtasks in order, writing their flags into need (length
+// G.Len(), reset first). The ideal reference passes a nil order.
+func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, need []bool, b Bounds, onDemand bool) schedule.Input {
+	in := s.EngineInputNeed(p, order, need)
 	in.ExecFloor = b.ExecFloor
 	in.LoadFloor = b.LoadFloor
 	if onDemand && in.LoadFloor < b.ExecFloor {
@@ -81,47 +90,7 @@ func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskI
 // under the boundary conditions. It is exported so higher layers (the
 // hybrid heuristic, the simulator) can re-evaluate stored orders.
 func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) (*Result, error) {
-	ideal, err := idealMakespan(s, p, b)
-	if err != nil {
-		return nil, err
-	}
-	return evaluateWithIdeal(s, p, order, b, onDemand, ideal)
-}
-
-// idealMakespan computes the zero-overhead reference once; it does not
-// depend on the load order, so search loops reuse it across candidates.
-func idealMakespan(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
-	in := engineInput(s, p, nil, b, false)
-	tl, err := schedule.Compute(schedule.Ideal(in))
-	if err != nil {
-		return 0, err
-	}
-	return tl.Makespan(), nil
-}
-
-// evaluateWithIdeal is Evaluate with the ideal reference precomputed.
-func evaluateWithIdeal(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) (*Result, error) {
-	in := engineInput(s, p, order, b, onDemand)
-	tl, err := schedule.Compute(in)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		PortOrder: order,
-		OnDemand:  onDemand,
-		Timeline:  tl,
-		Makespan:  tl.Makespan(),
-		Ideal:     ideal,
-		Overhead:  tl.Makespan() - ideal,
-	}, nil
-}
-
-// sortLoads returns loads ordered by ideal start (criticality-weighted
-// tie-break) — the canonical feasible issue order.
-func sortLoads(s *assign.Schedule, loads []graph.SubtaskID) []graph.SubtaskID {
-	order := append([]graph.SubtaskID(nil), loads...)
-	s.SortByIdealStart(order)
-	return order
+	return EvaluateScratch(s, p, order, b, onDemand, new(Scratch))
 }
 
 // OnDemand issues every load when its subtask becomes ready: the
@@ -136,152 +105,8 @@ func (OnDemand) Name() string { return "on-demand" }
 // timeline itself, so the order is resolved by fixpoint iteration: start
 // from the ideal-start order and re-sort by observed readiness until the
 // order stabilizes.
-func (OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	order := sortLoads(s, loads)
-	var res *Result
-	maxIter := 2*len(order) + 2
-	for iter := 0; iter < maxIter; iter++ {
-		r, err := Evaluate(s, p, order, b, true)
-		if err != nil {
-			return nil, err
-		}
-		res = r
-		ready := make(map[graph.SubtaskID]model.Time, len(order))
-		for _, id := range order {
-			t := b.ExecFloor
-			for _, pr := range s.G.Preds(id) {
-				t = model.MaxT(t, r.Timeline.ExecEnd[pr])
-			}
-			ready[id] = t
-		}
-		next := append([]graph.SubtaskID(nil), order...)
-		sort.SliceStable(next, func(a, c int) bool { return ready[next[a]] < ready[next[c]] })
-		repairOrder(s, next, true)
-		if equalOrder(next, order) {
-			break
-		}
-		order = next
-	}
-	return res, nil
-}
-
-// repairOrder permutes a load order, as little as possible, so that it
-// is feasible:
-//
-//   - loads of subtasks sharing a tile appear in the tile's execution
-//     order (a tile cannot be reconfigured for a later subtask before
-//     an earlier one has run), and
-//   - under on-demand semantics, a load never precedes the load of a
-//     loaded graph ancestor (the ancestor must execute before this
-//     load's request even exists, and its own load must come first).
-//
-// It models the controller letting an unblocked request overtake a
-// blocked one: a stable topological sort that keeps the desired order
-// wherever the constraints allow.
-func repairOrder(s *assign.Schedule, order []graph.SubtaskID, onDemand bool) {
-	m := len(order)
-	if m < 2 {
-		return
-	}
-	inSet := make(map[graph.SubtaskID]bool, m)
-	for _, id := range order {
-		inSet[id] = true
-	}
-	// deps[i] lists loads that must be issued before order-member i.
-	deps := make(map[graph.SubtaskID][]graph.SubtaskID, m)
-	for _, tileOrder := range s.TileOrder {
-		var prev graph.SubtaskID = -1
-		for _, id := range tileOrder {
-			if !inSet[id] {
-				continue
-			}
-			if prev >= 0 {
-				deps[id] = append(deps[id], prev)
-			}
-			prev = id
-		}
-	}
-	if onDemand {
-		// An on-demand load waits for its predecessors' executions,
-		// and executions are ordered by the *combined* precedence:
-		// graph edges plus per-tile execution chains (through resident
-		// subtasks too). Any loaded subtask that executes strictly
-		// before subtask i must therefore have its load issued before
-		// i's. Walk each load's combined-predecessor closure and
-		// record the loaded members.
-		prevExec := make(map[graph.SubtaskID]graph.SubtaskID)
-		for _, tileOrder := range s.TileOrder {
-			for k := 1; k < len(tileOrder); k++ {
-				prevExec[tileOrder[k]] = tileOrder[k-1]
-			}
-		}
-		combinedPreds := func(id graph.SubtaskID) []graph.SubtaskID {
-			ps := append([]graph.SubtaskID(nil), s.G.Preds(id)...)
-			if p, ok := prevExec[id]; ok {
-				ps = append(ps, p)
-			}
-			return ps
-		}
-		for _, id := range order {
-			seen := map[graph.SubtaskID]bool{}
-			stack := combinedPreds(id)
-			for len(stack) > 0 {
-				p := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if seen[p] {
-					continue
-				}
-				seen[p] = true
-				if inSet[p] && p != id {
-					deps[id] = append(deps[id], p)
-				}
-				stack = append(stack, combinedPreds(p)...)
-			}
-		}
-	}
-	emitted := make(map[graph.SubtaskID]bool, m)
-	out := make([]graph.SubtaskID, 0, m)
-	for len(out) < m {
-		progress := false
-		for _, id := range order {
-			if emitted[id] {
-				continue
-			}
-			ok := true
-			for _, d := range deps[id] {
-				if !emitted[d] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, id)
-				emitted[id] = true
-				progress = true
-			}
-		}
-		if !progress {
-			// The constraints are cyclic only if the tile orders
-			// contradict the graph, which Compute reports later;
-			// emit the remainder unchanged.
-			for _, id := range order {
-				if !emitted[id] {
-					out = append(out, id)
-				}
-			}
-			break
-		}
-	}
-	copy(order, out)
-}
-
-func equalOrder(a, b []graph.SubtaskID) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
+	return o.ScheduleScratch(s, p, loads, b, new(Scratch))
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in
@@ -301,40 +126,7 @@ func (l List) Name() string { return "list" }
 
 // Schedule implements Scheduler.
 func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	ideal, err := idealMakespan(s, p, b)
-	if err != nil {
-		return nil, err
-	}
-	order := sortLoads(s, loads)
-	best, err := evaluateWithIdeal(s, p, order, b, false, ideal)
-	if err != nil {
-		return nil, err
-	}
-	passes := l.MaxPasses
-	if passes == 0 {
-		passes = 2
-	}
-	for pass := 0; pass < passes && best.Overhead > 0; pass++ {
-		improved := false
-		for i := 0; i+1 < len(order); i++ {
-			order[i], order[i+1] = order[i+1], order[i]
-			cand, err := evaluateWithIdeal(s, p, order, b, false, ideal)
-			if err != nil || cand.Makespan >= best.Makespan {
-				// Swap infeasible (tile-order cycle) or not better.
-				order[i], order[i+1] = order[i+1], order[i]
-				continue
-			}
-			best = cand
-			improved = true
-		}
-		if !improved {
-			break
-		}
-	}
-	// best.PortOrder aliases the mutated slice only when the last swap
-	// was kept; re-evaluate defensively on a copy for a stable result.
-	final := append([]graph.SubtaskID(nil), best.PortOrder...)
-	return evaluateWithIdeal(s, p, final, b, false, ideal)
+	return l.ScheduleScratch(s, p, loads, b, new(Scratch))
 }
 
 // BranchBound finds the load order with the minimum makespan. The search
@@ -361,13 +153,17 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	if maxLoads == 0 {
 		maxLoads = 12
 	}
+	// One scratch serves the incumbent, every search node and the final
+	// evaluation; the returned Result is the only thing that outlives it.
+	sc := new(Scratch)
 	if len(loads) > maxLoads {
-		return List{}.Schedule(s, p, loads, b)
+		return List{}.ScheduleScratch(s, p, loads, b, sc)
 	}
 
 	// Feasibility partial order: on one tile, loads must be issued in
 	// execution order (the engine rejects anything else).
-	sorted := sortLoads(s, loads)
+	sorted := append([]graph.SubtaskID(nil), loads...)
+	s.SortByIdealStart(sorted)
 	prevOnTile := make(map[graph.SubtaskID]graph.SubtaskID)
 	inSet := make(map[graph.SubtaskID]bool, len(sorted))
 	for _, id := range sorted {
@@ -390,13 +186,13 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	// the incumbent reaches it, the search is over before it starts —
 	// the common case inside the CS-selection loop, where the stored
 	// schedule hides everything.
-	ideal, err := idealMakespan(s, p, b)
+	ideal, err := sc.idealMakespan(s, p, b)
 	if err != nil {
 		return nil, err
 	}
 
 	// Seed the incumbent with the list heuristic.
-	incumbent, err := List{}.Schedule(s, p, loads, b)
+	incumbent, err := List{}.ScheduleScratch(s, p, loads, b, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -461,12 +257,12 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	}
 
 	// lowerBound relaxes the problem: loads not yet placed are free.
+	var node Result
 	lowerBound := func() (model.Dur, bool) {
-		r, err := evaluateWithIdeal(s, p, placed, b, false, ideal)
-		if err != nil {
+		if err := sc.evaluateInto(&node, s, p, placed, b, false, ideal); err != nil {
 			return 0, false
 		}
-		return r.Makespan, true
+		return node.Makespan, true
 	}
 
 	var dfs func()
@@ -479,9 +275,9 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 			return
 		}
 		if len(placed) == len(sorted) {
-			r, err := evaluateWithIdeal(s, p, placed, b, false, ideal)
-			if err == nil && r.Makespan < bestMakespan {
-				bestMakespan = r.Makespan
+			err := sc.evaluateInto(&node, s, p, placed, b, false, ideal)
+			if err == nil && node.Makespan < bestMakespan {
+				bestMakespan = node.Makespan
 				bestOrder = append(bestOrder[:0], placed...)
 			}
 			return
@@ -511,9 +307,8 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	}
 	dfs()
 
-	res, err := evaluateWithIdeal(s, p, bestOrder, b, false, ideal)
-	if err != nil {
+	if err := sc.evaluateInto(&sc.res, s, p, bestOrder, b, false, ideal); err != nil {
 		return nil, fmt.Errorf("prefetch: re-evaluating best order: %w", err)
 	}
-	return res, nil
+	return &sc.res, nil
 }

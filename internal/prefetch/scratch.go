@@ -18,12 +18,11 @@ type Scratch struct {
 	eval  schedule.Scratch // candidate/body timelines
 	ideal schedule.Scratch // zero-overhead references
 
-	need      []bool // NeedLoad buffer for candidate inputs
-	idealNeed []bool // all-false NeedLoad for ideal inputs
-	order     []graph.SubtaskID
-	next      []graph.SubtaskID
-	ready     []model.Time // per subtask, on-demand readiness
-	res       Result
+	need  []bool // NeedLoad buffer; no timeline keeps it past Compute
+	order []graph.SubtaskID
+	next  []graph.SubtaskID
+	ready []model.Time // per subtask, on-demand readiness
+	res   Result
 
 	repair repairScratch
 }
@@ -35,25 +34,11 @@ func (sc *Scratch) needBuf(n int) []bool {
 	return sc.need[:n]
 }
 
-func (sc *Scratch) idealNeedBuf(n int) []bool {
-	if cap(sc.idealNeed) < n {
-		sc.idealNeed = make([]bool, n)
-	}
-	buf := sc.idealNeed[:n]
-	for i := range buf {
-		buf[i] = false
-	}
-	return buf
-}
-
-// idealMakespan is idealMakespan on the scratch's buffers.
+// idealMakespan computes the zero-overhead reference: the same decision
+// set with every load removed. It does not depend on the load order, so
+// search loops compute it once and reuse it across candidates.
 func (sc *Scratch) idealMakespan(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
-	in := s.EngineInputNeed(p, nil, sc.idealNeedBuf(s.G.Len()))
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
-	tl, err := sc.ideal.Compute(in)
+	tl, err := sc.ideal.Compute(engineInput(s, p, nil, sc.needBuf(s.G.Len()), b, false))
 	if err != nil {
 		return 0, err
 	}
@@ -63,17 +48,7 @@ func (sc *Scratch) idealMakespan(s *assign.Schedule, p platform.Platform, b Boun
 // evaluateInto evaluates one load order into out; out.Timeline is the
 // scratch's reusable timeline.
 func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
-	in := s.EngineInputNeed(p, order, sc.needBuf(s.G.Len()))
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	if onDemand && in.LoadFloor < b.ExecFloor {
-		// An on-demand load request only exists once the task runs.
-		in.LoadFloor = b.ExecFloor
-	}
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
-	in.OnDemand = onDemand
-	tl, err := sc.eval.Compute(in)
+	tl, err := sc.eval.Compute(engineInput(s, p, order, sc.needBuf(s.G.Len()), b, onDemand))
 	if err != nil {
 		return err
 	}
@@ -88,7 +63,7 @@ func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Plat
 	return nil
 }
 
-// EvaluateScratch is Evaluate on reusable buffers; the returned Result
+// EvaluateScratch is the implementation of Evaluate; the returned Result
 // and its Timeline are owned by sc.
 func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, sc *Scratch) (*Result, error) {
 	ideal, err := sc.idealMakespan(s, p, b)
@@ -101,8 +76,9 @@ func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.Subt
 	return &sc.res, nil
 }
 
-// ScheduleScratch is OnDemand.Schedule on reusable buffers; the
-// returned Result and its Timeline are owned by sc.
+// ScheduleScratch is the implementation of OnDemand.Schedule (the
+// readiness fixpoint); the returned Result and its Timeline are owned
+// by sc.
 func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
@@ -113,9 +89,8 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 	}
 	ready := sc.ready[:n]
 
-	// The ideal reference does not depend on the order; the fixpoint
-	// iterations of the original Schedule recompute it to the same
-	// value, so hoisting it preserves results.
+	// The ideal reference does not depend on the order, so every
+	// fixpoint iteration shares it.
 	ideal, err := sc.idealMakespan(s, p, b)
 	if err != nil {
 		return nil, err
@@ -133,8 +108,8 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 			ready[id] = t
 		}
 		next = append(next[:0], order...)
-		// Stable insertion sort by readiness: the same stable order
-		// sort.SliceStable produced, without its allocations.
+		// Stable insertion sort by readiness (ties keep the previous
+		// iteration's order), without sort.SliceStable's allocations.
 		for i := 1; i < len(next); i++ {
 			for j := i; j > 0 && ready[next[j]] < ready[next[j-1]]; j-- {
 				next[j-1], next[j] = next[j], next[j-1]
@@ -151,7 +126,16 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 	return &sc.res, nil
 }
 
-// ScheduleScratch is List.Schedule on reusable buffers; the returned
+func equalOrder(a, b []graph.SubtaskID) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// ScheduleScratch is the implementation of List.Schedule; the returned
 // Result and its Timeline are owned by sc.
 func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	ideal, err := sc.idealMakespan(s, p, b)
@@ -197,7 +181,7 @@ func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []g
 }
 
 // repairScratch holds id-indexed buffers for the feasibility repair of
-// a load order (the allocation-free counterpart of repairOrder's maps).
+// a load order, so the on-demand fixpoint repairs without allocating.
 type repairScratch struct {
 	inSet    []bool
 	prevExec []graph.SubtaskID // -1 when first on its tile
@@ -231,9 +215,20 @@ func (rs *repairScratch) grow(n int) {
 	rs.stack = rs.stack[:0]
 }
 
-// repair permutes order in place exactly as repairOrder does: same
-// dependency collection order, same stable emission loop — only the
-// map-backed bookkeeping is replaced by id-indexed slices.
+// repair permutes a load order in place, as little as possible, so that
+// it is feasible:
+//
+//   - loads of subtasks sharing a tile appear in the tile's execution
+//     order (a tile cannot be reconfigured for a later subtask before
+//     an earlier one has run), and
+//   - under on-demand semantics, a load never precedes the load of a
+//     loaded graph ancestor (the ancestor must execute before this
+//     load's request even exists, and its own load must come first).
+//
+// It models the controller letting an unblocked request overtake a
+// blocked one: a stable topological sort that keeps the desired order
+// wherever the constraints allow. The tests check it against an
+// independent map-based reference.
 func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID, onDemand bool) {
 	m := len(order)
 	if m < 2 {
@@ -258,11 +253,13 @@ func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID, onD
 		}
 	}
 	if onDemand {
-		// An on-demand load waits for its predecessors' executions, so
-		// any loaded subtask executing strictly before subtask i must
-		// have its load issued before i's (see repairOrder): walk each
-		// load's combined-predecessor closure (graph edges plus per-tile
-		// execution chains) and record the loaded members.
+		// An on-demand load waits for its predecessors' executions,
+		// and executions are ordered by the *combined* precedence:
+		// graph edges plus per-tile execution chains (through resident
+		// subtasks too). Any loaded subtask that executes strictly
+		// before subtask i must therefore have its load issued before
+		// i's. Walk each load's combined-predecessor closure and
+		// record the loaded members.
 		for _, tileOrder := range s.TileOrder {
 			for k := 1; k < len(tileOrder); k++ {
 				rs.prevExec[tileOrder[k]] = tileOrder[k-1]

@@ -541,10 +541,10 @@ func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
 		case "seed":
 			opt.Seed = int64(x)
 		default: // tiles
-			if x < 1 {
-				return nil, badRequest("sweep: tile count %d out of range", x)
-			}
 			p.Tiles = x
+			if err := p.Validate(); err != nil {
+				return nil, badRequest("sweep: tile count %d out of range: %v", x, err)
+			}
 		}
 		for _, line := range lines {
 			ap, err := workload.ParseApproach(line)

@@ -179,6 +179,22 @@ func TestAnalyzeInvalidGraph(t *testing.T) {
 	}
 }
 
+// TestOversizePlatformRejected: a platform block beyond the per-count
+// limit is a 400 before anything is sized by it (a billion tiles would
+// otherwise allocate per tile in the assigner and the fabric).
+func TestOversizePlatformRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, block := range []string{`"tiles": 1000000000`, `"tiles": 4, "ports": 1000000000`, `"tiles": 4, "isps": 1000000000`} {
+		doc := strings.Replace(simDoc, `"tiles": 4`, block, 1)
+		for _, path := range []string{"/v1/analyze", "/v1/simulate"} {
+			resp, body := post(t, ts.URL+path, doc)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with {%s}: status = %d, want 400 (%s)", path, block, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
 func TestAnalyzeOversizedDocument(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxSubtasks: 2})
 	resp, body := post(t, ts.URL+"/v1/analyze", smallDoc) // 3 subtasks
@@ -670,6 +686,7 @@ func TestSweepBadRequests(t *testing.T) {
 		"bad param":     {fmt.Sprintf(`{"workload": %s, "param": "voltage", "values": [1]}`, simDoc), http.StatusBadRequest},
 		"bad approach":  {sweepBody(`[4]`, `["psychic"]`), http.StatusBadRequest},
 		"zero tiles":    {sweepBody(`[0]`, `["hybrid"]`), http.StatusBadRequest},
+		"huge tiles":    {sweepBody(`[1000000000]`, `["hybrid"]`), http.StatusBadRequest},
 		"grid too big":  {sweepBody(`[2, 3]`, `["hybrid", "run-time"]`), http.StatusRequestEntityTooLarge},
 		"default lines": {sweepBody(`[4]`, `null`), http.StatusRequestEntityTooLarge}, // 5 default approaches > 3 cells
 	}
