@@ -39,6 +39,16 @@ perfbench-check: ## vet + test the nested perfbench module, which the root ./...
 	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && \
 		GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
 
+FUZZTIME ?= 10s
+
+.PHONY: fuzz-smoke
+fuzz-smoke: ## run each fuzz target for FUZZTIME (default 10s) beyond its committed corpus
+	$(GO) test -run='^$$' -fuzz='^FuzzParseRun$$' -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/peerstore
+	$(GO) test -run='^$$' -fuzz='^FuzzParseGrid$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzChromeTrace$$' -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzReorder$$' -fuzztime=$(FUZZTIME) ./internal/schedule
+
 .PHONY: check
 check: lint build test perfbench-check ## what CI runs
 

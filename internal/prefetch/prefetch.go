@@ -12,7 +12,10 @@
 //     baseline and the source of the raw overhead numbers in Table 1.
 //   - List: the run-time heuristic of Resano et al. [7] — list
 //     scheduling by the ideal start time with a criticality tie-break,
-//     followed by a bounded improvement pass. O(N log N), near optimal.
+//     followed by a bounded improvement pass. O(N log N) for the order;
+//     each improvement candidate is one O(n+e) pass over a constraint
+//     DAG prepared once per decision, which may stop early. Near
+//     optimal.
 //   - BranchBound: exact minimization of the makespan over all feasible
 //     load orders, with lower-bound pruning. The paper uses the optimal
 //     algorithm inside the design-time phase and for Table 1's
@@ -113,7 +116,11 @@ func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []grap
 // ideal-start order (weight tie-break) as early as the port and target
 // tile allow, then a bounded pass of adjacent transpositions keeps any
 // swap that shortens the makespan. Complexity O(N log N) for the sort
-// plus O(passes·N) evaluations.
+// plus O(passes·N) candidate evaluations. The constraint DAG (n
+// subtasks, e edges) is built once per decision; each candidate is one
+// O(n+e) pass over it that stops as soon as the candidate provably
+// cannot beat the best makespan so far. Swaps of two loads on one tile
+// are skipped: they always close a constraint cycle.
 type List struct {
 	// MaxPasses bounds the improvement phase; zero means 2 passes and
 	// a negative value disables the improvement phase entirely (the

@@ -15,8 +15,9 @@ import (
 // the same scratch. The zero value is ready to use; a Scratch must not
 // be shared between goroutines.
 type Scratch struct {
-	eval  schedule.Scratch // candidate/body timelines
-	ideal schedule.Scratch // zero-overhead references
+	// eval evaluates every timeline: the zero-overhead reference first
+	// (only its makespan is kept), then the candidates.
+	eval schedule.Scratch
 
 	need  []bool // NeedLoad buffer; no timeline keeps it past Compute
 	order []graph.SubtaskID
@@ -38,7 +39,7 @@ func (sc *Scratch) needBuf(n int) []bool {
 // set with every load removed. It does not depend on the load order, so
 // search loops compute it once and reuse it across candidates.
 func (sc *Scratch) idealMakespan(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
-	tl, err := sc.ideal.Compute(engineInput(s, p, nil, sc.needBuf(s.G.Len()), b, false))
+	tl, err := sc.eval.Compute(engineInput(s, p, nil, sc.needBuf(s.G.Len()), b, false))
 	if err != nil {
 		return 0, err
 	}
@@ -48,7 +49,21 @@ func (sc *Scratch) idealMakespan(s *assign.Schedule, p platform.Platform, b Boun
 // evaluateInto evaluates one load order into out; out.Timeline is the
 // scratch's reusable timeline.
 func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
-	tl, err := sc.eval.Compute(engineInput(s, p, order, sc.needBuf(s.G.Len()), b, onDemand))
+	if err := sc.prepare(s, p, order, b, onDemand); err != nil {
+		return err
+	}
+	return sc.reorderInto(out, order, onDemand, ideal)
+}
+
+// prepare readies sc.eval for port orders over the load set of order.
+func (sc *Scratch) prepare(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) error {
+	return sc.eval.Prepare(engineInput(s, p, order, sc.needBuf(s.G.Len()), b, onDemand))
+}
+
+// reorderInto evaluates order, a permutation of the prepared load set,
+// into out.
+func (sc *Scratch) reorderInto(out *Result, order []graph.SubtaskID, onDemand bool, ideal model.Dur) error {
+	tl, err := sc.eval.Reorder(order, 0)
 	if err != nil {
 		return err
 	}
@@ -89,15 +104,18 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 	}
 	ready := sc.ready[:n]
 
-	// The ideal reference does not depend on the order, so every
-	// fixpoint iteration shares it.
+	// The ideal reference and the constraint DAG do not depend on the
+	// order, so every fixpoint iteration shares them.
 	ideal, err := sc.idealMakespan(s, p, b)
 	if err != nil {
 		return nil, err
 	}
+	if err := sc.prepare(s, p, order, b, true); err != nil {
+		return nil, err
+	}
 	maxIter := 2*len(order) + 2
 	for iter := 0; iter < maxIter; iter++ {
-		if err := sc.evaluateInto(&sc.res, s, p, order, b, true, ideal); err != nil {
+		if err := sc.reorderInto(&sc.res, order, true, ideal); err != nil {
 			return nil, err
 		}
 		for _, id := range order {
@@ -137,32 +155,50 @@ func equalOrder(a, b []graph.SubtaskID) bool {
 
 // ScheduleScratch is the implementation of List.Schedule; the returned
 // Result and its Timeline are owned by sc.
+//
+// The decision prepares the constraint DAG once; each candidate is one
+// Reorder limited by the best makespan so far, which stops as soon as
+// the candidate provably cannot beat it.
 func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	ideal, err := sc.idealMakespan(s, p, b)
 	if err != nil {
 		return nil, err
 	}
 	order := append(sc.order[:0], loads...)
+	sc.order = order[:0]
 	s.SortByIdealStart(order)
-	var best, cand Result
-	if err := sc.evaluateInto(&best, s, p, order, b, false, ideal); err != nil {
+	if err := sc.prepare(s, p, order, b, false); err != nil {
 		return nil, err
 	}
+	res := &sc.res
+	if err := sc.reorderInto(res, order, false, ideal); err != nil {
+		return nil, err
+	}
+	best := res.Makespan
+	// current reports whether the scratch timeline still belongs to
+	// the best order (no candidate has been evaluated since).
+	current := true
 	passes := l.MaxPasses
 	if passes == 0 {
 		passes = 2
 	}
-	for pass := 0; pass < passes && best.Overhead > 0; pass++ {
+	for pass := 0; pass < passes && best > ideal; pass++ {
 		improved := false
 		for i := 0; i+1 < len(order); i++ {
+			if s.Assignment[order[i]] == s.Assignment[order[i+1]] {
+				// Two loads of one tile: the swap always closes a
+				// constraint cycle with the tile's execution chain.
+				continue
+			}
 			order[i], order[i+1] = order[i+1], order[i]
-			err := sc.evaluateInto(&cand, s, p, order, b, false, ideal)
-			if err != nil || cand.Makespan >= best.Makespan {
+			tl, err := sc.eval.Reorder(order, best)
+			current = err == nil && tl.Makespan() < best
+			if !current {
 				// Swap infeasible (tile-order cycle) or not better.
 				order[i], order[i+1] = order[i+1], order[i]
 				continue
 			}
-			best = cand
+			best = tl.Makespan()
 			improved = true
 		}
 		if !improved {
@@ -170,14 +206,15 @@ func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []g
 		}
 	}
 	// order holds the best order found (rejected swaps were reverted);
-	// evaluate it once more so the returned timeline matches it.
-	final := append(sc.next[:0], best.PortOrder...)
-	sc.next = final[:0]
-	sc.order = order[:0]
-	if err := sc.evaluateInto(&sc.res, s, p, final, b, false, ideal); err != nil {
-		return nil, err
+	// unless the last evaluation was of that order, evaluate it once
+	// more so the returned timeline matches it.
+	if !current {
+		if err := sc.reorderInto(res, order, false, ideal); err != nil {
+			return nil, err
+		}
 	}
-	return &sc.res, nil
+	res.Makespan, res.Overhead = best, best-ideal
+	return res, nil
 }
 
 // repairScratch holds id-indexed buffers for the feasibility repair of

@@ -42,23 +42,11 @@ func randomSched(t *testing.T, rng *rand.Rand, n, tiles int) (*assign.Schedule, 
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := &Scratch{} // deliberately reused across every case
-	ms := func(n int) model.Time { return model.Time(n) * model.Time(model.Millisecond) }
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(8)
 		tiles := 2 + rng.Intn(3)
 		s, p := randomSched(t, rng, n, tiles)
-		b := Bounds{
-			ExecFloor: ms(rng.Intn(50)),
-			TileFree:  make([]model.Time, s.Tiles+s.ISPs),
-			PortFree:  make([]model.Time, p.Ports),
-		}
-		b.LoadFloor = b.ExecFloor - ms(rng.Intn(10))
-		for i := range b.TileFree {
-			b.TileFree[i] = b.ExecFloor + ms(rng.Intn(8))
-		}
-		for i := range b.PortFree {
-			b.PortFree[i] = b.LoadFloor + ms(rng.Intn(8))
-		}
+		b := randomBounds(rng, s, p)
 		loads := s.AllLoads()
 
 		want, err := (OnDemand{}).Schedule(s, p, loads, b)
@@ -114,6 +102,216 @@ func TestRepairMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomBounds draws boundary conditions for s on p: an execution
+// floor, a load floor up to 10 ms earlier, and processors and ports
+// that drain a little later.
+func randomBounds(rng *rand.Rand, s *assign.Schedule, p platform.Platform) Bounds {
+	ms := func(n int) model.Time { return model.Time(n) * model.Time(model.Millisecond) }
+	b := Bounds{
+		ExecFloor: ms(rng.Intn(50)),
+		TileFree:  make([]model.Time, s.Tiles+s.ISPs),
+		PortFree:  make([]model.Time, p.Ports),
+	}
+	b.LoadFloor = b.ExecFloor - ms(rng.Intn(10))
+	for i := range b.TileFree {
+		b.TileFree[i] = b.ExecFloor + ms(rng.Intn(8))
+	}
+	for i := range b.PortFree {
+		b.PortFree[i] = b.LoadFloor + ms(rng.Intn(8))
+	}
+	return b
+}
+
+// TestListMatchesReference pins List.ScheduleScratch — one prepared DAG
+// per decision, cut-off candidates, same-tile swaps skipped — to
+// referenceList, the full-evaluation loop it replaced: identical port
+// orders, makespans, ideals, overheads and timelines at every pass
+// bound, on random schedules with one to three ports, with one reused
+// Scratch on each side.
+func TestListMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sc, ref := new(Scratch), new(Scratch)
+	for trial := 0; trial < 300; trial++ {
+		s, p, loads := randSched(rng, 14, 1+rng.Intn(4))
+		p.Ports = 1 + rng.Intn(3)
+		b := randomBounds(rng, s, p)
+		for _, passes := range []int{0, 1, 3, -1} {
+			l := List{MaxPasses: passes}
+			want, werr := referenceList(l, s, p, loads, b, ref)
+			got, err := l.ScheduleScratch(s, p, loads, b, sc)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("trial %d passes %d: err %v, reference %v", trial, passes, err, werr)
+			}
+			if err == nil {
+				compareFull(t, fmt.Sprintf("list/%d", passes), trial, want, got)
+			}
+		}
+	}
+}
+
+// TestOnDemandMatchesReference does the same for the on-demand
+// fixpoint, which now prepares once and reorders per iteration.
+func TestOnDemandMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	sc, ref := new(Scratch), new(Scratch)
+	for trial := 0; trial < 300; trial++ {
+		s, p, loads := randSched(rng, 14, 1+rng.Intn(4))
+		p.Ports = 1 + rng.Intn(3)
+		b := randomBounds(rng, s, p)
+		want, werr := referenceOnDemand(s, p, loads, b, ref)
+		got, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, sc)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("trial %d: err %v, reference %v", trial, err, werr)
+		}
+		if err == nil {
+			compareFull(t, "on-demand", trial, want, got)
+		}
+	}
+}
+
+// TestListDecisionAllocs pins the run-time decision path: once a
+// scratch is warm, List and OnDemand decisions allocate nothing.
+func TestListDecisionAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	s, p, _ := randSched(rng, 14, 3)
+	for s.G.Len() < 8 {
+		s, p, _ = randSched(rng, 14, 3)
+	}
+	loads := s.AllLoads()
+	b := randomBounds(rng, s, p)
+	sc := new(Scratch)
+	list := func() {
+		if _, err := (List{}).ScheduleScratch(s, p, loads, b, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onDemand := func() {
+		if _, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list()
+	onDemand()
+	if a := testing.AllocsPerRun(20, list); a != 0 {
+		t.Errorf("List decision allocates %v per call on a warm scratch", a)
+	}
+	if a := testing.AllocsPerRun(20, onDemand); a != 0 {
+		t.Errorf("OnDemand decision allocates %v per call on a warm scratch", a)
+	}
+}
+
+// compareFull is compareResults plus every timeline field.
+func compareFull(t *testing.T, name string, trial int, want, got *Result) {
+	t.Helper()
+	compareResults(t, name, trial, want, got)
+	if got.OnDemand != want.OnDemand {
+		t.Fatalf("%s trial %d: OnDemand %v, reference %v", name, trial, got.OnDemand, want.OnDemand)
+	}
+	w, g := want.Timeline, got.Timeline
+	if g.Start != w.Start || g.End != w.End || g.LastLoadEnd != w.LastLoadEnd || len(g.PortFreeAfter) != len(w.PortFreeAfter) {
+		t.Fatalf("%s trial %d: timeline summary differs", name, trial)
+	}
+	for i := range w.ExecStart {
+		if g.ExecEnd[i] != w.ExecEnd[i] || g.LoadEnd[i] != w.LoadEnd[i] || g.LoadPort[i] != w.LoadPort[i] {
+			t.Fatalf("%s trial %d: timelines differ at subtask %d", name, trial, i)
+		}
+	}
+	for i := range w.PortFreeAfter {
+		if g.PortFreeAfter[i] != w.PortFreeAfter[i] {
+			t.Fatalf("%s trial %d: port %d free time differs", name, trial, i)
+		}
+	}
+}
+
+// referenceList is List.ScheduleScratch as it was before candidates
+// shared a prepared DAG: every swap is a full evaluateInto, and the
+// best order is evaluated once more at the end.
+func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+	ideal, err := sc.idealMakespan(s, p, b)
+	if err != nil {
+		return nil, err
+	}
+	order := append(sc.order[:0], loads...)
+	s.SortByIdealStart(order)
+	var best, cand Result
+	if err := sc.evaluateInto(&best, s, p, order, b, false, ideal); err != nil {
+		return nil, err
+	}
+	passes := l.MaxPasses
+	if passes == 0 {
+		passes = 2
+	}
+	for pass := 0; pass < passes && best.Overhead > 0; pass++ {
+		improved := false
+		for i := 0; i+1 < len(order); i++ {
+			order[i], order[i+1] = order[i+1], order[i]
+			err := sc.evaluateInto(&cand, s, p, order, b, false, ideal)
+			if err != nil || cand.Makespan >= best.Makespan {
+				// Swap infeasible (tile-order cycle) or not better.
+				order[i], order[i+1] = order[i+1], order[i]
+				continue
+			}
+			best = cand
+			improved = true
+		}
+		if !improved {
+			break
+		}
+	}
+	// order holds the best order found (rejected swaps were reverted);
+	// evaluate it once more so the returned timeline matches it.
+	final := append(sc.next[:0], best.PortOrder...)
+	sc.next = final[:0]
+	sc.order = order[:0]
+	if err := sc.evaluateInto(&sc.res, s, p, final, b, false, ideal); err != nil {
+		return nil, err
+	}
+	return &sc.res, nil
+}
+
+// referenceOnDemand is the on-demand fixpoint as it was before its
+// iterations shared a prepared DAG: a full evaluateInto per iteration.
+func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+	n := s.G.Len()
+	order := append(sc.order[:0], loads...)
+	s.SortByIdealStart(order)
+	next := sc.next[:0]
+	if cap(sc.ready) < n {
+		sc.ready = make([]model.Time, n)
+	}
+	ready := sc.ready[:n]
+	ideal, err := sc.idealMakespan(s, p, b)
+	if err != nil {
+		return nil, err
+	}
+	maxIter := 2*len(order) + 2
+	for iter := 0; iter < maxIter; iter++ {
+		if err := sc.evaluateInto(&sc.res, s, p, order, b, true, ideal); err != nil {
+			return nil, err
+		}
+		for _, id := range order {
+			t := b.ExecFloor
+			for _, pr := range s.G.Preds(id) {
+				t = model.MaxT(t, sc.res.Timeline.ExecEnd[pr])
+			}
+			ready[id] = t
+		}
+		next = append(next[:0], order...)
+		for i := 1; i < len(next); i++ {
+			for j := i; j > 0 && ready[next[j]] < ready[next[j-1]]; j-- {
+				next[j-1], next[j] = next[j], next[j-1]
+			}
+		}
+		sc.repair.repair(s, next, true)
+		if equalOrder(next, order) {
+			break
+		}
+		order, next = next, order
+	}
+	sc.order, sc.next = order[:0], next[:0]
+	return &sc.res, nil
 }
 
 func compareResults(t *testing.T, name string, trial int, want, got *Result) {

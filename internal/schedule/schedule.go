@@ -109,23 +109,12 @@ const NoEvent model.Time = -1
 // minus the task start.
 func (tl *Timeline) Makespan() model.Dur { return tl.End.Sub(tl.Start) }
 
-// node kinds in the constraint DAG.
+// node kinds in the constraint DAG: node 2·id+kind is the subtask's
+// execution (kindExec) or its load (kindLoad).
 const (
 	kindExec = 0
 	kindLoad = 1
 )
-
-type nodeRef struct {
-	kind int
-	id   graph.SubtaskID
-}
-
-// constraint: start(to) ≥ (fromEnd ? end(from) : start(from)) + delay.
-type constraint struct {
-	from    nodeRef
-	fromEnd bool
-	delay   model.Dur
-}
 
 // Compute evaluates the constraint system and returns the timeline.
 // It fails if the input is malformed or if the decision orders are
@@ -143,19 +132,9 @@ func Compute(in Input) (*Timeline, error) {
 	return tl, nil
 }
 
-// Ideal returns the same input with every load removed: the schedule's
-// execution under zero reconfiguration overhead. Its makespan is the
-// paper's "ideal execution time".
-func Ideal(in Input) Input {
-	out := in
-	out.NeedLoad = make([]bool, in.G.Len())
-	out.PortOrder = nil
-	return out
-}
-
 // checkInput validates structural properties of the decision set. seen
 // and inPort are caller-owned all-false buffers of length G.Len().
-func checkInput(in Input, seen, inPort []bool) error {
+func checkInput(in *Input, seen, inPort []bool) error {
 	n := in.G.Len()
 	if len(in.Assignment) != n {
 		return fmt.Errorf("schedule: assignment covers %d of %d subtasks", len(in.Assignment), n)

@@ -45,9 +45,19 @@ func mustCompute(t *testing.T, in Input) *Timeline {
 	return tl
 }
 
+// withoutLoads returns the same input with every load removed: the
+// schedule's execution under zero reconfiguration overhead, whose
+// makespan is the paper's "ideal execution time".
+func withoutLoads(in Input) Input {
+	out := in
+	out.NeedLoad = make([]bool, in.G.Len())
+	out.PortOrder = nil
+	return out
+}
+
 func TestFig3IdealMakespan(t *testing.T) {
 	_, in := fig3()
-	tl := mustCompute(t, Ideal(in))
+	tl := mustCompute(t, withoutLoads(in))
 	if got := tl.Makespan(); got != 40*model.Millisecond {
 		t.Fatalf("ideal makespan = %v, want 40ms", got)
 	}
@@ -374,7 +384,7 @@ func TestComputeVerifiesAndLoadsOnlyHurt(t *testing.T) {
 			t.Logf("verify: %v", err)
 			return false
 		}
-		ideal, err := Compute(Ideal(in))
+		ideal, err := Compute(withoutLoads(in))
 		if err != nil {
 			return false
 		}

@@ -3,291 +3,427 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 )
 
-// Scratch holds every buffer one Compute evaluation needs, so a caller
+// ErrCutoff is returned by a limited Reorder as soon as it proves the
+// makespan would reach the limit. The timeline is then incomplete.
+var ErrCutoff = errors.New("schedule: makespan cut-off reached")
+
+// Scratch holds every buffer one evaluation needs, so a caller
 // evaluating many inputs back to back (the simulator's per-iteration
 // loop, the prefetch schedulers' candidate searches) performs no
-// allocations after the first call. The Timeline returned by
-// Scratch.Compute — including all of its slices — is owned by the
-// Scratch and valid only until its next Compute call; callers that need
-// two live timelines (e.g. a body and an ideal reference) use two
-// Scratches.
+// allocations after the first call. The Timeline returned by Compute or
+// Reorder — including all of its slices — is owned by the Scratch and
+// valid only until its next Prepare, Compute or Reorder call; callers
+// that need two live timelines (e.g. a body and an ideal reference) use
+// two Scratches.
+//
+// Evaluation is split in two. Prepare validates an input and builds
+// everything that does not depend on the port order: the static
+// constraint DAG (graph edges with their communication delay,
+// on-demand edges, load→exec edges and tile chains), per-node floors
+// and durations. Reorder evaluates one port order on that DAG, keeping
+// the port-order edges as per-load prev/next links. Compute is Prepare
+// followed by Reorder of the input's own port order; candidate
+// searches that only permute the loads prepare once per decision.
 //
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use.
 type Scratch struct {
-	cons        [][]constraint
-	out         [][]nodeRef
-	exists      []bool
-	indeg       []int
-	ready       []nodeRef
-	firstOnTile []bool
-	seen        []bool
-	inPort      []bool
+	// The prepared input. DAG nodes are indexed 2·id+kind; total counts
+	// the n exec nodes plus one load node per loaded subtask.
+	prepared        bool
+	n, loads, total int
+	name            string
+	execFloor       model.Time
+	loadFloor       model.Time
 
-	tl        Timeline
-	loadStart []model.Time
-	loadEnd   []model.Time
-	loadPort  []int
-	execStart []model.Time
-	execEnd   []model.Time
-	portFree  []model.Time
+	// The static constraint DAG in compressed-row form: the constraints
+	// into node v are cons[consAt[v]:consAt[v+1]] and its successors
+	// out[outAt[v]:outAt[v+1]].
+	cons          []constraint
+	out           []int // in ints
+	consAt, outAt []int // 2n+1 each
+	// indeg and ready (2n each) are the evaluation's in-degrees and
+	// LIFO ready stack; Prepare uses them as fill cursors and the tail
+	// computation as its out-degrees and stack.
+	indeg, ready []int
+	// portPrev/portNext link each load to its port-order neighbours
+	// (-1 at the ends). stamp[id] == mark marks id as seen by Reorder's
+	// permutation check, so the check clears nothing per call.
+	portPrev, portNext, stamp []int
+	mark                      int
+	ints                      []int // backs every []int above and LoadPort
+
+	seen, inPort []bool // checkInput's flags; inPort is then the load set
+	flags        []bool
+
+	fin, floor          []model.Time // per node: end, earliest start
+	portFree0, portFree []model.Time // per port: before and during Reorder
+	times               []model.Time // backs the above and the timeline
+
+	// dur is each node's exec time or load latency. tail[v] is dur[v]
+	// plus the longest chain of static successors, with delays: a lower
+	// bound on End − start(v). It is filled by the first limited
+	// Reorder after Prepare, so unlimited evaluations never pay for it.
+	dur, tail []model.Dur
+	tailReady bool
+	durs      []model.Dur
+
+	tl Timeline
 }
 
-// growSubtasks sizes the per-subtask buffers (also used by input
-// validation, which runs before the main grow).
-func (sc *Scratch) growSubtasks(n int) {
-	if cap(sc.firstOnTile) < n {
-		sc.firstOnTile = make([]bool, n)
-		sc.seen = make([]bool, n)
-		sc.inPort = make([]bool, n)
-		sc.loadStart = make([]model.Time, n)
-		sc.loadEnd = make([]model.Time, n)
-		sc.loadPort = make([]int, n)
-		sc.execStart = make([]model.Time, n)
-		sc.execEnd = make([]model.Time, n)
-	}
-	sc.firstOnTile = sc.firstOnTile[:n]
-	sc.seen = sc.seen[:n]
-	sc.inPort = sc.inPort[:n]
-	sc.loadStart = sc.loadStart[:n]
-	sc.loadEnd = sc.loadEnd[:n]
-	sc.loadPort = sc.loadPort[:n]
-	sc.execStart = sc.execStart[:n]
-	sc.execEnd = sc.execEnd[:n]
-	for i := 0; i < n; i++ {
-		sc.firstOnTile[i] = false
-		sc.seen[i] = false
-		sc.inPort[i] = false
-		sc.execStart[i] = 0
-		sc.execEnd[i] = 0
-	}
+// constraint: start(to) ≥ end(from) + delay. Every static constraint
+// runs from an end; the port order's start-to-start links are kept in
+// portPrev/portNext instead.
+type constraint struct {
+	from  int
+	delay model.Dur
 }
 
-// grow sizes the buffers for a graph of n subtasks on ports controllers,
-// resetting everything the evaluation reads.
-func (sc *Scratch) grow(n, ports int) {
+// take returns the next k elements of *buf, capped so an append to one
+// part never spills into the next, and advances *buf past them.
+func take[T any](buf *[]T, k int) []T {
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
+}
+
+// grow sizes every buffer for n subtasks with edges graph edges on ports
+// controllers, clearing checkInput's flags and the permutation stamps.
+// Buffers of one type share one allocation; the constraint rows get
+// room for every load set and semantics on the same graph, so a
+// decision's ideal reference and candidates share them.
+func (sc *Scratch) grow(n, edges, ports int) {
 	n2 := 2 * n
-	if cap(sc.exists) < n2 {
-		sc.cons = make([][]constraint, n2)
-		sc.out = make([][]nodeRef, n2)
-		sc.exists = make([]bool, n2)
-		sc.indeg = make([]int, n2)
+	maxCons := 2*edges + 3*n // graph and on-demand edges, load→exec, two tile chains
+	if cap(sc.cons) < maxCons {
+		sc.cons = make([]constraint, maxCons)
 	}
-	sc.cons = sc.cons[:n2]
-	sc.out = sc.out[:n2]
-	sc.exists = sc.exists[:n2]
-	sc.indeg = sc.indeg[:n2]
-	for i := 0; i < n2; i++ {
-		sc.cons[i] = sc.cons[i][:0]
-		sc.out[i] = sc.out[i][:0]
-		sc.exists[i] = false
-		sc.indeg[i] = 0
+	if need := 2*(n2+1) + 2*n2 + 4*n + maxCons; cap(sc.ints) < need {
+		sc.ints = make([]int, need)
 	}
-	sc.growSubtasks(n)
-	if cap(sc.portFree) < ports {
-		sc.portFree = make([]model.Time, ports)
+	ints := sc.ints[:cap(sc.ints)]
+	sc.consAt, sc.outAt = take(&ints, n2+1), take(&ints, n2+1)
+	sc.indeg, sc.ready = take(&ints, n2), take(&ints, n2)
+	sc.portPrev, sc.portNext, sc.stamp = take(&ints, n), take(&ints, n), take(&ints, n)
+	loadPort := take(&ints, n)
+	sc.out = ints[:0:maxCons]
+	for i := range sc.stamp {
+		sc.stamp[i] = 0
 	}
-	sc.portFree = sc.portFree[:ports]
-	sc.ready = sc.ready[:0]
+	sc.mark = 0
+
+	if cap(sc.flags) < n2 {
+		sc.flags = make([]bool, n2)
+	}
+	flags := sc.flags[:n2]
+	for i := range flags {
+		flags[i] = false
+	}
+	sc.seen, sc.inPort = take(&flags, n), take(&flags, n)
+
+	if need := 8*n + 2*ports; cap(sc.times) < need {
+		sc.times = make([]model.Time, need)
+	}
+	times := sc.times[:cap(sc.times)]
+	loadStart, loadEnd := take(&times, n), take(&times, n)
+	execStart, execEnd := take(&times, n), take(&times, n)
+	sc.fin, sc.floor = take(&times, n2), take(&times, n2)
+	sc.portFree0, sc.portFree = take(&times, ports), take(&times, ports)
+
+	if cap(sc.durs) < 2*n2 {
+		sc.durs = make([]model.Dur, 2*n2)
+	}
+	durs := sc.durs[:cap(sc.durs)]
+	sc.dur, sc.tail = take(&durs, n2), take(&durs, n2)
+	sc.tailReady = false
+
+	sc.tl = Timeline{
+		LoadStart: loadStart,
+		LoadEnd:   loadEnd,
+		LoadPort:  loadPort,
+		ExecStart: execStart,
+		ExecEnd:   execEnd,
+	}
 }
 
-// checkInput validates in using the scratch's buffers.
-func (sc *Scratch) checkInput(in Input) error {
+// Compute evaluates the constraint system into the scratch's reusable
+// timeline: Prepare, then Reorder of in.PortOrder without a limit.
+// Semantics are identical to the package-level Compute; only the
+// allocation behaviour differs.
+func (sc *Scratch) Compute(in Input) (*Timeline, error) {
+	if err := sc.Prepare(in); err != nil {
+		return nil, err
+	}
+	return sc.Reorder(in.PortOrder, 0)
+}
+
+// Prepare validates in and builds the part of the evaluation that does
+// not depend on the port order. Subsequent Reorder calls evaluate port
+// orders over in's load set (the subtasks with NeedLoad set). Prepare
+// keeps no reference to in's slices, so the caller may reuse them.
+func (sc *Scratch) Prepare(in Input) error {
+	sc.prepared = false
 	if in.G == nil {
 		return errors.New("schedule: nil graph")
 	}
 	if err := in.P.Validate(); err != nil {
 		return err
 	}
-	sc.growSubtasks(in.G.Len())
-	return checkInput(in, sc.seen, sc.inPort)
-}
-
-// Compute evaluates the constraint system into the scratch's reusable
-// timeline. Semantics are identical to the package-level Compute; only
-// the allocation behaviour differs.
-func (sc *Scratch) Compute(in Input) (*Timeline, error) {
-	if err := sc.checkInput(in); err != nil {
-		return nil, err
-	}
 	n := in.G.Len()
-	sc.grow(n, in.P.Ports)
+	sc.grow(n, len(in.G.Edges()), in.P.Ports)
+	if err := checkInput(&in, sc.seen, sc.inPort); err != nil {
+		return err
+	}
+	sc.n, sc.name = n, in.G.Name
+	sc.execFloor, sc.loadFloor = in.ExecFloor, in.LoadFloor
 
-	nodeIdx := func(r nodeRef) int { return int(r.id)*2 + r.kind }
-	loaded := func(id graph.SubtaskID) bool { return in.NeedLoad[id] }
+	// Count every node's constraints and successors, turn the counts
+	// into row offsets, then fill the rows.
+	for v := range sc.consAt {
+		sc.consAt[v], sc.outAt[v] = 0, 0
+	}
+	sc.staticEdges(&in, false)
+	for v := 1; v <= 2*n; v++ {
+		sc.consAt[v] += sc.consAt[v-1]
+		sc.outAt[v] += sc.outAt[v-1]
+	}
+	m := sc.consAt[2*n]
+	sc.cons, sc.out = sc.cons[:m], sc.out[:m]
+	copy(sc.indeg, sc.consAt)
+	copy(sc.ready, sc.outAt)
+	sc.staticEdges(&in, true)
 
-	cons := sc.cons
-	addCon := func(to nodeRef, c constraint) { cons[nodeIdx(to)] = append(cons[nodeIdx(to)], c) }
-
-	exists := sc.exists
+	// Per-node floors and durations; the first subtask on a processor
+	// (and its load) also waits for the processor to drain.
+	sc.loads = 0
 	for i := 0; i < n; i++ {
-		exists[nodeIdx(nodeRef{kindExec, graph.SubtaskID(i)})] = true
-		if loaded(graph.SubtaskID(i)) {
-			exists[nodeIdx(nodeRef{kindLoad, graph.SubtaskID(i)})] = true
+		st := in.G.Subtask(graph.SubtaskID(i))
+		sc.floor[2*i] = in.ExecFloor
+		sc.dur[2*i] = st.Exec
+		lf := in.LoadFloor
+		if in.LoadEarliest != nil && in.LoadEarliest[i] > 0 {
+			lf = model.MaxT(lf, in.LoadEarliest[i])
+		}
+		sc.floor[2*i+1] = lf
+		sc.dur[2*i+1] = 0
+		if sc.inPort[i] {
+			sc.dur[2*i+1] = in.P.LoadLatency(st.Load)
+			sc.loads++
 		}
 	}
+	sc.total = n + sc.loads
+	for t, order := range in.TileOrder {
+		if len(order) > 0 {
+			var free model.Time // nil TileFree: everything free at zero
+			if in.TileFree != nil {
+				free = in.TileFree[t]
+			}
+			id := order[0]
+			sc.floor[2*id] = model.MaxT(sc.floor[2*id], free)
+			sc.floor[2*id+1] = model.MaxT(sc.floor[2*id+1], free)
+		}
+	}
+	for p := range sc.portFree0 {
+		sc.portFree0[p] = in.LoadFloor
+		if in.PortFree != nil {
+			sc.portFree0[p] = model.MaxT(sc.portFree0[p], in.PortFree[p])
+		}
+	}
+	sc.prepared = true
+	return nil
+}
 
+// staticEdges enumerates the port-order-independent constraints. With
+// fill false it counts them into consAt[to+1] and outAt[from+1]; with
+// fill true it writes them at the cursors indeg (constraints) and ready
+// (successors). CommDelay is called only while filling.
+func (sc *Scratch) staticEdges(in *Input, fill bool) {
+	loaded := sc.inPort
+	add := func(from, to int, delay model.Dur) {
+		if !fill {
+			sc.consAt[to+1]++
+			sc.outAt[from+1]++
+			return
+		}
+		sc.cons[sc.indeg[to]] = constraint{from, delay}
+		sc.indeg[to]++
+		sc.out[sc.ready[from]] = to
+		sc.ready[from]++
+	}
 	// Precedence edges: exec(p) -> exec(i), plus exec(p) -> load(i)
 	// under on-demand semantics.
 	for _, e := range in.G.Edges() {
 		var comm model.Dur
-		if in.CommDelay != nil {
+		if fill && in.CommDelay != nil {
 			comm = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
 		}
-		addCon(nodeRef{kindExec, e.To}, constraint{nodeRef{kindExec, e.From}, true, comm})
-		if in.OnDemand && loaded(e.To) {
-			addCon(nodeRef{kindLoad, e.To}, constraint{nodeRef{kindExec, e.From}, true, 0})
+		add(2*int(e.From), 2*int(e.To), comm)
+		if in.OnDemand && loaded[e.To] {
+			add(2*int(e.From), 2*int(e.To)+1, 0)
 		}
 	}
 	// Load before execution.
-	for i := 0; i < n; i++ {
-		id := graph.SubtaskID(i)
-		if loaded(id) {
-			addCon(nodeRef{kindExec, id}, constraint{nodeRef{kindLoad, id}, true, 0})
+	for i, l := range loaded {
+		if l {
+			add(2*i+1, 2*i, 0)
 		}
 	}
 	// Tile order: executions chain; a load waits for the previous
 	// execution on its tile (reconfiguration destroys tile state).
 	for _, order := range in.TileOrder {
-		for k := range order {
-			cur := order[k]
-			if k == 0 {
-				continue
-			}
-			prev := order[k-1]
-			addCon(nodeRef{kindExec, cur}, constraint{nodeRef{kindExec, prev}, true, 0})
-			if loaded(cur) {
-				addCon(nodeRef{kindLoad, cur}, constraint{nodeRef{kindExec, prev}, true, 0})
+		for k := 1; k < len(order); k++ {
+			prev, cur := 2*int(order[k-1]), int(order[k])
+			add(prev, 2*cur, 0)
+			if loaded[cur] {
+				add(prev, 2*cur+1, 0)
 			}
 		}
 	}
-	// Port order: loads start in sequence (no overtaking).
-	for k := 1; k < len(in.PortOrder); k++ {
-		addCon(nodeRef{kindLoad, in.PortOrder[k]},
-			constraint{nodeRef{kindLoad, in.PortOrder[k-1]}, false, 0})
-	}
+}
 
-	// Kahn over the constraint DAG.
-	indeg := sc.indeg
-	out := sc.out
-	for to := 0; to < 2*n; to++ {
-		if !exists[to] {
-			continue
+// computeTails fills tail by a reverse topological walk of the static
+// DAG: a node's tail is final once all its successors' are. A cyclic
+// static DAG (which no port order can evaluate) gets zero tails.
+func (sc *Scratch) computeTails() {
+	sc.tailReady = true
+	n2 := 2 * sc.n
+	outdeg, stack := sc.indeg, sc.ready[:0]
+	for v := 0; v < n2; v++ {
+		sc.tail[v] = 0
+		outdeg[v] = sc.outAt[v+1] - sc.outAt[v]
+		if sc.exists(v) && outdeg[v] == 0 {
+			stack = append(stack, v)
 		}
-		for _, c := range cons[to] {
-			fi := nodeIdx(c.from)
-			if !exists[fi] {
-				return nil, fmt.Errorf("schedule: constraint from nonexistent node %v", c.from)
+	}
+	walked := 0
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		walked++
+		sc.tail[v] += sc.dur[v]
+		for _, c := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
+			sc.tail[c.from] = max(sc.tail[c.from], c.delay+sc.tail[v])
+			outdeg[c.from]--
+			if outdeg[c.from] == 0 {
+				stack = append(stack, c.from)
 			}
-			indeg[to]++
-			out[fi] = append(out[fi], nodeRef{to % 2, graph.SubtaskID(to / 2)})
 		}
+	}
+	if walked != sc.total {
+		for v := range sc.tail {
+			sc.tail[v] = 0
+		}
+	}
+}
+
+// exists reports whether node v is in the prepared DAG.
+func (sc *Scratch) exists(v int) bool { return v%2 == kindExec || sc.inPort[v/2] }
+
+// checkOrder verifies in O(len(order)) that order is a permutation of
+// the prepared load set.
+func (sc *Scratch) checkOrder(order []graph.SubtaskID) error {
+	if sc.mark == math.MaxInt {
+		for i := range sc.stamp {
+			sc.stamp[i] = 0
+		}
+		sc.mark = 0
+	}
+	sc.mark++
+	for _, id := range order {
+		if id < 0 || int(id) >= sc.n {
+			return fmt.Errorf("schedule: port order lists unknown subtask %d", id)
+		}
+		if sc.stamp[id] == sc.mark {
+			return fmt.Errorf("schedule: subtask %d loaded twice", id)
+		}
+		sc.stamp[id] = sc.mark
+		if !sc.inPort[id] {
+			return fmt.Errorf("schedule: subtask %d needLoad=false but portOrder presence=true", id)
+		}
+	}
+	if len(order) != sc.loads {
+		return fmt.Errorf("schedule: port order lists %d of %d loads", len(order), sc.loads)
+	}
+	return nil
+}
+
+// Reorder evaluates the prepared input under one port order, a
+// permutation of its load set, and returns the timeline. Anything else
+// is an error, as is a port order that makes the constraints cyclic.
+//
+// With limit > 0 the evaluation stops with ErrCutoff as soon as some
+// node's start plus its tail reaches ExecFloor+limit: the makespan is
+// then at least limit, so a caller keeping only orders below limit
+// loses nothing.
+func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline, error) {
+	if !sc.prepared {
+		return nil, errors.New("schedule: Reorder without a prepared input")
+	}
+	if err := sc.checkOrder(order); err != nil {
+		return nil, err
+	}
+	if limit > 0 && !sc.tailReady {
+		sc.computeTails()
+	}
+	n := sc.n
+	indeg := sc.indeg[:2*n]
+	for v := range indeg {
+		indeg[v] = sc.consAt[v+1] - sc.consAt[v]
+	}
+	prev := -1
+	for _, id := range order {
+		sc.portPrev[id] = prev
+		if prev >= 0 {
+			sc.portNext[prev] = int(id)
+			indeg[2*int(id)+1]++
+		}
+		prev = int(id)
+	}
+	if prev >= 0 {
+		sc.portNext[prev] = -1
 	}
 
 	tl := &sc.tl
-	*tl = Timeline{
-		LoadStart: sc.loadStart,
-		LoadEnd:   sc.loadEnd,
-		LoadPort:  sc.loadPort,
-		ExecStart: sc.execStart,
-		ExecEnd:   sc.execEnd,
-		Start:     in.ExecFloor,
-	}
+	tl.Start, tl.End, tl.LastLoadEnd = sc.execFloor, 0, sc.loadFloor
 	for i := 0; i < n; i++ {
 		tl.LoadStart[i], tl.LoadEnd[i], tl.LoadPort[i] = NoEvent, NoEvent, -1
 	}
-
 	portFree := sc.portFree
-	for p := range portFree {
-		portFree[p] = in.LoadFloor
-		if in.PortFree != nil {
-			portFree[p] = model.MaxT(portFree[p], in.PortFree[p])
-		}
-	}
-	tileFloor := func(t int) model.Time {
-		if in.TileFree == nil {
-			return 0
-		}
-		return in.TileFree[t]
-	}
+	copy(portFree, sc.portFree0)
+	cutAt := sc.execFloor.Add(limit)
 
-	startOf := func(r nodeRef) model.Time {
-		if r.kind == kindExec {
-			return tl.ExecStart[r.id]
-		}
-		return tl.LoadStart[r.id]
-	}
-	endOf := func(r nodeRef) model.Time {
-		if r.kind == kindExec {
-			return tl.ExecEnd[r.id]
-		}
-		return tl.LoadEnd[r.id]
-	}
-
-	// Ready set ordered by (kind, position) so that load nodes are
-	// resolved in port order and the port-availability bookkeeping
-	// below stays consistent with the no-overtaking constraints.
-	ready := sc.ready
-	for i := 0; i < 2*n; i++ {
-		if exists[i] && indeg[i] == 0 {
-			ready = append(ready, nodeRef{i % 2, graph.SubtaskID(i / 2)})
+	ready := sc.ready[:0]
+	for v := range indeg {
+		if indeg[v] == 0 && sc.exists(v) {
+			ready = append(ready, v)
 		}
 	}
-	firstOnTile := sc.firstOnTile
-	for _, order := range in.TileOrder {
-		if len(order) > 0 {
-			firstOnTile[order[0]] = true
-		}
-	}
-
 	done := 0
-	total := 0
-	for i := 0; i < 2*n; i++ {
-		if exists[i] {
-			total++
-		}
-	}
-	tl.LastLoadEnd = in.LoadFloor
-	anyLoad := false
-
 	for len(ready) > 0 {
-		r := ready[len(ready)-1]
+		v := ready[len(ready)-1]
 		ready = ready[:len(ready)-1]
 		done++
 
-		var bound model.Time
-		if r.kind == kindExec {
-			bound = in.ExecFloor
-			if firstOnTile[r.id] {
-				bound = model.MaxT(bound, tileFloor(in.Assignment[r.id]))
-			}
-		} else {
-			bound = in.LoadFloor
-			if firstOnTile[r.id] {
-				bound = model.MaxT(bound, tileFloor(in.Assignment[r.id]))
-			}
-			if in.LoadEarliest != nil && in.LoadEarliest[r.id] > 0 {
-				bound = model.MaxT(bound, in.LoadEarliest[r.id])
-			}
+		start := sc.floor[v]
+		for _, c := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
+			start = model.MaxT(start, sc.fin[c.from].Add(c.delay))
 		}
-		for _, c := range cons[nodeIdx(r)] {
-			if c.fromEnd {
-				bound = model.MaxT(bound, endOf(c.from).Add(c.delay))
-			} else {
-				bound = model.MaxT(bound, startOf(c.from).Add(c.delay))
-			}
-		}
-
-		if r.kind == kindExec {
-			tl.ExecStart[r.id] = bound
-			tl.ExecEnd[r.id] = bound.Add(in.G.Subtask(r.id).Exec)
-			tl.End = model.MaxT(tl.End, tl.ExecEnd[r.id])
+		id := v / 2
+		if v%2 == kindExec {
+			end := start.Add(sc.dur[v])
+			tl.ExecStart[id], tl.ExecEnd[id] = start, end
+			tl.End = model.MaxT(tl.End, end)
+			sc.fin[v] = end
 		} else {
+			if p := sc.portPrev[id]; p >= 0 {
+				start = model.MaxT(start, tl.LoadStart[p])
+			}
 			// Pick the earliest-free controller; FIFO dispatch.
 			best := 0
 			for p := 1; p < len(portFree); p++ {
@@ -295,32 +431,31 @@ func (sc *Scratch) Compute(in Input) (*Timeline, error) {
 					best = p
 				}
 			}
-			start := model.MaxT(bound, portFree[best])
-			lat := in.P.LoadLatency(in.G.Subtask(r.id).Load)
-			tl.LoadStart[r.id] = start
-			tl.LoadEnd[r.id] = start.Add(lat)
-			tl.LoadPort[r.id] = best
-			portFree[best] = tl.LoadEnd[r.id]
-			tl.LastLoadEnd = model.MaxT(tl.LastLoadEnd, tl.LoadEnd[r.id])
-			anyLoad = true
+			start = model.MaxT(start, portFree[best])
+			end := start.Add(sc.dur[v])
+			tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = start, end, best
+			portFree[best] = end
+			tl.LastLoadEnd = model.MaxT(tl.LastLoadEnd, end)
+			sc.fin[v] = end
+			if nx := sc.portNext[id]; nx >= 0 {
+				if indeg[2*nx+1]--; indeg[2*nx+1] == 0 {
+					ready = append(ready, 2*nx+1)
+				}
+			}
 		}
-
-		for _, s := range out[nodeIdx(r)] {
-			si := nodeIdx(s)
-			indeg[si]--
-			if indeg[si] == 0 {
+		if limit > 0 && start.Add(sc.tail[v]) >= cutAt {
+			return nil, ErrCutoff
+		}
+		for _, s := range sc.out[sc.outAt[v]:sc.outAt[v+1]] {
+			if indeg[s]--; indeg[s] == 0 {
 				ready = append(ready, s)
 			}
 		}
 	}
-	sc.ready = ready[:0]
-	if done != total {
-		return nil, fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", in.G.Name)
+	if done != sc.total {
+		return nil, fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", sc.name)
 	}
-	if !anyLoad {
-		tl.LastLoadEnd = in.LoadFloor
-	}
-	tl.End = model.MaxT(tl.End, in.ExecFloor)
+	tl.End = model.MaxT(tl.End, sc.execFloor)
 	tl.PortFreeAfter = portFree
 	return tl, nil
 }

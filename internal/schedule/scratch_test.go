@@ -25,21 +25,8 @@ func TestScratchComputeMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.End != want.End || got.LastLoadEnd != want.LastLoadEnd || got.Start != want.Start {
-			t.Fatalf("trial %d: scratch summary (end %v, lastLoad %v) != fresh (end %v, lastLoad %v)",
-				trial, got.End, got.LastLoadEnd, want.End, want.LastLoadEnd)
-		}
-		for i := range want.ExecStart {
-			if got.ExecStart[i] != want.ExecStart[i] || got.ExecEnd[i] != want.ExecEnd[i] ||
-				got.LoadStart[i] != want.LoadStart[i] || got.LoadEnd[i] != want.LoadEnd[i] ||
-				got.LoadPort[i] != want.LoadPort[i] {
-				t.Fatalf("trial %d: event times differ at subtask %d", trial, i)
-			}
-		}
-		for p := range want.PortFreeAfter {
-			if got.PortFreeAfter[p] != want.PortFreeAfter[p] {
-				t.Fatalf("trial %d: port %d free time differs", trial, p)
-			}
+		if d := diffTimelines(got, want); d != "" {
+			t.Fatalf("trial %d: scratch differs from fresh: %s", trial, d)
 		}
 	}
 }
