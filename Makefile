@@ -46,6 +46,8 @@ fuzz-smoke: ## run each fuzz target for FUZZTIME (default 10s) beyond its commit
 	$(GO) test -run='^$$' -fuzz='^FuzzParseRun$$' -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/peerstore
 	$(GO) test -run='^$$' -fuzz='^FuzzParseGrid$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzReplicasUpdate$$' -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz='^FuzzPeersRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzChromeTrace$$' -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzReorder$$' -fuzztime=$(FUZZTIME) ./internal/schedule
 

@@ -40,8 +40,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -49,25 +47,9 @@ import (
 	"time"
 
 	"drhwsched/internal/cluster"
+	"drhwsched/internal/httpd/pprofd"
+	"drhwsched/internal/peerstore"
 )
-
-// servePprof exposes the pprof handlers on their own mux (not
-// http.DefaultServeMux) so the side listener serves profiles and
-// nothing else.
-func servePprof(addr string, logf func(string, ...any)) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		logf("pprof listening on %s", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			logf("pprof listener: %v", err)
-		}
-	}()
-}
 
 // urlList collects repeated -replica flags, each of which may itself
 // be a comma-separated list. Duplicates (after trailing-slash
@@ -80,7 +62,7 @@ func (l *urlList) String() string { return strings.Join(*l, ",") }
 
 func (l *urlList) Set(v string) error {
 	for _, u := range strings.Split(v, ",") {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
+		u = peerstore.NormalizeURL(u)
 		if u == "" {
 			continue
 		}
@@ -121,7 +103,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	if *pprofAddr != "" {
-		servePprof(*pprofAddr, logger.Printf)
+		pprofd.Serve(*pprofAddr, logger.Printf)
 	}
 	coord, err := cluster.New(cluster.Config{
 		Replicas:          replicas,

@@ -41,8 +41,6 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -50,27 +48,10 @@ import (
 	"time"
 
 	"drhwsched/internal/engine"
+	"drhwsched/internal/httpd/pprofd"
 	"drhwsched/internal/peerstore"
 	"drhwsched/internal/server"
 )
-
-// servePprof exposes the pprof handlers on their own mux (not
-// http.DefaultServeMux) so the side listener serves profiles and
-// nothing else.
-func servePprof(addr string, logf func(string, ...any)) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		logf("pprof listening on %s", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			logf("pprof listener: %v", err)
-		}
-	}()
-}
 
 func main() {
 	var (
@@ -90,20 +71,14 @@ func main() {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	if *pprofAddr != "" {
-		servePprof(*pprofAddr, logger.Printf)
+		pprofd.Serve(*pprofAddr, logger.Printf)
 	}
 	engCfg := engine.Config{Workers: *workers, CacheSize: *cacheSize}
 	var ps *peerstore.Store
 	if *peerFill {
 		ps = peerstore.New(peerstore.Config{CacheSize: *cacheSize, Logf: logger.Printf})
 		if *peers != "" {
-			var list []string
-			for _, u := range strings.Split(*peers, ",") {
-				if u = strings.TrimSpace(u); u != "" {
-					list = append(list, u)
-				}
-			}
-			ps.SetPeers(list)
+			ps.SetPeers(strings.Split(*peers, ",")) // trims, drops empties and duplicates
 			logger.Printf("drhwd: peer fill over %d seed peer(s)", len(ps.Peers()))
 		}
 		engCfg.Store = ps
@@ -116,7 +91,6 @@ func main() {
 		MaxInFlight:    *maxInflight,
 		MaxSubtasks:    *maxSubtasks,
 		MaxSweepCells:  *maxCells,
-		MaxBodyBytes:   0,
 		RequestTimeout: *timeout,
 		DrainTimeout:   *drain,
 		Logf:           logger.Printf,

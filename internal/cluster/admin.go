@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
+
+	"drhwsched/internal/httpd"
+	"drhwsched/internal/peerstore"
 )
 
 // ReplicasResponse is the GET /v1/replicas body and the echo after a
@@ -29,13 +29,13 @@ type ReplicasUpdateRequest struct {
 }
 
 func (c *Coordinator) handleReplicasGet(w http.ResponseWriter, r *http.Request) error {
-	return writeJSON(w, ReplicasResponse{Replicas: c.Replicas(), Drained: c.Drained()})
+	return httpd.WriteJSON(w, http.StatusOK, ReplicasResponse{Replicas: c.Replicas(), Drained: c.Drained()})
 }
 
 func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Request) error {
 	var req ReplicasUpdateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		return badRequest("parsing replicas body: %v", err)
+	if err := httpd.DecodeJSON(r, &req, "replicas"); err != nil {
+		return err
 	}
 	adds, err := normalizeURLs(req.Add, "add")
 	if err != nil {
@@ -46,7 +46,7 @@ func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Reques
 		return err
 	}
 	if len(adds) == 0 && len(removes) == 0 {
-		return badRequest("replicas update needs add or remove entries")
+		return httpd.BadRequest("replicas update needs add or remove entries")
 	}
 
 	c.poolMu.Lock()
@@ -55,18 +55,18 @@ func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Reques
 	for _, u := range removes {
 		if _, ok := c.pool[u]; !ok {
 			c.poolMu.Unlock()
-			return badRequest("remove: %q is not an active replica", u)
+			return httpd.BadRequest("remove: %q is not an active replica", u)
 		}
 	}
 	for _, u := range adds {
 		if _, ok := c.pool[u]; ok {
 			c.poolMu.Unlock()
-			return badRequest("add: %q is already an active replica", u)
+			return httpd.BadRequest("add: %q is already an active replica", u)
 		}
 	}
 	if len(c.pool)-len(removes)+len(adds) == 0 {
 		c.poolMu.Unlock()
-		return badRequest("cannot remove the last active replica")
+		return httpd.BadRequest("cannot remove the last active replica")
 	}
 	for _, u := range removes {
 		c.drained[u] = c.pool[u]
@@ -87,15 +87,15 @@ func (c *Coordinator) handleReplicasUpdate(w http.ResponseWriter, r *http.Reques
 	c.poolMu.Unlock()
 
 	for _, u := range adds {
-		c.metrics.replicaAdded()
-		c.logf("drhwcoord: replica %s added to pool", u)
+		c.metrics.replicasAdded.Add(1)
+		c.shell.Log("replica %s added to pool", u)
 	}
 	for _, u := range removes {
-		c.metrics.replicaRemoved()
-		c.logf("drhwcoord: replica %s drained (peer fills only)", u)
+		c.metrics.replicasRemoved.Add(1)
+		c.shell.Log("replica %s drained (peer fills only)", u)
 	}
 	c.pushPeers()
-	return writeJSON(w, ReplicasResponse{Replicas: active, Drained: drained})
+	return httpd.WriteJSON(w, http.StatusOK, ReplicasResponse{Replicas: active, Drained: drained})
 }
 
 // normalizeURLs trims and slash-normalizes one admin list, rejecting
@@ -104,12 +104,12 @@ func normalizeURLs(in []string, verb string) ([]string, error) {
 	out := make([]string, 0, len(in))
 	seen := map[string]bool{}
 	for _, u := range in {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
+		u = peerstore.NormalizeURL(u)
 		if u == "" {
-			return nil, badRequest("%s: empty replica URL", verb)
+			return nil, httpd.BadRequest("%s: empty replica URL", verb)
 		}
 		if seen[u] {
-			return nil, badRequest("%s: duplicate replica URL %q", verb, u)
+			return nil, httpd.BadRequest("%s: duplicate replica URL %q", verb, u)
 		}
 		seen[u] = true
 		out = append(out, u)
@@ -129,48 +129,28 @@ func (c *Coordinator) SyncPeers() { c.pushPeers() }
 // a replica that misses a push still falls back to computing, so
 // failures are logged and counted, never fatal.
 func (c *Coordinator) pushPeers() {
-	c.poolMu.Lock()
-	members := make([]*Replica, 0, len(c.pool)+len(c.drained))
-	for _, rep := range c.pool {
-		members = append(members, rep)
-	}
-	for _, rep := range c.drained {
-		members = append(members, rep)
-	}
-	c.poolMu.Unlock()
-	urls := make([]string, len(members))
-	for i, rep := range members {
-		urls[i] = rep.URL
-	}
-	sort.Strings(urls)
-
+	members := c.members()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
-	for _, rep := range members {
-		peers := make([]string, 0, len(urls)-1)
-		for _, u := range urls {
-			if u != rep.URL {
-				peers = append(peers, u)
+	for _, m := range members {
+		rep := m.rep
+		peers := make([]string, 0, len(members)-1)
+		for _, o := range members {
+			if o.rep.URL != rep.URL {
+				peers = append(peers, o.rep.URL)
 			}
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if err := rep.PushPeers(ctx, peers); err != nil {
-				c.logf("drhwcoord: pushing peer set to %s: %v", rep.URL, err)
-				c.metrics.peerPush(false)
+				c.shell.Log("pushing peer set to %s: %v", rep.URL, err)
+				c.metrics.peerPushFailures.Add(1)
 				return
 			}
-			c.metrics.peerPush(true)
+			c.metrics.peerPushes.Add(1)
 		}()
 	}
 	wg.Wait()
-}
-
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

@@ -286,3 +286,31 @@ func TestPeerFillAfterDrain(t *testing.T) {
 	}
 	t.Logf("re-shard: %d peer fills, %d pool misses (unchanged)", peerFills, coldMisses)
 }
+
+// TestReplicasBodyBounded: a /v1/replicas body over the 1 MiB default
+// bound is refused with 413 and the JSON error envelope, and the
+// membership is untouched.
+func TestReplicasBodyBounded(t *testing.T) {
+	c, err := New(Config{Replicas: []string{"http://r1:1"}, HTTPClient: &http.Client{Transport: offline{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString(`{"add": [`)
+	for i := 0; sb.Len() < 2<<20; i++ {
+		fmt.Fprintf(&sb, `"http://replica-%d.example:8080",`, i)
+	}
+	sb.WriteString(`"http://last.example:8080"]}`)
+	rec := httptest.NewRecorder()
+	c.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/replicas", strings.NewReader(sb.String())))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %.200s", rec.Code, rec.Body.String())
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "request body exceeds 1048576 bytes" {
+		t.Fatalf("error body = %q (%v)", rec.Body.String(), err)
+	}
+	if got := c.Replicas(); len(got) != 1 {
+		t.Fatalf("oversize body changed the pool to %v", got)
+	}
+}

@@ -3,18 +3,15 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"drhwsched/internal/httpd"
 	"drhwsched/internal/obs"
 	"drhwsched/internal/server"
 )
@@ -79,17 +76,11 @@ func (c *Config) fillDefaults() {
 	if c.VNodes <= 0 {
 		c.VNodes = DefaultVNodes
 	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
 	if c.MaxSubtasks <= 0 {
 		c.MaxSubtasks = 4096
 	}
 	if c.MaxSweepCells <= 0 {
 		c.MaxSweepCells = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.StreamIdleTimeout <= 0 {
 		c.StreamIdleTimeout = 60 * time.Second
@@ -102,9 +93,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxRetryBackoff <= 0 {
 		c.MaxRetryBackoff = 2 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	if c.EvictAfterProbes == 0 {
 		c.EvictAfterProbes = 3
@@ -121,11 +109,9 @@ func (c *Config) fillDefaults() {
 // or stalls. It implements http.Handler; cmd/drhwcoord runs it via
 // ListenAndServe.
 type Coordinator struct {
-	cfg      Config
-	mux      *http.ServeMux
-	metrics  *metrics
-	inflight chan struct{}
-	reqSeq   atomic.Int64
+	cfg     Config
+	shell   *httpd.Shell
+	metrics *metrics
 
 	// poolMu guards the dynamic membership below. pool holds the
 	// replicas sweeps shard across. drained holds admin-removed
@@ -149,9 +135,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		mux:        http.NewServeMux(),
 		metrics:    newMetrics(),
-		inflight:   make(chan struct{}, cfg.MaxInFlight),
 		pool:       map[string]*Replica{},
 		drained:    map[string]*Replica{},
 		failStreak: map[string]int{},
@@ -166,12 +150,26 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.pool[r.URL] = r
 	}
-	c.mux.Handle("/healthz", c.instrument("healthz", http.MethodGet, false, c.handleHealthz))
-	c.mux.Handle("/metrics", c.instrument("metrics", http.MethodGet, false, c.handleMetrics))
-	c.mux.Handle("/v1/sweep", c.instrument("sweep", http.MethodPost, true, c.handleSweep))
-	getReplicas := c.instrument("replicas", http.MethodGet, false, c.handleReplicasGet)
-	postReplicas := c.instrument("replicas", http.MethodPost, false, c.handleReplicasUpdate)
-	c.mux.Handle("/v1/replicas", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// The coordinator has no request deadline: a sweep runs as long as
+	// its replicas keep streaming (StreamIdleTimeout bounds silence).
+	sh := httpd.New(httpd.Config{
+		Name:         "drhwcoord",
+		Role:         "coordinator",
+		IDPrefix:     "drhwcoord",
+		MaxInFlight:  cfg.MaxInFlight,
+		MaxBodyBytes: cfg.MaxBodyBytes,
+		DrainTimeout: cfg.DrainTimeout,
+		Observe:      c.metrics.requests.Observe,
+		Logf:         cfg.Logf,
+		Logger:       cfg.Logger,
+	})
+	c.shell = sh
+	sh.Handle("/healthz", sh.Instrument("healthz", http.MethodGet, false, c.handleHealthz))
+	sh.Handle("/metrics", sh.Instrument("metrics", http.MethodGet, false, c.handleMetrics))
+	sh.Handle("/v1/sweep", sh.Instrument("sweep", http.MethodPost, true, c.handleSweep))
+	getReplicas := sh.Instrument("replicas", http.MethodGet, false, c.handleReplicasGet)
+	postReplicas := sh.Instrument("replicas", http.MethodPost, false, c.handleReplicasUpdate)
+	sh.Handle("/v1/replicas", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet {
 			getReplicas.ServeHTTP(w, r)
 			return
@@ -207,190 +205,38 @@ func sortedKeys(m map[string]*Replica) []string {
 }
 
 // ServeHTTP dispatches to the coordinator's routes.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.shell.ServeHTTP(w, r) }
 
 // Serve runs the coordinator on l until ctx is canceled, then drains
 // in-flight requests for up to DrainTimeout.
-func (c *Coordinator) Serve(ctx context.Context, l net.Listener) error {
-	base, cancelBase := context.WithCancel(context.Background())
-	defer cancelBase()
-	hs := &http.Server{
-		Handler:           c,
-		ReadHeaderTimeout: 10 * time.Second,
-		BaseContext:       func(net.Listener) context.Context { return base },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	c.logf("drhwcoord: shutdown requested, draining for up to %v", c.cfg.DrainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), c.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(dctx)
-	if err != nil {
-		cancelBase()
-		hs.Close()
-	}
-	<-errc
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	c.logf("drhwcoord: drained")
-	return nil
-}
+func (c *Coordinator) Serve(ctx context.Context, l net.Listener) error { return c.shell.Serve(ctx, l) }
 
 // ListenAndServe binds addr (host:0 picks an ephemeral port; the bound
 // address is logged via Config.Logf) and serves until ctx is canceled.
 func (c *Coordinator) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
+	return c.shell.ListenAndServe(ctx, addr, fmt.Sprintf("replicas=%d, vnodes=%d, idle=%v",
+		len(c.Replicas()), c.cfg.VNodes, c.cfg.StreamIdleTimeout))
+}
+
+// member is one replica the coordinator probes and lists in peer sets.
+type member struct {
+	rep     *Replica
+	drained bool // admin-removed: peer fills only, no sweep shards
+}
+
+// members snapshots the pool and the drained set, sorted by URL.
+func (c *Coordinator) members() []member {
+	c.poolMu.Lock()
+	out := make([]member, 0, len(c.pool)+len(c.drained))
+	for _, rep := range c.pool {
+		out = append(out, member{rep, false})
 	}
-	c.logf("drhwcoord: listening on %s (replicas=%d, vnodes=%d, idle=%v)",
-		l.Addr(), len(c.Replicas()), c.cfg.VNodes, c.cfg.StreamIdleTimeout)
-	return c.Serve(ctx, l)
-}
-
-// httpErr carries a status code out of a handler (the same convention
-// as internal/server, duplicated to keep the daemons independent).
-type httpErr struct {
-	code int
-	msg  string
-}
-
-func (e *httpErr) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func tooLarge(format string, args ...any) error {
-	return &httpErr{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf(format, args...)}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		w.code = code
-		w.wrote = true
+	for _, rep := range c.drained {
+		out = append(out, member{rep, true})
 	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ctxKey scopes the request-trace context value to this package.
-type ctxKey int
-
-const traceCtxKey ctxKey = iota
-
-// traceFrom recovers the request's trace context inside a handler.
-func traceFrom(ctx context.Context) obs.TraceParent {
-	tp, _ := ctx.Value(traceCtxKey).(obs.TraceParent)
-	return tp
-}
-
-// instrument is the shared middleware: method check, W3C trace-context
-// extraction (accepted from the client or minted here, echoed back),
-// admission control, error mapping, structured request logging, and
-// metrics recording.
-func (c *Coordinator) instrument(endpoint, method string, admit bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tp, tpErr := obs.ParseTraceParent(r.Header.Get(obs.Header))
-		if tpErr != nil {
-			tp = obs.NewTrace()
-		}
-		reqID := fmt.Sprintf("drhwcoord-%d", c.reqSeq.Add(1))
-		w := &statusWriter{ResponseWriter: rw, code: http.StatusOK}
-		w.Header().Set(obs.Header, tp.String())
-		w.Header().Set("X-Request-Id", reqID)
-		r = r.WithContext(context.WithValue(r.Context(), traceCtxKey, tp))
-		defer func() {
-			c.metrics.observe(endpoint, w.code)
-			if c.cfg.Logger != nil {
-				c.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-					slog.String("endpoint", endpoint),
-					slog.Int("code", w.code),
-					slog.Duration("duration", time.Since(start)),
-					slog.String("request_id", reqID),
-					slog.String("trace_id", tp.TraceIDString()),
-					slog.String("span_id", tp.SpanIDString()),
-				)
-			}
-		}()
-
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
-			return
-		}
-		if admit {
-			select {
-			case c.inflight <- struct{}{}:
-				defer func() { <-c.inflight }()
-			default:
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Sprintf("coordinator at capacity (%d requests in flight)", c.cfg.MaxInFlight))
-				return
-			}
-			r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-		}
-
-		err := h(w, r)
-		if err == nil {
-			return
-		}
-		if w.wrote {
-			// Mid-stream failure: the missing done=true summary line
-			// tells the client; just log.
-			c.logf("drhwcoord: %s: late error: %v", endpoint, err)
-			return
-		}
-		var he *httpErr
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &he):
-			writeError(w, he.code, he.msg)
-		case errors.As(err, &mbe):
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-		case errors.Is(err, context.Canceled):
-			c.logf("drhwcoord: %s: canceled: %v", endpoint, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-	})
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	c.poolMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].rep.URL < out[j].rep.URL })
+	return out
 }
 
 // HealthResponse is the coordinator's /healthz body: the pool's
@@ -404,22 +250,8 @@ type HealthResponse struct {
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	tp := traceFrom(r.Context())
-	type member struct {
-		rep     *Replica
-		drained bool
-	}
-	c.poolMu.Lock()
-	members := make([]member, 0, len(c.pool)+len(c.drained))
-	for _, rep := range c.pool {
-		members = append(members, member{rep, false})
-	}
-	for _, rep := range c.drained {
-		members = append(members, member{rep, true})
-	}
-	c.poolMu.Unlock()
-	sort.Slice(members, func(i, j int) bool { return members[i].rep.URL < members[j].rep.URL })
-
+	tp := httpd.TraceFrom(r.Context())
+	members := c.members()
 	out := make([]ReplicaHealth, len(members))
 	var wg sync.WaitGroup
 	for i, m := range members {
@@ -439,13 +271,11 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) erro
 			break
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	code := http.StatusOK
 	if resp.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		code = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(resp)
+	return httpd.WriteJSON(w, code, resp)
 }
 
 // noteProbes feeds one /healthz round into the per-URL failure
@@ -483,8 +313,8 @@ func (c *Coordinator) noteProbes(probes []ReplicaHealth) {
 		return
 	}
 	for _, u := range evicted {
-		c.logf("drhwcoord: evicting replica %s after %d failed probes", u, c.cfg.EvictAfterProbes)
-		c.metrics.replicaEvicted()
+		c.shell.Log("evicting replica %s after %d failed probes", u, c.cfg.EvictAfterProbes)
+		c.metrics.replicasEvicted.Add(1)
 	}
 	c.pushPeers()
 }
@@ -535,41 +365,23 @@ type ShardDispatch struct {
 }
 
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	data, err := io.ReadAll(r.Body)
+	sw, err := server.ReadSweep(r, c.cfg.MaxSubtasks, c.cfg.MaxSweepCells)
 	if err != nil {
 		return err
 	}
-	var req server.SweepRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return badRequest("sweep: parsing request: %v", err)
-	}
-	grid, err := ParseGrid(&req)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	if n := grid.Subtasks(); n > c.cfg.MaxSubtasks {
-		return tooLarge("document has %d subtasks, limit is %d", n, c.cfg.MaxSubtasks)
-	}
-	if cells := grid.Cells(); cells > c.cfg.MaxSweepCells {
-		return tooLarge("sweep grid has %d cells, limit is %d", cells, c.cfg.MaxSweepCells)
-	}
+	grid := &Grid{Sweep: sw}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush() // commit the headers before the first shard answers
-	}
-	sum, err := c.runSweep(r.Context(), traceFrom(r.Context()), grid, w)
+	http.NewResponseController(w).Flush() // commit the headers before the first shard answers
+	sum, err := c.runSweep(r.Context(), httpd.TraceFrom(r.Context()), grid, w)
 	if err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(sum); err != nil {
+	if err := json.NewEncoder(w).Encode(sum); err != nil {
 		return fmt.Errorf("sweep: writing summary: %w", err)
 	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	http.NewResponseController(w).Flush()
 	return nil
 }
 
@@ -630,9 +442,7 @@ func (c *Coordinator) runSweep(parent context.Context, tp obs.TraceParent, grid 
 			cancel() // the client is gone; unwind every replica stream
 			return
 		}
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
+		http.NewResponseController(w).Flush()
 		delivered[gi] = true
 		deliveredCount++
 		if cell.Error != "" {
@@ -702,7 +512,7 @@ func (c *Coordinator) runSweep(parent context.Context, tp obs.TraceParent, grid 
 			}
 			if out.err != nil {
 				if ctx.Err() == nil {
-					c.logf("drhwcoord: replica %s failed mid-sweep: %v", out.url, out.err)
+					c.shell.Log("replica %s failed mid-sweep: %v", out.url, out.err)
 					failures++
 					delete(live, out.url)
 				}
@@ -743,7 +553,7 @@ func (c *Coordinator) runSweep(parent context.Context, tp obs.TraceParent, grid 
 			return nil, fmt.Errorf("%d cells undelivered after %d retry waves", missing, c.cfg.MaxRetryWaves)
 		}
 		backoff := min(c.cfg.RetryBackoff<<(waves-1), c.cfg.MaxRetryBackoff)
-		c.logf("drhwcoord: retry wave %d: %d cells across %d values, backoff %v, %d replicas left",
+		c.shell.Log("retry wave %d: %d cells across %d values, backoff %v, %d replicas left",
 			waves, missing, len(pending), backoff, len(live))
 		select {
 		case <-time.After(backoff):

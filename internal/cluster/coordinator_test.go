@@ -376,10 +376,14 @@ func TestCoordinatorMetrics(t *testing.T) {
 		"drhwcoord_cells_total 2",
 		"drhwcoord_replicas 1",
 		"drhwcoord_sweeps_total 1",
+		`drhwcoord_request_duration_seconds_count{endpoint="sweep"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
 		}
+	}
+	if err := obs.ValidateExposition(text); err != nil {
+		t.Fatalf("coordinator /metrics fails the strict validator: %v\n%s", err, text)
 	}
 }
 

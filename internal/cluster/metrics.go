@@ -4,82 +4,40 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"drhwsched/internal/httpd"
 )
 
 // metrics aggregates the coordinator's counters for /metrics. The
-// shapes mirror drhwd's metrics so one scrape config covers both tiers
-// of the fabric; names use the drhwcoord_ prefix.
+// request families are the shell's, as on drhwd, so one scrape config
+// covers both tiers of the fabric; names use the drhwcoord_ prefix.
 type metrics struct {
-	mu              sync.Mutex
-	started         time.Time
-	requests        map[string]map[int]int64 // endpoint → status code → count
-	sweeps          int64                    // completed coordinator sweeps
-	cells           int64                    // cells merged into client streams
-	cellRetries     int64                    // cells re-dispatched after a replica failure
-	replicaFailures int64                    // replica streams abandoned (error or idle timeout)
-	shards          int64                    // sub-sweeps issued (including retry waves)
+	requests httpd.Requests
+	started  time.Time
 
-	replicasAdded    int64 // pool additions (hot-add and reactivation)
-	replicasRemoved  int64 // admin drains (pool → drained)
-	replicasEvicted  int64 // probe-driven evictions (dropped entirely)
-	peerPushes       int64 // successful /v1/peers pushes to members
-	peerPushFailures int64 // failed pushes (member falls back to compute)
+	sweeps          atomic.Int64 // completed coordinator sweeps
+	cells           atomic.Int64 // cells merged into client streams
+	cellRetries     atomic.Int64 // cells re-dispatched after a replica failure
+	replicaFailures atomic.Int64 // replica streams abandoned (error or idle timeout)
+	shards          atomic.Int64 // sub-sweeps issued (including retry waves)
+
+	replicasAdded    atomic.Int64 // pool additions (hot-add and reactivation)
+	replicasRemoved  atomic.Int64 // admin drains (pool → drained)
+	replicasEvicted  atomic.Int64 // probe-driven evictions (dropped entirely)
+	peerPushes       atomic.Int64 // successful /v1/peers pushes to members
+	peerPushFailures atomic.Int64 // failed pushes (member falls back to compute)
 }
 
-func newMetrics() *metrics {
-	return &metrics{started: time.Now(), requests: map[string]map[int]int64{}}
-}
-
-func (m *metrics) observe(endpoint string, code int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[endpoint]
-	if byCode == nil {
-		byCode = map[int]int64{}
-		m.requests[endpoint] = byCode
-	}
-	byCode[code]++
-}
+func newMetrics() *metrics { return &metrics{started: time.Now()} }
 
 func (m *metrics) sweepDone(cells, retried, failures, shards int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweeps++
-	m.cells += int64(cells)
-	m.cellRetries += int64(retried)
-	m.replicaFailures += int64(failures)
-	m.shards += int64(shards)
-}
-
-func (m *metrics) replicaAdded() {
-	m.mu.Lock()
-	m.replicasAdded++
-	m.mu.Unlock()
-}
-
-func (m *metrics) replicaRemoved() {
-	m.mu.Lock()
-	m.replicasRemoved++
-	m.mu.Unlock()
-}
-
-func (m *metrics) replicaEvicted() {
-	m.mu.Lock()
-	m.replicasEvicted++
-	m.mu.Unlock()
-}
-
-func (m *metrics) peerPush(ok bool) {
-	m.mu.Lock()
-	if ok {
-		m.peerPushes++
-	} else {
-		m.peerPushFailures++
-	}
-	m.mu.Unlock()
+	m.sweeps.Add(1)
+	m.cells.Add(int64(cells))
+	m.cellRetries.Add(int64(retried))
+	m.replicaFailures.Add(int64(failures))
+	m.shards.Add(int64(shards))
 }
 
 // render writes the Prometheus text format. replicas is the active
@@ -87,51 +45,25 @@ func (m *metrics) peerPush(ok bool) {
 // fills.
 func (m *metrics) render(w io.Writer, replicas, drained int) {
 	var buf bytes.Buffer
-	m.mu.Lock()
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_uptime_seconds gauge\n")
 	fmt.Fprintf(&buf, "drhwcoord_uptime_seconds %g\n", time.Since(m.started).Seconds())
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas gauge\n")
 	fmt.Fprintf(&buf, "drhwcoord_replicas %d\n", replicas)
 	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas_drained gauge\n")
 	fmt.Fprintf(&buf, "drhwcoord_replicas_drained %d\n", drained)
-
-	endpoints := make([]string, 0, len(m.requests))
-	for ep := range m.requests {
-		endpoints = append(endpoints, ep)
+	m.requests.Render(&buf, "drhwcoord")
+	for _, c := range []struct {
+		name string
+		v    *atomic.Int64
+	}{
+		{"sweeps", &m.sweeps}, {"cells", &m.cells}, {"cell_retries", &m.cellRetries},
+		{"replica_failures", &m.replicaFailures}, {"shards", &m.shards},
+		{"replicas_added", &m.replicasAdded}, {"replicas_removed", &m.replicasRemoved},
+		{"replicas_evicted", &m.replicasEvicted},
+		{"peer_pushes", &m.peerPushes}, {"peer_push_failures", &m.peerPushFailures},
+	} {
+		fmt.Fprintf(&buf, "# TYPE drhwcoord_%s_total counter\n", c.name)
+		fmt.Fprintf(&buf, "drhwcoord_%s_total %d\n", c.name, c.v.Load())
 	}
-	sort.Strings(endpoints)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_requests_total counter\n")
-	for _, ep := range endpoints {
-		byCode := m.requests[ep]
-		codes := make([]int, 0, len(byCode))
-		for c := range byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&buf, "drhwcoord_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, byCode[c])
-		}
-	}
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_sweeps_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_sweeps_total %d\n", m.sweeps)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_cells_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_cells_total %d\n", m.cells)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_cell_retries_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_cell_retries_total %d\n", m.cellRetries)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_replica_failures_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_replica_failures_total %d\n", m.replicaFailures)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_shards_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_shards_total %d\n", m.shards)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas_added_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_replicas_added_total %d\n", m.replicasAdded)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas_removed_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_replicas_removed_total %d\n", m.replicasRemoved)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas_evicted_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_replicas_evicted_total %d\n", m.replicasEvicted)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_peer_pushes_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_peer_pushes_total %d\n", m.peerPushes)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_peer_push_failures_total counter\n")
-	fmt.Fprintf(&buf, "drhwcoord_peer_push_failures_total %d\n", m.peerPushFailures)
-	m.mu.Unlock()
 	w.Write(buf.Bytes())
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 
 	"drhwsched/internal/assign"
@@ -12,79 +11,19 @@ import (
 	"drhwsched/internal/workload"
 )
 
-// Grid is one sweep request expanded into its global cell grid: the
-// same expansion drhwd's /v1/sweep performs (values outer, approach
-// lines inner), so a cell's global index here equals the index a
-// single-node sweep of the full request would report. The planner
-// additionally derives a shard key per value — the content fingerprint
-// of the design-time analyses that value's cells will need — which is
-// what the consistent-hash ring partitions.
+// Grid is a validated sweep request (server.ParseSweep, the same
+// checks and expansion drhwd's /v1/sweep applies: values outer,
+// approach lines inner), so a cell's global index here equals the
+// index a single-node sweep of the full request would report. The
+// planner adds a shard key per value — the content fingerprint of the
+// design-time analyses that value's cells will need — which is what
+// the consistent-hash ring partitions. Keys are derived on first use
+// (Key, Assign): ParseSweep has already refused an oversize request,
+// and parsing schedules nothing.
 type Grid struct {
-	Raw    json.RawMessage // the workload document, forwarded verbatim to replicas
-	Param  string          // "tiles" (default) or "seed"
-	Values []int
-	Lines  []string
-	keys   []string // shard key per value position; nil until shardKeys
-	spec   *workload.RunSpec
+	*server.Sweep
+	keys []string // shard key per value position; nil until shardKeys
 }
-
-// ParseGrid validates a sweep request and expands its grid, mirroring
-// the checks drhwd applies (so the coordinator refuses what a replica
-// would refuse, before fanning anything out). Size bounds are the
-// caller's job — Subtasks and Cells report the quantities to check.
-// Shard keys are derived on first use (Key, Assign), so a caller that
-// refuses an oversize grid never schedules its scenarios.
-func ParseGrid(req *server.SweepRequest) (*Grid, error) {
-	if len(req.Workload) == 0 {
-		return nil, fmt.Errorf("sweep: missing workload document")
-	}
-	spec, err := workload.ParseRun(req.Workload)
-	if err != nil {
-		return nil, err
-	}
-	if len(req.Values) == 0 {
-		return nil, fmt.Errorf("sweep: no values to sweep")
-	}
-	if req.Param != "" && req.Param != "tiles" && req.Param != "seed" {
-		return nil, fmt.Errorf("sweep: unknown param %q (tiles|seed)", req.Param)
-	}
-	param := req.Param
-	if param == "" {
-		param = "tiles"
-	}
-	if param == "tiles" {
-		p := spec.Platform
-		for _, x := range req.Values {
-			p.Tiles = x
-			if err := p.Validate(); err != nil {
-				return nil, fmt.Errorf("sweep: tile count %d out of range: %v", x, err)
-			}
-		}
-	}
-	lines := req.Approaches
-	if len(lines) == 0 {
-		lines = workload.Approaches()
-	}
-	for _, line := range lines {
-		if _, err := workload.ParseApproach(line); err != nil {
-			return nil, err
-		}
-	}
-	return &Grid{
-		Raw:    req.Workload,
-		Param:  param,
-		Values: req.Values,
-		Lines:  lines,
-		spec:   spec,
-	}, nil
-}
-
-// Cells is the grid size.
-func (g *Grid) Cells() int { return len(g.Values) * len(g.Lines) }
-
-// Subtasks counts the workload document's subtask definitions (the
-// admission-control document size).
-func (g *Grid) Subtasks() int { return g.spec.Subtasks() }
 
 // Index is the global index of the cell at value position vi, line
 // position li — identical to the single-node expansion order.
@@ -99,7 +38,7 @@ func (g *Grid) shardKeys() []string {
 	if g.keys == nil {
 		g.keys = make([]string, len(g.Values))
 		for vi, x := range g.Values {
-			g.keys[vi] = shardKey(g.spec, g.Param, x, vi)
+			g.keys[vi] = shardKey(g.Spec, g.Param, x, vi)
 		}
 	}
 	return g.keys

@@ -25,9 +25,21 @@ const planDoc = `{
   }]
 }`
 
+// parseGrid validates req under the coordinator's default bounds and
+// wraps it, as handleSweep does.
+func parseGrid(req *server.SweepRequest) (*Grid, error) {
+	var limits Config
+	limits.fillDefaults()
+	sw, err := server.ParseSweep(req, limits.MaxSubtasks, limits.MaxSweepCells)
+	if err != nil {
+		return nil, err
+	}
+	return &Grid{Sweep: sw}, nil
+}
+
 func mustGrid(t *testing.T, param string, values []int, approaches []string) *Grid {
 	t.Helper()
-	g, err := ParseGrid(&server.SweepRequest{
+	g, err := parseGrid(&server.SweepRequest{
 		Workload:   json.RawMessage(planDoc),
 		Param:      param,
 		Values:     values,
@@ -81,13 +93,13 @@ func TestGridShardKeys(t *testing.T) {
 	}
 }
 
-// TestParseGridDefersShardKeys: parsing schedules nothing, so the
-// coordinator's size checks run before any scenario of any value is
-// assigned; keys appear on first use.
+// TestParseGridDefersShardKeys: parsing schedules nothing, so the size
+// checks run before any scenario of any value is assigned; keys appear
+// on first use.
 func TestParseGridDefersShardKeys(t *testing.T) {
 	g := mustGrid(t, "tiles", []int{3, 4}, []string{"hybrid"})
 	if g.keys != nil {
-		t.Fatal("ParseGrid derived shard keys before the caller's size checks")
+		t.Fatal("parsing derived shard keys before their first use")
 	}
 	if g.Key(1) == "" || len(g.keys) != 2 {
 		t.Fatalf("keys after first use = %d", len(g.keys))
@@ -131,7 +143,7 @@ func TestGridRejects(t *testing.T) {
 		"bad doc":     {Workload: json.RawMessage(`{"tasks": 7}`), Values: []int{4}},
 	}
 	for name, req := range cases {
-		if _, err := ParseGrid(&req); err == nil {
+		if _, err := parseGrid(&req); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"drhwsched/internal/obs"
+	"drhwsched/internal/peerstore"
 	"drhwsched/internal/server"
 )
 
@@ -23,7 +24,7 @@ type Replica struct {
 }
 
 func newReplica(url string, client *http.Client) *Replica {
-	return &Replica{URL: strings.TrimRight(url, "/"), client: client}
+	return &Replica{URL: peerstore.NormalizeURL(url), client: client}
 }
 
 // ReplicaHealth is one replica's /healthz snapshot as the coordinator

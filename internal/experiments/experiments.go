@@ -226,32 +226,20 @@ func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, erro
 		// improvement pass. Each size gets one untimed call first: the
 		// first call on a freshly built graph pays cold caches, a
 		// one-off that would otherwise dominate the smallest sizes.
-		reps := 3
-		runTime := func() error {
+		rtCost, err := minCost(func() error {
 			_, err := (prefetch.List{MaxPasses: -1}).Schedule(s, p, loads, prefetch.Bounds{})
 			return err
-		}
-		if err := runTime(); err != nil {
+		})
+		if err != nil {
 			return nil, nil, err
 		}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if err := runTime(); err != nil {
-				return nil, nil, err
-			}
-		}
-		rtCost := time.Since(start) / time.Duration(reps)
 
 		a, err := core.Analyze(s, p, core.Options{Scheduler: prefetch.List{MaxPasses: 1}, AddAllDelayed: true})
 		if err != nil {
 			return nil, nil, err
 		}
-		a.Plan(nil)
-		start = time.Now()
-		for i := 0; i < reps; i++ {
-			a.Plan(nil) // the run-time phase's decision work is O(N)
-		}
-		hyCost := time.Since(start) / time.Duration(reps)
+		// The run-time phase's decision work is O(N).
+		hyCost, _ := minCost(func() error { a.Plan(nil); return nil })
 
 		rows = append(rows, ScalingRow{Subtasks: n, RunTimeCost: rtCost, HybridCost: hyCost})
 	}
@@ -267,6 +255,30 @@ func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, erro
 			fmt.Sprintf("%.1fx", rows[i].HybridFactor))
 	}
 	return rows, tab, nil
+}
+
+// scalingReps is how many timed calls minCost takes per size.
+const scalingReps = 9
+
+// minCost times fn scalingReps times, one call at a time, after one
+// untimed warm-up call, and returns the fastest call. On a shared host
+// the minimum is the call least disturbed by other work; a mean lets one
+// descheduled call move the whole row.
+func minCost(fn func() error) (time.Duration, error) {
+	if err := fn(); err != nil {
+		return 0, err
+	}
+	best := time.Duration(-1)
+	for i := 0; i < scalingReps; i++ {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
 }
 
 // Fixture bundles the design-time artifacts of one synthetic graph for

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
@@ -139,6 +140,14 @@ func New(cfg Config) *Store {
 	return s
 }
 
+// NormalizeURL is the one spelling of a replica base URL that peer
+// sets, the coordinator's pool and its flags compare: surrounding
+// whitespace and trailing slashes removed until none is left, so the
+// result normalizes to itself. Empty means no URL.
+func NormalizeURL(u string) string {
+	return strings.TrimRightFunc(strings.TrimSpace(u), func(r rune) bool { return r == '/' || unicode.IsSpace(r) })
+}
+
 // SetPeers replaces the peer set (live: the coordinator pushes updated
 // pools here via the replica's /v1/peers endpoint). URLs are
 // normalized, deduplicated and sorted; empties are dropped.
@@ -146,7 +155,7 @@ func (s *Store) SetPeers(peers []string) {
 	seen := map[string]bool{}
 	var norm []string
 	for _, p := range peers {
-		p = strings.TrimRight(strings.TrimSpace(p), "/")
+		p = NormalizeURL(p)
 		if p == "" || seen[p] {
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
 	"drhwsched/internal/graph"
+	"drhwsched/internal/httpd"
 	"drhwsched/internal/obs"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/workload"
@@ -87,10 +88,10 @@ func (s *Server) readRun(r *http.Request) (*workload.RunSpec, error) {
 	}
 	spec, err := workload.ParseRun(data)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, httpd.BadRequest("%v", err)
 	}
 	if n := spec.Subtasks(); n > s.cfg.MaxSubtasks {
-		return nil, tooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
+		return nil, httpd.TooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
 	}
 	return spec, nil
 }
@@ -109,11 +110,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 			}
 			sched, err := assign.List(g, spec.Platform, assign.Options{Placement: assign.Spread})
 			if err != nil {
-				return badRequest("scheduling %q: %v", g.Name, err)
+				return httpd.BadRequest("scheduling %q: %v", g.Name, err)
 			}
 			a, err := s.eng.Analyze(sched, spec.Platform, core.Options{})
 			if err != nil {
-				return badRequest("analyzing %q: %v", g.Name, err)
+				return httpd.BadRequest("analyzing %q: %v", g.Name, err)
 			}
 			run, err := a.Execute(core.RunBounds{}, nil)
 			if err != nil {
@@ -137,7 +138,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 		resp.Tasks = append(resp.Tasks, at)
 	}
 	resp.Cache = cacheWire(s.eng.CacheStats())
-	return writeJSON(w, resp)
+	return httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 func subtaskNames(g *graph.Graph, ids []graph.SubtaskID) []string {
@@ -224,11 +225,13 @@ type SimulateResponse struct {
 	Cache       CacheWire `json:"cache"`
 }
 
-func simulateResponse(name string, pstr string, res *sim.Result) SimulateResponse {
-	return withAttribution(SimulateResponse{
-		Name:            name,
+// simulateResponse renders one completed run in wire units, with the
+// engine-wide cache snapshot taken now.
+func (s *Server) simulateResponse(spec *workload.RunSpec, res *sim.Result) SimulateResponse {
+	resp := SimulateResponse{
+		Name:            spec.Name,
 		Approach:        res.Approach.String(),
-		Platform:        pstr,
+		Platform:        spec.Platform.String(),
 		Tiles:           res.Tiles,
 		Iterations:      res.Iterations,
 		IdealMS:         res.IdealTotal.Milliseconds(),
@@ -264,17 +267,13 @@ func simulateResponse(name string, pstr string, res *sim.Result) SimulateRespons
 		ResponseP50MS:   res.ResponseTime.P50,
 		ResponseP95MS:   res.ResponseTime.P95,
 		ResponseP99MS:   res.ResponseTime.P99,
+		PrefetchHits:    res.PrefetchHits,
+		DemandMisses:    res.DemandMisses,
+		PeakQueued:      res.PeakQueued,
 		CacheHits:       res.CacheHits,
 		CacheMisses:     res.CacheMisses,
-	}, res)
-}
-
-// withAttribution copies the attribution aggregates into the wire
-// response (split out so simulateResponse stays a flat literal).
-func withAttribution(resp SimulateResponse, res *sim.Result) SimulateResponse {
-	resp.PrefetchHits = res.PrefetchHits
-	resp.DemandMisses = res.DemandMisses
-	resp.PeakQueued = res.PeakQueued
+		Cache:           cacheWire(s.eng.CacheStats()),
+	}
 	for _, d := range res.ISPBusy {
 		resp.ISPBusyMS = append(resp.ISPBusyMS, d.Milliseconds())
 	}
@@ -309,17 +308,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 	}
 	stream, trace := r.URL.Query().Get("stream"), r.URL.Query().Get("trace")
 	if trace != "" && trace != "events" {
-		return badRequest("simulate: unknown trace mode %q (events)", trace)
+		return httpd.BadRequest("simulate: unknown trace mode %q (events)", trace)
 	}
 	if stream != "" && trace != "" {
-		return badRequest("simulate: stream=%s and trace=%s are mutually exclusive", stream, trace)
+		return httpd.BadRequest("simulate: stream=%s and trace=%s are mutually exclusive", stream, trace)
 	}
 	if trace == "events" {
 		return s.streamTrace(w, r, spec)
 	}
 	if stream != "" {
 		if stream != "iterations" {
-			return badRequest("simulate: unknown stream mode %q (iterations)", stream)
+			return httpd.BadRequest("simulate: unknown stream mode %q (iterations)", stream)
 		}
 		return s.streamSimulate(w, r, spec)
 	}
@@ -328,12 +327,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) error {
 		if ctxErr := r.Context().Err(); ctxErr != nil {
 			return ctxErr
 		}
-		return badRequest("%v", err)
+		return httpd.BadRequest("%v", err)
 	}
 	s.observeRun(res, spec.Options.Trace)
-	resp := simulateResponse(spec.Name, spec.Platform.String(), res)
-	resp.Cache = cacheWire(s.eng.CacheStats())
-	return writeJSON(w, resp)
+	return httpd.WriteJSON(w, http.StatusOK, s.simulateResponse(spec, res))
 }
 
 // observeRun folds one completed simulation (and its recorder's drop
@@ -368,14 +365,14 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request, spec *workl
 	rec := opt.Trace
 	// Reject anything the kernel would refuse before committing the 200.
 	if err := sim.Validate(spec.Mix, spec.Platform, opt); err != nil {
-		return badRequest("%v", err)
+		return httpd.BadRequest("%v", err)
 	}
 	res, err := s.eng.SimulateContext(r.Context(), spec.Mix, spec.Platform, opt)
 	if err != nil {
 		if ctxErr := r.Context().Err(); ctxErr != nil {
 			return ctxErr
 		}
-		return badRequest("%v", err)
+		return httpd.BadRequest("%v", err)
 	}
 	s.observeRun(res, rec)
 
@@ -392,15 +389,12 @@ func (s *Server) streamTrace(w http.ResponseWriter, r *http.Request, spec *workl
 		Done:             true,
 		Events:           len(events),
 		Dropped:          rec.Drops(),
-		SimulateResponse: simulateResponse(spec.Name, spec.Platform.String(), res),
+		SimulateResponse: s.simulateResponse(spec, res),
 	}
-	sum.Cache = cacheWire(s.eng.CacheStats())
 	if err := enc.Encode(sum); err != nil {
 		return fmt.Errorf("simulate trace: writing summary: %w", err)
 	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	http.NewResponseController(w).Flush()
 	return nil
 }
 
@@ -414,16 +408,12 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, spec *wo
 	// 200: once the header is on the wire, errors can only surface as
 	// a missing summary line.
 	if err := sim.Validate(spec.Mix, spec.Platform, spec.Options); err != nil {
-		return badRequest("%v", err)
+		return httpd.BadRequest("%v", err)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
+	flush := http.NewResponseController(w).Flush
 	flush() // commit the headers before the (possibly slow) design-time phase
 
 	var writeErr error
@@ -454,8 +444,7 @@ func (s *Server) streamSimulate(w http.ResponseWriter, r *http.Request, spec *wo
 	if writeErr != nil {
 		return fmt.Errorf("simulate stream: writing iteration: %w", writeErr)
 	}
-	sum := SimulateSummary{Done: true, SimulateResponse: simulateResponse(spec.Name, spec.Platform.String(), res)}
-	sum.Cache = cacheWire(s.eng.CacheStats())
+	sum := SimulateSummary{Done: true, SimulateResponse: s.simulateResponse(spec, res)}
 	if err := enc.Encode(sum); err != nil {
 		return fmt.Errorf("simulate stream: writing summary: %w", err)
 	}
@@ -506,84 +495,123 @@ type SweepSummary struct {
 	Cache     CacheWire `json:"cache"`
 }
 
-var allApproaches = workload.Approaches()
-
-// sweepGrid expands a sweep request into engine runs.
-func (s *Server) sweepGrid(req *SweepRequest) ([]engine.Run, error) {
-	if len(req.Workload) == 0 {
-		return nil, badRequest("sweep: missing workload document")
-	}
-	spec, err := workload.ParseRun(req.Workload)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if n := spec.Subtasks(); n > s.cfg.MaxSubtasks {
-		return nil, tooLarge("document has %d subtasks, limit is %d", n, s.cfg.MaxSubtasks)
-	}
-	if len(req.Values) == 0 {
-		return nil, badRequest("sweep: no values to sweep")
-	}
-	if req.Param != "" && req.Param != "tiles" && req.Param != "seed" {
-		return nil, badRequest("sweep: unknown param %q (tiles|seed)", req.Param)
-	}
-	lines := req.Approaches
-	if len(lines) == 0 {
-		lines = allApproaches
-	}
-	if cells := len(req.Values) * len(lines); cells > s.cfg.MaxSweepCells {
-		return nil, tooLarge("sweep grid has %d cells, limit is %d", cells, s.cfg.MaxSweepCells)
-	}
-	var runs []engine.Run
-	for _, x := range req.Values {
-		p := spec.Platform
-		opt := spec.Options
-		switch req.Param {
-		case "seed":
-			opt.Seed = int64(x)
-		default: // tiles
-			p.Tiles = x
-			if err := p.Validate(); err != nil {
-				return nil, badRequest("sweep: tile count %d out of range: %v", x, err)
-			}
-		}
-		for _, line := range lines {
-			ap, err := workload.ParseApproach(line)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			o := opt
-			o.Approach = ap
-			// Cells run concurrently; a single recorder shared across
-			// them would interleave unrelated timelines.
-			o.Trace = nil
-			runs = append(runs, engine.Run{X: x, Line: line, Mix: spec.Mix, Platform: p, Options: o})
-		}
-	}
-	return runs, nil
+// Sweep is a validated /v1/sweep request. drhwd expands it into engine
+// runs; the cluster coordinator shards it across replicas.
+type Sweep struct {
+	Raw    json.RawMessage // the workload document as sent
+	Spec   *workload.RunSpec
+	Param  string // "tiles" or "seed"
+	Values []int
+	Lines  []string // approach lines; all five when the request names none
+	aps    []sim.Approach
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
+// ReadSweep decodes the request body and parses it with ParseSweep.
+func ReadSweep(r *http.Request, maxSubtasks, maxCells int) (*Sweep, error) {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
-		return err
+		return nil, err // MaxBytesError maps to 413 in the shell
 	}
 	var req SweepRequest
 	if err := json.Unmarshal(data, &req); err != nil {
-		return badRequest("sweep: parsing request: %v", err)
+		return nil, httpd.BadRequest("sweep: parsing request: %v", err)
 	}
-	runs, err := s.sweepGrid(&req)
+	return ParseSweep(&req, maxSubtasks, maxCells)
+}
+
+// ParseSweep validates a sweep request against the size bounds. The
+// checks run in a fixed order and the first fault is reported (400 or
+// 413): the document, its subtask count, the values, the param, the
+// grid size, the first value's tile count, the approach lines, then
+// the other values' tile counts.
+func ParseSweep(req *SweepRequest, maxSubtasks, maxCells int) (*Sweep, error) {
+	if len(req.Workload) == 0 {
+		return nil, httpd.BadRequest("sweep: missing workload document")
+	}
+	spec, err := workload.ParseRun(req.Workload)
+	if err != nil {
+		return nil, httpd.BadRequest("%v", err)
+	}
+	if n := spec.Subtasks(); n > maxSubtasks {
+		return nil, httpd.TooLarge("document has %d subtasks, limit is %d", n, maxSubtasks)
+	}
+	if len(req.Values) == 0 {
+		return nil, httpd.BadRequest("sweep: no values to sweep")
+	}
+	sw := &Sweep{Raw: req.Workload, Spec: spec, Param: req.Param, Values: req.Values, Lines: req.Approaches}
+	switch sw.Param {
+	case "":
+		sw.Param = "tiles"
+	case "tiles", "seed":
+	default:
+		return nil, httpd.BadRequest("sweep: unknown param %q (tiles|seed)", req.Param)
+	}
+	if len(sw.Lines) == 0 {
+		sw.Lines = workload.Approaches()
+	}
+	if cells := sw.Cells(); cells > maxCells {
+		return nil, httpd.TooLarge("sweep grid has %d cells, limit is %d", cells, maxCells)
+	}
+	p := spec.Platform
+	for i, x := range sw.Values {
+		if sw.Param == "tiles" {
+			p.Tiles = x
+			if err := p.Validate(); err != nil {
+				return nil, httpd.BadRequest("sweep: tile count %d out of range: %v", x, err)
+			}
+		}
+		if i > 0 {
+			continue
+		}
+		for _, line := range sw.Lines {
+			ap, err := workload.ParseApproach(line)
+			if err != nil {
+				return nil, httpd.BadRequest("%v", err)
+			}
+			sw.aps = append(sw.aps, ap)
+		}
+	}
+	return sw, nil
+}
+
+// Cells is the grid size: values × approach lines.
+func (sw *Sweep) Cells() int { return len(sw.Values) * len(sw.Lines) }
+
+// Runs expands the grid into engine runs, values outer and lines
+// inner, so a run's position is its cell index.
+func (sw *Sweep) Runs() []engine.Run {
+	runs := make([]engine.Run, 0, sw.Cells())
+	for _, x := range sw.Values {
+		p := sw.Spec.Platform
+		opt := sw.Spec.Options
+		if sw.Param == "seed" {
+			opt.Seed = int64(x)
+		} else {
+			p.Tiles = x
+		}
+		// Cells run concurrently; a single recorder shared across them
+		// would interleave unrelated timelines.
+		opt.Trace = nil
+		for li, line := range sw.Lines {
+			o := opt
+			o.Approach = sw.aps[li]
+			runs = append(runs, engine.Run{X: x, Line: line, Mix: sw.Spec.Mix, Platform: p, Options: o})
+		}
+	}
+	return runs
+}
+
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
+	sw, err := ReadSweep(r, s.cfg.MaxSubtasks, s.cfg.MaxSweepCells)
 	if err != nil {
 		return err
 	}
+	runs := sw.Runs()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	flush := func() {
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-	}
+	flush := http.NewResponseController(w).Flush
 	flush() // commit the headers before the first (possibly slow) cell
 
 	ctx := r.Context()

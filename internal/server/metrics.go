@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"drhwsched/internal/engine"
+	"drhwsched/internal/httpd"
 	"drhwsched/internal/peerstore"
 	"drhwsched/internal/sim"
 )
@@ -20,30 +21,7 @@ type tierStatser interface {
 	TierStats() peerstore.TierStats
 }
 
-// latencyBuckets are the histogram upper bounds in seconds. Analyses
-// return in microseconds-to-milliseconds; full simulations and sweeps
-// run for seconds, hence the wide spread.
-var latencyBuckets = [...]float64{
-	0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// histogram is a fixed-bucket latency histogram. The counts array has
-// one slot per bucket plus a final +Inf slot; being an array, a struct
-// copy under the metrics lock is a consistent snapshot.
-type histogram struct {
-	counts [len(latencyBuckets) + 1]int64
-	sum    float64
-	total  int64
-}
-
-func (h *histogram) observe(seconds float64) {
-	i := sort.SearchFloat64s(latencyBuckets[:], seconds)
-	h.counts[i]++
-	h.sum += seconds
-	h.total++
-}
-
-// metrics aggregates per-endpoint request counts (by status code) and
+// metrics aggregates the shell's per-endpoint request counts and
 // latency histograms, plus the simulation-outcome counters every
 // completed run folds in (prefetch attribution, reconfigurations paid
 // vs avoided, queueing pressure, per-ISP utilization, trace drops).
@@ -52,8 +30,7 @@ type metrics struct {
 	mu       sync.Mutex
 	now      func() time.Time // injectable clock (tests pin uptime)
 	started  time.Time
-	requests map[string]map[int]int64
-	latency  map[string]*histogram
+	requests httpd.Requests
 
 	simSequential int64 // completed runs executed as one whole-run replication
 	simSharded    int64 // completed runs executed as 32-iteration replications
@@ -70,29 +47,15 @@ type metrics struct {
 func newMetrics() *metrics {
 	m := &metrics{
 		now:            time.Now,
-		requests:       map[string]map[int]int64{},
-		latency:        map[string]*histogram{},
 		ispBusySeconds: map[int]float64{},
 	}
 	m.started = m.now()
 	return m
 }
 
+// observe records one finished request; the shell calls it.
 func (m *metrics) observe(endpoint string, code int, d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byCode := m.requests[endpoint]
-	if byCode == nil {
-		byCode = map[int]int64{}
-		m.requests[endpoint] = byCode
-	}
-	byCode[code]++
-	h := m.latency[endpoint]
-	if h == nil {
-		h = &histogram{}
-		m.latency[endpoint] = h
-	}
-	h.observe(d.Seconds())
+	m.requests.Observe(endpoint, code, d)
 }
 
 // observeSim folds one completed simulation into the run-outcome
@@ -125,8 +88,9 @@ func (m *metrics) observeTraceDrops(n int64) {
 	m.mu.Unlock()
 }
 
-// render writes the Prometheus text format: request counters, latency
-// histograms, in-flight gauge, and the engine's cache counters. The
+// render writes the Prometheus text format: uptime and in-flight
+// gauges, the request families, the simulation-outcome families, and
+// the engine's cache counters. The
 // text is built under the lock into a buffer, then written, so a slow
 // reader never stalls request recording.
 func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
@@ -138,37 +102,7 @@ func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 	fmt.Fprintf(&buf, "# TYPE drhwd_inflight_requests gauge\n")
 	fmt.Fprintf(&buf, "drhwd_inflight_requests %d\n", inflight)
 
-	endpoints := make([]string, 0, len(m.requests))
-	for ep := range m.requests {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-
-	fmt.Fprintf(&buf, "# TYPE drhwd_requests_total counter\n")
-	for _, ep := range endpoints {
-		byCode := m.requests[ep]
-		codes := make([]int, 0, len(byCode))
-		for c := range byCode {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(&buf, "drhwd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, byCode[c])
-		}
-	}
-	fmt.Fprintf(&buf, "# TYPE drhwd_request_duration_seconds histogram\n")
-	for _, ep := range endpoints {
-		h := m.latency[ep]
-		var cum int64
-		for i, le := range latencyBuckets {
-			cum += h.counts[i]
-			fmt.Fprintf(&buf, "drhwd_request_duration_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", ep, le, cum)
-		}
-		cum += h.counts[len(latencyBuckets)]
-		fmt.Fprintf(&buf, "drhwd_request_duration_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(&buf, "drhwd_request_duration_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
-		fmt.Fprintf(&buf, "drhwd_request_duration_seconds_count{endpoint=%q} %d\n", ep, h.total)
-	}
+	m.requests.Render(&buf, "drhwd")
 
 	// Simulation-outcome families: the run-time reconfiguration story
 	// of every simulation this replica has completed. Both execution

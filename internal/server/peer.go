@@ -1,9 +1,9 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 
+	"drhwsched/internal/httpd"
 	"drhwsched/internal/peerstore"
 )
 
@@ -37,11 +37,11 @@ func tierWire(t peerstore.TierStats) *TierWire {
 func (s *Server) handleAnalysisArtifact(w http.ResponseWriter, r *http.Request) error {
 	key, err := peerstore.KeyFromPath(r.URL.Path)
 	if err != nil {
-		return badRequest("%v", err)
+		return httpd.BadRequest("%v", err)
 	}
 	a, ok := s.eng.Peek(r.Context(), key)
 	if !ok {
-		return &httpErr{code: http.StatusNotFound, msg: "no analysis under that fingerprint"}
+		return &httpd.Error{Code: http.StatusNotFound, Msg: "no analysis under that fingerprint"}
 	}
 	data, err := peerstore.Encode(key, a)
 	if err != nil {
@@ -66,14 +66,14 @@ type PeersResponse struct {
 
 func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) error {
 	if s.cfg.PeerStore == nil {
-		return &httpErr{code: http.StatusNotFound, msg: "peer fill not enabled on this replica"}
+		return &httpd.Error{Code: http.StatusNotFound, Msg: "peer fill not enabled on this replica"}
 	}
 	var req PeersRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return badRequest("parsing peers body: %v", err)
+	if err := httpd.DecodeJSON(r, &req, "peers"); err != nil {
+		return err
 	}
 	s.cfg.PeerStore.SetPeers(req.Peers)
 	peers := s.cfg.PeerStore.Peers()
-	s.logf("drhwd: peer set updated: %d peer(s)", len(peers))
-	return writeJSON(w, PeersResponse{Peers: peers})
+	s.shell.Log("peer set updated: %d peer(s)", len(peers))
+	return httpd.WriteJSON(w, http.StatusOK, PeersResponse{Peers: peers})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -141,5 +142,30 @@ func TestPeersEndpoint(t *testing.T) {
 	}
 	if hr.Store.Compute != 1 {
 		t.Fatalf("store tiers = %+v, want compute=1 after one warm analyze", hr.Store)
+	}
+}
+
+// TestPeersBodyBounded: the body bound applies to /v1/peers although
+// the route bypasses admission. An 8 MiB peer list is refused with 413
+// and the JSON error envelope instead of being decoded.
+func TestPeersBodyBounded(t *testing.T) {
+	s, _, _ := warmServer(t)
+	var sb strings.Builder
+	sb.WriteString(`{"peers": [`)
+	for sb.Len() < 8<<20 {
+		sb.WriteString(`"http://peer.example:8080",`)
+	}
+	sb.WriteString(`"http://peer.example:8080"]}`)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/peers", strings.NewReader(sb.String())))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", rec.Code)
+	}
+	var e struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "request body exceeds 1048576 bytes" {
+		t.Fatalf("error body = %q (%v)", rec.Body.String(), err)
+	}
+	if got := s.cfg.PeerStore.Peers(); len(got) != 0 {
+		t.Fatalf("oversize body changed the peer set to %d peers", len(got))
 	}
 }

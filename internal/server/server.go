@@ -26,32 +26,25 @@
 //	GET  /metrics      request counts, latency histograms, engine cache
 //	                   counters (Prometheus text format)
 //
-// Admission control is two-tier: a bounded in-flight slot pool (429
-// Too Many Requests when exhausted — load-shedding, not queueing) and a
-// per-document subtask bound plus request-body byte bound (413 when
-// exceeded). Every admitted request runs under a deadline whose context
+// The HTTP shell is internal/httpd, shared with drhwcoord: a bounded
+// in-flight slot pool (429), the request-body bound (413, as is a
+// document over MaxSubtasks), and a per-request deadline whose context
 // is threaded through the engine into the simulator, so an abandoned or
 // over-budget request stops consuming workers at its next iteration
-// boundary. Shutdown drains: the listener closes immediately, in-flight
-// requests get DrainTimeout to finish, then their contexts are
-// canceled.
+// boundary. Shutdown drains, then cancels the stragglers.
 package server
 
 import (
 	"context"
 	"crypto/rand"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"drhwsched/internal/engine"
-	"drhwsched/internal/obs"
+	"drhwsched/internal/httpd"
 	"drhwsched/internal/peerstore"
 )
 
@@ -100,23 +93,14 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
 	if c.MaxSubtasks <= 0 {
 		c.MaxSubtasks = 4096
 	}
 	if c.MaxSweepCells <= 0 {
 		c.MaxSweepCells = 1024
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 60 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	if c.ReplicaID == "" {
 		var b [4]byte
@@ -129,12 +113,10 @@ func (c *Config) fillDefaults() {
 // so it can be mounted in tests (httptest.NewServer) or behind other
 // muxes; cmd/drhwd runs it via ListenAndServe.
 type Server struct {
-	cfg      Config
-	eng      *engine.Engine
-	mux      *http.ServeMux
-	metrics  *metrics
-	inflight chan struct{}
-	reqSeq   atomic.Int64
+	cfg     Config
+	eng     *engine.Engine
+	shell   *httpd.Shell
+	metrics *metrics
 }
 
 // New builds a server from cfg.
@@ -144,24 +126,31 @@ func New(cfg Config) *Server {
 	if eng == nil {
 		eng = engine.New(engine.Config{})
 	}
-	s := &Server{
-		cfg:      cfg,
-		eng:      eng,
-		mux:      http.NewServeMux(),
-		metrics:  newMetrics(),
-		inflight: make(chan struct{}, cfg.MaxInFlight),
-	}
-	s.mux.Handle("/healthz", s.instrument("healthz", http.MethodGet, false, s.handleHealthz))
-	s.mux.Handle("/metrics", s.instrument("metrics", http.MethodGet, false, s.handleMetrics))
-	s.mux.Handle("/v1/analyze", s.instrument("analyze", http.MethodPost, true, s.handleAnalyze))
-	s.mux.Handle("/v1/simulate", s.instrument("simulate", http.MethodPost, true, s.handleSimulate))
-	s.mux.Handle("/v1/sweep", s.instrument("sweep", http.MethodPost, true, s.handleSweep))
+	s := &Server{cfg: cfg, eng: eng, metrics: newMetrics()}
+	sh := httpd.New(httpd.Config{
+		Name:           "drhwd",
+		Role:           "server",
+		IDPrefix:       cfg.ReplicaID,
+		MaxInFlight:    cfg.MaxInFlight,
+		MaxBodyBytes:   cfg.MaxBodyBytes,
+		RequestTimeout: cfg.RequestTimeout,
+		DrainTimeout:   cfg.DrainTimeout,
+		Observe:        s.metrics.observe,
+		Logf:           cfg.Logf,
+		Logger:         cfg.Logger,
+	})
+	s.shell = sh
+	sh.Handle("/healthz", sh.Instrument("healthz", http.MethodGet, false, s.handleHealthz))
+	sh.Handle("/metrics", sh.Instrument("metrics", http.MethodGet, false, s.handleMetrics))
+	sh.Handle("/v1/analyze", sh.Instrument("analyze", http.MethodPost, true, s.handleAnalyze))
+	sh.Handle("/v1/simulate", sh.Instrument("simulate", http.MethodPost, true, s.handleSimulate))
+	sh.Handle("/v1/sweep", sh.Instrument("sweep", http.MethodPost, true, s.handleSweep))
 	// Peer-fill endpoints are control/fill plane, not workload: they
 	// bypass the admission slot pool (admit=false). An admitted peer
 	// fetch could deadlock two replicas sweeping at capacity — each
 	// holding its own slots while waiting for a slot on the other.
-	s.mux.Handle(peerstore.PathPrefix, s.instrument("analysis", http.MethodGet, false, s.handleAnalysisArtifact))
-	s.mux.Handle("/v1/peers", s.instrument("peers", http.MethodPost, false, s.handlePeers))
+	sh.Handle(peerstore.PathPrefix, sh.Instrument("analysis", http.MethodGet, false, s.handleAnalysisArtifact))
+	sh.Handle("/v1/peers", sh.Instrument("peers", http.MethodPost, false, s.handlePeers))
 	return s
 }
 
@@ -173,234 +162,20 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 func (s *Server) ReplicaID() string { return s.cfg.ReplicaID }
 
 // ServeHTTP dispatches to the server's routes.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.shell.ServeHTTP(w, r) }
 
 // Serve runs the service on l until ctx is canceled, then drains:
 // in-flight requests get DrainTimeout to finish before their contexts
 // are canceled and the remaining connections are closed. Returns nil
 // after a clean drain.
-func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	base, cancelBase := context.WithCancel(context.Background())
-	defer cancelBase()
-	hs := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-		// ReadTimeout bounds the whole request read. Without it a
-		// client trickling its body one byte at a time would hold an
-		// admission slot indefinitely — io.ReadAll on the body is not
-		// context-aware, so the per-request deadline alone cannot
-		// reclaim the slot.
-		ReadTimeout: s.cfg.RequestTimeout + 5*time.Second,
-		BaseContext: func(net.Listener) context.Context { return base },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	s.logf("drhwd: shutdown requested, draining for up to %v", s.cfg.DrainTimeout)
-	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	err := hs.Shutdown(dctx)
-	if err != nil {
-		// Stragglers: cancel their request contexts (aborting any
-		// simulation at its next iteration) and close the connections.
-		cancelBase()
-		hs.Close()
-	}
-	<-errc // always http.ErrServerClosed after Shutdown/Close
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	s.logf("drhwd: drained")
-	return nil
-}
+func (s *Server) Serve(ctx context.Context, l net.Listener) error { return s.shell.Serve(ctx, l) }
 
 // ListenAndServe binds addr (use host:0 for an ephemeral port — the
 // bound address is logged via Config.Logf) and serves until ctx is
 // canceled.
 func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	s.logf("drhwd: listening on %s (inflight=%d, timeout=%v, workers=%d)",
-		l.Addr(), s.cfg.MaxInFlight, s.cfg.RequestTimeout, s.eng.Workers())
-	return s.Serve(ctx, l)
-}
-
-// httpErr carries a status code out of a handler.
-type httpErr struct {
-	code int
-	msg  string
-}
-
-func (e *httpErr) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &httpErr{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
-}
-
-func tooLarge(format string, args ...any) error {
-	return &httpErr{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf(format, args...)}
-}
-
-// statusWriter records the status code (and whether the header went
-// out) for metrics and late-error suppression, passing Flush through
-// for streaming responses. The before hook, when set, runs exactly
-// once immediately ahead of the first header write — the last moment
-// trailers-by-another-name like Server-Timing can still be set.
-type statusWriter struct {
-	http.ResponseWriter
-	code   int
-	wrote  bool
-	before func()
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if !w.wrote {
-		if w.before != nil {
-			w.before()
-		}
-		w.code = code
-		w.wrote = true
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if !w.wrote {
-		if w.before != nil {
-			w.before()
-		}
-		w.wrote = true
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ctxKey scopes the request-trace context value to this package.
-type ctxKey int
-
-const traceCtxKey ctxKey = iota
-
-// traceFrom recovers the request's trace context inside a handler.
-func traceFrom(ctx context.Context) obs.TraceParent {
-	tp, _ := ctx.Value(traceCtxKey).(obs.TraceParent)
-	return tp
-}
-
-// instrument is the middleware stack shared by every route: method
-// check, trace-context extraction (a W3C traceparent is accepted from
-// the client or minted here, then echoed so the caller can correlate),
-// admission control (slot pool + body bound), per-request deadline,
-// error mapping, structured request logging, and metrics recording.
-// Server-Timing carries the server-side elapsed time out on the first
-// write, so clients can split their observed latency into server time
-// vs network/queueing.
-func (s *Server) instrument(endpoint, method string, admit bool, h func(http.ResponseWriter, *http.Request) error) http.Handler {
-	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tp, tpErr := obs.ParseTraceParent(r.Header.Get(obs.Header))
-		if tpErr != nil {
-			tp = obs.NewTrace()
-		}
-		reqID := fmt.Sprintf("%s-%d", s.cfg.ReplicaID, s.reqSeq.Add(1))
-		w := &statusWriter{ResponseWriter: rw, code: http.StatusOK}
-		w.before = func() {
-			w.Header().Set("Server-Timing",
-				fmt.Sprintf("app;dur=%.3f", float64(time.Since(start).Microseconds())/1000))
-		}
-		w.Header().Set(obs.Header, tp.String())
-		w.Header().Set("X-Request-Id", reqID)
-		r = r.WithContext(context.WithValue(r.Context(), traceCtxKey, tp))
-		defer func() {
-			d := time.Since(start)
-			s.metrics.observe(endpoint, w.code, d)
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
-					slog.String("endpoint", endpoint),
-					slog.Int("code", w.code),
-					slog.Duration("duration", d),
-					slog.String("request_id", reqID),
-					slog.String("trace_id", tp.TraceIDString()),
-					slog.String("span_id", tp.SpanIDString()),
-				)
-			}
-		}()
-
-		if r.Method != method {
-			w.Header().Set("Allow", method)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Sprintf("use %s", method))
-			return
-		}
-		if admit {
-			select {
-			case s.inflight <- struct{}{}:
-				defer func() { <-s.inflight }()
-			default:
-				// Load-shedding, not queueing: refuse immediately so
-				// the client can back off or retry elsewhere.
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests,
-					fmt.Sprintf("server at capacity (%d requests in flight)", s.cfg.MaxInFlight))
-				return
-			}
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-			r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		}
-
-		err := h(w, r)
-		if err == nil {
-			return
-		}
-		if w.wrote {
-			// Mid-stream failure: the status is already on the wire;
-			// the NDJSON summary line (or its absence) tells the
-			// client. Just log.
-			s.logf("drhwd: %s: late error: %v", endpoint, err)
-			return
-		}
-		var he *httpErr
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &he):
-			writeError(w, he.code, he.msg)
-		case errors.As(err, &mbe):
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", mbe.Limit))
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout,
-				fmt.Sprintf("request exceeded the %v deadline", s.cfg.RequestTimeout))
-		case errors.Is(err, context.Canceled):
-			// Client went away; nothing to write.
-			s.logf("drhwd: %s: canceled: %v", endpoint, err)
-		default:
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
-	})
-}
-
-// writeError emits the JSON error envelope.
-func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	return s.shell.ListenAndServe(ctx, addr, fmt.Sprintf("inflight=%d, timeout=%v, workers=%d",
+		s.shell.MaxInFlight, s.cfg.RequestTimeout, s.eng.Workers()))
 }
 
 // HealthResponse is the /healthz body: liveness plus the replica's
@@ -427,24 +202,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		Replica: s.cfg.ReplicaID,
 		Workers: s.eng.Workers(),
 		Cache:   cacheWire(s.eng.CacheStats()),
-		TraceID: traceFrom(r.Context()).TraceIDString(),
+		TraceID: httpd.TraceFrom(r.Context()).TraceIDString(),
 	}
 	if ts, ok := s.eng.Store().(tierStatser); ok {
 		resp.Store = tierWire(ts.TierStats())
 	}
-	return writeJSON(w, resp)
+	return httpd.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.render(w, s.eng, len(s.inflight))
+	s.metrics.render(w, s.eng, s.shell.InFlight())
 	return nil
-}
-
-// writeJSON emits a 200 JSON body.
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

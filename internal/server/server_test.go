@@ -62,6 +62,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 func post(t *testing.T, url, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	return readAll(t, resp, err)
+}
+
+func get(t *testing.T, url string) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	return readAll(t, resp, err)
+}
+
+// readAll drains a response into one newline-joined string.
+func readAll(t *testing.T, resp *http.Response, err error) (*http.Response, string) {
+	t.Helper()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,11 +748,40 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// trickle opens a request to path that declares a body it never
+// finishes sending, so its handler sits in the body read, holding an
+// admission slot, until the connection closes or the read deadline
+// fires. Closing the returned connection releases the slot.
+func trickle(t *testing.T, addr, path string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n{", path)
+	return conn
+}
+
+// waitInFlight polls /metrics until the in-flight gauge reads n.
+func waitInFlight(t *testing.T, url string, n int) {
+	t.Helper()
+	want := fmt.Sprintf("drhwd_inflight_requests %d\n", n)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if _, body := get(t, url+"/metrics"); strings.Contains(body, want) {
+			return
+		}
+	}
+	t.Fatalf("in-flight gauge never reached %d", n)
+}
+
 func TestAdmissionControl(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInFlight: 2})
-	// Fill both slots so the next admitted-path request is shed.
-	s.inflight <- struct{}{}
-	s.inflight <- struct{}{}
+	_, ts := newTestServer(t, Config{MaxInFlight: 2})
+	// Two trickling clients hold both slots, so the next admitted-path
+	// request is shed.
+	a := trickle(t, ts.Listener.Addr().String(), "/v1/analyze")
+	b := trickle(t, ts.Listener.Addr().String(), "/v1/simulate")
+	waitInFlight(t, ts.URL, 2)
 	resp, body := post(t, ts.URL+"/v1/analyze", smallDoc)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
@@ -749,16 +790,12 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	// healthz and metrics bypass admission.
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
+	if hresp, _ := get(t, ts.URL+"/healthz"); hresp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz under load: %d", hresp.StatusCode)
 	}
-	<-s.inflight
-	<-s.inflight
+	a.Close()
+	b.Close()
+	waitInFlight(t, ts.URL, 0)
 	resp2, body2 := post(t, ts.URL+"/v1/analyze", smallDoc)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-release status = %d: %s", resp2.StatusCode, body2)
