@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -384,6 +385,26 @@ func TestCoordinatorMetrics(t *testing.T) {
 	}
 	if err := obs.ValidateExposition(text); err != nil {
 		t.Fatalf("coordinator /metrics fails the strict validator: %v\n%s", err, text)
+	}
+}
+
+// TestCoordinatorFirstScrapeValidates: a fresh coordinator's very
+// first /metrics, rendered before any request has been observed, must
+// pass the strict validator.
+func TestCoordinatorFirstScrapeValidates(t *testing.T) {
+	r1 := newReplicaServer(t, "r1")
+	_, coord := newCoordinator(t, Config{Replicas: []string{r1.URL}})
+	resp, err := http.Get(coord.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateExposition(string(body)); err != nil {
+		t.Fatalf("first /metrics fails the strict validator: %v\n%s", err, body)
 	}
 }
 

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"sync/atomic"
 	"time"
 
 	"drhwsched/internal/httpd"
+	"drhwsched/internal/obs"
 )
 
 // metrics aggregates the coordinator's counters for /metrics. The
@@ -45,12 +45,10 @@ func (m *metrics) sweepDone(cells, retried, failures, shards int) {
 // fills.
 func (m *metrics) render(w io.Writer, replicas, drained int) {
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_uptime_seconds gauge\n")
-	fmt.Fprintf(&buf, "drhwcoord_uptime_seconds %g\n", time.Since(m.started).Seconds())
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas gauge\n")
-	fmt.Fprintf(&buf, "drhwcoord_replicas %d\n", replicas)
-	fmt.Fprintf(&buf, "# TYPE drhwcoord_replicas_drained gauge\n")
-	fmt.Fprintf(&buf, "drhwcoord_replicas_drained %d\n", drained)
+	pw := obs.NewWriter(&buf)
+	pw.Family("drhwcoord_uptime_seconds", "gauge").Float(time.Since(m.started).Seconds())
+	pw.Family("drhwcoord_replicas", "gauge").Int(int64(replicas))
+	pw.Family("drhwcoord_replicas_drained", "gauge").Int(int64(drained))
 	m.requests.Render(&buf, "drhwcoord")
 	for _, c := range []struct {
 		name string
@@ -62,8 +60,7 @@ func (m *metrics) render(w io.Writer, replicas, drained int) {
 		{"replicas_evicted", &m.replicasEvicted},
 		{"peer_pushes", &m.peerPushes}, {"peer_push_failures", &m.peerPushFailures},
 	} {
-		fmt.Fprintf(&buf, "# TYPE drhwcoord_%s_total counter\n", c.name)
-		fmt.Fprintf(&buf, "drhwcoord_%s_total %d\n", c.name, c.v.Load())
+		pw.Family("drhwcoord_"+c.name+"_total", "counter").Int(c.v.Load())
 	}
 	w.Write(buf.Bytes())
 }

@@ -109,26 +109,25 @@ func (o FigureOptions) engine() *engine.Engine {
 	return defaultEngine()
 }
 
-// figureLines are the series of Figures 6 and 7: the paper's three
-// heuristics plus the two scalar baselines quoted in the text.
-var figureLines = []string{
-	"no-prefetch", "design-time", "run-time", "run-time+inter-task", "hybrid",
-}
-
-// approachOf maps a figure line to its simulator approach.
-func approachOf(line string) sim.Approach {
-	switch line {
-	case "no-prefetch":
-		return sim.NoPrefetch
-	case "design-time":
-		return sim.DesignTimePrefetch
-	case "run-time":
-		return sim.RunTime
-	case "run-time+inter-task":
-		return sim.RunTimeInterTask
-	default:
-		return sim.Hybrid
+// lineRuns appends one run per line at x. Lines are
+// workload.Approaches wire names; each selects its simulator approach
+// through workload.ParseApproach.
+func lineRuns(runs []engine.Run, x int, lines []string, mix []sim.TaskMix, p platform.Platform, opt FigureOptions) ([]engine.Run, error) {
+	for _, line := range lines {
+		approach, err := workload.ParseApproach(line)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
+		}
+		runs = append(runs, engine.Run{
+			X: x, Line: line, Mix: mix, Platform: p,
+			Options: sim.Options{
+				Approach:   approach,
+				Iterations: opt.iterations(),
+				Seed:       opt.Seed,
+			},
+		})
 	}
+	return runs, nil
 }
 
 // mixOf converts workload apps to a simulator mix.
@@ -140,24 +139,19 @@ func mixOf(apps []workload.App) []sim.TaskMix {
 	return mix
 }
 
-// sweep runs every figure line over a tile range and fills a series with
-// the reconfiguration overhead percentages. The grid cells are
-// independent simulations, so they fan out over the engine's worker
-// pool; the three reuse-aware lines at one tile count share a single
-// cached design-time analysis per (task, scenario).
+// sweep runs every approach of the registry — the series of Figures 6
+// and 7: the paper's three heuristics plus the two scalar baselines
+// quoted in the text — over a tile range and fills a series with the
+// reconfiguration overhead percentages. The grid cells are independent
+// simulations, so they fan out over the engine's worker pool; the three
+// reuse-aware lines at one tile count share a single cached design-time
+// analysis per (task, scenario).
 func sweep(mix []sim.TaskMix, tiles []int, opt FigureOptions) (*stats.Series, error) {
 	var runs []engine.Run
 	for _, n := range tiles {
-		p := platform.Default(n)
-		for _, line := range figureLines {
-			runs = append(runs, engine.Run{
-				X: n, Line: line, Mix: mix, Platform: p,
-				Options: sim.Options{
-					Approach:   approachOf(line),
-					Iterations: opt.iterations(),
-					Seed:       opt.Seed,
-				},
-			})
+		var err error
+		if runs, err = lineRuns(runs, n, workload.Approaches(), mix, platform.Default(n), opt); err != nil {
+			return nil, err
 		}
 	}
 	s, _, err := opt.engine().Sweep("tiles", runs)

@@ -29,15 +29,9 @@ func LatencySweep(opt FigureOptions) (*stats.Series, error) {
 	} {
 		p := platform.Default(5)
 		p.ReconfigLatency = lat
-		for _, line := range lines {
-			runs = append(runs, engine.Run{
-				X: int(lat), Line: line, Mix: mix, Platform: p,
-				Options: sim.Options{
-					Approach:   approachOf(line),
-					Iterations: opt.iterations(),
-					Seed:       opt.Seed,
-				},
-			})
+		var err error
+		if runs, err = lineRuns(runs, int(lat), lines, mix, p, opt); err != nil {
+			return nil, err
 		}
 	}
 	s, _, err := opt.engine().Sweep("latency_us", runs)
@@ -58,15 +52,9 @@ func PortSweep(opt FigureOptions) (*stats.Series, error) {
 	for _, ports := range []int{1, 2, 3, 4} {
 		p := platform.Default(8)
 		p.Ports = ports
-		for _, line := range lines {
-			runs = append(runs, engine.Run{
-				X: ports, Line: line, Mix: mix, Platform: p,
-				Options: sim.Options{
-					Approach:   approachOf(line),
-					Iterations: opt.iterations(),
-					Seed:       opt.Seed,
-				},
-			})
+		var err error
+		if runs, err = lineRuns(runs, ports, lines, mix, p, opt); err != nil {
+			return nil, err
 		}
 	}
 	s, _, err := opt.engine().Sweep("ports", runs)

@@ -187,15 +187,23 @@ func TooLarge(format string, args ...any) error {
 }
 
 // DecodeJSON decodes the request body into v. A body over the shell's
-// bound keeps its *http.MaxBytesError (413); any other failure is a
-// 400 naming what was being parsed.
+// bound keeps its *http.MaxBytesError (413), a read past the read bound
+// its timeout (408); any other failure is a 400 naming what was parsed.
 func DecodeJSON(r *http.Request, v any, what string) error {
 	err := json.NewDecoder(r.Body).Decode(v)
 	var mbe *http.MaxBytesError
-	if err == nil || errors.As(err, &mbe) {
+	if err == nil || errors.As(err, &mbe) || isTimeout(err) {
 		return err
 	}
 	return BadRequest("parsing %s body: %v", what, err)
+}
+
+// isTimeout reports a network timeout: unanswered by a handler, one is
+// a body read past the read deadline, and its text names socket
+// addresses, so the client gets a fixed 408 message instead.
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // statusWriter records the status code (and whether the header went
@@ -329,6 +337,9 @@ func (s *Shell) Instrument(endpoint, method string, admit bool, h HandlerFunc) h
 		case errors.Is(err, context.Canceled):
 			// Client went away; nothing to write.
 			s.Log("%s: canceled: %v", endpoint, err)
+		case isTimeout(err):
+			WriteError(w, http.StatusRequestTimeout,
+				fmt.Sprintf("request not read within the %v read bound", s.ReadTimeout))
 		default:
 			WriteError(w, http.StatusInternalServerError, err.Error())
 		}

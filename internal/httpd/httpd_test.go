@@ -1,12 +1,14 @@
 package httpd
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -219,5 +221,49 @@ func TestRequestsRenderValidates(t *testing.T) {
 	}
 	if strings.Index(text, `endpoint="a"`) > strings.Index(text, `endpoint="b"`) {
 		t.Fatalf("endpoints not sorted:\n%s", text)
+	}
+}
+
+// TestBodyReadTimeoutIs408: a client that sends its headers and then
+// trickles the body past the read bound gets a 408 with a fixed
+// message, not a 500 echoing the socket error and its addresses.
+func TestBodyReadTimeoutIs408(t *testing.T) {
+	sh := New(Config{ReadTimeout: 200 * time.Millisecond})
+	sh.Handle("/read", sh.Instrument("read", http.MethodPost, false, func(w http.ResponseWriter, r *http.Request) error {
+		_, err := io.ReadAll(r.Body)
+		return err
+	}))
+	sh.Handle("/decode", sh.Instrument("decode", http.MethodPost, false, func(w http.ResponseWriter, r *http.Request) error {
+		var v []int
+		return DecodeJSON(r, &v, "numbers")
+	}))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- sh.Serve(ctx, l) }()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	for _, path := range []string{"/read", "/decode"} {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: 64\r\n\r\n[1,", path)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			conn.Close()
+			t.Fatalf("%s: reading the response: %v", path, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		conn.Close()
+		if resp.StatusCode != http.StatusRequestTimeout || strings.Contains(string(body), "127.0.0.1:") {
+			t.Errorf("%s: %d %s, want 408 without socket addresses", path, resp.StatusCode, body)
+		}
 	}
 }

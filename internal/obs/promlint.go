@@ -7,8 +7,8 @@ import (
 )
 
 // Strict Prometheus text-exposition (version 0.0.4) line validator.
-// The daemons hand-roll their /metrics output; this validator is the
-// test harness that keeps that output scrapeable — in particular it
+// The daemons write /metrics through Writer; this validator shares no
+// code with it and keeps that output scrapeable — in particular it
 // rejects the easy-to-ship bugs: label values with raw quotes or
 // newlines, metrics emitted before their TYPE line, histogram series
 // without the _sum/_count pair, and non-numeric sample values.

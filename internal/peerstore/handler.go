@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"drhwsched/internal/engine"
+	"drhwsched/internal/httpd"
 )
 
 // KeyFromPath extracts the raw fingerprint key from a peer-endpoint
@@ -26,41 +27,30 @@ func KeyFromPath(path string) (string, error) {
 	return string(raw), nil
 }
 
-// Serve answers one peer artifact request from eng: 200 with the
-// encoded envelope on a local hit (waiting on an in-flight compute via
-// Engine.Peek), 404 on a miss, 400 on a malformed fingerprint. It is
-// the shared core of the drhwd route and of Handler.
-func Serve(eng *engine.Engine, w http.ResponseWriter, r *http.Request) (status int, err error) {
-	key, err := KeyFromPath(r.URL.Path)
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	a, ok := eng.Peek(r.Context(), key)
-	if !ok {
-		return http.StatusNotFound, fmt.Errorf("no analysis under fingerprint %s", strings.TrimPrefix(r.URL.Path, PathPrefix))
-	}
-	data, err := Encode(key, a)
-	if err != nil {
-		return http.StatusInternalServerError, err
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, werr := w.Write(data)
-	return http.StatusOK, werr
-}
-
-// Handler wraps Serve as a bare http.Handler for embedding outside the
-// drhwd server (tests, sidecars). drhwd mounts the same logic through
-// its instrumented mux instead.
-func Handler(eng *engine.Engine) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
+// Handler serves GET /v1/analysis/{fingerprint}, the peer-fill
+// endpoint drhwd mounts on its shell: a sibling replica that was just
+// assigned one of this replica's former shard keys fetches the warm
+// artifact here instead of recomputing it. It answers 200 with the
+// encoded envelope on a local hit, 404 on a miss and 400 on a
+// malformed fingerprint. Peek waits on an in-flight local compute (so
+// concurrent same-key work pool-wide stays at one compute) but never
+// starts one.
+func Handler(eng *engine.Engine) httpd.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		key, err := KeyFromPath(r.URL.Path)
+		if err != nil {
+			return httpd.BadRequest("%v", err)
 		}
-		if status, err := Serve(eng, w, r); err != nil && status != http.StatusOK {
-			http.Error(w, err.Error(), status)
+		a, ok := eng.Peek(r.Context(), key)
+		if !ok {
+			return &httpd.Error{Code: http.StatusNotFound, Msg: "no analysis under that fingerprint"}
 		}
-	})
+		data, err := Encode(key, a)
+		if err != nil {
+			return err
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_, err = w.Write(data)
+		return err
+	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
+	"drhwsched/internal/obs"
 )
 
 // PathPrefix is the peer-fill endpoint's route: GET PathPrefix +
@@ -28,9 +29,9 @@ const PathPrefix = "/v1/analysis/"
 // or malicious peer.
 const maxArtifactBytes = 16 << 20
 
-// FetchBucketBounds are the upper bounds (seconds) of the peer-fill
+// fetchBucketBounds are the upper bounds (seconds) of the peer-fill
 // latency histogram, tuned around intra-pool HTTP round trips.
-var FetchBucketBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
+var fetchBucketBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // Config configures a tiered Store.
 type Config struct {
@@ -77,31 +78,26 @@ type Store struct {
 	tierCompute int64
 	peerErrors  int64
 	rejected    int64
-
-	fetchCount   int64
-	fetchSum     float64 // seconds, successful fills only
-	fetchBuckets []int64 // len(FetchBucketBounds)+1, last is +Inf
+	fetch       obs.Histogram // seconds, successful fills only
 }
 
 // TierStats is a snapshot of the tier counters and the peer-fill
 // latency histogram (successful fills only; failures are in PeerErrors
-// and Rejected).
+// and Rejected). drhwd's /healthz carries it as JSON, less Fetch.
 type TierStats struct {
 	// Local, Peer and Compute count Gets by the tier that answered;
 	// Compute is the fall-through tier — the engine computed.
-	Local, Peer, Compute int64
+	Local   int64 `json:"local"`
+	Peer    int64 `json:"peer"`
+	Compute int64 `json:"compute"`
 	// PeerErrors counts failed fetch attempts (connection, HTTP
 	// status, body read), one per peer tried.
-	PeerErrors int64
+	PeerErrors int64 `json:"peer_errors,omitempty"`
 	// Rejected counts artifacts that arrived but failed decoding or
 	// validation (corrupt, truncated, wrong fingerprint, bad version).
-	Rejected int64
-	// FetchCount/FetchSumSeconds/FetchBuckets describe successful
-	// peer-fill latencies; FetchBuckets is per-bucket (not cumulative)
-	// aligned with FetchBucketBounds plus a final +Inf bucket.
-	FetchCount      int64
-	FetchSumSeconds float64
-	FetchBuckets    []int64
+	Rejected int64 `json:"rejected,omitempty"`
+	// Fetch holds the successful peer-fill latencies in seconds.
+	Fetch obs.Histogram `json:"-"`
 }
 
 var (
@@ -134,7 +130,7 @@ func New(cfg Config) *Store {
 		fetchTimeout: timeout,
 		logf:         logf,
 		fetching:     map[string]int{},
-		fetchBuckets: make([]int64, len(FetchBucketBounds)+1),
+		fetch:        obs.NewHistogram(fetchBucketBounds),
 	}
 	s.SetPeers(cfg.Peers)
 	return s
@@ -232,9 +228,10 @@ func (s *Store) Get(key string) (*core.Analysis, bool) {
 			s.logf("peerstore: fetch %.12s… from %s: %v", hex.EncodeToString([]byte(key)), peer, err)
 			continue
 		}
-		s.observeFetch(time.Since(start).Seconds())
+		elapsed := time.Since(start).Seconds()
 		s.local.Put(key, a)
 		s.mu.Lock()
+		s.fetch.Observe(elapsed)
 		s.tierPeer++
 		s.mu.Unlock()
 		return a, true
@@ -269,29 +266,13 @@ func (s *Store) TierStats() TierStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return TierStats{
-		Local:           s.tierLocal,
-		Peer:            s.tierPeer,
-		Compute:         s.tierCompute,
-		PeerErrors:      s.peerErrors,
-		Rejected:        s.rejected,
-		FetchCount:      s.fetchCount,
-		FetchSumSeconds: s.fetchSum,
-		FetchBuckets:    append([]int64(nil), s.fetchBuckets...),
+		Local:      s.tierLocal,
+		Peer:       s.tierPeer,
+		Compute:    s.tierCompute,
+		PeerErrors: s.peerErrors,
+		Rejected:   s.rejected,
+		Fetch:      s.fetch.Clone(),
 	}
-}
-
-func (s *Store) observeFetch(seconds float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fetchCount++
-	s.fetchSum += seconds
-	for i, bound := range FetchBucketBounds {
-		if seconds <= bound {
-			s.fetchBuckets[i]++
-			return
-		}
-	}
-	s.fetchBuckets[len(FetchBucketBounds)]++
 }
 
 // errPeerMiss is the (expected) "peer does not have it" outcome; it is

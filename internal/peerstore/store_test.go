@@ -12,9 +12,20 @@ import (
 	"drhwsched/internal/core"
 	"drhwsched/internal/engine"
 	"drhwsched/internal/graph"
+	"drhwsched/internal/httpd"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
 )
+
+// ownerServer serves eng's artifacts the way drhwd does: Handler
+// mounted on an HTTP shell.
+func ownerServer(t *testing.T, eng *engine.Engine) *httptest.Server {
+	sh := httpd.New(httpd.Config{})
+	sh.Handle(PathPrefix, sh.Instrument("analysis", http.MethodGet, false, Handler(eng)))
+	srv := httptest.NewServer(sh)
+	t.Cleanup(srv.Close)
+	return srv
+}
 
 func TestTierLocalAndCompute(t *testing.T) {
 	key, a := testAnalysis(t, 3)
@@ -43,8 +54,7 @@ func TestPeerFill(t *testing.T) {
 
 	owner := engine.New(engine.Config{Workers: 1, Store: New(Config{CacheSize: 8})})
 	owner.Store().Put(key, a)
-	srv := httptest.NewServer(Handler(owner))
-	defer srv.Close()
+	srv := ownerServer(t, owner)
 
 	s := New(Config{CacheSize: 8, Peers: []string{srv.URL}})
 	got, ok := s.Get(key)
@@ -58,7 +68,7 @@ func TestPeerFill(t *testing.T) {
 	if ts.Peer != 1 || ts.Compute != 0 {
 		t.Fatalf("tiers = %+v, want peer=1 compute=0", ts)
 	}
-	if ts.FetchCount != 1 || ts.FetchSumSeconds <= 0 {
+	if ts.Fetch.Count() != 1 || ts.Fetch.Sum() <= 0 {
 		t.Fatalf("fetch histogram not observed: %+v", ts)
 	}
 
@@ -123,7 +133,7 @@ func TestCorruptArtifactRejected(t *testing.T) {
 			if ts.Rejected != 1 || ts.Compute != 1 {
 				t.Fatalf("tiers = %+v, want rejected=1 compute=1", ts)
 			}
-			if ts.FetchCount != 0 {
+			if ts.Fetch.Count() != 0 {
 				t.Fatalf("rejected fill observed in the latency histogram: %+v", ts)
 			}
 		})
@@ -181,10 +191,8 @@ func TestPoolWideSingleCompute(t *testing.T) {
 	storeB := New(Config{CacheSize: 8, FetchTimeout: 10 * time.Second})
 	engA := engine.New(engine.Config{Workers: 1, Store: storeA})
 	engB := engine.New(engine.Config{Workers: 1, Store: storeB})
-	srvA := httptest.NewServer(Handler(engA))
-	defer srvA.Close()
-	srvB := httptest.NewServer(Handler(engB))
-	defer srvB.Close()
+	srvA := ownerServer(t, engA)
+	srvB := ownerServer(t, engB)
 	storeA.SetPeers([]string{srvB.URL})
 	storeB.SetPeers([]string{srvA.URL})
 

@@ -2,14 +2,16 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
 	"drhwsched/internal/engine"
 	"drhwsched/internal/httpd"
+	"drhwsched/internal/obs"
 	"drhwsched/internal/peerstore"
 	"drhwsched/internal/sim"
 )
@@ -90,17 +92,16 @@ func (m *metrics) observeTraceDrops(n int64) {
 
 // render writes the Prometheus text format: uptime and in-flight
 // gauges, the request families, the simulation-outcome families, and
-// the engine's cache counters. The
-// text is built under the lock into a buffer, then written, so a slow
-// reader never stalls request recording.
+// the engine's cache counters. The text is built under the lock into a
+// buffer, then written, so a slow reader never stalls request
+// recording.
 func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 	var buf bytes.Buffer
+	pw := obs.NewWriter(&buf)
 
 	m.mu.Lock()
-	fmt.Fprintf(&buf, "# TYPE drhwd_uptime_seconds gauge\n")
-	fmt.Fprintf(&buf, "drhwd_uptime_seconds %g\n", m.now().Sub(m.started).Seconds())
-	fmt.Fprintf(&buf, "# TYPE drhwd_inflight_requests gauge\n")
-	fmt.Fprintf(&buf, "drhwd_inflight_requests %d\n", inflight)
+	pw.Family("drhwd_uptime_seconds", "gauge").Float(m.now().Sub(m.started).Seconds())
+	pw.Family("drhwd_inflight_requests", "gauge").Int(int64(inflight))
 
 	m.requests.Render(&buf, "drhwd")
 
@@ -108,45 +109,27 @@ func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 	// of every simulation this replica has completed. Both execution
 	// labels always render (zeros included) so rate() queries never see
 	// a series appear mid-scrape.
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_runs_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_sim_runs_total{execution=\"sequential\"} %d\n", m.simSequential)
-	fmt.Fprintf(&buf, "drhwd_sim_runs_total{execution=\"sharded\"} %d\n", m.simSharded)
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_prefetch_hits_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_sim_prefetch_hits_total %d\n", m.prefetchHits)
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_demand_misses_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_sim_demand_misses_total %d\n", m.demandMisses)
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_reconfig_paid_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_sim_reconfig_paid_total %d\n", m.reconfigPaid)
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_reconfig_avoided_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_sim_reconfig_avoided_total %d\n", m.reconfigAvoided)
-	fmt.Fprintf(&buf, "# TYPE drhwd_sim_peak_queued_instances gauge\n")
-	fmt.Fprintf(&buf, "drhwd_sim_peak_queued_instances %d\n", m.peakQueued)
-	if len(m.ispBusySeconds) > 0 {
-		isps := make([]int, 0, len(m.ispBusySeconds))
-		for i := range m.ispBusySeconds {
-			isps = append(isps, i)
-		}
-		sort.Ints(isps)
-		fmt.Fprintf(&buf, "# TYPE drhwd_sim_isp_busy_seconds_total counter\n")
-		for _, i := range isps {
-			fmt.Fprintf(&buf, "drhwd_sim_isp_busy_seconds_total{isp=\"%d\"} %g\n", i, m.ispBusySeconds[i])
-		}
+	pw.Family("drhwd_sim_runs_total", "counter")
+	pw.Int(m.simSequential, "execution", "sequential")
+	pw.Int(m.simSharded, "execution", "sharded")
+	pw.Family("drhwd_sim_prefetch_hits_total", "counter").Int(m.prefetchHits)
+	pw.Family("drhwd_sim_demand_misses_total", "counter").Int(m.demandMisses)
+	pw.Family("drhwd_sim_reconfig_paid_total", "counter").Int(m.reconfigPaid)
+	pw.Family("drhwd_sim_reconfig_avoided_total", "counter").Int(m.reconfigAvoided)
+	pw.Family("drhwd_sim_peak_queued_instances", "gauge").Int(m.peakQueued)
+	pw.Family("drhwd_sim_isp_busy_seconds_total", "counter")
+	for _, i := range slices.Sorted(maps.Keys(m.ispBusySeconds)) {
+		pw.Float(m.ispBusySeconds[i], "isp", strconv.Itoa(i))
 	}
-	fmt.Fprintf(&buf, "# TYPE drhwd_trace_dropped_events_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_trace_dropped_events_total %d\n", m.traceDropped)
+	pw.Family("drhwd_trace_dropped_events_total", "counter").Int(m.traceDropped)
 	m.mu.Unlock()
 
 	st := eng.CacheStats()
-	fmt.Fprintf(&buf, "# TYPE drhwd_engine_cache_hits_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_engine_cache_hits_total %d\n", st.Hits)
-	fmt.Fprintf(&buf, "# TYPE drhwd_engine_cache_misses_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_engine_cache_misses_total %d\n", st.Misses)
-	fmt.Fprintf(&buf, "# TYPE drhwd_engine_cache_evictions_total counter\n")
-	fmt.Fprintf(&buf, "drhwd_engine_cache_evictions_total %d\n", st.Evictions)
-	fmt.Fprintf(&buf, "# TYPE drhwd_engine_cache_entries gauge\n")
-	fmt.Fprintf(&buf, "drhwd_engine_cache_entries %d\n", st.Entries)
-	fmt.Fprintf(&buf, "# TYPE drhwd_engine_workers gauge\n")
-	fmt.Fprintf(&buf, "drhwd_engine_workers %d\n", eng.Workers())
+	pw.Family("drhwd_engine_cache_hits_total", "counter").Int(st.Hits)
+	pw.Family("drhwd_engine_cache_misses_total", "counter").Int(st.Misses)
+	pw.Family("drhwd_engine_cache_evictions_total", "counter").Int(st.Evictions)
+	pw.Family("drhwd_engine_cache_entries", "gauge").Int(int64(st.Entries))
+	pw.Family("drhwd_engine_workers", "gauge").Int(int64(eng.Workers()))
 
 	// Tiered-store families (peer-fill replicas only). All three tier
 	// labels always render so rate() queries never see a series appear
@@ -154,24 +137,13 @@ func (m *metrics) render(w io.Writer, eng *engine.Engine, inflight int) {
 	// failures land in the error/reject counters.
 	if ts, ok := eng.Store().(tierStatser); ok {
 		t := ts.TierStats()
-		fmt.Fprintf(&buf, "# TYPE drhwd_store_tier_hits_total counter\n")
-		fmt.Fprintf(&buf, "drhwd_store_tier_hits_total{tier=\"local\"} %d\n", t.Local)
-		fmt.Fprintf(&buf, "drhwd_store_tier_hits_total{tier=\"peer\"} %d\n", t.Peer)
-		fmt.Fprintf(&buf, "drhwd_store_tier_hits_total{tier=\"compute\"} %d\n", t.Compute)
-		fmt.Fprintf(&buf, "# TYPE drhwd_store_peer_errors_total counter\n")
-		fmt.Fprintf(&buf, "drhwd_store_peer_errors_total %d\n", t.PeerErrors)
-		fmt.Fprintf(&buf, "# TYPE drhwd_store_artifacts_rejected_total counter\n")
-		fmt.Fprintf(&buf, "drhwd_store_artifacts_rejected_total %d\n", t.Rejected)
-		fmt.Fprintf(&buf, "# TYPE drhwd_store_peer_fetch_seconds histogram\n")
-		var cum int64
-		for i, le := range peerstore.FetchBucketBounds {
-			cum += t.FetchBuckets[i]
-			fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_bucket{le=\"%g\"} %d\n", le, cum)
-		}
-		cum += t.FetchBuckets[len(peerstore.FetchBucketBounds)]
-		fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_sum %g\n", t.FetchSumSeconds)
-		fmt.Fprintf(&buf, "drhwd_store_peer_fetch_seconds_count %d\n", t.FetchCount)
+		pw.Family("drhwd_store_tier_hits_total", "counter")
+		pw.Int(t.Local, "tier", "local")
+		pw.Int(t.Peer, "tier", "peer")
+		pw.Int(t.Compute, "tier", "compute")
+		pw.Family("drhwd_store_peer_errors_total", "counter").Int(t.PeerErrors)
+		pw.Family("drhwd_store_artifacts_rejected_total", "counter").Int(t.Rejected)
+		pw.Family("drhwd_store_peer_fetch_seconds", "histogram").Histogram(&t.Fetch)
 	}
 
 	w.Write(buf.Bytes())

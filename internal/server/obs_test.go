@@ -7,6 +7,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -222,6 +223,29 @@ func TestMetricsEndpointValidates(t *testing.T) {
 	// The traced hybrid run must have attributed loads.
 	if strings.Contains(body, "drhwd_sim_reconfig_paid_total 0\n") {
 		t.Error("traced run recorded no paid reconfigurations")
+	}
+}
+
+// TestFirstScrapeValidates: a fresh replica's very first /metrics is
+// rendered before any request has been observed (the scrape itself is
+// observed after it renders), and it must still pass the validator.
+func TestFirstScrapeValidates(t *testing.T) {
+	ps := peerstore.New(peerstore.Config{CacheSize: 4})
+	_, ts := newTestServer(t, Config{
+		Engine:    engine.New(engine.Config{Workers: 1, Store: ps}),
+		PeerStore: ps,
+	})
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateExposition(string(body)); err != nil {
+		t.Fatalf("first /metrics fails the strict validator: %v\n%s", err, body)
 	}
 }
 

@@ -149,7 +149,7 @@ func New(cfg Config) *Server {
 	// bypass the admission slot pool (admit=false). An admitted peer
 	// fetch could deadlock two replicas sweeping at capacity — each
 	// holding its own slots while waiting for a slot on the other.
-	sh.Handle(peerstore.PathPrefix, sh.Instrument("analysis", http.MethodGet, false, s.handleAnalysisArtifact))
+	sh.Handle(peerstore.PathPrefix, sh.Instrument("analysis", http.MethodGet, false, peerstore.Handler(eng)))
 	sh.Handle("/v1/peers", sh.Instrument("peers", http.MethodPost, false, s.handlePeers))
 	return s
 }
@@ -188,8 +188,10 @@ type HealthResponse struct {
 	Workers int       `json:"workers"`
 	Cache   CacheWire `json:"cache"`
 	// Store carries the tiered-store counters when the engine runs
-	// over a peer-fill store; absent on plain-LRU replicas.
-	Store *TierWire `json:"store,omitempty"`
+	// over a peer-fill store, so a coordinator (or the smoke test) can
+	// assert that re-homed keys filled over the network instead of
+	// recomputing; absent on plain-LRU replicas.
+	Store *peerstore.TierStats `json:"store,omitempty"`
 	// TraceID echoes the request's W3C trace context (accepted from
 	// the caller or minted here), so a coordinator health fan-out can
 	// stitch its replica probes into one trace.
@@ -205,7 +207,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		TraceID: httpd.TraceFrom(r.Context()).TraceIDString(),
 	}
 	if ts, ok := s.eng.Store().(tierStatser); ok {
-		resp.Store = tierWire(ts.TierStats())
+		t := ts.TierStats()
+		resp.Store = &t
 	}
 	return httpd.WriteJSON(w, http.StatusOK, resp)
 }
