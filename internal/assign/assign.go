@@ -210,21 +210,7 @@ func (s *Schedule) LoadsNeeded(resident map[graph.SubtaskID]bool) []bool {
 // the engine's validation matches the decision set; callers remap
 // virtual tiles to physical ones separately (see the reconfig package).
 func (s *Schedule) EngineInput(p platform.Platform, portOrder []graph.SubtaskID) schedule.Input {
-	return s.EngineInputNeed(p, portOrder, nil)
-}
-
-// EngineInputNeed is EngineInput with a caller-owned NeedLoad buffer
-// (reset and refilled; nil allocates a fresh one), so evaluation loops
-// re-building inputs per candidate do not allocate. need must have
-// length G.Len() when non-nil.
-func (s *Schedule) EngineInputNeed(p platform.Platform, portOrder []graph.SubtaskID, need []bool) schedule.Input {
-	if need == nil {
-		need = make([]bool, s.G.Len())
-	} else {
-		for i := range need {
-			need[i] = false
-		}
-	}
+	need := make([]bool, s.G.Len())
 	for _, id := range portOrder {
 		need[id] = true
 	}
@@ -238,6 +224,14 @@ func (s *Schedule) EngineInputNeed(p platform.Platform, portOrder []graph.Subtas
 		NeedLoad:   need,
 		PortOrder:  portOrder,
 	}
+}
+
+// Static builds the schedule's static constraint part on p (see
+// schedule.Static): the execution DAG, validated, that every instance
+// of this schedule binds its loads and floors to. Build it once per
+// stored schedule and platform.
+func (s *Schedule) Static(p platform.Platform) (*schedule.Static, error) {
+	return schedule.NewStatic(s.EngineInput(p, nil))
 }
 
 // AllLoads returns every hardware subtask in ideal-start order — the

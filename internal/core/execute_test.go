@@ -1,0 +1,236 @@
+package core_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"drhwsched/internal/assign"
+	"drhwsched/internal/core"
+	"drhwsched/internal/graph"
+	"drhwsched/internal/model"
+	"drhwsched/internal/platform"
+	"drhwsched/internal/schedule"
+	"drhwsched/internal/workload"
+)
+
+// stored is one multimedia scenario's design-time artifact and static
+// constraint part, as the simulator holds them.
+type stored struct {
+	a  *core.Analysis
+	st *schedule.Static
+}
+
+// multimedia analyzes the paper's six multimedia scenarios on 8 tiles
+// (Spread placement) and builds each one's static part.
+func multimedia(tb testing.TB) []stored {
+	tb.Helper()
+	p := platform.Default(8)
+	var out []stored
+	for _, task := range workload.MultimediaTasks() {
+		for _, g := range task.Scenarios {
+			s, err := assign.List(g, p, assign.Options{Placement: assign.Spread})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			a, err := core.Analyze(s, p, core.Options{})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			st, err := s.Static(p)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			out = append(out, stored{a, st})
+		}
+	}
+	return out
+}
+
+// arrival is one instance's boundary conditions and residency.
+type arrival struct {
+	rb       core.RunBounds
+	resident func(graph.SubtaskID) bool
+}
+
+// arrivals draws k instances of a: task starts, circuitry idle up to
+// 8 ms earlier, tiles draining on both sides of the start (or all free)
+// and random resident subsets.
+func arrivals(rng *rand.Rand, a *core.Analysis, k int) []arrival {
+	ms := func(n int) model.Dur { return model.Dur(n) * model.Millisecond }
+	rows := len(a.Sched.TileOrder)
+	out := make([]arrival, k)
+	for i := range out {
+		start := model.Time(0).Add(ms(rng.Intn(100)))
+		rb := core.RunBounds{TaskStart: start, PortFree: model.MaxT(0, start.Add(-ms(rng.Intn(8))))}
+		if rng.Intn(3) > 0 {
+			rb.TileFree = make([]model.Time, rows)
+			for r := range rb.TileFree {
+				rb.TileFree[r] = model.MaxT(0, start.Add(ms(rng.Intn(12)-6)))
+			}
+		}
+		switch rng.Intn(3) {
+		case 1:
+			set := make([]bool, a.Sched.G.Len())
+			for j := range set {
+				set[j] = rng.Intn(2) == 0
+			}
+			out[i].resident = func(id graph.SubtaskID) bool { return set[id] }
+		case 2:
+			out[i].resident = func(graph.SubtaskID) bool { return true }
+		}
+		out[i].rb = rb
+	}
+	return out
+}
+
+// referenceExecute is the run-time phase as it was before the static
+// part: the body and the ideal reference are each a full
+// schedule.Compute of a freshly built input.
+func referenceExecute(a *core.Analysis, rb core.RunBounds, resident func(graph.SubtaskID) bool) (*core.RunResult, error) {
+	r := &core.RunResult{Plan: a.Plan(resident)}
+	cur := rb.PortFree
+	tileFree := make([]model.Time, len(a.Sched.TileOrder))
+	if rb.TileFree != nil {
+		copy(tileFree, rb.TileFree)
+	}
+	r.InitEnd = cur
+	for _, id := range r.Plan.InitLoads {
+		t := a.Sched.Assignment[id]
+		start := model.MaxT(cur, tileFree[t])
+		end := start.Add(a.P.LoadLatency(a.Sched.G.Subtask(id).Load))
+		r.InitWindows = append(r.InitWindows, core.LoadWindow{Subtask: id, Start: start, End: end})
+		tileFree[t] = end
+		cur = end
+		r.InitEnd = end
+	}
+	r.BodyStart = model.MaxT(rb.TaskStart, r.InitEnd)
+	in := a.Sched.EngineInput(a.P, r.Plan.BodyLoads)
+	in.ExecFloor = r.BodyStart
+	in.LoadFloor = model.MaxT(rb.PortFree, r.InitEnd)
+	in.TileFree = tileFree
+	tl, err := schedule.Compute(in)
+	if err != nil {
+		return nil, err
+	}
+	r.Timeline = tl
+	ideal := a.Sched.EngineInput(a.P, nil)
+	ideal.ExecFloor = rb.TaskStart
+	ideal.TileFree = rb.TileFree
+	idealTL, err := schedule.Compute(ideal)
+	if err != nil {
+		return nil, err
+	}
+	r.Makespan = tl.End.Sub(rb.TaskStart)
+	r.Ideal = idealTL.End.Sub(rb.TaskStart)
+	r.Overhead = r.Makespan - r.Ideal
+	r.PortFreeAfter = model.MaxT(r.InitEnd, tl.LastLoadEnd)
+	return r, nil
+}
+
+func sameIDs(a, b []graph.SubtaskID) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestExecuteScratchMatchesReference pins ExecuteScratch — one bind on
+// the stored schedule's static part and the closed-form ideal — to
+// referenceExecute field by field, on the multimedia scenarios under
+// random bounds and residencies, with one scratch reused throughout.
+func TestExecuteScratchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	var sc core.ExecScratch
+	for _, s := range multimedia(t) {
+		for k, in := range arrivals(rng, s.a, 200) {
+			want, err := referenceExecute(s.a, in.rb, in.resident)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.a.ExecuteScratch(s.st, in.rb, in.resident, &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := s.a.Sched.G.Name
+			if got.Makespan != want.Makespan || got.Ideal != want.Ideal || got.Overhead != want.Overhead ||
+				got.InitEnd != want.InitEnd || got.BodyStart != want.BodyStart || got.PortFreeAfter != want.PortFreeAfter {
+				t.Fatalf("%s arrival %d: summary %+v, reference %+v", name, k, got, want)
+			}
+			if !sameIDs(got.Plan.InitLoads, want.Plan.InitLoads) || !sameIDs(got.Plan.BodyLoads, want.Plan.BodyLoads) ||
+				!sameIDs(got.Plan.Cancelled, want.Plan.Cancelled) || !sameIDs(got.Plan.ReusedCritical, want.Plan.ReusedCritical) {
+				t.Fatalf("%s arrival %d: plan %+v, reference %+v", name, k, got.Plan, want.Plan)
+			}
+			if len(got.InitWindows) != len(want.InitWindows) {
+				t.Fatalf("%s arrival %d: %d init windows, reference %d", name, k, len(got.InitWindows), len(want.InitWindows))
+			}
+			for i := range want.InitWindows {
+				if got.InitWindows[i] != want.InitWindows[i] {
+					t.Fatalf("%s arrival %d: init window %d differs", name, k, i)
+				}
+			}
+			g, w := got.Timeline, want.Timeline
+			if g.Start != w.Start || g.End != w.End || g.LastLoadEnd != w.LastLoadEnd || len(g.PortFreeAfter) != len(w.PortFreeAfter) {
+				t.Fatalf("%s arrival %d: timeline summary differs", name, k)
+			}
+			for i := range w.ExecStart {
+				if g.ExecStart[i] != w.ExecStart[i] || g.ExecEnd[i] != w.ExecEnd[i] || g.LoadStart[i] != w.LoadStart[i] ||
+					g.LoadEnd[i] != w.LoadEnd[i] || g.LoadPort[i] != w.LoadPort[i] {
+					t.Fatalf("%s arrival %d: timelines differ at subtask %d", name, k, i)
+				}
+			}
+			for i := range w.PortFreeAfter {
+				if g.PortFreeAfter[i] != w.PortFreeAfter[i] {
+					t.Fatalf("%s arrival %d: port %d free time differs", name, k, i)
+				}
+			}
+		}
+	}
+}
+
+// TestExecuteScratchAllocs pins the hybrid run-time step: once an
+// ExecScratch is warm, replaying a stored schedule allocates nothing.
+func TestExecuteScratchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var sc core.ExecScratch
+	for _, s := range multimedia(t) {
+		ins := arrivals(rng, s.a, 8)
+		step := func() {
+			for _, in := range ins {
+				if _, err := s.a.ExecuteScratch(s.st, in.rb, in.resident, &sc); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		step()
+		if a := testing.AllocsPerRun(20, step); a != 0 {
+			t.Errorf("%s: ExecuteScratch allocates %v per %d instances on a warm scratch", s.a.Sched.G.Name, a, len(ins))
+		}
+	}
+}
+
+// BenchmarkExecuteScratch times one hybrid run-time step — plan, init
+// phase, body bind and evaluation, closed-form ideal — per instance,
+// cycling through the multimedia scenarios on one warm scratch.
+func BenchmarkExecuteScratch(b *testing.B) {
+	rng := rand.New(rand.NewSource(67))
+	stored := multimedia(b)
+	ins := make([][]arrival, len(stored))
+	for i, s := range stored {
+		ins[i] = arrivals(rng, s.a, 16)
+	}
+	var sc core.ExecScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := stored[i%len(stored)]
+		in := ins[i%len(stored)][(i/len(stored))%16]
+		if _, err := s.a.ExecuteScratch(s.st, in.rb, in.resident, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

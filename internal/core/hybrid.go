@@ -305,7 +305,11 @@ type RunResult struct {
 // the cancelled loads removed. resident reports configuration residency
 // per subtask (from the reuse module).
 func (a *Analysis) Execute(rb RunBounds, resident func(graph.SubtaskID) bool) (*RunResult, error) {
-	// A fresh scratch per call keeps the returned result unaliased;
-	// hot loops reuse the buffers via ExecuteScratch.
-	return a.ExecuteScratch(rb, resident, new(ExecScratch))
+	// A fresh static part and scratch per call keep the returned result
+	// unaliased; hot loops reuse both via ExecuteScratch.
+	st, err := a.Sched.Static(a.P)
+	if err != nil {
+		return nil, fmt.Errorf("core: body schedule: %w", err)
+	}
+	return a.ExecuteScratch(st, rb, resident, new(ExecScratch))
 }

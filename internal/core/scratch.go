@@ -15,12 +15,9 @@ import (
 // next ExecuteScratch call on it. The zero value is ready to use; an
 // ExecScratch must not be shared between goroutines.
 type ExecScratch struct {
-	body      schedule.Scratch
-	ideal     schedule.Scratch
-	need      []bool
-	idealNeed []bool
-	tileFree  []model.Time
-	res       RunResult
+	body     schedule.Scratch
+	tileFree []model.Time
+	res      RunResult
 }
 
 // planInto is Plan writing into a caller-owned InstancePlan whose
@@ -46,9 +43,11 @@ func (a *Analysis) planInto(p *InstancePlan, resident func(graph.SubtaskID) bool
 	}
 }
 
-// ExecuteScratch is Execute on reusable buffers; the returned RunResult
-// and everything it references are owned by sc.
-func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) bool, sc *ExecScratch) (*RunResult, error) {
+// ExecuteScratch is Execute on reusable buffers and on st, the stored
+// schedule's static constraint part (a.Sched.Static(a.P)), which the
+// caller builds once and may share between goroutines. The returned
+// RunResult and everything it references are owned by sc.
+func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident func(graph.SubtaskID) bool, sc *ExecScratch) (*RunResult, error) {
 	r := &sc.res
 	a.planInto(&r.Plan, resident)
 	r.InitWindows = r.InitWindows[:0]
@@ -82,15 +81,15 @@ func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) b
 
 	// Body: the design-time schedule with reused loads cancelled. The
 	// critical subtasks are resident by construction now.
-	n := a.Sched.G.Len()
-	if cap(sc.need) < n {
-		sc.need = make([]bool, n)
+	err := sc.body.Bind(st, r.Plan.BodyLoads, schedule.Instance{
+		ExecFloor: r.BodyStart,
+		LoadFloor: model.MaxT(rb.PortFree, r.InitEnd),
+		TileFree:  tileFree,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
-	in := a.Sched.EngineInputNeed(a.P, r.Plan.BodyLoads, sc.need[:n])
-	in.ExecFloor = r.BodyStart
-	in.LoadFloor = model.MaxT(rb.PortFree, r.InitEnd)
-	in.TileFree = tileFree
-	tl, err := sc.body.Compute(in)
+	tl, err := sc.body.Reorder(r.Plan.BodyLoads, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
@@ -98,25 +97,13 @@ func (a *Analysis) ExecuteScratch(rb RunBounds, resident func(graph.SubtaskID) b
 
 	// Ideal reference: same decisions, no loads, starting at TaskStart
 	// with the tiles as the previous task left them.
-	if cap(sc.idealNeed) < n {
-		sc.idealNeed = make([]bool, n)
-	}
-	idealNeed := sc.idealNeed[:n]
-	for i := range idealNeed {
-		idealNeed[i] = false
-	}
-	ideal := in
-	ideal.NeedLoad = idealNeed
-	ideal.PortOrder = nil
-	ideal.ExecFloor = rb.TaskStart
-	ideal.TileFree = rb.TileFree
-	idealTL, err := sc.ideal.Compute(ideal)
+	ideal, err := st.Ideal(rb.TaskStart, rb.TileFree)
 	if err != nil {
 		return nil, fmt.Errorf("core: ideal reference: %w", err)
 	}
 
 	r.Makespan = tl.End.Sub(rb.TaskStart)
-	r.Ideal = idealTL.End.Sub(rb.TaskStart)
+	r.Ideal = ideal
 	r.Overhead = r.Makespan - r.Ideal
 	r.PortFreeAfter = model.MaxT(r.InitEnd, tl.LastLoadEnd)
 	return r, nil

@@ -31,6 +31,10 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	st, err := s.Static(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := &ExecScratch{}
 	residencies := []func(graph.SubtaskID) bool{
 		nil,
@@ -48,7 +52,7 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := an.ExecuteScratch(rb, resident, sc)
+			got, err := an.ExecuteScratch(st, rb, resident, sc)
 			if err != nil {
 				t.Fatal(err)
 			}

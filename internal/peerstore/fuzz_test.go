@@ -29,12 +29,16 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // rejected cleanly — all the contract asks of bad input
 		}
+		st, err := dec.Sched.Static(dec.P)
+		if err != nil {
+			return // the stored schedule does not validate on its platform
+		}
 		var sc core.ExecScratch
 		for _, resident := range []func(graph.SubtaskID) bool{
 			nil,
 			func(graph.SubtaskID) bool { return true },
 		} {
-			if _, err := dec.ExecuteScratch(core.RunBounds{}, resident, &sc); err != nil {
+			if _, err := dec.ExecuteScratch(st, core.RunBounds{}, resident, &sc); err != nil {
 				return
 			}
 		}

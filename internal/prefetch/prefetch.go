@@ -13,9 +13,9 @@
 //   - List: the run-time heuristic of Resano et al. [7] — list
 //     scheduling by the ideal start time with a criticality tie-break,
 //     followed by a bounded improvement pass. O(N log N) for the order;
-//     each improvement candidate is one O(n+e) pass over a constraint
-//     DAG prepared once per decision, which may stop early. Near
-//     optimal.
+//     each improvement candidate is one O(n+e) pass over the
+//     schedule's static constraint DAG with the decision's loads bound
+//     to it, which may stop early. Near optimal.
 //   - BranchBound: exact minimization of the makespan over all feasible
 //     load orders, with lower-bound pruning. The paper uses the optimal
 //     algorithm inside the design-time phase and for Table 1's
@@ -23,11 +23,15 @@
 //     as the paper keeps [7] "for large graphs".
 //
 // Each scheduler has one implementation, on a reusable Scratch of
-// id-indexed buffers (scratch.go). The allocating entry points —
-// Schedule and Evaluate — run it on a fresh Scratch, so design time and
-// the simulator's per-instance loop make the same decisions.
-// BranchBound runs its incumbent, bounds and leaf evaluations on one
-// Scratch per call.
+// id-indexed buffers (scratch.go) and the schedule's static constraint
+// part (schedule.Static, built by assign.Schedule.Static). The
+// allocating entry points — Schedule and Evaluate — build the static
+// part and run it on a fresh Scratch, so design time and the
+// simulator's per-instance loop, which builds the static part once per
+// stored schedule, make the same decisions. BranchBound runs its
+// incumbent, bounds and leaf evaluations on one static part and one
+// Scratch per call. The zero-overhead reference (Result.Ideal) is
+// schedule.Static.Ideal, a closed form.
 package prefetch
 
 import (
@@ -72,28 +76,15 @@ type Scheduler interface {
 	Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error)
 }
 
-// engineInput is the one place Bounds become a schedule.Input: it loads
-// exactly the subtasks in order, writing their flags into need (length
-// G.Len(), reset first). The ideal reference passes a nil order.
-func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, need []bool, b Bounds, onDemand bool) schedule.Input {
-	in := s.EngineInputNeed(p, order, need)
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	if onDemand && in.LoadFloor < b.ExecFloor {
-		// An on-demand load request only exists once the task runs.
-		in.LoadFloor = b.ExecFloor
-	}
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
-	in.OnDemand = onDemand
-	return in
-}
-
 // Evaluate computes the timeline and overhead for a given load order
 // under the boundary conditions. It is exported so higher layers (the
 // hybrid heuristic, the simulator) can re-evaluate stored orders.
 func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) (*Result, error) {
-	return EvaluateScratch(s, p, order, b, onDemand, new(Scratch))
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluateScratch(st, order, b, onDemand, new(Scratch))
 }
 
 // OnDemand issues every load when its subtask becomes ready: the
@@ -109,16 +100,20 @@ func (OnDemand) Name() string { return "on-demand" }
 // from the ideal-start order and re-sort by observed readiness until the
 // order stabilizes.
 func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return o.ScheduleScratch(s, p, loads, b, new(Scratch))
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, err
+	}
+	return o.ScheduleScratch(s, st, loads, b, new(Scratch))
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in
 // ideal-start order (weight tie-break) as early as the port and target
 // tile allow, then a bounded pass of adjacent transpositions keeps any
 // swap that shortens the makespan. Complexity O(N log N) for the sort
-// plus O(passes·N) candidate evaluations. The constraint DAG (n
-// subtasks, e edges) is built once per decision; each candidate is one
-// O(n+e) pass over it that stops as soon as the candidate provably
+// plus O(passes·N) candidate evaluations. The decision binds its loads
+// to the schedule's static constraint DAG (n subtasks, e edges) once;
+// each candidate is one O(n+e) pass over it that stops as soon as the candidate provably
 // cannot beat the best makespan so far. Swaps of two loads on one tile
 // are skipped: they always close a constraint cycle.
 type List struct {
@@ -133,7 +128,11 @@ func (l List) Name() string { return "list" }
 
 // Schedule implements Scheduler.
 func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return l.ScheduleScratch(s, p, loads, b, new(Scratch))
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, err
+	}
+	return l.ScheduleScratch(s, st, loads, b, new(Scratch))
 }
 
 // BranchBound finds the load order with the minimum makespan. The search
@@ -160,11 +159,16 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	if maxLoads == 0 {
 		maxLoads = 12
 	}
-	// One scratch serves the incumbent, every search node and the final
-	// evaluation; the returned Result is the only thing that outlives it.
+	// One static part and one scratch serve the incumbent, every search
+	// node and the final evaluation; the returned Result is the only
+	// thing that outlives them.
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, err
+	}
 	sc := new(Scratch)
 	if len(loads) > maxLoads {
-		return List{}.ScheduleScratch(s, p, loads, b, sc)
+		return List{}.ScheduleScratch(s, st, loads, b, sc)
 	}
 
 	// Feasibility partial order: on one tile, loads must be issued in
@@ -193,13 +197,13 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	// the incumbent reaches it, the search is over before it starts —
 	// the common case inside the CS-selection loop, where the stored
 	// schedule hides everything.
-	ideal, err := sc.idealMakespan(s, p, b)
+	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
 	if err != nil {
 		return nil, err
 	}
 
 	// Seed the incumbent with the list heuristic.
-	incumbent, err := List{}.ScheduleScratch(s, p, loads, b, sc)
+	incumbent, err := List{}.ScheduleScratch(s, st, loads, b, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +270,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	// lowerBound relaxes the problem: loads not yet placed are free.
 	var node Result
 	lowerBound := func() (model.Dur, bool) {
-		if err := sc.evaluateInto(&node, s, p, placed, b, false, ideal); err != nil {
+		if err := sc.evaluateInto(&node, st, placed, b, false, ideal); err != nil {
 			return 0, false
 		}
 		return node.Makespan, true
@@ -282,7 +286,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 			return
 		}
 		if len(placed) == len(sorted) {
-			err := sc.evaluateInto(&node, s, p, placed, b, false, ideal)
+			err := sc.evaluateInto(&node, st, placed, b, false, ideal)
 			if err == nil && node.Makespan < bestMakespan {
 				bestMakespan = node.Makespan
 				bestOrder = append(bestOrder[:0], placed...)
@@ -314,7 +318,7 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	}
 	dfs()
 
-	if err := sc.evaluateInto(&sc.res, s, p, bestOrder, b, false, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, st, bestOrder, b, false, ideal); err != nil {
 		return nil, fmt.Errorf("prefetch: re-evaluating best order: %w", err)
 	}
 	return &sc.res, nil

@@ -219,7 +219,7 @@ func TestResultsVerifyProperty(t *testing.T) {
 		if r.Overhead < 0 {
 			return false
 		}
-		in := engineInput(s, p, r.PortOrder, nil, Bounds{}, r.OnDemand)
+		in := engineInput(s, p, r.PortOrder, Bounds{}, r.OnDemand)
 		return schedule.Verify(in, r.Timeline) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 90}); err != nil {

@@ -22,7 +22,7 @@ func TestOnDemandOrderRespectsCombinedPrecedence(t *testing.T) {
 	if r.Overhead < 0 {
 		t.Fatalf("negative overhead %v", r.Overhead)
 	}
-	in := engineInput(s, p, r.PortOrder, nil, Bounds{}, r.OnDemand)
+	in := engineInput(s, p, r.PortOrder, Bounds{}, r.OnDemand)
 	if err := schedule.Verify(in, r.Timeline); err != nil {
 		t.Fatalf("verify: %v", err)
 	}

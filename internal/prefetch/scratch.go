@@ -4,7 +4,6 @@ import (
 	"drhwsched/internal/assign"
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
-	"drhwsched/internal/platform"
 	"drhwsched/internal/schedule"
 )
 
@@ -14,12 +13,14 @@ import (
 // Timeline — is owned by the scratch and valid until the next call on
 // the same scratch. The zero value is ready to use; a Scratch must not
 // be shared between goroutines.
+//
+// The *Scratch entry points take the schedule's static part st
+// (assign.Schedule.Static), built once per stored schedule and platform;
+// each decision binds its loads and floors to it.
 type Scratch struct {
-	// eval evaluates every timeline: the zero-overhead reference first
-	// (only its makespan is kept), then the candidates.
+	// eval evaluates every candidate timeline.
 	eval schedule.Scratch
 
-	need  []bool // NeedLoad buffer; no timeline keeps it past Compute
 	order []graph.SubtaskID
 	next  []graph.SubtaskID
 	ready []model.Time // per subtask, on-demand readiness
@@ -28,39 +29,32 @@ type Scratch struct {
 	repair repairScratch
 }
 
-func (sc *Scratch) needBuf(n int) []bool {
-	if cap(sc.need) < n {
-		sc.need = make([]bool, n)
+// instance is the one place Bounds become a schedule.Instance.
+func (b Bounds) instance(onDemand bool) schedule.Instance {
+	in := schedule.Instance{
+		ExecFloor: b.ExecFloor,
+		LoadFloor: b.LoadFloor,
+		TileFree:  b.TileFree,
+		PortFree:  b.PortFree,
+		OnDemand:  onDemand,
 	}
-	return sc.need[:n]
-}
-
-// idealMakespan computes the zero-overhead reference: the same decision
-// set with every load removed. It does not depend on the load order, so
-// search loops compute it once and reuse it across candidates.
-func (sc *Scratch) idealMakespan(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
-	tl, err := sc.eval.Compute(engineInput(s, p, nil, sc.needBuf(s.G.Len()), b, false))
-	if err != nil {
-		return 0, err
+	if onDemand && in.LoadFloor < b.ExecFloor {
+		// An on-demand load request only exists once the task runs.
+		in.LoadFloor = b.ExecFloor
 	}
-	return tl.Makespan(), nil
+	return in
 }
 
 // evaluateInto evaluates one load order into out; out.Timeline is the
 // scratch's reusable timeline.
-func (sc *Scratch) evaluateInto(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
-	if err := sc.prepare(s, p, order, b, onDemand); err != nil {
+func (sc *Scratch) evaluateInto(out *Result, st *schedule.Static, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
+	if err := sc.eval.Bind(st, order, b.instance(onDemand)); err != nil {
 		return err
 	}
 	return sc.reorderInto(out, order, onDemand, ideal)
 }
 
-// prepare readies sc.eval for port orders over the load set of order.
-func (sc *Scratch) prepare(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) error {
-	return sc.eval.Prepare(engineInput(s, p, order, sc.needBuf(s.G.Len()), b, onDemand))
-}
-
-// reorderInto evaluates order, a permutation of the prepared load set,
+// reorderInto evaluates order, a permutation of the bound load set,
 // into out.
 func (sc *Scratch) reorderInto(out *Result, order []graph.SubtaskID, onDemand bool, ideal model.Dur) error {
 	tl, err := sc.eval.Reorder(order, 0)
@@ -80,12 +74,12 @@ func (sc *Scratch) reorderInto(out *Result, order []graph.SubtaskID, onDemand bo
 
 // EvaluateScratch is the implementation of Evaluate; the returned Result
 // and its Timeline are owned by sc.
-func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, sc *Scratch) (*Result, error) {
-	ideal, err := sc.idealMakespan(s, p, b)
+func EvaluateScratch(st *schedule.Static, order []graph.SubtaskID, b Bounds, onDemand bool, sc *Scratch) (*Result, error) {
+	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.evaluateInto(&sc.res, s, p, order, b, onDemand, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, st, order, b, onDemand, ideal); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
@@ -94,7 +88,7 @@ func EvaluateScratch(s *assign.Schedule, p platform.Platform, order []graph.Subt
 // ScheduleScratch is the implementation of OnDemand.Schedule (the
 // readiness fixpoint); the returned Result and its Timeline are owned
 // by sc.
-func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
 	s.SortByIdealStart(order)
@@ -104,13 +98,13 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads [
 	}
 	ready := sc.ready[:n]
 
-	// The ideal reference and the constraint DAG do not depend on the
+	// The ideal reference and the bound load set do not depend on the
 	// order, so every fixpoint iteration shares them.
-	ideal, err := sc.idealMakespan(s, p, b)
+	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.prepare(s, p, order, b, true); err != nil {
+	if err := sc.eval.Bind(st, order, b.instance(true)); err != nil {
 		return nil, err
 	}
 	maxIter := 2*len(order) + 2
@@ -156,18 +150,18 @@ func equalOrder(a, b []graph.SubtaskID) bool {
 // ScheduleScratch is the implementation of List.Schedule; the returned
 // Result and its Timeline are owned by sc.
 //
-// The decision prepares the constraint DAG once; each candidate is one
+// The decision binds its loads to st once; each candidate is one
 // Reorder limited by the best makespan so far, which stops as soon as
 // the candidate provably cannot beat it.
-func (l List) ScheduleScratch(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
-	ideal, err := sc.idealMakespan(s, p, b)
+func (l List) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
 	if err != nil {
 		return nil, err
 	}
 	order := append(sc.order[:0], loads...)
 	sc.order = order[:0]
 	s.SortByIdealStart(order)
-	if err := sc.prepare(s, p, order, b, false); err != nil {
+	if err := sc.eval.Bind(st, order, b.instance(false)); err != nil {
 		return nil, err
 	}
 	res := &sc.res

@@ -9,6 +9,7 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
+	"drhwsched/internal/schedule"
 )
 
 // randomSched builds a random DAG schedule for equivalence checks.
@@ -34,6 +35,16 @@ func randomSched(t *testing.T, rng *rand.Rand, n, tiles int) (*assign.Schedule, 
 	return s, p
 }
 
+// mustStatic builds s's static constraint part on p.
+func mustStatic(t *testing.T, s *assign.Schedule, p platform.Platform) *schedule.Static {
+	t.Helper()
+	st, err := s.Static(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // TestScratchReuseMatchesFresh pins a scratch reused across calls to a
 // fresh one per call (what Schedule and Evaluate use): identical port
 // orders, makespans, overheads and timelines on a spread of random
@@ -48,12 +59,13 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		s, p := randomSched(t, rng, n, tiles)
 		b := randomBounds(rng, s, p)
 		loads := s.AllLoads()
+		st := mustStatic(t, s, p)
 
 		want, err := (OnDemand{}).Schedule(s, p, loads, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, sc)
+		got, err := (OnDemand{}).ScheduleScratch(s, st, loads, b, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +75,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = (List{}).ScheduleScratch(s, p, loads, b, sc)
+		got, err = (List{}).ScheduleScratch(s, st, loads, b, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +85,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = EvaluateScratch(s, p, loads, b, false, sc)
+		got, err = EvaluateScratch(st, loads, b, false, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +149,11 @@ func TestListMatchesReference(t *testing.T) {
 		s, p, loads := randSched(rng, 14, 1+rng.Intn(4))
 		p.Ports = 1 + rng.Intn(3)
 		b := randomBounds(rng, s, p)
+		st := mustStatic(t, s, p)
 		for _, passes := range []int{0, 1, 3, -1} {
 			l := List{MaxPasses: passes}
 			want, werr := referenceList(l, s, p, loads, b, ref)
-			got, err := l.ScheduleScratch(s, p, loads, b, sc)
+			got, err := l.ScheduleScratch(s, st, loads, b, sc)
 			if (err == nil) != (werr == nil) {
 				t.Fatalf("trial %d passes %d: err %v, reference %v", trial, passes, err, werr)
 			}
@@ -160,8 +173,9 @@ func TestOnDemandMatchesReference(t *testing.T) {
 		s, p, loads := randSched(rng, 14, 1+rng.Intn(4))
 		p.Ports = 1 + rng.Intn(3)
 		b := randomBounds(rng, s, p)
+		st := mustStatic(t, s, p)
 		want, werr := referenceOnDemand(s, p, loads, b, ref)
-		got, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, sc)
+		got, err := (OnDemand{}).ScheduleScratch(s, st, loads, b, sc)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("trial %d: err %v, reference %v", trial, err, werr)
 		}
@@ -181,14 +195,15 @@ func TestListDecisionAllocs(t *testing.T) {
 	}
 	loads := s.AllLoads()
 	b := randomBounds(rng, s, p)
+	st := mustStatic(t, s, p)
 	sc := new(Scratch)
 	list := func() {
-		if _, err := (List{}).ScheduleScratch(s, p, loads, b, sc); err != nil {
+		if _, err := (List{}).ScheduleScratch(s, st, loads, b, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	onDemand := func() {
-		if _, err := (OnDemand{}).ScheduleScratch(s, p, loads, b, sc); err != nil {
+		if _, err := (OnDemand{}).ScheduleScratch(s, st, loads, b, sc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -225,18 +240,63 @@ func compareFull(t *testing.T, name string, trial int, want, got *Result) {
 	}
 }
 
+// engineInput builds the schedule.Input of one decision, loading
+// exactly the subtasks in order. The tests use it to Verify timelines
+// and to evaluate decisions from scratch.
+func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) schedule.Input {
+	in := s.EngineInput(p, order)
+	in.ExecFloor = b.ExecFloor
+	in.LoadFloor = b.LoadFloor
+	if onDemand && in.LoadFloor < b.ExecFloor {
+		in.LoadFloor = b.ExecFloor
+	}
+	in.TileFree = b.TileFree
+	in.PortFree = b.PortFree
+	in.OnDemand = onDemand
+	return in
+}
+
+// refIdeal is the zero-overhead reference evaluated in full: a
+// schedule.Compute of the decision with no loads, against which the
+// schedulers' closed-form Static.Ideal is pinned.
+func refIdeal(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
+	tl, err := schedule.Compute(engineInput(s, p, nil, b, false))
+	if err != nil {
+		return 0, err
+	}
+	return tl.Makespan(), nil
+}
+
+// evaluateFull evaluates one load order from scratch: a fresh
+// schedule.Compute of its whole input.
+func evaluateFull(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
+	tl, err := schedule.Compute(engineInput(s, p, order, b, onDemand))
+	if err != nil {
+		return err
+	}
+	*out = Result{
+		PortOrder: order,
+		OnDemand:  onDemand,
+		Timeline:  tl,
+		Makespan:  tl.Makespan(),
+		Ideal:     ideal,
+		Overhead:  tl.Makespan() - ideal,
+	}
+	return nil
+}
+
 // referenceList is List.ScheduleScratch as it was before candidates
-// shared a prepared DAG: every swap is a full evaluateInto, and the
-// best order is evaluated once more at the end.
+// shared a prepared DAG: every swap is a full evaluation, and the best
+// order is evaluated once more at the end.
 func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
-	ideal, err := sc.idealMakespan(s, p, b)
+	ideal, err := refIdeal(s, p, b)
 	if err != nil {
 		return nil, err
 	}
 	order := append(sc.order[:0], loads...)
 	s.SortByIdealStart(order)
 	var best, cand Result
-	if err := sc.evaluateInto(&best, s, p, order, b, false, ideal); err != nil {
+	if err := evaluateFull(&best, s, p, order, b, false, ideal); err != nil {
 		return nil, err
 	}
 	passes := l.MaxPasses
@@ -247,7 +307,7 @@ func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []grap
 		improved := false
 		for i := 0; i+1 < len(order); i++ {
 			order[i], order[i+1] = order[i+1], order[i]
-			err := sc.evaluateInto(&cand, s, p, order, b, false, ideal)
+			err := evaluateFull(&cand, s, p, order, b, false, ideal)
 			if err != nil || cand.Makespan >= best.Makespan {
 				// Swap infeasible (tile-order cycle) or not better.
 				order[i], order[i+1] = order[i+1], order[i]
@@ -265,14 +325,14 @@ func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []grap
 	final := append(sc.next[:0], best.PortOrder...)
 	sc.next = final[:0]
 	sc.order = order[:0]
-	if err := sc.evaluateInto(&sc.res, s, p, final, b, false, ideal); err != nil {
+	if err := evaluateFull(&sc.res, s, p, final, b, false, ideal); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
 }
 
 // referenceOnDemand is the on-demand fixpoint as it was before its
-// iterations shared a prepared DAG: a full evaluateInto per iteration.
+// iterations shared a prepared DAG: a full evaluation per iteration.
 func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
@@ -282,13 +342,13 @@ func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.Su
 		sc.ready = make([]model.Time, n)
 	}
 	ready := sc.ready[:n]
-	ideal, err := sc.idealMakespan(s, p, b)
+	ideal, err := refIdeal(s, p, b)
 	if err != nil {
 		return nil, err
 	}
 	maxIter := 2*len(order) + 2
 	for iter := 0; iter < maxIter; iter++ {
-		if err := sc.evaluateInto(&sc.res, s, p, order, b, true, ideal); err != nil {
+		if err := evaluateFull(&sc.res, s, p, order, b, true, ideal); err != nil {
 			return nil, err
 		}
 		for _, id := range order {

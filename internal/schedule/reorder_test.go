@@ -267,19 +267,77 @@ func TestReorderStampWrap(t *testing.T) {
 	}
 }
 
-// FuzzReorder builds a random decision set from seed and evaluates an
-// arbitrary id sequence on it: Reorder must never panic, must reject
-// every non-permutation, and must agree with a fresh Compute.
+// FuzzReorder builds a random decision set from seed, redraws its
+// processor drain times and load bounds from floors, and evaluates an
+// arbitrary id sequence on it through NewStatic and Bind. Drain times
+// and bounds of the wrong length must be rejected by Bind (and drain
+// times by Static.Ideal) with an error; otherwise the closed-form ideal
+// must equal the reference's no-load makespan, Reorder must reject
+// every non-permutation, and must agree with a fresh Compute and with
+// the reference. Nothing may panic.
 func FuzzReorder(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 2, 3}, uint16(0))
-	f.Add(int64(7), []byte{3, 2, 1, 0, 4}, uint16(30))
-	f.Fuzz(func(t *testing.T, seed int64, ids []byte, limitMS uint16) {
+	f.Add(int64(1), []byte{0, 1, 2, 3}, uint16(0), []byte{})
+	f.Add(int64(7), []byte{3, 2, 1, 0, 4}, uint16(30), []byte{0x80, 0x10, 0xf0, 0x00, 0x33})
+	f.Fuzz(func(t *testing.T, seed int64, ids []byte, limitMS uint16, floors []byte) {
 		in := randomDecision(rand.New(rand.NewSource(seed)))
-		sc := new(Scratch)
-		if err := sc.Prepare(in); err != nil {
+		n, procs := in.G.Len(), in.P.Processors()
+		st, err := NewStatic(in)
+		if err != nil {
 			t.Fatal(err)
 		}
-		n := in.G.Len()
+		// floors: a shape byte, then one byte per processor drain time
+		// and one per load bound, each an offset of up to ±64 ms around
+		// the execution floor (0 leaves a load unbounded).
+		badLen := false
+		if len(floors) > 0 {
+			shape := floors[0]
+			offset := func(k int) model.Time {
+				var b byte
+				if 1+k < len(floors) {
+					b = floors[1+k]
+				}
+				return in.ExecFloor.Add(model.Dur(int(b)-128) * model.Millisecond / 2)
+			}
+			in.TileFree = make([]model.Time, procs)
+			for r := range in.TileFree {
+				in.TileFree[r] = offset(r)
+			}
+			in.LoadEarliest = make([]model.Time, n)
+			for i := range in.LoadEarliest {
+				if b := offset(procs + i); b > 0 && shape&4 == 0 {
+					in.LoadEarliest[i] = b
+				}
+			}
+			switch shape % 8 {
+			case 1:
+				in.TileFree = in.TileFree[:procs-1]
+				badLen = true
+			case 2:
+				in.LoadEarliest = append(in.LoadEarliest, 0)
+				badLen = true
+			case 3:
+				in.TileFree = nil
+			}
+		}
+		ideal, ierr := st.Ideal(in.ExecFloor, in.TileFree)
+		sc := new(Scratch)
+		berr := sc.Bind(st, in.PortOrder, in.instance())
+		if badLen {
+			if berr == nil {
+				t.Fatalf("Bind accepted TileFree of %d, LoadEarliest of %d", len(in.TileFree), len(in.LoadEarliest))
+			}
+			if len(in.TileFree) != procs && ierr == nil {
+				t.Fatal("Ideal accepted a short TileFree")
+			}
+			return
+		}
+		if berr != nil || ierr != nil {
+			t.Fatalf("bind %v, ideal %v", berr, ierr)
+		}
+		var ref refScratch
+		if want, err := ref.Compute(noLoads(in)); err != nil || want.Makespan() != ideal {
+			t.Fatalf("closed-form ideal %v, reference %v (err %v)", ideal, want, err)
+		}
 		order := make([]graph.SubtaskID, len(ids))
 		for i, b := range ids {
 			order[i] = graph.SubtaskID(int(b)%(n+2) - 1) // -1 … n: out-of-range ids too
@@ -301,5 +359,18 @@ func FuzzReorder(f *testing.F) {
 			return
 		}
 		checkReorder(t, sc, in, order, limit)
+		if err := ref.Prepare(withOrder(in, in.PortOrder)); err != nil {
+			t.Fatal(err)
+		}
+		want, werr := ref.Reorder(order, 0)
+		got, err := sc.Reorder(order, 0)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("order %v: error %v, reference %v", order, err, werr)
+		}
+		if err == nil {
+			if d := diffTimelines(got, want); d != "" {
+				t.Fatalf("order %v: %s", order, d)
+			}
+		}
 	})
 }

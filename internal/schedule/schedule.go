@@ -24,8 +24,6 @@
 package schedule
 
 import (
-	"fmt"
-
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
@@ -130,75 +128,4 @@ func Compute(in Input) (*Timeline, error) {
 	// The scratch is about to go out of scope; its timeline is as fresh
 	// as a direct allocation would have been.
 	return tl, nil
-}
-
-// checkInput validates structural properties of the decision set. seen
-// and inPort are caller-owned all-false buffers of length G.Len().
-func checkInput(in *Input, seen, inPort []bool) error {
-	n := in.G.Len()
-	if len(in.Assignment) != n {
-		return fmt.Errorf("schedule: assignment covers %d of %d subtasks", len(in.Assignment), n)
-	}
-	if len(in.NeedLoad) != n {
-		return fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
-	}
-	if len(in.TileOrder) > in.P.Processors() {
-		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), in.P.Processors())
-	}
-	if in.TileFree != nil && len(in.TileFree) != in.P.Processors() {
-		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(in.TileFree), in.P.Processors())
-	}
-	if in.PortFree != nil && len(in.PortFree) != in.P.Ports {
-		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), in.P.Ports)
-	}
-	for t, order := range in.TileOrder {
-		for _, id := range order {
-			if id < 0 || int(id) >= n {
-				return fmt.Errorf("schedule: tile %d lists unknown subtask %d", t, id)
-			}
-			if seen[id] {
-				return fmt.Errorf("schedule: subtask %d appears on two tiles", id)
-			}
-			seen[id] = true
-			if in.Assignment[id] != t {
-				return fmt.Errorf("schedule: subtask %d ordered on tile %d but assigned to %d", id, t, in.Assignment[id])
-			}
-		}
-	}
-	for i := range seen {
-		if !seen[i] {
-			return fmt.Errorf("schedule: subtask %d missing from tile orders", i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		a := in.Assignment[i]
-		if a < 0 || a >= in.P.Processors() {
-			return fmt.Errorf("schedule: subtask %d assigned to processor %d of %d", i, a, in.P.Processors())
-		}
-		onISP := in.G.Subtask(graph.SubtaskID(i)).OnISP
-		if onISP && !in.P.IsISP(a) {
-			return fmt.Errorf("schedule: ISP subtask %d assigned to tile %d", i, a)
-		}
-		if !onISP && in.P.IsISP(a) {
-			return fmt.Errorf("schedule: hardware subtask %d assigned to ISP %d", i, a)
-		}
-		if onISP && in.NeedLoad[i] {
-			return fmt.Errorf("schedule: ISP subtask %d cannot be loaded", i)
-		}
-	}
-	for _, id := range in.PortOrder {
-		if id < 0 || int(id) >= n {
-			return fmt.Errorf("schedule: port order lists unknown subtask %d", id)
-		}
-		if inPort[id] {
-			return fmt.Errorf("schedule: subtask %d loaded twice", id)
-		}
-		inPort[id] = true
-	}
-	for i := 0; i < n; i++ {
-		if in.NeedLoad[i] != inPort[i] {
-			return fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, in.NeedLoad[i], inPort[i])
-		}
-	}
-	return nil
 }

@@ -13,44 +13,61 @@ import (
 // makespan would reach the limit. The timeline is then incomplete.
 var ErrCutoff = errors.New("schedule: makespan cut-off reached")
 
+// Instance holds the per-instance part of an Input: the floors, the
+// carried processor and port state, and the load semantics. Field
+// meanings are those of Input's fields of the same names.
+type Instance struct {
+	ExecFloor    model.Time
+	LoadFloor    model.Time
+	TileFree     []model.Time
+	PortFree     []model.Time
+	LoadEarliest []model.Time
+	OnDemand     bool
+}
+
+func (in *Input) instance() Instance {
+	return Instance{
+		ExecFloor:    in.ExecFloor,
+		LoadFloor:    in.LoadFloor,
+		TileFree:     in.TileFree,
+		PortFree:     in.PortFree,
+		LoadEarliest: in.LoadEarliest,
+		OnDemand:     in.OnDemand,
+	}
+}
+
 // Scratch holds every buffer one evaluation needs, so a caller
 // evaluating many inputs back to back (the simulator's per-iteration
 // loop, the prefetch schedulers' candidate searches) performs no
 // allocations after the first call. The Timeline returned by Compute or
 // Reorder — including all of its slices — is owned by the Scratch and
-// valid only until its next Prepare, Compute or Reorder call; callers
-// that need two live timelines (e.g. a body and an ideal reference) use
-// two Scratches.
+// valid only until its next Bind, Prepare, Compute or Reorder call.
 //
-// Evaluation is split in two. Prepare validates an input and builds
-// everything that does not depend on the port order: the static
-// constraint DAG (graph edges with their communication delay,
-// on-demand edges, load→exec edges and tile chains), per-node floors
-// and durations. Reorder evaluates one port order on that DAG, keeping
-// the port-order edges as per-load prev/next links. Compute is Prepare
-// followed by Reorder of the input's own port order; candidate
-// searches that only permute the loads prepare once per decision.
+// Evaluation is split in three. A Static (NewStatic) holds what a
+// stored schedule fixes: the execution DAG and its validation. Bind
+// adds one instance's load set and floors to it in O(n + loads).
+// Reorder evaluates one port order, a permutation of the load set: the
+// load nodes' constraints come from the Static's processor and graph
+// lists plus the loaded flags, and the port order from per-load
+// prev/next links, so no DAG is rebuilt per instance or per candidate.
+// Prepare and Compute are the one-shot form, building the Scratch's own
+// Static from an Input first.
 //
-// A Scratch must not be shared between goroutines. The zero value is
-// ready to use.
+// A Scratch must not be shared between goroutines; the Static it is
+// bound to may be. The zero value is ready to use.
 type Scratch struct {
-	// The prepared input. DAG nodes are indexed 2·id+kind; total counts
-	// the n exec nodes plus one load node per loaded subtask.
-	prepared        bool
-	n, loads, total int
-	name            string
-	execFloor       model.Time
-	loadFloor       model.Time
+	st        *Static // the bound static part; nil until Bind succeeds
+	own       Static  // Prepare's static part
+	loads     int
+	onDemand  bool
+	execFloor model.Time
+	loadFloor model.Time
 
-	// The static constraint DAG in compressed-row form: the constraints
-	// into node v are cons[consAt[v]:consAt[v+1]] and its successors
-	// out[outAt[v]:outAt[v+1]].
-	cons          []constraint
-	out           []int // in ints
-	consAt, outAt []int // 2n+1 each
+	loaded []bool // per subtask: in the bound load set
+	// Nodes are indexed 2·id+kind. floor is each node's earliest start;
 	// indeg and ready (2n each) are the evaluation's in-degrees and
-	// LIFO ready stack; Prepare uses them as fill cursors and the tail
-	// computation as its out-degrees and stack.
+	// LIFO ready stack.
+	floor        []model.Time
 	indeg, ready []int
 	// portPrev/portNext link each load to its port-order neighbours
 	// (-1 at the ends). stamp[id] == mark marks id as seen by Reorder's
@@ -59,30 +76,18 @@ type Scratch struct {
 	mark                      int
 	ints                      []int // backs every []int above and LoadPort
 
-	seen, inPort []bool // checkInput's flags; inPort is then the load set
-	flags        []bool
-
-	fin, floor          []model.Time // per node: end, earliest start
 	portFree0, portFree []model.Time // per port: before and during Reorder
-	times               []model.Time // backs the above and the timeline
+	times               []model.Time // backs the above, floor and the timeline
 
-	// dur is each node's exec time or load latency. tail[v] is dur[v]
-	// plus the longest chain of static successors, with delays: a lower
-	// bound on End − start(v). It is filled by the first limited
-	// Reorder after Prepare, so unlimited evaluations never pay for it.
-	dur, tail []model.Dur
+	// tail[v] is a lower bound on End − start(v): the node's duration
+	// plus the longest chain of successors under the bound load set,
+	// delays included. It is filled by the first limited Reorder after
+	// Bind, so unlimited evaluations never pay for it.
+	tail      []model.Dur
 	tailReady bool
-	durs      []model.Dur
 
-	tl Timeline
-}
-
-// constraint: start(to) ≥ end(from) + delay. Every static constraint
-// runs from an end; the port order's start-to-start links are kept in
-// portPrev/portNext instead.
-type constraint struct {
-	from  int
-	delay model.Dur
+	tl    Timeline
+	sized bool // grow has sized the buffers at least once
 }
 
 // take returns the next k elements of *buf, capped so an append to one
@@ -93,55 +98,53 @@ func take[T any](buf *[]T, k int) []T {
 	return s
 }
 
-// grow sizes every buffer for n subtasks with edges graph edges on ports
-// controllers, clearing checkInput's flags and the permutation stamps.
-// Buffers of one type share one allocation; the constraint rows get
-// room for every load set and semantics on the same graph, so a
-// decision's ideal reference and candidates share them.
-func (sc *Scratch) grow(n, edges, ports int) {
-	n2 := 2 * n
-	maxCons := 2*edges + 3*n // graph and on-demand edges, load→exec, two tile chains
-	if cap(sc.cons) < maxCons {
-		sc.cons = make([]constraint, maxCons)
+// grow sizes every buffer for n subtasks on ports controllers and
+// clears the load flags. Buffers of one type share one allocation; when
+// the sizes are those of the previous call, the buffers and the
+// permutation stamps are kept as they are.
+func (sc *Scratch) grow(n, ports int) {
+	sc.tailReady = false
+	if sc.sized && n == len(sc.loaded) && ports == len(sc.portFree) {
+		for i := range sc.loaded {
+			sc.loaded[i] = false
+		}
+		return
 	}
-	if need := 2*(n2+1) + 2*n2 + 4*n + maxCons; cap(sc.ints) < need {
+	sc.sized = true
+	n2 := 2 * n
+	if need := 2*n2 + 4*n; cap(sc.ints) < need {
 		sc.ints = make([]int, need)
 	}
 	ints := sc.ints[:cap(sc.ints)]
-	sc.consAt, sc.outAt = take(&ints, n2+1), take(&ints, n2+1)
 	sc.indeg, sc.ready = take(&ints, n2), take(&ints, n2)
 	sc.portPrev, sc.portNext, sc.stamp = take(&ints, n), take(&ints, n), take(&ints, n)
 	loadPort := take(&ints, n)
-	sc.out = ints[:0:maxCons]
 	for i := range sc.stamp {
 		sc.stamp[i] = 0
 	}
 	sc.mark = 0
 
-	if cap(sc.flags) < n2 {
-		sc.flags = make([]bool, n2)
+	if cap(sc.loaded) < n {
+		sc.loaded = make([]bool, n)
 	}
-	flags := sc.flags[:n2]
-	for i := range flags {
-		flags[i] = false
+	sc.loaded = sc.loaded[:n]
+	for i := range sc.loaded {
+		sc.loaded[i] = false
 	}
-	sc.seen, sc.inPort = take(&flags, n), take(&flags, n)
 
-	if need := 8*n + 2*ports; cap(sc.times) < need {
+	if need := 6*n + 2*ports; cap(sc.times) < need {
 		sc.times = make([]model.Time, need)
 	}
 	times := sc.times[:cap(sc.times)]
 	loadStart, loadEnd := take(&times, n), take(&times, n)
 	execStart, execEnd := take(&times, n), take(&times, n)
-	sc.fin, sc.floor = take(&times, n2), take(&times, n2)
+	sc.floor = take(&times, n2)
 	sc.portFree0, sc.portFree = take(&times, ports), take(&times, ports)
 
-	if cap(sc.durs) < 2*n2 {
-		sc.durs = make([]model.Dur, 2*n2)
+	if cap(sc.tail) < n2 {
+		sc.tail = make([]model.Dur, n2)
 	}
-	durs := sc.durs[:cap(sc.durs)]
-	sc.dur, sc.tail = take(&durs, n2), take(&durs, n2)
-	sc.tailReady = false
+	sc.tail = sc.tail[:n2]
 
 	sc.tl = Timeline{
 		LoadStart: loadStart,
@@ -163,68 +166,80 @@ func (sc *Scratch) Compute(in Input) (*Timeline, error) {
 	return sc.Reorder(in.PortOrder, 0)
 }
 
-// Prepare validates in and builds the part of the evaluation that does
-// not depend on the port order. Subsequent Reorder calls evaluate port
-// orders over in's load set (the subtasks with NeedLoad set). Prepare
-// keeps no reference to in's slices, so the caller may reuse them.
+// Prepare validates in, builds the scratch's own Static from it and
+// binds in's load set (the subtasks with NeedLoad set, which PortOrder
+// must list) and floors. Prepare keeps no reference to in's slices, so
+// the caller may reuse them.
 func (sc *Scratch) Prepare(in Input) error {
-	sc.prepared = false
-	if in.G == nil {
-		return errors.New("schedule: nil graph")
-	}
-	if err := in.P.Validate(); err != nil {
+	sc.st = nil
+	if err := sc.own.build(&in); err != nil {
 		return err
 	}
-	n := in.G.Len()
-	sc.grow(n, len(in.G.Edges()), in.P.Ports)
-	if err := checkInput(&in, sc.seen, sc.inPort); err != nil {
+	if n := in.G.Len(); len(in.NeedLoad) != n {
+		return fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
+	}
+	if err := sc.Bind(&sc.own, in.PortOrder, in.instance()); err != nil {
 		return err
 	}
-	sc.n, sc.name = n, in.G.Name
+	for i, need := range in.NeedLoad {
+		if need != sc.loaded[i] {
+			sc.st = nil
+			return fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, need, sc.loaded[i])
+		}
+	}
+	return nil
+}
+
+// Bind readies the scratch to evaluate port orders of loads on st: it
+// validates the load set and in against st and sets every node's
+// floor, in O(n + loads + processors + ports). Reorder then evaluates
+// permutations of loads. Bind keeps a reference to st, which must stay
+// unchanged while the scratch uses it, but none to loads or in's
+// slices.
+func (sc *Scratch) Bind(st *Static, loads []graph.SubtaskID, in Instance) error {
+	sc.st = nil
+	n := st.n
+	if in.TileFree != nil && len(in.TileFree) != st.procs {
+		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(in.TileFree), st.procs)
+	}
+	if in.PortFree != nil && len(in.PortFree) != st.ports {
+		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), st.ports)
+	}
+	if in.LoadEarliest != nil && len(in.LoadEarliest) != n {
+		return fmt.Errorf("schedule: loadEarliest covers %d of %d subtasks", len(in.LoadEarliest), n)
+	}
+	sc.grow(n, st.ports)
+	for _, id := range loads {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("schedule: port order lists unknown subtask %d", id)
+		}
+		if sc.loaded[id] {
+			return fmt.Errorf("schedule: subtask %d loaded twice", id)
+		}
+		if st.onISP[id] {
+			return fmt.Errorf("schedule: ISP subtask %d cannot be loaded", id)
+		}
+		sc.loaded[id] = true
+	}
+	sc.loads, sc.onDemand = len(loads), in.OnDemand
 	sc.execFloor, sc.loadFloor = in.ExecFloor, in.LoadFloor
 
-	// Count every node's constraints and successors, turn the counts
-	// into row offsets, then fill the rows.
-	for v := range sc.consAt {
-		sc.consAt[v], sc.outAt[v] = 0, 0
-	}
-	sc.staticEdges(&in, false)
-	for v := 1; v <= 2*n; v++ {
-		sc.consAt[v] += sc.consAt[v-1]
-		sc.outAt[v] += sc.outAt[v-1]
-	}
-	m := sc.consAt[2*n]
-	sc.cons, sc.out = sc.cons[:m], sc.out[:m]
-	copy(sc.indeg, sc.consAt)
-	copy(sc.ready, sc.outAt)
-	sc.staticEdges(&in, true)
-
-	// Per-node floors and durations; the first subtask on a processor
-	// (and its load) also waits for the processor to drain.
-	sc.loads = 0
+	// Per-node floors; the first subtask on a processor (and its load)
+	// also waits for the processor to drain.
 	for i := 0; i < n; i++ {
-		st := in.G.Subtask(graph.SubtaskID(i))
 		sc.floor[2*i] = in.ExecFloor
-		sc.dur[2*i] = st.Exec
 		lf := in.LoadFloor
 		if in.LoadEarliest != nil && in.LoadEarliest[i] > 0 {
 			lf = model.MaxT(lf, in.LoadEarliest[i])
 		}
 		sc.floor[2*i+1] = lf
-		sc.dur[2*i+1] = 0
-		if sc.inPort[i] {
-			sc.dur[2*i+1] = in.P.LoadLatency(st.Load)
-			sc.loads++
-		}
 	}
-	sc.total = n + sc.loads
-	for t, order := range in.TileOrder {
-		if len(order) > 0 {
+	for r, id := range st.first {
+		if id >= 0 {
 			var free model.Time // nil TileFree: everything free at zero
 			if in.TileFree != nil {
-				free = in.TileFree[t]
+				free = in.TileFree[r]
 			}
-			id := order[0]
 			sc.floor[2*id] = model.MaxT(sc.floor[2*id], free)
 			sc.floor[2*id+1] = model.MaxT(sc.floor[2*id+1], free)
 		}
@@ -235,98 +250,40 @@ func (sc *Scratch) Prepare(in Input) error {
 			sc.portFree0[p] = model.MaxT(sc.portFree0[p], in.PortFree[p])
 		}
 	}
-	sc.prepared = true
+	sc.st = st
 	return nil
 }
 
-// staticEdges enumerates the port-order-independent constraints. With
-// fill false it counts them into consAt[to+1] and outAt[from+1]; with
-// fill true it writes them at the cursors indeg (constraints) and ready
-// (successors). CommDelay is called only while filling.
-func (sc *Scratch) staticEdges(in *Input, fill bool) {
-	loaded := sc.inPort
-	add := func(from, to int, delay model.Dur) {
-		if !fill {
-			sc.consAt[to+1]++
-			sc.outAt[from+1]++
-			return
-		}
-		sc.cons[sc.indeg[to]] = constraint{from, delay}
-		sc.indeg[to]++
-		sc.out[sc.ready[from]] = to
-		sc.ready[from]++
-	}
-	// Precedence edges: exec(p) -> exec(i), plus exec(p) -> load(i)
-	// under on-demand semantics.
-	for _, e := range in.G.Edges() {
-		var comm model.Dur
-		if fill && in.CommDelay != nil {
-			comm = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
-		}
-		add(2*int(e.From), 2*int(e.To), comm)
-		if in.OnDemand && loaded[e.To] {
-			add(2*int(e.From), 2*int(e.To)+1, 0)
-		}
-	}
-	// Load before execution.
-	for i, l := range loaded {
-		if l {
-			add(2*i+1, 2*i, 0)
-		}
-	}
-	// Tile order: executions chain; a load waits for the previous
-	// execution on its tile (reconfiguration destroys tile state).
-	for _, order := range in.TileOrder {
-		for k := 1; k < len(order); k++ {
-			prev, cur := 2*int(order[k-1]), int(order[k])
-			add(prev, 2*cur, 0)
-			if loaded[cur] {
-				add(prev, 2*cur+1, 0)
-			}
-		}
-	}
-}
-
-// computeTails fills tail by a reverse topological walk of the static
-// DAG: a node's tail is final once all its successors' are. A cyclic
-// static DAG (which no port order can evaluate) gets zero tails.
+// computeTails fills tail by walking the executions in reverse
+// topological order: a node's tail is final once all its successors'
+// are, and a load's only static successor is its own execution.
 func (sc *Scratch) computeTails() {
 	sc.tailReady = true
-	n2 := 2 * sc.n
-	outdeg, stack := sc.indeg, sc.ready[:0]
-	for v := 0; v < n2; v++ {
-		sc.tail[v] = 0
-		outdeg[v] = sc.outAt[v+1] - sc.outAt[v]
-		if sc.exists(v) && outdeg[v] == 0 {
-			stack = append(stack, v)
-		}
-	}
-	walked := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		walked++
-		sc.tail[v] += sc.dur[v]
-		for _, c := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
-			sc.tail[c.from] = max(sc.tail[c.from], c.delay+sc.tail[v])
-			outdeg[c.from]--
-			if outdeg[c.from] == 0 {
-				stack = append(stack, c.from)
+	st, loaded, tail := sc.st, sc.loaded, sc.tail
+	for k := st.n - 1; k >= 0; k-- {
+		i := st.topo[k]
+		var t model.Dur
+		for _, a := range st.succs[st.succAt[i]:st.succAt[i+1]] {
+			t = max(t, a.delay+tail[2*a.node])
+			if sc.onDemand && loaded[a.node] {
+				t = max(t, tail[2*a.node+1])
 			}
 		}
-	}
-	if walked != sc.total {
-		for v := range sc.tail {
-			sc.tail[v] = 0
+		if nx := st.next[i]; nx >= 0 {
+			t = max(t, tail[2*nx])
+			if loaded[nx] {
+				t = max(t, tail[2*nx+1])
+			}
+		}
+		tail[2*i] = st.exec[i] + t
+		if loaded[i] {
+			tail[2*i+1] = st.lat[i] + tail[2*i]
 		}
 	}
 }
 
-// exists reports whether node v is in the prepared DAG.
-func (sc *Scratch) exists(v int) bool { return v%2 == kindExec || sc.inPort[v/2] }
-
 // checkOrder verifies in O(len(order)) that order is a permutation of
-// the prepared load set.
+// the bound load set.
 func (sc *Scratch) checkOrder(order []graph.SubtaskID) error {
 	if sc.mark == math.MaxInt {
 		for i := range sc.stamp {
@@ -336,14 +293,14 @@ func (sc *Scratch) checkOrder(order []graph.SubtaskID) error {
 	}
 	sc.mark++
 	for _, id := range order {
-		if id < 0 || int(id) >= sc.n {
+		if id < 0 || int(id) >= sc.st.n {
 			return fmt.Errorf("schedule: port order lists unknown subtask %d", id)
 		}
 		if sc.stamp[id] == sc.mark {
 			return fmt.Errorf("schedule: subtask %d loaded twice", id)
 		}
 		sc.stamp[id] = sc.mark
-		if !sc.inPort[id] {
+		if !sc.loaded[id] {
 			return fmt.Errorf("schedule: subtask %d needLoad=false but portOrder presence=true", id)
 		}
 	}
@@ -353,7 +310,7 @@ func (sc *Scratch) checkOrder(order []graph.SubtaskID) error {
 	return nil
 }
 
-// Reorder evaluates the prepared input under one port order, a
+// Reorder evaluates the bound instance under one port order, a
 // permutation of its load set, and returns the timeline. Anything else
 // is an error, as is a port order that makes the constraints cyclic.
 //
@@ -362,26 +319,26 @@ func (sc *Scratch) checkOrder(order []graph.SubtaskID) error {
 // then at least limit, so a caller keeping only orders below limit
 // loses nothing.
 func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline, error) {
-	if !sc.prepared {
+	st := sc.st
+	if st == nil {
 		return nil, errors.New("schedule: Reorder without a prepared input")
 	}
 	if err := sc.checkOrder(order); err != nil {
 		return nil, err
 	}
+	if st.cyclic {
+		return nil, st.cycleErr()
+	}
 	if limit > 0 && !sc.tailReady {
 		sc.computeTails()
 	}
-	n := sc.n
-	indeg := sc.indeg[:2*n]
-	for v := range indeg {
-		indeg[v] = sc.consAt[v+1] - sc.consAt[v]
-	}
+	n, loaded, onDemand := st.n, sc.loaded, sc.onDemand
+	indeg := sc.indeg
 	prev := -1
 	for _, id := range order {
 		sc.portPrev[id] = prev
 		if prev >= 0 {
 			sc.portNext[prev] = int(id)
-			indeg[2*int(id)+1]++
 		}
 		prev = int(id)
 	}
@@ -391,16 +348,37 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 
 	tl := &sc.tl
 	tl.Start, tl.End, tl.LastLoadEnd = sc.execFloor, 0, sc.loadFloor
+	ready := sc.ready[:0]
 	for i := 0; i < n; i++ {
 		tl.LoadStart[i], tl.LoadEnd[i], tl.LoadPort[i] = NoEvent, NoEvent, -1
+		in := st.execIn[i]
+		if loaded[i] {
+			in++
+			lin := 0
+			if st.prev[i] >= 0 {
+				lin++
+			}
+			if onDemand {
+				lin += st.predAt[i+1] - st.predAt[i]
+			}
+			if sc.portPrev[i] >= 0 {
+				lin++
+			}
+			indeg[2*i+1] = lin
+			if lin == 0 {
+				ready = append(ready, 2*i+1)
+			}
+		}
+		indeg[2*i] = in
+		if in == 0 {
+			ready = append(ready, 2*i)
+		}
 	}
 	portFree := sc.portFree
 	copy(portFree, sc.portFree0)
 	cutAt := sc.execFloor.Add(limit)
-
-	ready := sc.ready[:0]
-	for v := range indeg {
-		if indeg[v] == 0 && sc.exists(v) {
+	release := func(v int) {
+		if indeg[v]--; indeg[v] == 0 {
 			ready = append(ready, v)
 		}
 	}
@@ -410,17 +388,45 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 		ready = ready[:len(ready)-1]
 		done++
 
-		start := sc.floor[v]
-		for _, c := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
-			start = model.MaxT(start, sc.fin[c.from].Add(c.delay))
-		}
 		id := v / 2
+		start := sc.floor[v]
+		if p := st.prev[id]; p >= 0 {
+			// A tile runs its subtasks in order, and reconfiguring it
+			// destroys the previous subtask's state.
+			start = model.MaxT(start, tl.ExecEnd[p])
+		}
+		preds := st.preds[st.predAt[id]:st.predAt[id+1]]
+		var tail model.Dur
 		if v%2 == kindExec {
-			end := start.Add(sc.dur[v])
+			for _, a := range preds {
+				start = model.MaxT(start, tl.ExecEnd[a.node].Add(a.delay))
+			}
+			if loaded[id] {
+				start = model.MaxT(start, tl.LoadEnd[id])
+			}
+			end := start.Add(st.exec[id])
 			tl.ExecStart[id], tl.ExecEnd[id] = start, end
 			tl.End = model.MaxT(tl.End, end)
-			sc.fin[v] = end
+			tail = sc.tail[v]
+			for _, a := range st.succs[st.succAt[id]:st.succAt[id+1]] {
+				release(2 * a.node)
+				if onDemand && loaded[a.node] {
+					release(2*a.node + 1)
+				}
+			}
+			if nx := st.next[id]; nx >= 0 {
+				release(2 * nx)
+				if loaded[nx] {
+					release(2*nx + 1)
+				}
+			}
 		} else {
+			if onDemand {
+				// The load request exists once every predecessor ran.
+				for _, a := range preds {
+					start = model.MaxT(start, tl.ExecEnd[a.node])
+				}
+			}
 			if p := sc.portPrev[id]; p >= 0 {
 				start = model.MaxT(start, tl.LoadStart[p])
 			}
@@ -432,28 +438,22 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 				}
 			}
 			start = model.MaxT(start, portFree[best])
-			end := start.Add(sc.dur[v])
+			end := start.Add(st.lat[id])
 			tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = start, end, best
 			portFree[best] = end
 			tl.LastLoadEnd = model.MaxT(tl.LastLoadEnd, end)
-			sc.fin[v] = end
+			tail = sc.tail[v]
+			release(2 * id)
 			if nx := sc.portNext[id]; nx >= 0 {
-				if indeg[2*nx+1]--; indeg[2*nx+1] == 0 {
-					ready = append(ready, 2*nx+1)
-				}
+				release(2*nx + 1)
 			}
 		}
-		if limit > 0 && start.Add(sc.tail[v]) >= cutAt {
+		if limit > 0 && start.Add(tail) >= cutAt {
 			return nil, ErrCutoff
 		}
-		for _, s := range sc.out[sc.outAt[v]:sc.outAt[v+1]] {
-			if indeg[s]--; indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
 	}
-	if done != sc.total {
-		return nil, fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", sc.name)
+	if done != n+sc.loads {
+		return nil, st.cycleErr()
 	}
 	tl.End = model.MaxT(tl.End, sc.execFloor)
 	tl.PortFreeAfter = portFree

@@ -1,0 +1,295 @@
+package schedule
+
+import (
+	"errors"
+	"fmt"
+
+	"drhwsched/internal/graph"
+	"drhwsched/internal/model"
+)
+
+// Static is the part of the constraint system that a stored schedule
+// fixes on a platform: the execution DAG (graph edges with their
+// communication delay, and the per-processor execution chains), every
+// subtask's execution time and load latency, and the longest paths
+// through that DAG. A task instance only adds its load set and floors,
+// which Scratch.Bind sets in O(n + loads), so the DAG is built and
+// validated once per stored schedule — the host-side counterpart of the
+// paper's design-time/run-time split.
+//
+// A Static is read-only after NewStatic returns: any number of
+// goroutines may bind scratches to it at once.
+type Static struct {
+	name         string
+	n            int
+	procs, ports int
+
+	onISP     []bool
+	exec, lat []model.Dur // per subtask: execution time, load latency
+	// prev and next are each subtask's neighbours in its processor's
+	// execution order (-1 at the ends); first[r] is the first subtask
+	// on processor r (-1 when r executes nothing).
+	prev, next, first []int
+
+	// Graph edges in compressed-row form: the edges into subtask i are
+	// preds[predAt[i]:predAt[i+1]], those out of it
+	// succs[succAt[i]:succAt[i+1]], each with its communication delay.
+	preds, succs   []arc
+	predAt, succAt []int
+	// execIn is each execution's static in-degree: its graph edges plus
+	// its processor predecessor.
+	execIn []int
+
+	// topo is a topological order of the executions; cyclic reports
+	// that none exists (the graph and the processor orders contradict
+	// each other), which every evaluation then reports. work is
+	// build's fill cursor and in-degree count.
+	topo, work []int
+	cyclic     bool
+	// tail[i] is the longest path from subtask i's execution start to
+	// the end of the last execution, with no loads: exec[i] plus the
+	// longest chain of successors, delays included. span is the
+	// largest tail, the makespan with no loads and no tile floors. Both
+	// are set only when the DAG is acyclic.
+	tail []model.Dur
+	span model.Dur
+}
+
+// arc is one graph edge seen from one end: the subtask at the other end
+// and the edge's communication delay.
+type arc struct {
+	node  int
+	delay model.Dur
+}
+
+// NewStatic validates the static fields of in — G, P, Assignment,
+// TileOrder and CommDelay — and builds their constraint DAG. Every
+// other field is ignored: it belongs to an instance and is given to
+// Scratch.Bind. NewStatic keeps no reference to in's slices.
+func NewStatic(in Input) (*Static, error) {
+	st := new(Static)
+	if err := st.build(&in); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// grow sizes the buffers for n subtasks, procs processors and edges
+// graph edges. Buffers of one type share one allocation, so a Static
+// rebuilt for inputs of similar size (Scratch.Prepare's own) stops
+// allocating.
+func (st *Static) grow(n, procs, edges int) {
+	if cap(st.onISP) < n {
+		st.onISP = make([]bool, n)
+	}
+	st.onISP = st.onISP[:n]
+	if need := 3 * n; cap(st.exec) < need {
+		st.exec = make([]model.Dur, need)
+	}
+	durs := st.exec[:cap(st.exec)]
+	st.exec, st.lat, st.tail = take(&durs, n), take(&durs, n), take(&durs, n)
+	if cap(st.preds) < 2*edges {
+		st.preds = make([]arc, 2*edges)
+	}
+	arcs := st.preds[:cap(st.preds)]
+	st.preds, st.succs = take(&arcs, edges), take(&arcs, edges)
+	if need := 5*n + procs + 2*(n+1); cap(st.prev) < need {
+		st.prev = make([]int, need)
+	}
+	ints := st.prev[:cap(st.prev)]
+	st.prev, st.next, st.execIn = take(&ints, n), take(&ints, n), take(&ints, n)
+	st.topo, st.work = take(&ints, n), take(&ints, n)
+	st.first = take(&ints, procs)
+	st.predAt, st.succAt = take(&ints, n+1), take(&ints, n+1)
+}
+
+// build validates in's static fields and fills st from them.
+func (st *Static) build(in *Input) error {
+	if in.G == nil {
+		return errors.New("schedule: nil graph")
+	}
+	if err := in.P.Validate(); err != nil {
+		return err
+	}
+	n, procs := in.G.Len(), in.P.Processors()
+	if len(in.Assignment) != n {
+		return fmt.Errorf("schedule: assignment covers %d of %d subtasks", len(in.Assignment), n)
+	}
+	if len(in.TileOrder) > procs {
+		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), procs)
+	}
+	edges := in.G.Edges()
+	st.grow(n, procs, len(edges))
+	st.name, st.n, st.procs, st.ports = in.G.Name, n, procs, in.P.Ports
+
+	// Processor orders: each subtask exactly once, on its processor.
+	for i := range st.prev {
+		st.prev[i], st.next[i] = -2, -1 // -2: not seen yet
+	}
+	for r := range st.first {
+		st.first[r] = -1
+	}
+	for r, order := range in.TileOrder {
+		last := -1
+		for _, id := range order {
+			if id < 0 || int(id) >= n {
+				return fmt.Errorf("schedule: tile %d lists unknown subtask %d", r, id)
+			}
+			if st.prev[id] != -2 {
+				return fmt.Errorf("schedule: subtask %d appears on two tiles", id)
+			}
+			if in.Assignment[id] != r {
+				return fmt.Errorf("schedule: subtask %d ordered on tile %d but assigned to %d", id, r, in.Assignment[id])
+			}
+			st.prev[id] = last
+			if last >= 0 {
+				st.next[last] = int(id)
+			} else {
+				st.first[r] = int(id)
+			}
+			last = int(id)
+		}
+	}
+	for i, p := range st.prev {
+		if p == -2 {
+			return fmt.Errorf("schedule: subtask %d missing from tile orders", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		a := in.Assignment[i]
+		if a < 0 || a >= procs {
+			return fmt.Errorf("schedule: subtask %d assigned to processor %d of %d", i, a, procs)
+		}
+		s := in.G.Subtask(graph.SubtaskID(i))
+		if s.OnISP && !in.P.IsISP(a) {
+			return fmt.Errorf("schedule: ISP subtask %d assigned to tile %d", i, a)
+		}
+		if !s.OnISP && in.P.IsISP(a) {
+			return fmt.Errorf("schedule: hardware subtask %d assigned to ISP %d", i, a)
+		}
+		st.onISP[i] = s.OnISP
+		st.exec[i] = s.Exec
+		st.lat[i] = 0
+		if !s.OnISP {
+			st.lat[i] = in.P.LoadLatency(s.Load)
+		}
+	}
+
+	// Graph edges by target and by source: count, offsets, fill.
+	for i := range st.predAt {
+		st.predAt[i], st.succAt[i] = 0, 0
+	}
+	for _, e := range edges {
+		st.predAt[e.To+1]++
+		st.succAt[e.From+1]++
+	}
+	for i := 1; i <= n; i++ {
+		st.predAt[i] += st.predAt[i-1]
+		st.succAt[i] += st.succAt[i-1]
+	}
+	predCur, succCur := st.work, st.execIn // fill cursors
+	copy(predCur, st.predAt)
+	copy(succCur, st.succAt)
+	for _, e := range edges {
+		var d model.Dur
+		if in.CommDelay != nil {
+			d = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
+		}
+		from, to := int(e.From), int(e.To)
+		st.preds[predCur[to]] = arc{from, d}
+		predCur[to]++
+		st.succs[succCur[from]] = arc{to, d}
+		succCur[from]++
+	}
+	for i := 0; i < n; i++ {
+		st.execIn[i] = st.predAt[i+1] - st.predAt[i]
+		if st.prev[i] >= 0 {
+			st.execIn[i]++
+		}
+	}
+	st.order()
+	return nil
+}
+
+// order fills topo by Kahn's algorithm over the execution DAG, then the
+// no-load tails and span by walking it backwards.
+func (st *Static) order() {
+	indeg := st.work
+	copy(indeg, st.execIn)
+	topo := st.topo[:0]
+	for i, d := range indeg {
+		if d == 0 {
+			topo = append(topo, i)
+		}
+	}
+	release := func(s int) {
+		if indeg[s]--; indeg[s] == 0 {
+			topo = append(topo, s)
+		}
+	}
+	for k := 0; k < len(topo); k++ {
+		i := topo[k]
+		for _, a := range st.succs[st.succAt[i]:st.succAt[i+1]] {
+			release(a.node)
+		}
+		if nx := st.next[i]; nx >= 0 {
+			release(nx)
+		}
+	}
+	st.cyclic = len(topo) != st.n
+	if st.cyclic {
+		return // every evaluation reports the cycle; no tail is read
+	}
+	st.span = 0
+	for k := st.n - 1; k >= 0; k-- {
+		i := topo[k]
+		var t model.Dur
+		for _, a := range st.succs[st.succAt[i]:st.succAt[i+1]] {
+			t = max(t, a.delay+st.tail[a.node])
+		}
+		if nx := st.next[i]; nx >= 0 {
+			t = max(t, st.tail[nx])
+		}
+		st.tail[i] = st.exec[i] + t
+		st.span = max(st.span, st.tail[i])
+	}
+}
+
+// Ideal is the makespan (End − execFloor) of the schedule with no
+// loads: the zero-overhead reference of an instance starting at
+// execFloor on processors that drain at tileFree (nil: all at zero).
+// It is exactly what evaluating the empty load set would give, in
+// O(processors):
+//
+//	Ideal = max(span, max_r(tileFree[r] − execFloor + tail(first_r)))
+//
+// Without loads, End is the max-plus evaluation max_v(floor(v) +
+// tail(v)) over the executions. Every floor is execFloor except the
+// first execution on each processor, whose floor also includes
+// tileFree; integer max-plus evaluation is shift-invariant, so the
+// uniform floor contributes execFloor + span and each processor's
+// first execution its own term. As in the evaluation, End is never
+// below zero.
+func (st *Static) Ideal(execFloor model.Time, tileFree []model.Time) (model.Dur, error) {
+	if tileFree != nil && len(tileFree) != st.procs {
+		return 0, fmt.Errorf("schedule: tileFree covers %d of %d processors", len(tileFree), st.procs)
+	}
+	if st.cyclic {
+		return 0, st.cycleErr()
+	}
+	span := st.span
+	for r, id := range st.first {
+		if id >= 0 {
+			var free model.Time // nil tileFree: everything free at zero
+			if tileFree != nil {
+				free = tileFree[r]
+			}
+			span = max(span, free.Sub(execFloor)+st.tail[id])
+		}
+	}
+	return model.MaxT(0, execFloor.Add(span)).Sub(execFloor), nil
+}
+
+func (st *Static) cycleErr() error {
+	return fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", st.name)
+}

@@ -748,7 +748,7 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 		// The hybrid core engine models a single reconfiguration
 		// controller (the paper's platform), so it consumes and
 		// advances port 0 only.
-		r, err := pr.analysis.ExecuteScratch(core.RunBounds{
+		r, err := pr.analysis.ExecuteScratch(pr.static, core.RunBounds{
 			TaskStart: b.taskStart,
 			PortFree:  model.MaxT(f.PortFree()[0], b.loadFloor),
 			TileFree:  b.tileFree,
@@ -807,11 +807,11 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 		var err error
 		switch k.opt.Approach {
 		case NoPrefetch:
-			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, k.p, loads, pb, &sc.pfSc)
+			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, pr.static, loads, pb, &sc.pfSc)
 		case DesignTimePrefetch:
-			r, err = prefetch.EvaluateScratch(s, k.p, pr.dtOrder, pb, false, &sc.pfSc)
+			r, err = prefetch.EvaluateScratch(pr.static, pr.dtOrder, pb, false, &sc.pfSc)
 		default:
-			r, err = (prefetch.List{}).ScheduleScratch(s, k.p, loads, pb, &sc.pfSc)
+			r, err = (prefetch.List{}).ScheduleScratch(s, pr.static, loads, pb, &sc.pfSc)
 		}
 		if err != nil {
 			return nil, err

@@ -52,6 +52,7 @@ import (
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
 	"drhwsched/internal/reconfig"
+	"drhwsched/internal/schedule"
 	"drhwsched/internal/tcm"
 )
 
@@ -329,7 +330,10 @@ type Result struct {
 // prepared caches the design-time artifacts of one concrete schedule
 // (one Pareto point of one task scenario).
 type prepared struct {
-	sched    *assign.Schedule
+	sched *assign.Schedule
+	// static is the schedule's constraint DAG on the platform, built
+	// once here and shared read-only by every instance and shard.
+	static   *schedule.Static
 	analysis *core.Analysis    // reuse-aware approaches
 	dtOrder  []graph.SubtaskID // DesignTimePrefetch port order
 	hw       int               // hardware (loadable) subtask count
@@ -352,7 +356,11 @@ type scenPrep struct {
 // analyze serves the design-time analyses (core.Analyze or a memoizing
 // wrapper).
 func makePrepared(s *assign.Schedule, p platform.Platform, approach Approach, analyze AnalyzeFunc) (*prepared, error) {
-	pr := &prepared{sched: s}
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, fmt.Errorf("sim: preparing %q: %w", s.G.Name, err)
+	}
+	pr := &prepared{sched: s, static: st}
 	for _, st := range s.G.Subtasks() {
 		if !st.OnISP {
 			pr.hw++
