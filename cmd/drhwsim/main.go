@@ -23,7 +23,9 @@
 // draw (default), a bursty Markov-modulated on-off process, or
 // trace-driven replay. -trace names a JSON file holding the arrival log
 // (an array of iterations, each an array of task indices, e.g.
-// [[0,2],[1],[]]) and implies -arrivals trace.
+// [[0,2],[1],[]]) and implies -arrivals trace. Both flags resolve
+// through workload.ArrivalsDoc, the parser of the JSON "arrivals"
+// block, so the CLI and the wire accept the same processes.
 //
 // -multitask selects the fabric admission mode: serial whole-fabric
 // ownership (the paper's model, the default), fixed tile partitions
@@ -143,6 +145,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	ad := workload.ArrivalsDoc{Process: *arrivals}
 	if *traceFile != "" {
 		// -trace implies -arrivals trace, but an explicit conflicting
 		// -arrivals means one of the two flags would be silently
@@ -157,32 +160,20 @@ func main() {
 			fmt.Fprintf(os.Stderr, "drhwsim: -trace conflicts with -arrivals %s\n", *arrivals)
 			os.Exit(2)
 		}
-		*arrivals = "trace"
-	}
-	var arr sim.Arrivals
-	switch *arrivals {
-	case "bernoulli":
-		// nil keeps the paper's default process.
-	case "onoff":
-		arr = sim.DefaultOnOff
-	case "trace":
-		if *traceFile == "" {
-			fmt.Fprintln(os.Stderr, "drhwsim: -arrivals trace needs -trace file.json")
-			os.Exit(2)
-		}
+		ad.Process = "trace"
 		data, err := os.ReadFile(*traceFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "drhwsim: %v\n", err)
 			os.Exit(1)
 		}
-		var entries [][]int
-		if err := json.Unmarshal(data, &entries); err != nil {
+		if err := json.Unmarshal(data, &ad.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "drhwsim: parsing %s: %v\n", *traceFile, err)
 			os.Exit(1)
 		}
-		arr = sim.Trace{Iterations: entries}
-	default:
-		fmt.Fprintf(os.Stderr, "drhwsim: unknown arrival process %q (%s)\n", *arrivals, workload.Usage(workload.ArrivalProcesses()))
+	}
+	arr, err := ad.Resolve(0)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drhwsim: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -8,8 +8,9 @@
 //	         [-tiles N] [-mode ondemand|list|optimal|hybrid] [-events]
 //	         [-format ascii|chrome]
 //
-// The hybrid mode shows the cold-start execution: initialization loads
-// first, then the stored design-time schedule.
+// The hybrid mode shows the cold-start execution on one timeline: the
+// initialization loads of the critical subtasks lead the port row, and
+// the stored design-time schedule's loads and executions follow.
 //
 // -format chrome replaces the ASCII chart with Chrome trace-event JSON
 // on stdout — pipe it to a file and load it in Perfetto or

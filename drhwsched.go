@@ -19,8 +19,11 @@
 //   - the paper's contribution: Analyze, which computes the minimal
 //     Critical Subtask set and the stored design-time schedule, and
 //     Analysis.Execute, the O(N) run-time phase with load
-//     cancellation and the inter-task optimization;
-//   - the reuse/replacement state (NewTileState, MapTiles, Resident);
+//     cancellation and the inter-task optimization, which takes the
+//     residency vector and returns one timeline per instance,
+//     initialization loads included;
+//   - the reuse/replacement state (NewTileState, MapTiles, Resident,
+//     whose per-subtask residency vector Execute and Plan take);
 //   - the fabric layer (NewFabric): the shared platform run-time state
 //     behind pluggable admission policies, enabling online hardware
 //     multitasking — several task instances resident on disjoint tile
@@ -240,8 +243,10 @@ func MapTiles(s *Schedule, st *TileState, opt MapTileOptions) (TileMapping, erro
 	return reconfig.Map(s, st, opt)
 }
 
-// Resident reports which subtasks need no load under a mapping.
-func Resident(s *Schedule, st *TileState, m TileMapping) map[SubtaskID]bool {
+// Resident reports which subtasks need no load under a mapping, as a
+// vector indexed by subtask ID — the residency argument of
+// Analysis.Execute and Analysis.Plan, where nil means nothing resident.
+func Resident(s *Schedule, st *TileState, m TileMapping) []bool {
 	return reconfig.Resident(s, st, m)
 }
 

@@ -84,10 +84,14 @@ func main() {
 	for v := 0; v < sb.Tiles; v++ {
 		tileFree[v] = physFree[mapping.PhysOf[v]]
 	}
+	reusable := 0
+	for _, r := range resident {
+		if r {
+			reusable++
+		}
+	}
 	fmt.Printf("task B placement: virtual->physical %v, %d reusable subtasks\n",
-		mapping.PhysOf, len(resident))
-
-	isResident := func(id drhw.SubtaskID) bool { return resident[id] }
+		mapping.PhysOf, reusable)
 
 	// Without the inter-task optimization the initialization waits for
 	// the task start...
@@ -95,7 +99,7 @@ func main() {
 		TaskStart: runA.Timeline.End,
 		PortFree:  runA.Timeline.End, // port considered only at task start
 		TileFree:  tileFree,
-	}, isResident)
+	}, resident)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +109,7 @@ func main() {
 		TaskStart: runA.Timeline.End,
 		PortFree:  runA.PortFreeAfter,
 		TileFree:  tileFree,
-	}, isResident)
+	}, resident)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,18 +117,19 @@ func main() {
 	fmt.Printf("task B with inter-task:    overhead %v (init %d load(s) from %v)\n\n",
 		withInter.Overhead, len(withInter.Plan.InitLoads), firstInit(withInter))
 
-	// Render task B's body with the inter-task window applied.
+	// Render task B with the inter-task window applied: its
+	// initialization load, then the stored body.
 	in := sb.EngineInput(p, withInter.Plan.BodyLoads)
 	in.ExecFloor = withInter.BodyStart
 	in.LoadFloor = withInter.InitEnd
 	in.TileFree = tileFree
-	fmt.Println("task B body (inter-task case):")
+	fmt.Println("task B (inter-task case):")
 	fmt.Print(gantt.Gantt(in, withInter.Timeline, gantt.Options{Width: 64}))
 }
 
 func firstInit(r *drhw.RunResult) drhw.Time {
-	if len(r.InitWindows) == 0 {
+	if len(r.Plan.InitLoads) == 0 {
 		return r.InitEnd
 	}
-	return r.InitWindows[0].Start
+	return r.Timeline.LoadStart[r.Plan.InitLoads[0]]
 }

@@ -65,7 +65,9 @@ func main() {
 	// Warm start: the critical subtask is still on its tile from a
 	// previous run — the run-time phase cancels its load and the task
 	// runs with zero reconfiguration overhead.
-	warm, err := a.Execute(drhw.RunBounds{}, func(id drhw.SubtaskID) bool { return id == a.CS[0] })
+	resident := make([]bool, g.Len())
+	resident[a.CS[0]] = true
+	warm, err := a.Execute(drhw.RunBounds{}, resident)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -191,19 +191,6 @@ func List(g *graph.Graph, p platform.Platform, opt Options) (*Schedule, error) {
 	return s, nil
 }
 
-// LoadsNeeded returns the NeedLoad vector for a fresh run in which the
-// given set of subtasks (by ID) is resident and everything else must be
-// loaded. ISP subtasks never need loads. A nil resident set means
-// "load every hardware subtask".
-func (s *Schedule) LoadsNeeded(resident map[graph.SubtaskID]bool) []bool {
-	need := make([]bool, s.G.Len())
-	for i := range need {
-		id := graph.SubtaskID(i)
-		need[i] = !s.G.Subtask(id).OnISP && !resident[id]
-	}
-	return need
-}
-
 // EngineInput assembles a schedule.Input that executes this initial
 // schedule on a k-tile platform, loading exactly the subtasks listed in
 // portOrder. The platform is narrowed to the schedule's tile budget so

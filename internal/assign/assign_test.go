@@ -156,15 +156,6 @@ func TestAllLoadsSortedByIdealStart(t *testing.T) {
 	}
 }
 
-func TestLoadsNeeded(t *testing.T) {
-	g := chain(3, model.MS(1))
-	s, _ := List(g, platform.Default(2), Options{})
-	need := s.LoadsNeeded(map[graph.SubtaskID]bool{1: true})
-	if !need[0] || need[1] || !need[2] {
-		t.Fatalf("need = %v", need)
-	}
-}
-
 func TestListRejectsCyclicGraph(t *testing.T) {
 	g := graph.New("cyc")
 	a := g.AddSubtask("a", 1)

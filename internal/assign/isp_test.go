@@ -70,10 +70,9 @@ func TestISPSubtasksNeverLoad(t *testing.T) {
 	if len(loads) != 2 {
 		t.Fatalf("loads = %v, want only the two kernels", loads)
 	}
-	need := s.LoadsNeeded(nil)
-	for i, n := range need {
-		if g.Subtask(graph.SubtaskID(i)).OnISP && n {
-			t.Fatalf("ISP subtask %d marked for loading", i)
+	for _, id := range loads {
+		if g.Subtask(id).OnISP {
+			t.Fatalf("ISP subtask %d marked for loading", id)
 		}
 	}
 }

@@ -49,7 +49,7 @@ func multimedia(tb testing.TB) []stored {
 // arrival is one instance's boundary conditions and residency.
 type arrival struct {
 	rb       core.RunBounds
-	resident func(graph.SubtaskID) bool
+	resident []bool
 }
 
 // arrivals draws k instances of a: task starts, circuitry idle up to
@@ -68,15 +68,11 @@ func arrivals(rng *rand.Rand, a *core.Analysis, k int) []arrival {
 				rb.TileFree[r] = model.MaxT(0, start.Add(ms(rng.Intn(12)-6)))
 			}
 		}
-		switch rng.Intn(3) {
-		case 1:
-			set := make([]bool, a.Sched.G.Len())
-			for j := range set {
-				set[j] = rng.Intn(2) == 0
+		if kind := rng.Intn(3); kind > 0 {
+			out[i].resident = make([]bool, a.Sched.G.Len())
+			for j := range out[i].resident {
+				out[i].resident[j] = kind == 2 || rng.Intn(2) == 0
 			}
-			out[i].resident = func(id graph.SubtaskID) bool { return set[id] }
-		case 2:
-			out[i].resident = func(graph.SubtaskID) bool { return true }
 		}
 		out[i].rb = rb
 	}
@@ -85,8 +81,9 @@ func arrivals(rng *rand.Rand, a *core.Analysis, k int) []arrival {
 
 // referenceExecute is the run-time phase as it was before the static
 // part: the body and the ideal reference are each a full
-// schedule.Compute of a freshly built input.
-func referenceExecute(a *core.Analysis, rb core.RunBounds, resident func(graph.SubtaskID) bool) (*core.RunResult, error) {
+// schedule.Compute of a freshly built input, and the initialization
+// windows are written into the body timeline on port 0.
+func referenceExecute(a *core.Analysis, rb core.RunBounds, resident []bool) (*core.RunResult, error) {
 	r := &core.RunResult{Plan: a.Plan(resident)}
 	cur := rb.PortFree
 	tileFree := make([]model.Time, len(a.Sched.TileOrder))
@@ -94,11 +91,12 @@ func referenceExecute(a *core.Analysis, rb core.RunBounds, resident func(graph.S
 		copy(tileFree, rb.TileFree)
 	}
 	r.InitEnd = cur
+	var initStart, initEnd []model.Time
 	for _, id := range r.Plan.InitLoads {
 		t := a.Sched.Assignment[id]
 		start := model.MaxT(cur, tileFree[t])
 		end := start.Add(a.P.LoadLatency(a.Sched.G.Subtask(id).Load))
-		r.InitWindows = append(r.InitWindows, core.LoadWindow{Subtask: id, Start: start, End: end})
+		initStart, initEnd = append(initStart, start), append(initEnd, end)
 		tileFree[t] = end
 		cur = end
 		r.InitEnd = end
@@ -111,6 +109,9 @@ func referenceExecute(a *core.Analysis, rb core.RunBounds, resident func(graph.S
 	tl, err := schedule.Compute(in)
 	if err != nil {
 		return nil, err
+	}
+	for i, id := range r.Plan.InitLoads {
+		tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = initStart[i], initEnd[i], 0
 	}
 	r.Timeline = tl
 	ideal := a.Sched.EngineInput(a.P, nil)
@@ -164,14 +165,6 @@ func TestExecuteScratchMatchesReference(t *testing.T) {
 			if !sameIDs(got.Plan.InitLoads, want.Plan.InitLoads) || !sameIDs(got.Plan.BodyLoads, want.Plan.BodyLoads) ||
 				!sameIDs(got.Plan.Cancelled, want.Plan.Cancelled) || !sameIDs(got.Plan.ReusedCritical, want.Plan.ReusedCritical) {
 				t.Fatalf("%s arrival %d: plan %+v, reference %+v", name, k, got.Plan, want.Plan)
-			}
-			if len(got.InitWindows) != len(want.InitWindows) {
-				t.Fatalf("%s arrival %d: %d init windows, reference %d", name, k, len(got.InitWindows), len(want.InitWindows))
-			}
-			for i := range want.InitWindows {
-				if got.InitWindows[i] != want.InitWindows[i] {
-					t.Fatalf("%s arrival %d: init window %d differs", name, k, i)
-				}
 			}
 			g, w := got.Timeline, want.Timeline
 			if g.Start != w.Start || g.End != w.End || g.LastLoadEnd != w.LastLoadEnd || len(g.PortFreeAfter) != len(w.PortFreeAfter) {

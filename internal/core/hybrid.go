@@ -245,8 +245,9 @@ type InstancePlan struct {
 }
 
 // Plan applies the reuse information to the stored orders. resident
-// reports whether a subtask's configuration is already on its tile.
-func (a *Analysis) Plan(resident func(graph.SubtaskID) bool) InstancePlan {
+// is indexed by subtask ID and reports whether the subtask's
+// configuration is already on its tile; nil means nothing is resident.
+func (a *Analysis) Plan(resident []bool) InstancePlan {
 	var p InstancePlan
 	a.planInto(&p, resident)
 	return p
@@ -268,25 +269,20 @@ type RunBounds struct {
 	TileFree []model.Time
 }
 
-// LoadWindow records one initialization-phase reconfiguration.
-type LoadWindow struct {
-	Subtask    graph.SubtaskID
-	Start, End model.Time
-}
-
 // RunResult is the evaluated execution of one task arrival under the
 // hybrid heuristic.
 type RunResult struct {
 	Plan InstancePlan
-	// InitWindows are the initialization-phase loads; InitEnd is when
-	// the last one finishes (PortFree if there were none).
-	InitWindows []LoadWindow
-	InitEnd     model.Time
+	// InitEnd is when the last initialization-phase load finishes
+	// (PortFree if there were none).
+	InitEnd model.Time
 	// BodyStart is when the design-time schedule begins: the later of
 	// TaskStart and InitEnd.
 	BodyStart model.Time
-	// Timeline covers the task body (executions plus surviving
-	// non-critical loads).
+	// Timeline is the whole instance: every execution, the surviving
+	// non-critical loads, and the initialization loads of
+	// Plan.InitLoads, which it records on port 0 (the one controller
+	// the hybrid engine models).
 	Timeline *schedule.Timeline
 	// Makespan counts from TaskStart to the last execution; Ideal is
 	// the zero-overhead reference from TaskStart; Overhead their
@@ -302,9 +298,9 @@ type RunResult struct {
 
 // Execute evaluates one arrival: it runs the initialization phase on the
 // reconfiguration circuitry, then replays the design-time schedule with
-// the cancelled loads removed. resident reports configuration residency
-// per subtask (from the reuse module).
-func (a *Analysis) Execute(rb RunBounds, resident func(graph.SubtaskID) bool) (*RunResult, error) {
+// the cancelled loads removed. resident is the reuse module's residency
+// vector, indexed by subtask ID (nil: nothing resident).
+func (a *Analysis) Execute(rb RunBounds, resident []bool) (*RunResult, error) {
 	// A fresh static part and scratch per call keep the returned result
 	// unaliased; hot loops reuse both via ExecuteScratch.
 	st, err := a.Sched.Static(a.P)

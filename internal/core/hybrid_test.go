@@ -71,6 +71,15 @@ func TestBodyScheduleHasZeroOverheadByConstruction(t *testing.T) {
 	}
 }
 
+// residentSet is the residency vector of s with exactly ids resident.
+func residentSet(s *assign.Schedule, ids ...graph.SubtaskID) []bool {
+	resident := make([]bool, s.G.Len())
+	for _, id := range ids {
+		resident[id] = true
+	}
+	return resident
+}
+
 func TestExecuteColdStartPaysOnlyInit(t *testing.T) {
 	s, p := fig3(t)
 	a := analyze(t, s, p)
@@ -92,7 +101,7 @@ func TestExecuteColdStartPaysOnlyInit(t *testing.T) {
 func TestExecuteWithCriticalResidentIsFree(t *testing.T) {
 	s, p := fig3(t)
 	a := analyze(t, s, p)
-	r, err := a.Execute(RunBounds{}, func(id graph.SubtaskID) bool { return id == 0 })
+	r, err := a.Execute(RunBounds{}, residentSet(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +135,8 @@ func TestInterTaskWindowHidesInitialization(t *testing.T) {
 	if r.Overhead != 0 {
 		t.Fatalf("overhead = %v, want 0 (init hidden in inter-task window)", r.Overhead)
 	}
-	if r.InitWindows[0].Start != model.Time(30*model.Millisecond) {
-		t.Fatalf("init starts %v, want 30ms (tile drain)", r.InitWindows[0].Start)
+	if start := r.Timeline.LoadStart[r.Plan.InitLoads[0]]; start != model.Time(30*model.Millisecond) {
+		t.Fatalf("init starts %v, want 30ms (tile drain)", start)
 	}
 }
 
@@ -141,7 +150,7 @@ func TestCancellationRemovesLoadWithoutTimingChange(t *testing.T) {
 	// Subtask 2 resident (a non-critical reuse, the paper's "L3
 	// removed" in Fig. 5): the load is cancelled, the makespan is not
 	// hurt.
-	r, err := a.Execute(RunBounds{}, func(id graph.SubtaskID) bool { return id == 2 })
+	r, err := a.Execute(RunBounds{}, residentSet(s, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +192,7 @@ func TestShortExecutionsGrowTheCriticalSet(t *testing.T) {
 func TestPlanSplitsResidencyCorrectly(t *testing.T) {
 	s, p := fig3(t)
 	a := analyze(t, s, p)
-	plan := a.Plan(func(id graph.SubtaskID) bool { return id == 0 || id == 3 })
+	plan := a.Plan(residentSet(s, 0, 3))
 	if len(plan.InitLoads) != 0 {
 		t.Fatalf("init loads = %v", plan.InitLoads)
 	}

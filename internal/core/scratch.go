@@ -3,39 +3,44 @@ package core
 import (
 	"fmt"
 
-	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/schedule"
 )
 
 // ExecScratch holds the buffers one hybrid run-time evaluation needs,
 // so the simulator replays stored schedules without allocating. The
-// RunResult returned by ExecuteScratch — its plan slices, init windows
-// and Timeline included — is owned by the scratch and valid until the
-// next ExecuteScratch call on it. The zero value is ready to use; an
+// RunResult returned by ExecuteScratch — its plan slices and Timeline
+// included — is owned by the scratch and valid until the next
+// ExecuteScratch call on it. The zero value is ready to use; an
 // ExecScratch must not be shared between goroutines.
 type ExecScratch struct {
 	body     schedule.Scratch
 	tileFree []model.Time
-	res      RunResult
+	// init holds the initialization loads' windows, parallel to
+	// Plan.InitLoads, until the body timeline records them.
+	init []window
+	res  RunResult
 }
+
+// window is one load's [start, end) on the reconfiguration port.
+type window struct{ start, end model.Time }
 
 // planInto is Plan writing into a caller-owned InstancePlan whose
 // slices are reset and reused.
-func (a *Analysis) planInto(p *InstancePlan, resident func(graph.SubtaskID) bool) {
+func (a *Analysis) planInto(p *InstancePlan, resident []bool) {
 	p.InitLoads = p.InitLoads[:0]
 	p.BodyLoads = p.BodyLoads[:0]
 	p.Cancelled = p.Cancelled[:0]
 	p.ReusedCritical = p.ReusedCritical[:0]
 	for _, id := range a.CS {
-		if resident != nil && resident(id) {
+		if resident != nil && resident[id] {
 			p.ReusedCritical = append(p.ReusedCritical, id)
 		} else {
 			p.InitLoads = append(p.InitLoads, id)
 		}
 	}
 	for _, id := range a.BodyOrder {
-		if resident != nil && resident(id) {
+		if resident != nil && resident[id] {
 			p.Cancelled = append(p.Cancelled, id)
 		} else {
 			p.BodyLoads = append(p.BodyLoads, id)
@@ -47,10 +52,10 @@ func (a *Analysis) planInto(p *InstancePlan, resident func(graph.SubtaskID) bool
 // schedule's static constraint part (a.Sched.Static(a.P)), which the
 // caller builds once and may share between goroutines. The returned
 // RunResult and everything it references are owned by sc.
-func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident func(graph.SubtaskID) bool, sc *ExecScratch) (*RunResult, error) {
+func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident []bool, sc *ExecScratch) (*RunResult, error) {
 	r := &sc.res
 	a.planInto(&r.Plan, resident)
-	r.InitWindows = r.InitWindows[:0]
+	sc.init = sc.init[:0]
 
 	// Initialization phase: serialized loads in stored order. Each
 	// waits for the circuitry and for its target tile to drain.
@@ -72,7 +77,7 @@ func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident fu
 		start := model.MaxT(cur, tileFree[t])
 		lat := a.P.LoadLatency(a.Sched.G.Subtask(id).Load)
 		end := start.Add(lat)
-		r.InitWindows = append(r.InitWindows, LoadWindow{id, start, end})
+		sc.init = append(sc.init, window{start, end})
 		tileFree[t] = end
 		cur = end
 		r.InitEnd = end
@@ -92,6 +97,12 @@ func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident fu
 	tl, err := sc.body.Reorder(r.Plan.BodyLoads, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
+	}
+	// The critical subtasks are unloaded in the body, so their
+	// initialization windows drop into the timeline as they are; the
+	// body's load floor already holds LastLoadEnd at or past InitEnd.
+	for i, id := range r.Plan.InitLoads {
+		tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = sc.init[i].start, sc.init[i].end, 0
 	}
 	r.Timeline = tl
 

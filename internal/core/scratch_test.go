@@ -36,10 +36,10 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &ExecScratch{}
-	residencies := []func(graph.SubtaskID) bool{
+	residencies := [][]bool{
 		nil,
-		func(graph.SubtaskID) bool { return true },
-		func(id graph.SubtaskID) bool { return id%2 == 0 },
+		residentSet(s, a0, a1, b0, b1),
+		residentSet(s, a0, b0),
 	}
 	for ri, resident := range residencies {
 		for _, rb := range []RunBounds{

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"drhwsched/internal/core"
-	"drhwsched/internal/graph"
 )
 
 func FuzzDecode(f *testing.F) {
@@ -34,10 +33,11 @@ func FuzzDecode(f *testing.F) {
 			return // the stored schedule does not validate on its platform
 		}
 		var sc core.ExecScratch
-		for _, resident := range []func(graph.SubtaskID) bool{
-			nil,
-			func(graph.SubtaskID) bool { return true },
-		} {
+		all := make([]bool, dec.Sched.G.Len())
+		for i := range all {
+			all[i] = true
+		}
+		for _, resident := range [][]bool{nil, all} {
 			if _, err := dec.ExecuteScratch(st, core.RunBounds{}, resident, &sc); err != nil {
 				return
 			}

@@ -73,17 +73,6 @@ func (st *State) Touch(tile int, at model.Time) {
 	}
 }
 
-// Holding returns the physical tiles currently holding cfg.
-func (st *State) Holding(cfg graph.ConfigID) []int {
-	var out []int
-	for t, c := range st.Configs {
-		if c != "" && c == cfg {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Clone deep-copies the state (used by what-if evaluation in the
 // simulator's ablations).
 func (st *State) Clone() *State {
@@ -241,15 +230,17 @@ func Map(s *assign.Schedule, st *State, opt MapOptions) (Mapping, error) {
 // Resident reports, per subtask, whether its configuration is already on
 // its mapped physical tile when its turn comes: either carried over from
 // the previous task (first on the tile) or left by an earlier same-
-// configuration subtask of this very instance.
-func Resident(s *assign.Schedule, st *State, m Mapping) map[graph.SubtaskID]bool {
+// configuration subtask of this very instance. The result is indexed by
+// subtask ID.
+func Resident(s *assign.Schedule, st *State, m Mapping) []bool {
 	return ResidentInto(nil, s, st, m)
 }
 
 // Commit updates the state after the instance ran: each busy tile holds
 // the configuration of the last subtask it executed, loads refresh
-// LoadedAt, and LastUse advances to the tile's final activity.
-func Commit(s *assign.Schedule, st *State, m Mapping, resident map[graph.SubtaskID]bool, endOf func(graph.SubtaskID) model.Time) {
+// LoadedAt, and LastUse advances to the tile's final activity. resident
+// is the instance's residency vector (nil: nothing was resident).
+func Commit(s *assign.Schedule, st *State, m Mapping, resident []bool, endOf func(graph.SubtaskID) model.Time) {
 	for v := 0; v < s.Tiles; v++ {
 		order := s.TileOrder[v]
 		if len(order) == 0 {
@@ -258,7 +249,7 @@ func Commit(s *assign.Schedule, st *State, m Mapping, resident map[graph.Subtask
 		phys := m.PhysOf[v]
 		for _, id := range order {
 			end := endOf(id)
-			if resident[id] {
+			if resident != nil && resident[id] {
 				st.Touch(phys, end)
 			} else {
 				st.Set(phys, s.G.Subtask(id).Config, end)

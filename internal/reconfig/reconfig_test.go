@@ -2,6 +2,7 @@ package reconfig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,8 +32,8 @@ func TestStateBasics(t *testing.T) {
 		t.Fatal("tiles")
 	}
 	st.Set(1, "a", 100)
-	if got := st.Holding("a"); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("holding = %v", got)
+	if st.Configs[0] != "" || st.Configs[1] != "a" || st.Configs[2] != "" {
+		t.Fatalf("configs = %q, want only tile 1 holding a", st.Configs)
 	}
 	st.Touch(1, 200)
 	if st.LastUse[1] != 200 {
@@ -61,7 +62,7 @@ func TestMapClaimsExactMatches(t *testing.T) {
 	// Virtual tile hosting the A-subtask must land on physical 3, the
 	// B-subtask's on physical 0.
 	res := Resident(s, st, m)
-	if len(res) != 2 {
+	if !res[0] || !res[1] {
 		t.Fatalf("resident = %v, want both subtasks reusable", res)
 	}
 }
@@ -156,9 +157,9 @@ func TestCommitRecordsFinalConfigs(t *testing.T) {
 	}
 	res := Resident(s, st, m)
 	Commit(s, st, m, res, func(id graph.SubtaskID) model.Time { return model.Time(100 + int64(id)) })
-	holdingA := st.Holding("A")
-	holdingB := st.Holding("B")
-	if len(holdingA) != 1 || len(holdingB) != 1 {
+	configs := slices.Clone(st.Configs)
+	slices.Sort(configs)
+	if !slices.Equal(configs, []graph.ConfigID{"A", "B"}) {
 		t.Fatalf("configs after commit: %v", st.Configs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"drhwsched/internal/assign"
-	"drhwsched/internal/graph"
 )
 
 // MapScratch holds the working buffers of one Map decision so the
@@ -204,13 +203,16 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	return m, nil
 }
 
-// ResidentInto is Resident writing into a caller-owned map (cleared
-// first), so the reuse module's per-instance query reuses one map for a
-// whole simulation run. Passing nil allocates as Resident does.
-func ResidentInto(res map[graph.SubtaskID]bool, s *assign.Schedule, st *State, m Mapping) map[graph.SubtaskID]bool {
-	if res == nil {
-		res = make(map[graph.SubtaskID]bool)
+// ResidentInto is Resident writing into a caller-owned vector (cleared
+// and resized first), so the reuse module's per-instance query reuses
+// one buffer for a whole simulation run. Passing nil allocates as
+// Resident does.
+func ResidentInto(res []bool, s *assign.Schedule, st *State, m Mapping) []bool {
+	n := s.G.Len()
+	if cap(res) < n {
+		res = make([]bool, n)
 	} else {
+		res = res[:n]
 		clear(res)
 	}
 	for v := 0; v < s.Tiles; v++ {

@@ -43,7 +43,7 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 	stScratch := NewState(tiles)
 	stFresh := NewState(tiles)
 	sc := &MapScratch{}
-	var res map[graph.SubtaskID]bool
+	var res []bool
 	for step := 0; step < 30; step++ {
 		s := randomMapSched(t, rng, 2+rng.Intn(6), 2+rng.Intn(4))
 		crit := func(id graph.SubtaskID) bool { return id%2 == 0 }
@@ -73,8 +73,8 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 			t.Fatalf("step %d: residency %v vs %v", step, res, wantRes)
 		}
 		for id := range wantRes {
-			if !res[id] {
-				t.Fatalf("step %d: subtask %d resident only in fresh run", step, id)
+			if res[id] != wantRes[id] {
+				t.Fatalf("step %d: subtask %d resident %v, fresh run %v", step, id, res[id], wantRes[id])
 			}
 		}
 

@@ -317,27 +317,6 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-func TestResidentAfter(t *testing.T) {
-	g, in := fig3()
-	_ = g
-	prev := []graph.ConfigID{"old0", "old1", "old2"}
-	got := ResidentAfter(in, prev)
-	if got[0] != in.G.Subtask(0).Config {
-		t.Errorf("tile 0 resident = %q", got[0])
-	}
-	if got[1] != in.G.Subtask(3).Config { // s4 is last on tile 1
-		t.Errorf("tile 1 resident = %q", got[1])
-	}
-	// Untouched tiles keep their previous configuration.
-	in2 := in
-	in2.TileOrder = [][]graph.SubtaskID{{0, 1, 2, 3}, {}, {}}
-	in2.Assignment = []int{0, 0, 0, 0}
-	got = ResidentAfter(in2, prev)
-	if got[1] != "old1" || got[2] != "old2" {
-		t.Errorf("untouched tiles lost configs: %v", got)
-	}
-}
-
 // randomInput builds a structurally valid random decision set for a
 // random graph: round-robin assignment in topological order, loads for a
 // random subset, port order = topological order of the loaded subtasks.

@@ -156,22 +156,3 @@ func Verify(in Input, tl *Timeline) error {
 	}
 	return nil
 }
-
-// ResidentAfter reports, per DRHW tile, the configuration resident once
-// the timeline completes: the configuration of the last subtask that
-// occupied the tile, or the provided previous configuration when the
-// tile was untouched. ISP rows carry no configurations. The reuse
-// module uses this to carry state across tasks.
-func ResidentAfter(in Input, prev []graph.ConfigID) []graph.ConfigID {
-	out := make([]graph.ConfigID, in.P.Tiles)
-	copy(out, prev)
-	for t, order := range in.TileOrder {
-		if t >= in.P.Tiles {
-			break
-		}
-		if len(order) > 0 {
-			out[t] = in.G.Subtask(order[len(order)-1]).Config
-		}
-	}
-	return out
-}

@@ -113,7 +113,7 @@ type flight struct {
 // scratch is the per-run reusable working memory of the hot path: the
 // buffers the pre-kernel simulator allocated fresh for every task
 // instance (tile availability vectors, load sets, lookahead streams,
-// the residency map, the in-flight table of the event loop) plus the
+// the residency vector, the in-flight table of the event loop) plus the
 // scratches of the layers below (tile mapping, prefetch evaluation,
 // hybrid replay).
 type scratch struct {
@@ -124,7 +124,7 @@ type scratch struct {
 	tileFree  []model.Time
 	loads     []graph.SubtaskID
 	future    []graph.ConfigID
-	resident  map[graph.SubtaskID]bool
+	resident  []bool
 	tileLast  []model.Time
 	flights   []flight
 	inst      instance
@@ -133,18 +133,12 @@ type scratch struct {
 	pfSc   prefetch.Scratch
 	coreSc core.ExecScratch
 
-	// initWindows snapshots the hybrid initialization-phase loads of
-	// the current instance for event emission; filled only when
-	// tracing is on.
-	initWindows []core.LoadWindow
-
 	// tl is the current instance's timeline; endOfFn reads it so the
 	// replacement state commit needs no per-instance closure.
 	tl          *schedule.Timeline
 	curAnalysis *core.Analysis
 	endOfFn     func(graph.SubtaskID) model.Time
 	criticalFn  func(graph.SubtaskID) bool
-	residentFn  func(graph.SubtaskID) bool
 }
 
 // validateWeights rejects degenerate scenario-weight vectors up front:
@@ -312,7 +306,6 @@ func (k *kernel) initRunState(isrc IndexedSource) {
 func (k *kernel) bindScratch() {
 	k.sc.endOfFn = func(id graph.SubtaskID) model.Time { return k.sc.tl.ExecEnd[id] }
 	k.sc.criticalFn = func(id graph.SubtaskID) bool { return k.sc.curAnalysis.IsCritical(id) }
-	k.sc.residentFn = func(id graph.SubtaskID) bool { return k.sc.resident[id] }
 }
 
 // prepare is the design-time stage: schedule (and in deadline mode,
@@ -652,7 +645,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	if err != nil {
 		return 0, err
 	}
-	var resident map[graph.SubtaskID]bool
+	var resident []bool
 	if k.useReuse {
 		sc.resident = reconfig.ResidentInto(sc.resident, s, f.State(), mapping)
 		resident = sc.resident
@@ -699,7 +692,11 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	res.ActualTotal += inst.ideal + inst.overhead
 	res.Loads += inst.loads
 	res.InitLoads += inst.initLoads
-	res.Reuses += len(resident)
+	for _, r := range resident {
+		if r {
+			res.Reuses++
+		}
+	}
 	res.Cancelled += inst.cancelled
 	res.LoadEnergy += float64(inst.loads) * k.p.LoadEnergy
 	res.SavedLoads += pr.hw - inst.loads
@@ -733,18 +730,15 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 // writing into the scratch instance. Port availability is read from and
 // written back to the fabric's shared per-port timeline, so instances
 // admitted while this one is in flight contend for the controllers.
-func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bool) (*instance, error) {
+func (k *kernel) execute(pr *prepared, b bounds, resident []bool) (*instance, error) {
 	sc := &k.sc
 	s := pr.sched
 	f := k.fab
 
 	inst := &sc.inst
+	var tl *schedule.Timeline
 	switch k.opt.Approach {
 	case Hybrid:
-		var fn func(graph.SubtaskID) bool
-		if resident != nil {
-			fn = sc.residentFn
-		}
 		// The hybrid core engine models a single reconfiguration
 		// controller (the paper's platform), so it consumes and
 		// advances port 0 only.
@@ -752,7 +746,7 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 			TaskStart: b.taskStart,
 			PortFree:  model.MaxT(f.PortFree()[0], b.loadFloor),
 			TileFree:  b.tileFree,
-		}, fn, &sc.coreSc)
+		}, resident, &sc.coreSc)
 		if err != nil {
 			return nil, err
 		}
@@ -760,38 +754,17 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 		*inst = instance{
 			ideal:     r.Ideal,
 			overhead:  r.Overhead,
-			end:       r.Timeline.End,
 			loads:     len(r.Plan.InitLoads) + len(r.Plan.BodyLoads),
 			initLoads: len(r.Plan.InitLoads),
 			cancelled: len(r.Plan.Cancelled),
 		}
-		inst.tileLast = sc.tileLastFrom(s, r.Timeline)
-		for _, w := range r.InitWindows {
-			v := s.Assignment[w.Subtask]
-			if w.End > inst.tileLast[v] {
-				inst.tileLast[v] = w.End
-			}
-			// Initialization-phase loads are prefetches by design; one
-			// the execution still had to wait for is a demand miss.
-			if r.Timeline.ExecStart[w.Subtask] > w.End {
-				inst.prefetchHits++
-			} else {
-				inst.demandMisses++
-			}
-		}
-		k.countInstance(s, r.Timeline, inst)
-		sc.initWindows = sc.initWindows[:0]
-		if k.rec != nil {
-			sc.initWindows = append(sc.initWindows, r.InitWindows...)
-		}
-		sc.tl = r.Timeline
-		return inst, nil
+		tl = r.Timeline
 
 	case NoPrefetch, DesignTimePrefetch, RunTime, RunTimeInterTask:
 		loads := sc.loads[:0]
 		for i := 0; i < s.G.Len(); i++ {
 			id := graph.SubtaskID(i)
-			if !resident[id] && !s.G.Subtask(id).OnISP {
+			if (resident == nil || !resident[id]) && !s.G.Subtask(id).OnISP {
 				loads = append(loads, id)
 			}
 		}
@@ -824,24 +797,25 @@ func (k *kernel) execute(pr *prepared, b bounds, resident map[graph.SubtaskID]bo
 		*inst = instance{
 			ideal:    r.Ideal,
 			overhead: r.Overhead,
-			end:      r.Timeline.End,
 			loads:    len(r.PortOrder),
 		}
-		inst.tileLast = sc.tileLastFrom(s, r.Timeline)
-		k.countInstance(s, r.Timeline, inst)
-		sc.initWindows = sc.initWindows[:0]
-		sc.tl = r.Timeline
-		return inst, nil
+		tl = r.Timeline
+
+	default:
+		return nil, fmt.Errorf("sim: unknown approach %v", k.opt.Approach)
 	}
-	return nil, fmt.Errorf("sim: unknown approach %v", k.opt.Approach)
+	inst.end = tl.End
+	inst.tileLast = sc.tileLastFrom(s, tl)
+	k.countInstance(s, tl, inst)
+	sc.tl = tl
+	return inst, nil
 }
 
 // countInstance attributes the instance's timeline loads (prefetch
 // hit vs demand miss) and accumulates per-ISP busy time. It runs on
 // every path, traced or not — pure integer arithmetic over the
 // timeline, no allocations — so the /metrics families exist without
-// tracing. Hybrid initialization loads are attributed by the caller
-// from the init windows (they are not on the timeline).
+// tracing.
 func (k *kernel) countInstance(s *assign.Schedule, tl *schedule.Timeline, inst *instance) {
 	for i := 0; i < s.G.Len(); i++ {
 		id := graph.SubtaskID(i)
@@ -860,12 +834,12 @@ func (k *kernel) countInstance(s *assign.Schedule, tl *schedule.Timeline, inst *
 	}
 }
 
-// traceInstance emits the admitted instance's fabric events: body
-// loads with prefetch attribution and replacement-victim picks (read
-// against the pre-commit residency), per-tile executions, per-ISP
-// busy intervals, hybrid initialization loads, and the port stall if
-// the controller was still draining at task start. Only called when
-// tracing is on.
+// traceInstance emits the admitted instance's fabric events: loads with
+// prefetch attribution (hybrid initialization loads, the loaded
+// critical subtasks, tagged "init") and replacement-victim picks (read
+// against the pre-commit residency), per-tile executions, per-ISP busy
+// intervals, and the port stall if the controller was still draining at
+// task start. Only called when tracing is on.
 func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, portBusyUntil model.Time) {
 	sc := &k.sc
 	s := pr.sched
@@ -873,6 +847,7 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 	seq := k.res.Instances - 1
 	name := s.G.Name
 	state := k.fab.State()
+	hybrid := k.opt.Approach == Hybrid
 	for v := 0; v < s.Tiles; v++ {
 		phys := mapping.PhysOf[v]
 		prev := state.Configs[phys]
@@ -888,14 +863,14 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 					})
 				}
 				prev = sub.Config
-				port := 0
-				if tl.LoadPort != nil {
-					port = tl.LoadPort[id]
+				var detail string
+				if hybrid && pr.analysis.IsCritical(id) {
+					detail = "init"
 				}
 				k.record(obs.Event{
 					Kind: obs.KindLoad, Iter: k.curIter, Seq: seq, Task: name,
-					Subtask: sub.Name, Config: string(sub.Config),
-					Tile: phys, Port: port, ISP: -1,
+					Subtask: sub.Name, Config: string(sub.Config), Detail: detail,
+					Tile: phys, Port: tl.LoadPort[id], ISP: -1,
 					Start: tl.LoadStart[id], End: tl.LoadEnd[id],
 					Prefetch: tl.ExecStart[id] > tl.LoadEnd[id],
 				})
@@ -917,19 +892,6 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 				Start: tl.ExecStart[id], End: tl.ExecEnd[id],
 			})
 		}
-	}
-	// Hybrid initialization loads live outside the body timeline; the
-	// hybrid core models a single controller, port 0.
-	for _, w := range sc.initWindows {
-		v := s.Assignment[w.Subtask]
-		sub := s.G.Subtask(w.Subtask)
-		k.record(obs.Event{
-			Kind: obs.KindLoad, Iter: k.curIter, Seq: seq, Task: name,
-			Subtask: sub.Name, Config: string(sub.Config), Detail: "init",
-			Tile: mapping.PhysOf[v], Port: 0, ISP: -1,
-			Start: w.Start, End: w.End,
-			Prefetch: tl.ExecStart[w.Subtask] > w.End,
-		})
 	}
 	if sc.inst.loads > 0 && portBusyUntil > start {
 		k.record(obs.Event{

@@ -181,6 +181,7 @@ func traceCrossCheck(t *testing.T, ap sim.Approach, parallelism int) {
 		// victim events; reuse-free approaches never commit state.
 		t.Logf("no victim events for %v (loads=%d)", ap, traced.Loads)
 	}
+	checkVictimsPairWithLoads(t, ap, events)
 
 	// The exported document must pass the schema validator with
 	// the recorded reconfiguration attribution intact.
@@ -195,6 +196,49 @@ func traceCrossCheck(t *testing.T, ap sim.Approach, parallelism int) {
 	if st.Loads != traced.Loads || st.PrefetchHits != traced.PrefetchHits || st.DemandMisses != traced.DemandMisses {
 		t.Fatalf("exported trace counts (loads %d hits %d misses %d) != Result (%d / %d / %d)",
 			st.Loads, st.PrefetchHits, st.DemandMisses, traced.Loads, traced.PrefetchHits, traced.DemandMisses)
+	}
+}
+
+// checkVictimsPairWithLoads requires every victim event to name the
+// load that evicted it: a load of the same instance (Iter, Seq) on the
+// same tile at the same instant, bringing in the configuration the
+// victim event names as its replacement (Detail). Under the hybrid
+// approach the initialization loads overwrite tiles too, so at least
+// one victim must pair with an "init" load.
+func checkVictimsPairWithLoads(t *testing.T, ap sim.Approach, events []obs.Event) {
+	t.Helper()
+	type slot struct {
+		iter, seq, tile int
+		start           model.Time
+	}
+	loads := map[slot][]obs.Event{}
+	for _, ev := range events {
+		if ev.Kind == obs.KindLoad {
+			k := slot{ev.Iter, ev.Seq, ev.Tile, ev.Start}
+			loads[k] = append(loads[k], ev)
+		}
+	}
+	initVictims := 0
+	for _, ev := range events {
+		if ev.Kind != obs.KindVictim {
+			continue
+		}
+		paired := false
+		for _, ld := range loads[slot{ev.Iter, ev.Seq, ev.Tile, ev.Start}] {
+			if ld.Config == ev.Detail {
+				paired = true
+				if ld.Detail == "init" {
+					initVictims++
+				}
+				break
+			}
+		}
+		if !paired {
+			t.Fatalf("victim event %+v has no load of %q on its tile at its instant", ev, ev.Detail)
+		}
+	}
+	if ap == sim.Hybrid && initVictims == 0 {
+		t.Fatal("no victim event pairs with a hybrid initialization load")
 	}
 }
 
