@@ -155,7 +155,7 @@ func main() {
 	default:
 		fail("unknown mode %q", *mode)
 	}
-	r, err := sched.Schedule(s, p, s.AllLoads(), prefetch.Bounds{})
+	r, err := prefetch.Schedule(sched, s, p, s.AllLoads(), prefetch.Bounds{})
 	if err != nil {
 		fail("%v", err)
 	}

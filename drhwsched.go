@@ -78,6 +78,7 @@ import (
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
 	"drhwsched/internal/reconfig"
+	"drhwsched/internal/schedule"
 	"drhwsched/internal/server"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/tcm"
@@ -149,8 +150,14 @@ func ListSchedule(g *Graph, p Platform, opt ScheduleOptions) (*Schedule, error) 
 // Prefetch schedulers.
 type (
 	// PrefetchScheduler orders configuration loads on the
-	// reconfiguration controller.
+	// reconfiguration controller. Its one method runs on a schedule's
+	// static part (Schedule.Static) and a reusable PrefetchScratch.
 	PrefetchScheduler = prefetch.Scheduler
+	// PrefetchScratch holds a prefetch scheduler's reusable buffers.
+	PrefetchScratch = prefetch.Scratch
+	// StaticSchedule is a schedule's constraint DAG on a platform,
+	// built once by Schedule.Static.
+	StaticSchedule = schedule.Static
 	// PrefetchBounds are one task instance's boundary conditions.
 	PrefetchBounds = prefetch.Bounds
 	// PrefetchResult is an evaluated prefetch schedule.

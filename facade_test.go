@@ -164,3 +164,45 @@ func TestFacadeTracing(t *testing.T) {
 			child.TraceIDString(), child.SpanIDString())
 	}
 }
+
+// countingScheduler is a prefetch scheduler written against the facade
+// alone: it counts its calls and delegates to the list heuristic.
+type countingScheduler struct{ calls *int }
+
+func (c countingScheduler) Name() string { return "counting" }
+
+func (c countingScheduler) ScheduleScratch(s *drhw.Schedule, st *drhw.StaticSchedule, loads []drhw.SubtaskID, b drhw.PrefetchBounds, sc *drhw.PrefetchScratch) (*drhw.PrefetchResult, error) {
+	*c.calls++
+	return drhw.ListPrefetch{}.ScheduleScratch(s, st, loads, b, sc)
+}
+
+// TestFacadeCustomScheduler plugs a scheduler implemented outside the
+// module's internal packages into Analyze and checks that it drives
+// every CS-selection round to the list heuristic's own analysis.
+func TestFacadeCustomScheduler(t *testing.T) {
+	g := drhw.NewGraph("fork")
+	a := g.AddSubtask("a", 2*drhw.Millisecond)
+	for i := 0; i < 3; i++ {
+		g.AddEdge(a, g.AddSubtask("b", 3*drhw.Millisecond))
+	}
+	p := drhw.DefaultPlatform(4)
+	s, err := drhw.ListSchedule(g, p, drhw.ScheduleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	got, err := drhw.Analyze(s, p, drhw.AnalyzeOptions{Scheduler: countingScheduler{&calls}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drhw.Analyze(s, p, drhw.AnalyzeOptions{Scheduler: drhw.ListPrefetch{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != got.Iterations+1 {
+		t.Fatalf("scheduler called %d times over %d rounds", calls, got.Iterations+1)
+	}
+	if !slices.Equal(got.CS, want.CS) || !slices.Equal(got.BodyOrder, want.BodyOrder) {
+		t.Fatalf("custom scheduler analysis CS %v body %v, list CS %v body %v", got.CS, got.BodyOrder, want.CS, want.BodyOrder)
+	}
+}

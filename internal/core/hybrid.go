@@ -132,13 +132,21 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 
 	a := &Analysis{Sched: s, P: p, isCS: make([]bool, n)}
 
+	// Every round schedules the same schedule with a different load set:
+	// one static part and one scratch serve them all.
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, fmt.Errorf("core: design-time prefetch: %w", err)
+	}
+	sc := new(prefetch.Scratch)
+	var loads []graph.SubtaskID
 	for iter := 0; ; iter++ {
 		a.Iterations = iter
 		if iter > maxIter {
 			return nil, fmt.Errorf("core: CS selection did not converge on %q", s.G.Name)
 		}
-		loads := nonCriticalLoads(s, a.isCS)
-		res, err := sched.Schedule(s, p, loads, prefetch.Bounds{})
+		loads = nonCriticalLoads(s, a.isCS, loads[:0])
+		res, err := sched.ScheduleScratch(s, st, loads, prefetch.Bounds{}, sc)
 		if err != nil {
 			return nil, fmt.Errorf("core: design-time prefetch: %w", err)
 		}
@@ -147,7 +155,7 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 		// load must be *totally hidden*, not merely off the critical
 		// path. When no subtask is load-delayed the makespan equals
 		// the ideal one and the stored schedule has zero overhead.
-		delayed := delayedSubtasks(s, res)
+		delayed := delayedSubtasks(s, st, res)
 		if len(delayed) == 0 {
 			a.BodyOrder = append([]graph.SubtaskID(nil), res.PortOrder...)
 			break
@@ -184,10 +192,9 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 	return a, nil
 }
 
-// nonCriticalLoads lists the loads of every hardware subtask outside
-// the CS set, in canonical issue order. ISP subtasks never load.
-func nonCriticalLoads(s *assign.Schedule, isCS []bool) []graph.SubtaskID {
-	var loads []graph.SubtaskID
+// nonCriticalLoads appends to loads the loads of every hardware subtask
+// outside the CS set, in canonical issue order. ISP subtasks never load.
+func nonCriticalLoads(s *assign.Schedule, isCS []bool, loads []graph.SubtaskID) []graph.SubtaskID {
 	for i := 0; i < s.G.Len(); i++ {
 		if !isCS[i] && !s.G.Subtask(graph.SubtaskID(i)).OnISP {
 			loads = append(loads, graph.SubtaskID(i))
@@ -201,15 +208,9 @@ func nonCriticalLoads(s *assign.Schedule, isCS []bool) []graph.SubtaskID {
 // the binding constraint on their start: the execution begins exactly
 // when the load ends and strictly later than every other constraint
 // (predecessors, tile availability, floors) would require.
-func delayedSubtasks(s *assign.Schedule, res *prefetch.Result) []graph.SubtaskID {
+func delayedSubtasks(s *assign.Schedule, st *schedule.Static, res *prefetch.Result) []graph.SubtaskID {
 	tl := res.Timeline
 	var out []graph.SubtaskID
-	prevOnTile := make(map[graph.SubtaskID]graph.SubtaskID)
-	for _, order := range s.TileOrder {
-		for k := 1; k < len(order); k++ {
-			prevOnTile[order[k]] = order[k-1]
-		}
-	}
 	for _, id := range res.PortOrder {
 		if tl.ExecStart[id] != tl.LoadEnd[id] {
 			continue
@@ -218,7 +219,7 @@ func delayedSubtasks(s *assign.Schedule, res *prefetch.Result) []graph.SubtaskID
 		for _, p := range s.G.Preds(id) {
 			alt = model.MaxT(alt, tl.ExecEnd[p])
 		}
-		if prev, ok := prevOnTile[id]; ok {
+		if prev := st.Prev(id); prev >= 0 {
 			alt = model.MaxT(alt, tl.ExecEnd[prev])
 		}
 		if tl.ExecStart[id] > alt {

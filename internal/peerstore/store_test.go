@@ -15,6 +15,7 @@ import (
 	"drhwsched/internal/httpd"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
+	"drhwsched/internal/schedule"
 )
 
 // ownerServer serves eng's artifacts the way drhwd does: Handler
@@ -160,12 +161,12 @@ func newGateScheduler() *gateScheduler {
 
 func (g *gateScheduler) Name() string { return "gate" }
 
-func (g *gateScheduler) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b prefetch.Bounds) (*prefetch.Result, error) {
+func (g *gateScheduler) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b prefetch.Bounds, sc *prefetch.Scratch) (*prefetch.Result, error) {
 	g.state.once.Do(func() {
 		close(g.state.started)
 		<-g.state.release
 	})
-	return prefetch.List{}.Schedule(s, p, loads, b)
+	return prefetch.List{}.ScheduleScratch(s, st, loads, b, sc)
 }
 
 // TestPoolWideSingleCompute: two replicas asked for the same key

@@ -22,20 +22,21 @@
 //     "Prefetch" column; for large graphs it falls back to List, exactly
 //     as the paper keeps [7] "for large graphs".
 //
-// Each scheduler has one implementation, on a reusable Scratch of
-// id-indexed buffers (scratch.go) and the schedule's static constraint
-// part (schedule.Static, built by assign.Schedule.Static). The
-// allocating entry points — Schedule and Evaluate — build the static
-// part and run it on a fresh Scratch, so design time and the
-// simulator's per-instance loop, which builds the static part once per
-// stored schedule, make the same decisions. BranchBound runs its
-// incumbent, bounds and leaf evaluations on one static part and one
-// Scratch per call. The zero-overhead reference (Result.Ideal) is
-// schedule.Static.Ideal, a closed form.
+// Each scheduler has one implementation, its ScheduleScratch method (the
+// Scheduler interface), on a reusable Scratch of id-indexed buffers
+// (scratch.go) and the schedule's static constraint part
+// (schedule.Static, built by assign.Schedule.Static). Design time
+// (core.Analyze: one static part and one Scratch per analysis) and the
+// simulator's per-instance loop (one static part per stored schedule)
+// both call it. The allocating forms — Schedule, Evaluate and the
+// schedulers' Schedule methods — run it on a freshly built static part
+// and Scratch, so their Results alias nothing. The zero-overhead
+// reference (Result.Ideal) is schedule.Static.Ideal, a closed form.
 package prefetch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"drhwsched/internal/assign"
@@ -71,20 +72,38 @@ type Result struct {
 // Scheduler is implemented by every prefetch policy.
 type Scheduler interface {
 	Name() string
-	// Schedule orders the loads of the given subtasks. The loads slice
-	// is not modified.
-	Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error)
+	// ScheduleScratch orders the loads of the given subtasks of s, whose
+	// static constraint part on the platform is st. The loads slice is
+	// not modified. The Result and its Timeline are owned by sc and
+	// valid until its next use.
+	ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error)
+}
+
+// Schedule is the allocating form of sched.ScheduleScratch: it builds
+// s's static part on p and runs sched on a fresh Scratch.
+func Schedule(sched Scheduler, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
+	return fresh(s, p, func(st *schedule.Static, sc *Scratch) (*Result, error) {
+		return sched.ScheduleScratch(s, st, loads, b, sc)
+	})
 }
 
 // Evaluate computes the timeline and overhead for a given load order
-// under the boundary conditions. It is exported so higher layers (the
-// hybrid heuristic, the simulator) can re-evaluate stored orders.
+// under the boundary conditions: the allocating form of
+// EvaluateScratch.
 func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) (*Result, error) {
+	return fresh(s, p, func(st *schedule.Static, sc *Scratch) (*Result, error) {
+		return EvaluateScratch(st, order, b, onDemand, sc)
+	})
+}
+
+// fresh runs f on s's static part on p and a new Scratch, so the Result
+// it returns aliases nothing: the one allocating path.
+func fresh(s *assign.Schedule, p platform.Platform, f func(*schedule.Static, *Scratch) (*Result, error)) (*Result, error) {
 	st, err := s.Static(p)
 	if err != nil {
 		return nil, err
 	}
-	return EvaluateScratch(st, order, b, onDemand, new(Scratch))
+	return f(st, new(Scratch))
 }
 
 // OnDemand issues every load when its subtask becomes ready: the
@@ -94,17 +113,9 @@ type OnDemand struct{}
 // Name implements Scheduler.
 func (OnDemand) Name() string { return "on-demand" }
 
-// Schedule implements Scheduler. The request order (which load reaches
-// the controller first) depends on readiness times, which depend on the
-// timeline itself, so the order is resolved by fixpoint iteration: start
-// from the ideal-start order and re-sort by observed readiness until the
-// order stabilizes.
+// Schedule is Schedule(o, …), the allocating form.
 func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	st, err := s.Static(p)
-	if err != nil {
-		return nil, err
-	}
-	return o.ScheduleScratch(s, st, loads, b, new(Scratch))
+	return Schedule(o, s, p, loads, b)
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in
@@ -126,13 +137,9 @@ type List struct {
 // Name implements Scheduler.
 func (l List) Name() string { return "list" }
 
-// Schedule implements Scheduler.
+// Schedule is Schedule(l, …), the allocating form.
 func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	st, err := s.Static(p)
-	if err != nil {
-		return nil, err
-	}
-	return l.ScheduleScratch(s, st, loads, b, new(Scratch))
+	return Schedule(l, s, p, loads, b)
 }
 
 // BranchBound finds the load order with the minimum makespan. The search
@@ -145,28 +152,28 @@ type BranchBound struct {
 	// back to the List heuristic, as the paper does for large graphs.
 	// Zero means 12.
 	MaxLoads int
-	// MaxNodes caps the number of explored search nodes as a safety
-	// valve; zero means 200000.
-	MaxNodes int
 }
+
+// maxNodes caps the number of search nodes BranchBound explores, as a
+// safety valve.
+const maxNodes = 200000
 
 // Name implements Scheduler.
 func (BranchBound) Name() string { return "branch&bound" }
 
-// Schedule implements Scheduler.
+// Schedule is Schedule(bb, …), the allocating form.
 func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
+	return Schedule(bb, s, p, loads, b)
+}
+
+// ScheduleScratch implements Scheduler. The incumbent, every search node
+// and the final evaluation run on sc; the returned Result and its
+// Timeline are owned by sc.
+func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	maxLoads := bb.MaxLoads
 	if maxLoads == 0 {
 		maxLoads = 12
 	}
-	// One static part and one scratch serve the incumbent, every search
-	// node and the final evaluation; the returned Result is the only
-	// thing that outlives them.
-	st, err := s.Static(p)
-	if err != nil {
-		return nil, err
-	}
-	sc := new(Scratch)
 	if len(loads) > maxLoads {
 		return List{}.ScheduleScratch(s, st, loads, b, sc)
 	}
@@ -210,10 +217,6 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	bestMakespan := incumbent.Makespan
 	bestOrder := append([]graph.SubtaskID(nil), incumbent.PortOrder...)
 
-	maxNodes := bb.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 200000
-	}
 	nodes := 0
 
 	placed := make([]graph.SubtaskID, 0, len(sorted))
@@ -236,21 +239,22 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 	sort.SliceStable(weightOrder, func(a, c int) bool {
 		return s.Weights[weightOrder[a]] > s.Weights[weightOrder[c]]
 	})
+	lats := make([]model.Dur, 0, len(sorted))
 	pairingBound := func() model.Dur {
 		portFloor := portFloor0
 		for _, id := range placed {
-			portFloor = portFloor.Add(p.LoadLatency(s.G.Subtask(id).Load))
+			portFloor = portFloor.Add(st.Latency(id))
 		}
 		// Slot ends: prefix sums of the unplaced latencies in
 		// ascending order (the earliest the j-th remaining load can
 		// possibly finish).
-		var lats []model.Dur
+		lats = lats[:0]
 		for _, id := range sorted {
 			if !used[id] {
-				lats = append(lats, p.LoadLatency(s.G.Subtask(id).Load))
+				lats = append(lats, st.Latency(id))
 			}
 		}
-		sort.Slice(lats, func(a, c int) bool { return lats[a] < lats[c] })
+		slices.Sort(lats)
 		var best model.Dur
 		slot := 0
 		end := portFloor

@@ -82,7 +82,7 @@ func TestPartialLoadSet(t *testing.T) {
 func TestEmptyLoadSet(t *testing.T) {
 	s, p := fig3Sched(t)
 	for _, sched := range []Scheduler{OnDemand{}, List{}, BranchBound{}} {
-		r, err := sched.Schedule(s, p, nil, Bounds{})
+		r, err := Schedule(sched, s, p, nil, Bounds{})
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
 		}
@@ -212,7 +212,7 @@ func TestResultsVerifyProperty(t *testing.T) {
 		default:
 			sched = BranchBound{MaxLoads: 8}
 		}
-		r, err := sched.Schedule(s, p, loads, Bounds{})
+		r, err := Schedule(sched, s, p, loads, Bounds{})
 		if err != nil {
 			return false
 		}

@@ -85,9 +85,12 @@ func EvaluateScratch(st *schedule.Static, order []graph.SubtaskID, b Bounds, onD
 	return &sc.res, nil
 }
 
-// ScheduleScratch is the implementation of OnDemand.Schedule (the
-// readiness fixpoint); the returned Result and its Timeline are owned
-// by sc.
+// ScheduleScratch implements Scheduler; the returned Result and its
+// Timeline are owned by sc. The request order (which load reaches the
+// controller first) depends on readiness times, which depend on the
+// timeline itself, so the order is resolved by fixpoint iteration:
+// start from the ideal-start order and re-sort by observed readiness
+// until the order stabilizes.
 func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
@@ -127,7 +130,7 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads [
 				next[j-1], next[j] = next[j], next[j-1]
 			}
 		}
-		sc.repair.repair(s, next, true)
+		sc.repair.repair(s, st, next, true)
 		if equalOrder(next, order) {
 			break
 		}
@@ -147,8 +150,8 @@ func equalOrder(a, b []graph.SubtaskID) bool {
 	return true
 }
 
-// ScheduleScratch is the implementation of List.Schedule; the returned
-// Result and its Timeline are owned by sc.
+// ScheduleScratch implements Scheduler; the returned Result and its
+// Timeline are owned by sc.
 //
 // The decision binds its loads to st once; each candidate is one
 // Reorder limited by the best makespan so far, which stops as soon as
@@ -214,31 +217,27 @@ func (l List) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []g
 // repairScratch holds id-indexed buffers for the feasibility repair of
 // a load order, so the on-demand fixpoint repairs without allocating.
 type repairScratch struct {
-	inSet    []bool
-	prevExec []graph.SubtaskID // -1 when first on its tile
-	deps     [][]graph.SubtaskID
-	seen     []bool
-	emitted  []bool
-	out      []graph.SubtaskID
-	stack    []graph.SubtaskID
+	inSet   []bool
+	deps    [][]graph.SubtaskID
+	seen    []bool
+	emitted []bool
+	out     []graph.SubtaskID
+	stack   []graph.SubtaskID
 }
 
 func (rs *repairScratch) grow(n int) {
 	if cap(rs.inSet) < n {
 		rs.inSet = make([]bool, n)
-		rs.prevExec = make([]graph.SubtaskID, n)
 		rs.deps = make([][]graph.SubtaskID, n)
 		rs.seen = make([]bool, n)
 		rs.emitted = make([]bool, n)
 	}
 	rs.inSet = rs.inSet[:n]
-	rs.prevExec = rs.prevExec[:n]
 	rs.deps = rs.deps[:n]
 	rs.seen = rs.seen[:n]
 	rs.emitted = rs.emitted[:n]
 	for i := 0; i < n; i++ {
 		rs.inSet[i] = false
-		rs.prevExec[i] = -1
 		rs.deps[i] = rs.deps[i][:0]
 		rs.emitted[i] = false
 	}
@@ -260,7 +259,7 @@ func (rs *repairScratch) grow(n int) {
 // blocked one: a stable topological sort that keeps the desired order
 // wherever the constraints allow. The tests check it against an
 // independent map-based reference.
-func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID, onDemand bool) {
+func (rs *repairScratch) repair(s *assign.Schedule, st *schedule.Static, order []graph.SubtaskID, onDemand bool) {
 	m := len(order)
 	if m < 2 {
 		return
@@ -291,14 +290,9 @@ func (rs *repairScratch) repair(s *assign.Schedule, order []graph.SubtaskID, onD
 		// before subtask i must therefore have its load issued before
 		// i's. Walk each load's combined-predecessor closure and
 		// record the loaded members.
-		for _, tileOrder := range s.TileOrder {
-			for k := 1; k < len(tileOrder); k++ {
-				rs.prevExec[tileOrder[k]] = tileOrder[k-1]
-			}
-		}
 		push := func(stack []graph.SubtaskID, id graph.SubtaskID) []graph.SubtaskID {
 			stack = append(stack, s.G.Preds(id)...)
-			if pe := rs.prevExec[id]; pe >= 0 {
+			if pe := st.Prev(id); pe >= 0 {
 				stack = append(stack, pe)
 			}
 			return stack

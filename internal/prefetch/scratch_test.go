@@ -47,9 +47,9 @@ func mustStatic(t *testing.T, s *assign.Schedule, p platform.Platform) *schedule
 
 // TestScratchReuseMatchesFresh pins a scratch reused across calls to a
 // fresh one per call (what Schedule and Evaluate use): identical port
-// orders, makespans, overheads and timelines on a spread of random
-// schedules and boundary conditions, so no buffer leaks state from one
-// call into the next.
+// orders, makespans, overheads and timelines for every scheduler and
+// for Evaluate on a spread of random schedules and boundary conditions,
+// so no buffer leaks state from one call into the next.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := &Scratch{} // deliberately reused across every case
@@ -61,31 +61,23 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		loads := s.AllLoads()
 		st := mustStatic(t, s, p)
 
-		want, err := (OnDemand{}).Schedule(s, p, loads, b)
-		if err != nil {
-			t.Fatal(err)
+		for _, sched := range []Scheduler{OnDemand{}, List{}, BranchBound{}} {
+			want, err := Schedule(sched, s, p, loads, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sched.ScheduleScratch(s, st, loads, b, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareResults(t, sched.Name(), trial, want, got)
 		}
-		got, err := (OnDemand{}).ScheduleScratch(s, st, loads, b, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, "on-demand", trial, want, got)
 
-		want, err = (List{}).Schedule(s, p, loads, b)
+		want, err := Evaluate(s, p, loads, b, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = (List{}).ScheduleScratch(s, st, loads, b, sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, "list", trial, want, got)
-
-		want, err = Evaluate(s, p, loads, b, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = EvaluateScratch(st, loads, b, false, sc)
+		got, err := EvaluateScratch(st, loads, b, false, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,13 +94,14 @@ func TestRepairMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var rs repairScratch
 	for trial := 0; trial < 400; trial++ {
-		s, _, loads := randSched(rng, 14, 1+rng.Intn(4))
+		s, p, loads := randSched(rng, 14, 1+rng.Intn(4))
+		st := mustStatic(t, s, p)
 		rng.Shuffle(len(loads), func(i, j int) { loads[i], loads[j] = loads[j], loads[i] })
 		for _, onDemand := range []bool{false, true} {
 			want := append([]graph.SubtaskID(nil), loads...)
 			repairOrder(s, want, onDemand)
 			got := append([]graph.SubtaskID(nil), loads...)
-			rs.repair(s, got, onDemand)
+			rs.repair(s, st, got, onDemand)
 			if !equalOrder(got, want) {
 				t.Fatalf("trial %d onDemand=%v: repair(%v) = %v, reference %v", trial, onDemand, loads, got, want)
 			}
@@ -346,6 +339,10 @@ func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.Su
 	if err != nil {
 		return nil, err
 	}
+	st, err := s.Static(p)
+	if err != nil {
+		return nil, err
+	}
 	maxIter := 2*len(order) + 2
 	for iter := 0; iter < maxIter; iter++ {
 		if err := evaluateFull(&sc.res, s, p, order, b, true, ideal); err != nil {
@@ -364,7 +361,7 @@ func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.Su
 				next[j-1], next[j] = next[j], next[j-1]
 			}
 		}
-		sc.repair.repair(s, next, true)
+		sc.repair.repair(s, st, next, true)
 		if equalOrder(next, order) {
 			break
 		}

@@ -182,13 +182,8 @@ func (sc *refScratch) Prepare(in Input) error {
 	sc.loads = 0
 	for i := 0; i < n; i++ {
 		st := in.G.Subtask(graph.SubtaskID(i))
-		sc.floor[2*i] = in.ExecFloor
+		sc.floor[2*i], sc.floor[2*i+1] = in.ExecFloor, in.LoadFloor
 		sc.dur[2*i] = st.Exec
-		lf := in.LoadFloor
-		if in.LoadEarliest != nil && in.LoadEarliest[i] > 0 {
-			lf = model.MaxT(lf, in.LoadEarliest[i])
-		}
-		sc.floor[2*i+1] = lf
 		sc.dur[2*i+1] = 0
 		if sc.inPort[i] {
 			sc.dur[2*i+1] = in.P.LoadLatency(st.Load)
@@ -545,7 +540,7 @@ func noLoads(in Input) Input {
 // which builds the whole constraint DAG per input: random graphs, load
 // sets and orders (infeasible ones included), both semantics, 1–3 ports,
 // ISP rows, processor drain times above and below the execution floor,
-// load bounds and communication delays. Every successful evaluation
+// and communication delays. Every successful evaluation
 // must match the reference field by field and pass Verify; limited
 // evaluations must cut off exactly when the full makespan reaches the
 // limit; and Static.Ideal must equal the reference's no-load makespan.
@@ -635,7 +630,7 @@ func TestBindMatchesReference(t *testing.T) {
 
 // TestInputErrorsMatchReference checks that each single fault of an
 // input is reported with the reference's error text, whether it lands
-// in NewStatic, Bind or Prepare.
+// in NewStatic, the needLoad checks or Bind.
 func TestInputErrorsMatchReference(t *testing.T) {
 	g := graph.New("v")
 	a := g.AddSubtask("a", 1)
@@ -691,13 +686,9 @@ func TestInputErrorsMatchReference(t *testing.T) {
 			t.Errorf("%s: error %q, reference %q", name, err, werr)
 		}
 	}
-	var sc Scratch
 	st, err := NewStatic(base())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := sc.Bind(st, nil, Instance{LoadEarliest: []model.Time{0}}); err == nil {
-		t.Error("Bind accepted a short LoadEarliest")
 	}
 	if _, err := st.Ideal(0, []model.Time{0}); err == nil {
 		t.Error("Ideal accepted a short TileFree")

@@ -14,7 +14,7 @@ import (
 
 // randomDecision builds a random, structurally valid decision set over
 // the whole input surface: 1–3 ports, 0–3 ISPs, random processor and
-// port availability, load bounds and communication delays, a load floor
+// port availability and communication delays, a load floor
 // below the execution floor, and either semantics. The port order is
 // the loads in topological order; callers permute it.
 func randomDecision(rng *rand.Rand) Input {
@@ -64,14 +64,6 @@ func randomDecision(rng *rand.Rand) Input {
 			in.PortFree[i] = in.LoadFloor + ms(15)
 		}
 	}
-	if rng.Intn(3) == 0 {
-		in.LoadEarliest = make([]model.Time, g.Len())
-		for i := range in.LoadEarliest {
-			if rng.Intn(2) == 0 {
-				in.LoadEarliest[i] = in.LoadFloor + ms(25)
-			}
-		}
-	}
 	if rng.Intn(2) == 0 {
 		scale := model.Dur(1 + rng.Intn(3))
 		in.CommDelay = func(e graph.Edge, from, to int) model.Dur {
@@ -108,12 +100,25 @@ func diffTimelines(got, want *Timeline) string {
 	return ""
 }
 
+// bind builds in's static part and binds in's load set and floors to
+// sc on it.
+func bind(t *testing.T, sc *Scratch, in Input) {
+	t.Helper()
+	st, err := NewStatic(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Bind(st, in.PortOrder, in.instance()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func withOrder(in Input, order []graph.SubtaskID) Input {
 	in.PortOrder = order
 	return in
 }
 
-// checkReorder pins one Reorder on a prepared scratch to a fresh
+// checkReorder pins one Reorder on a bound scratch to a fresh
 // Compute of the same input under that port order.
 func checkReorder(t *testing.T, sc *Scratch, in Input, order []graph.SubtaskID, limit model.Dur) {
 	t.Helper()
@@ -161,9 +166,7 @@ func TestReorderMatchesCompute(t *testing.T) {
 	cuts := 0
 	for trial := 0; trial < 400; trial++ {
 		in := randomDecision(rng)
-		if err := sc.Prepare(in); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		bind(t, sc, in)
 		order := append([]graph.SubtaskID(nil), in.PortOrder...)
 		for k := 0; k < 6; k++ {
 			if k > 0 {
@@ -188,7 +191,7 @@ func TestReorderMatchesCompute(t *testing.T) {
 }
 
 // TestReorderRejectsNonPermutations checks that Reorder reports every
-// order that is not a permutation of the prepared load set as an error
+// order that is not a permutation of the bound load set as an error
 // — missing, duplicated, unloaded and out-of-range ids — and that the
 // scratch still evaluates valid orders afterwards.
 func TestReorderRejectsNonPermutations(t *testing.T) {
@@ -196,9 +199,7 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 	sc := new(Scratch)
 	for trial := 0; trial < 200; trial++ {
 		in := randomDecision(rng)
-		if err := sc.Prepare(in); err != nil {
-			t.Fatal(err)
-		}
+		bind(t, sc, in)
 		n := in.G.Len()
 		var bad [][]graph.SubtaskID
 		if m := len(in.PortOrder); m > 0 {
@@ -237,11 +238,16 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 	if _, err := zero.Reorder(nil, 0); err == nil {
 		t.Fatal("Reorder on an unprepared scratch succeeded")
 	}
-	if err := sc.Prepare(Input{}); err == nil {
-		t.Fatal("Prepare accepted a nil graph")
+	_, in := fig3()
+	st, err := NewStatic(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Bind(st, []graph.SubtaskID{-1}, in.instance()); err == nil {
+		t.Fatal("Bind accepted an unknown subtask")
 	}
 	if _, err := sc.Reorder(nil, 0); err == nil {
-		t.Fatal("Reorder after a failed Prepare succeeded")
+		t.Fatal("Reorder after a failed Bind succeeded")
 	}
 }
 
@@ -250,9 +256,7 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 func TestReorderStampWrap(t *testing.T) {
 	_, in := fig3()
 	sc := new(Scratch)
-	if err := sc.Prepare(in); err != nil {
-		t.Fatal(err)
-	}
+	bind(t, sc, in)
 	// Stamps left by an early call must not read as seen after the wrap.
 	checkReorder(t, sc, in, in.PortOrder, 0)
 	sc.mark = math.MaxInt
@@ -268,13 +272,12 @@ func TestReorderStampWrap(t *testing.T) {
 }
 
 // FuzzReorder builds a random decision set from seed, redraws its
-// processor drain times and load bounds from floors, and evaluates an
-// arbitrary id sequence on it through NewStatic and Bind. Drain times
-// and bounds of the wrong length must be rejected by Bind (and drain
-// times by Static.Ideal) with an error; otherwise the closed-form ideal
-// must equal the reference's no-load makespan, Reorder must reject
-// every non-permutation, and must agree with a fresh Compute and with
-// the reference. Nothing may panic.
+// processor drain times from floors, and evaluates an arbitrary id
+// sequence on it through NewStatic and Bind. Drain times of the wrong
+// length must be rejected by Bind and Static.Ideal with an error;
+// otherwise the closed-form ideal must equal the reference's no-load
+// makespan, Reorder must reject every non-permutation, and must agree
+// with a fresh Compute and with the reference. Nothing may panic.
 func FuzzReorder(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3}, uint16(0), []byte{})
 	f.Add(int64(7), []byte{3, 2, 1, 0, 4}, uint16(30), []byte{0x80, 0x10, 0xf0, 0x00, 0x33})
@@ -285,35 +288,21 @@ func FuzzReorder(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// floors: a shape byte, then one byte per processor drain time
-		// and one per load bound, each an offset of up to ±64 ms around
-		// the execution floor (0 leaves a load unbounded).
+		// floors: a shape byte, then one byte per processor drain time,
+		// each an offset of up to ±64 ms around the execution floor.
 		badLen := false
 		if len(floors) > 0 {
-			shape := floors[0]
-			offset := func(k int) model.Time {
-				var b byte
-				if 1+k < len(floors) {
-					b = floors[1+k]
-				}
-				return in.ExecFloor.Add(model.Dur(int(b)-128) * model.Millisecond / 2)
-			}
 			in.TileFree = make([]model.Time, procs)
 			for r := range in.TileFree {
-				in.TileFree[r] = offset(r)
-			}
-			in.LoadEarliest = make([]model.Time, n)
-			for i := range in.LoadEarliest {
-				if b := offset(procs + i); b > 0 && shape&4 == 0 {
-					in.LoadEarliest[i] = b
+				var b byte
+				if 1+r < len(floors) {
+					b = floors[1+r]
 				}
+				in.TileFree[r] = in.ExecFloor.Add(model.Dur(int(b)-128) * model.Millisecond / 2)
 			}
-			switch shape % 8 {
+			switch floors[0] % 8 {
 			case 1:
 				in.TileFree = in.TileFree[:procs-1]
-				badLen = true
-			case 2:
-				in.LoadEarliest = append(in.LoadEarliest, 0)
 				badLen = true
 			case 3:
 				in.TileFree = nil
@@ -324,9 +313,9 @@ func FuzzReorder(f *testing.F) {
 		berr := sc.Bind(st, in.PortOrder, in.instance())
 		if badLen {
 			if berr == nil {
-				t.Fatalf("Bind accepted TileFree of %d, LoadEarliest of %d", len(in.TileFree), len(in.LoadEarliest))
+				t.Fatalf("Bind accepted TileFree of %d", len(in.TileFree))
 			}
-			if len(in.TileFree) != procs && ierr == nil {
+			if ierr == nil {
 				t.Fatal("Ideal accepted a short TileFree")
 			}
 			return

@@ -24,6 +24,8 @@
 package schedule
 
 import (
+	"fmt"
+
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
@@ -71,9 +73,6 @@ type Input struct {
 	// waits for all predecessors of its subtask to finish. This models
 	// the paper's "without prefetch" baseline (Fig. 3b).
 	OnDemand bool
-	// LoadEarliest optionally gives per-subtask lower bounds on load
-	// start times. Nil or a zero entry means no extra bound.
-	LoadEarliest []model.Time
 
 	// CommDelay, when non-nil, returns the communication latency an
 	// edge incurs between two tiles (e.g. from the ICN model). Nil
@@ -118,14 +117,36 @@ const (
 // It fails if the input is malformed or if the decision orders are
 // mutually inconsistent (cyclic).
 //
-// Every call allocates a fresh Timeline; callers evaluating many inputs
-// back to back reuse the buffers via Scratch.Compute instead.
+// Every call builds a fresh Static and Scratch, so the Timeline aliases
+// nothing; callers evaluating many instances of one schedule build the
+// Static once and Bind each instance to a reused Scratch instead.
 func Compute(in Input) (*Timeline, error) {
-	tl, err := new(Scratch).Compute(in)
+	st, err := NewStatic(in)
 	if err != nil {
 		return nil, err
 	}
-	// The scratch is about to go out of scope; its timeline is as fresh
-	// as a direct allocation would have been.
-	return tl, nil
+	if n := in.G.Len(); len(in.NeedLoad) != n {
+		return nil, fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
+	}
+	sc := new(Scratch)
+	if err := sc.Bind(st, in.PortOrder, in.instance()); err != nil {
+		return nil, err
+	}
+	for i, need := range in.NeedLoad {
+		if need != sc.loaded[i] {
+			return nil, fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, need, sc.loaded[i])
+		}
+	}
+	return sc.Reorder(in.PortOrder, 0)
+}
+
+// instance is the per-instance part of in, for Bind.
+func (in *Input) instance() Instance {
+	return Instance{
+		ExecFloor: in.ExecFloor,
+		LoadFloor: in.LoadFloor,
+		TileFree:  in.TileFree,
+		PortFree:  in.PortFree,
+		OnDemand:  in.OnDemand,
+	}
 }

@@ -238,24 +238,6 @@ func TestOnDemandLoadWaitsForPreds(t *testing.T) {
 	}
 }
 
-func TestLoadEarliestBound(t *testing.T) {
-	g := graph.New("le")
-	a := g.AddSubtask("a", model.MS(10))
-	in := Input{
-		G:            g,
-		P:            platform.Default(1),
-		Assignment:   []int{0},
-		TileOrder:    [][]graph.SubtaskID{{a}},
-		NeedLoad:     []bool{true},
-		PortOrder:    []graph.SubtaskID{a},
-		LoadEarliest: []model.Time{model.Time(model.MS(7))},
-	}
-	tl := mustCompute(t, in)
-	if tl.LoadStart[a] != model.Time(model.MS(7)) {
-		t.Fatalf("load start = %v, want 7ms", tl.LoadStart[a])
-	}
-}
-
 func TestCommDelayAppliesBetweenTiles(t *testing.T) {
 	g := graph.New("comm")
 	a := g.AddSubtask("a", model.MS(10))

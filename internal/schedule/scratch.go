@@ -17,31 +17,19 @@ var ErrCutoff = errors.New("schedule: makespan cut-off reached")
 // carried processor and port state, and the load semantics. Field
 // meanings are those of Input's fields of the same names.
 type Instance struct {
-	ExecFloor    model.Time
-	LoadFloor    model.Time
-	TileFree     []model.Time
-	PortFree     []model.Time
-	LoadEarliest []model.Time
-	OnDemand     bool
-}
-
-func (in *Input) instance() Instance {
-	return Instance{
-		ExecFloor:    in.ExecFloor,
-		LoadFloor:    in.LoadFloor,
-		TileFree:     in.TileFree,
-		PortFree:     in.PortFree,
-		LoadEarliest: in.LoadEarliest,
-		OnDemand:     in.OnDemand,
-	}
+	ExecFloor model.Time
+	LoadFloor model.Time
+	TileFree  []model.Time
+	PortFree  []model.Time
+	OnDemand  bool
 }
 
 // Scratch holds every buffer one evaluation needs, so a caller
 // evaluating many inputs back to back (the simulator's per-iteration
 // loop, the prefetch schedulers' candidate searches) performs no
-// allocations after the first call. The Timeline returned by Compute or
-// Reorder — including all of its slices — is owned by the Scratch and
-// valid only until its next Bind, Prepare, Compute or Reorder call.
+// allocations after the first call. The Timeline returned by Reorder —
+// including all of its slices — is owned by the Scratch and valid only
+// until its next Bind or Reorder call.
 //
 // Evaluation is split in three. A Static (NewStatic) holds what a
 // stored schedule fixes: the execution DAG and its validation. Bind
@@ -50,14 +38,13 @@ func (in *Input) instance() Instance {
 // load nodes' constraints come from the Static's processor and graph
 // lists plus the loaded flags, and the port order from per-load
 // prev/next links, so no DAG is rebuilt per instance or per candidate.
-// Prepare and Compute are the one-shot form, building the Scratch's own
-// Static from an Input first.
+// The package-level Compute is the one-shot form over a fresh Static
+// and Scratch.
 //
 // A Scratch must not be shared between goroutines; the Static it is
 // bound to may be. The zero value is ready to use.
 type Scratch struct {
 	st        *Static // the bound static part; nil until Bind succeeds
-	own       Static  // Prepare's static part
 	loads     int
 	onDemand  bool
 	execFloor model.Time
@@ -155,41 +142,6 @@ func (sc *Scratch) grow(n, ports int) {
 	}
 }
 
-// Compute evaluates the constraint system into the scratch's reusable
-// timeline: Prepare, then Reorder of in.PortOrder without a limit.
-// Semantics are identical to the package-level Compute; only the
-// allocation behaviour differs.
-func (sc *Scratch) Compute(in Input) (*Timeline, error) {
-	if err := sc.Prepare(in); err != nil {
-		return nil, err
-	}
-	return sc.Reorder(in.PortOrder, 0)
-}
-
-// Prepare validates in, builds the scratch's own Static from it and
-// binds in's load set (the subtasks with NeedLoad set, which PortOrder
-// must list) and floors. Prepare keeps no reference to in's slices, so
-// the caller may reuse them.
-func (sc *Scratch) Prepare(in Input) error {
-	sc.st = nil
-	if err := sc.own.build(&in); err != nil {
-		return err
-	}
-	if n := in.G.Len(); len(in.NeedLoad) != n {
-		return fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
-	}
-	if err := sc.Bind(&sc.own, in.PortOrder, in.instance()); err != nil {
-		return err
-	}
-	for i, need := range in.NeedLoad {
-		if need != sc.loaded[i] {
-			sc.st = nil
-			return fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, need, sc.loaded[i])
-		}
-	}
-	return nil
-}
-
 // Bind readies the scratch to evaluate port orders of loads on st: it
 // validates the load set and in against st and sets every node's
 // floor, in O(n + loads + processors + ports). Reorder then evaluates
@@ -204,9 +156,6 @@ func (sc *Scratch) Bind(st *Static, loads []graph.SubtaskID, in Instance) error 
 	}
 	if in.PortFree != nil && len(in.PortFree) != st.ports {
 		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), st.ports)
-	}
-	if in.LoadEarliest != nil && len(in.LoadEarliest) != n {
-		return fmt.Errorf("schedule: loadEarliest covers %d of %d subtasks", len(in.LoadEarliest), n)
 	}
 	sc.grow(n, st.ports)
 	for _, id := range loads {
@@ -227,12 +176,7 @@ func (sc *Scratch) Bind(st *Static, loads []graph.SubtaskID, in Instance) error 
 	// Per-node floors; the first subtask on a processor (and its load)
 	// also waits for the processor to drain.
 	for i := 0; i < n; i++ {
-		sc.floor[2*i] = in.ExecFloor
-		lf := in.LoadFloor
-		if in.LoadEarliest != nil && in.LoadEarliest[i] > 0 {
-			lf = model.MaxT(lf, in.LoadEarliest[i])
-		}
-		sc.floor[2*i+1] = lf
+		sc.floor[2*i], sc.floor[2*i+1] = in.ExecFloor, in.LoadFloor
 	}
 	for r, id := range st.first {
 		if id >= 0 {

@@ -8,8 +8,9 @@ import (
 )
 
 // TestScratchComputeMatchesFresh reuses one Scratch across inputs of
-// varying sizes and shapes — the simulator's usage pattern — and pins
-// every timeline to a fresh per-call computation. Stale buffer state
+// varying sizes and shapes — the simulator's usage pattern, each bound
+// to its own Static — and pins every timeline to a fresh per-call
+// Compute. Stale buffer state
 // (un-reset constraint rows, oversized slices) shows up here.
 func TestScratchComputeMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -21,7 +22,8 @@ func TestScratchComputeMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sc.Compute(in)
+		bind(t, sc, in)
+		got, err := sc.Reorder(in.PortOrder, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

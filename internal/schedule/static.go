@@ -74,29 +74,15 @@ func NewStatic(in Input) (*Static, error) {
 	return st, nil
 }
 
-// grow sizes the buffers for n subtasks, procs processors and edges
-// graph edges. Buffers of one type share one allocation, so a Static
-// rebuilt for inputs of similar size (Scratch.Prepare's own) stops
-// allocating.
-func (st *Static) grow(n, procs, edges int) {
-	if cap(st.onISP) < n {
-		st.onISP = make([]bool, n)
-	}
-	st.onISP = st.onISP[:n]
-	if need := 3 * n; cap(st.exec) < need {
-		st.exec = make([]model.Dur, need)
-	}
-	durs := st.exec[:cap(st.exec)]
+// alloc sizes the buffers for n subtasks, procs processors and edges
+// graph edges. Buffers of one type share one allocation.
+func (st *Static) alloc(n, procs, edges int) {
+	st.onISP = make([]bool, n)
+	durs := make([]model.Dur, 3*n)
 	st.exec, st.lat, st.tail = take(&durs, n), take(&durs, n), take(&durs, n)
-	if cap(st.preds) < 2*edges {
-		st.preds = make([]arc, 2*edges)
-	}
-	arcs := st.preds[:cap(st.preds)]
+	arcs := make([]arc, 2*edges)
 	st.preds, st.succs = take(&arcs, edges), take(&arcs, edges)
-	if need := 5*n + procs + 2*(n+1); cap(st.prev) < need {
-		st.prev = make([]int, need)
-	}
-	ints := st.prev[:cap(st.prev)]
+	ints := make([]int, 5*n+procs+2*(n+1))
 	st.prev, st.next, st.execIn = take(&ints, n), take(&ints, n), take(&ints, n)
 	st.topo, st.work = take(&ints, n), take(&ints, n)
 	st.first = take(&ints, procs)
@@ -119,7 +105,7 @@ func (st *Static) build(in *Input) error {
 		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), procs)
 	}
 	edges := in.G.Edges()
-	st.grow(n, procs, len(edges))
+	st.alloc(n, procs, len(edges))
 	st.name, st.n, st.procs, st.ports = in.G.Name, n, procs, in.P.Ports
 
 	// Processor orders: each subtask exactly once, on its processor.
@@ -176,9 +162,6 @@ func (st *Static) build(in *Input) error {
 	}
 
 	// Graph edges by target and by source: count, offsets, fill.
-	for i := range st.predAt {
-		st.predAt[i], st.succAt[i] = 0, 0
-	}
 	for _, e := range edges {
 		st.predAt[e.To+1]++
 		st.succAt[e.From+1]++
@@ -289,6 +272,14 @@ func (st *Static) Ideal(execFloor model.Time, tileFree []model.Time) (model.Dur,
 	}
 	return model.MaxT(0, execFloor.Add(span)).Sub(execFloor), nil
 }
+
+// Prev is the subtask that executes on id's processor just before id,
+// or -1 when id runs first there.
+func (st *Static) Prev(id graph.SubtaskID) graph.SubtaskID { return graph.SubtaskID(st.prev[id]) }
+
+// Latency is the time it takes to load id's configuration (zero for an
+// ISP subtask).
+func (st *Static) Latency(id graph.SubtaskID) model.Dur { return st.lat[id] }
 
 func (st *Static) cycleErr() error {
 	return fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", st.name)

@@ -52,9 +52,6 @@ func Verify(in Input, tl *Timeline) error {
 		if in.NeedLoad[i] && tl.LoadStart[i] < in.LoadFloor {
 			return fmt.Errorf("verify: subtask %d loads at %v before floor %v", i, tl.LoadStart[i], in.LoadFloor)
 		}
-		if in.NeedLoad[i] && in.LoadEarliest != nil && in.LoadEarliest[i] > 0 && tl.LoadStart[i] < in.LoadEarliest[i] {
-			return fmt.Errorf("verify: subtask %d loads before its explicit bound", i)
-		}
 	}
 
 	// Precedence (+ optional communication, + on-demand readiness).
