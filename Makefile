@@ -28,6 +28,19 @@ bench-all: ## run the full benchmark suite (regenerates the paper's numbers)
 bench-sweep: ## serial vs concurrent engine on the §7 grid
 	$(GO) test -run=^$$ -bench=BenchmarkEngineSweep -benchtime=3x .
 
+PROFILE_DIR ?= profiles
+
+.PHONY: profile
+profile: ## CPU profile of BenchmarkSimRun per approach, plus pprof -top, into PROFILE_DIR (default profiles/)
+	mkdir -p $(PROFILE_DIR)
+	for ap in no-prefetch run-time hybrid; do \
+		$(GO) test -run='^$$' -bench="^BenchmarkSimRun$$/^$$ap$$" -benchtime=3s -benchmem \
+			-o $(abspath $(PROFILE_DIR))/sim.test \
+			-cpuprofile $(abspath $(PROFILE_DIR))/simrun-$$ap.prof ./internal/sim || exit 1; \
+		$(GO) tool pprof -top $(PROFILE_DIR)/sim.test $(PROFILE_DIR)/simrun-$$ap.prof \
+			> $(PROFILE_DIR)/simrun-$$ap.top.txt || exit 1; \
+	done
+
 .PHONY: lint
 lint: ## gofmt (diff check) + go vet
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

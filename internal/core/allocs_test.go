@@ -13,10 +13,10 @@ import (
 // the paper's six multimedia scenarios (8 tiles, Spread placement).
 // The CS-selection loop evaluates many candidate load sets through
 // BranchBound, every round and every search node on one static part
-// and one scratch per analysis: a pass costs ~300 allocations, against
-// ~480 when each round built its own static part and scratch and ~6.1k
-// when each search node allocated its own timeline. The bound sits
-// between the first two, so a return to per-round rebuilding fails.
+// and one scratch per analysis, with the search state in the scratch's
+// id-indexed buffers: a pass costs ~200 allocations. The budget of 296
+// leaves a margin of 96 and still fails if each search allocates its
+// own maps and slices again (~300).
 func TestAnalyzeAllocs(t *testing.T) {
 	p := platform.Default(8)
 	var scheds []*assign.Schedule
@@ -39,7 +39,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(5, pass); allocs > 400 {
-		t.Fatalf("core.Analyze allocates %.0f objects per pass over the multimedia scenarios; budget 400", allocs)
+	if allocs := testing.AllocsPerRun(5, pass); allocs > 296 {
+		t.Fatalf("core.Analyze allocates %.0f objects per pass over the multimedia scenarios; budget 296", allocs)
 	}
 }

@@ -128,11 +128,11 @@ func (Greedy) Grant(f *Fabric, need int, cfgs []graph.ConfigID, dst []int) ([]in
 	// Pass 1: free tiles already holding a wanted configuration, in
 	// ascending tile order.
 	for t := 0; t < f.Tiles() && len(dst)-base < need; t++ {
-		if f.InUse(t) || st.Configs[t] == "" {
+		if f.InUse(t) || st.Config(t) == "" {
 			continue
 		}
 		for _, c := range cfgs {
-			if st.Configs[t] == c {
+			if st.Config(t) == c {
 				dst = append(dst, t)
 				break
 			}

@@ -11,6 +11,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"unique"
 
 	"drhwsched/internal/model"
 )
@@ -48,9 +50,15 @@ type Edge struct {
 type Graph struct {
 	Name     string
 	subtasks []Subtask
-	succ     [][]SubtaskID
-	pred     [][]SubtaskID
-	edges    []Edge
+	// keys holds each subtask's interned configuration, so per-instance
+	// reuse checks compare handles instead of names. It is built by the
+	// first ConfigKey call, so a graph that is only analyzed (a cold
+	// drhwd analyze request) never interns, and published atomically
+	// because built graphs are read by many goroutines at once.
+	keys  atomic.Pointer[[]unique.Handle[ConfigID]]
+	succ  [][]SubtaskID
+	pred  [][]SubtaskID
+	edges []Edge
 }
 
 // New returns an empty task graph with the given name.
@@ -76,6 +84,9 @@ func (g *Graph) AddConfigured(name string, exec model.Dur, cfg ConfigID) Subtask
 		cfg = ConfigID(fmt.Sprintf("%s/#%d", g.Name, id))
 	}
 	g.subtasks = append(g.subtasks, Subtask{ID: id, Name: name, Exec: exec, Config: cfg})
+	if g.keys.Load() != nil {
+		g.keys.Store(nil) // re-interned, with the new subtask, on next use
+	}
 	g.succ = append(g.succ, nil)
 	g.pred = append(g.pred, nil)
 	return id
@@ -113,6 +124,33 @@ func (g *Graph) Len() int { return len(g.subtasks) }
 
 // Subtask returns the subtask with the given ID.
 func (g *Graph) Subtask(id SubtaskID) Subtask { return g.subtasks[id] }
+
+// ConfigKey returns the interned handle of a subtask's configuration.
+// Two subtasks hold equal handles exactly when their ConfigIDs are
+// equal, in this graph or any other, and a handle is never the zero
+// value.
+func (g *Graph) ConfigKey(id SubtaskID) unique.Handle[ConfigID] { return g.ConfigKeys()[id] }
+
+// ConfigKeys returns every subtask's ConfigKey, indexed by ID, for
+// loops that read many. Shared slice; read-only.
+func (g *Graph) ConfigKeys() []unique.Handle[ConfigID] {
+	if keys := g.keys.Load(); keys != nil {
+		return *keys
+	}
+	return g.internConfigs()
+}
+
+// internConfigs interns every subtask's configuration and publishes
+// the handles. Goroutines that race here build equal vectors, so
+// whichever store lands last is as good as the first.
+func (g *Graph) internConfigs() []unique.Handle[ConfigID] {
+	keys := make([]unique.Handle[ConfigID], len(g.subtasks))
+	for i, st := range g.subtasks {
+		keys[i] = unique.Make(st.Config)
+	}
+	g.keys.Store(&keys)
+	return keys
+}
 
 // Subtasks returns all subtasks in ID order. The slice is shared; do not
 // modify it.
@@ -263,6 +301,7 @@ func (g *Graph) CriticalPath() (model.Dur, error) {
 func (g *Graph) Clone(name string) *Graph {
 	c := &Graph{Name: name}
 	c.subtasks = append([]Subtask(nil), g.subtasks...)
+	c.keys.Store(g.keys.Load()) // never written in place, so shared
 	c.edges = append([]Edge(nil), g.edges...)
 	c.succ = make([][]SubtaskID, len(g.succ))
 	c.pred = make([][]SubtaskID, len(g.pred))

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unique"
 
 	"drhwsched/internal/model"
 )
@@ -63,6 +65,23 @@ func TestAddConfiguredSharesBitstreams(t *testing.T) {
 	b := g.AddConfigured("b", model.MS(2), "shared")
 	if g.Subtask(a).Config != g.Subtask(b).Config {
 		t.Fatal("configs should be shared")
+	}
+	if g.ConfigKey(a) != g.ConfigKey(b) {
+		t.Fatal("shared configs should share a handle")
+	}
+	if g.ConfigKey(a) == (unique.Handle[ConfigID]{}) || g.ConfigKey(a).Value() != "shared" {
+		t.Fatalf("handle of a reads %q", g.ConfigKey(a).Value())
+	}
+	// Handles identify the name across graphs, so scenarios that share
+	// a bitstream reuse each other's tiles.
+	h := New("other")
+	c := h.AddConfigured("c", model.MS(3), "shared")
+	d := h.AddConfigured("d", model.MS(3), "own")
+	if h.ConfigKey(c) != g.ConfigKey(a) {
+		t.Fatal("equal configs in two graphs should share a handle")
+	}
+	if h.ConfigKey(d) == g.ConfigKey(a) {
+		t.Fatal("distinct configs share a handle")
 	}
 }
 
@@ -189,6 +208,7 @@ func TestTotalExec(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	g := diamond()
+	g.ConfigKeys() // interned before the clone, which then shares them
 	c := g.Clone("copy")
 	c.AddEdge(1, 2)
 	if len(g.Succs(1)) == len(c.Succs(1)) {
@@ -196,6 +216,43 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if g.Len() != c.Len() {
 		t.Fatal("clone lost subtasks")
+	}
+	for i := 0; i < g.Len(); i++ {
+		id := SubtaskID(i)
+		if c.ConfigKey(id) != g.ConfigKey(id) || c.ConfigKey(id).Value() != g.Subtask(id).Config {
+			t.Fatalf("clone's handle of %d reads %q, want %q", i, c.ConfigKey(id).Value(), g.Subtask(id).Config)
+		}
+	}
+	extra := c.AddConfigured("extra", model.MS(1), "extra")
+	if g.Len() == c.Len() {
+		t.Fatal("clone shares subtasks with original")
+	}
+	if c.ConfigKey(extra).Value() != "extra" || len(g.ConfigKeys()) != g.Len() {
+		t.Fatal("a subtask added to the clone is missing from its handles, or leaked into the original's")
+	}
+}
+
+// TestConfigKeysConcurrentFirstUse: built graphs are shared between
+// goroutines, and the first ConfigKeys call interns; concurrent first
+// calls must agree (run with -race).
+func TestConfigKeysConcurrentFirstUse(t *testing.T) {
+	g := Generate(rand.New(rand.NewSource(3)), GenSpec{Name: "c", Subtasks: 20, MaxWidth: 3, MinExec: 1, MaxExec: 2, SharedCfg: 4})
+	got := make([][]unique.Handle[ConfigID], 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.ConfigKeys()
+		}()
+	}
+	wg.Wait()
+	for i, keys := range got {
+		for id, k := range keys {
+			if k != unique.Make(g.Subtask(SubtaskID(id)).Config) {
+				t.Fatalf("goroutine %d: handle of %d reads %q", i, id, k.Value())
+			}
+		}
 	}
 }
 

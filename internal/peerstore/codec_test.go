@@ -13,6 +13,8 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
+	"drhwsched/internal/tcm"
+	"drhwsched/internal/workload"
 )
 
 // testInputs builds a deterministic schedule exercising every wire
@@ -86,6 +88,43 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if orig.CriticalFraction() != dec.CriticalFraction() {
 		t.Fatalf("CriticalFraction diverges after round trip")
+	}
+}
+
+// TestDecodedGraphsShareConfigKeys: a graph rebuilt by the peer-store
+// codec and one parsed from a workload document carry the same
+// configuration handles as the graph they were built from, so a decoded
+// analysis reuses tiles configured by a locally built one.
+func TestDecodedGraphsShareConfigKeys(t *testing.T) {
+	key, orig := testAnalysis(t, 3)
+	data, err := Encode(key, orig)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	dec, err := Decode(key, data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	g := orig.Sched.G
+	doc, err := workload.ExportMix("keys", []*tcm.Task{tcm.NewTask("t", g)}, nil)
+	if err != nil {
+		t.Fatalf("ExportMix: %v", err)
+	}
+	run, err := workload.ParseRun(doc)
+	if err != nil {
+		t.Fatalf("ParseRun: %v", err)
+	}
+	for name, h := range map[string]*graph.Graph{"peerstore": dec.Sched.G, "workload": run.Mix[0].Task.Scenarios[0]} {
+		if h == g || h.Len() != g.Len() {
+			t.Fatalf("%s: decoded graph is the original or has %d subtasks, want a copy of %d", name, h.Len(), g.Len())
+		}
+		for i := 0; i < g.Len(); i++ {
+			id := graph.SubtaskID(i)
+			if h.ConfigKey(id) != g.ConfigKey(id) {
+				t.Fatalf("%s: subtask %d handle reads %q, built graph %q",
+					name, i, h.ConfigKey(id).Value(), g.ConfigKey(id).Value())
+			}
+		}
 	}
 }
 

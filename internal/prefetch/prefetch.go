@@ -35,9 +35,9 @@
 package prefetch
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"drhwsched/internal/assign"
 	"drhwsched/internal/graph"
@@ -167,8 +167,9 @@ func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []
 }
 
 // ScheduleScratch implements Scheduler. The incumbent, every search node
-// and the final evaluation run on sc; the returned Result and its
-// Timeline are owned by sc.
+// and the final evaluation run on sc, and the search keeps its state in
+// sc's id-indexed buffers; the returned Result and its Timeline are
+// owned by sc.
 func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
 	maxLoads := bb.MaxLoads
 	if maxLoads == 0 {
@@ -178,24 +179,23 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 		return List{}.ScheduleScratch(s, st, loads, b, sc)
 	}
 
+	bs := &sc.bb
+	bs.grow(s.G.Len())
 	// Feasibility partial order: on one tile, loads must be issued in
 	// execution order (the engine rejects anything else).
-	sorted := append([]graph.SubtaskID(nil), loads...)
+	sorted := append(bs.sorted[:0], loads...)
+	bs.sorted = sorted
 	s.SortByIdealStart(sorted)
-	prevOnTile := make(map[graph.SubtaskID]graph.SubtaskID)
-	inSet := make(map[graph.SubtaskID]bool, len(sorted))
 	for _, id := range sorted {
-		inSet[id] = true
+		bs.inSet[id] = true
 	}
 	for _, tileOrder := range s.TileOrder {
 		var prev graph.SubtaskID = -1
 		for _, id := range tileOrder {
-			if !inSet[id] {
+			if !bs.inSet[id] {
 				continue
 			}
-			if prev >= 0 {
-				prevOnTile[id] = prev
-			}
+			bs.prevOnTile[id] = prev
 			prev = id
 		}
 	}
@@ -214,116 +214,170 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 	if err != nil {
 		return nil, err
 	}
-	bestMakespan := incumbent.Makespan
-	bestOrder := append([]graph.SubtaskID(nil), incumbent.PortOrder...)
 
-	nodes := 0
-
-	placed := make([]graph.SubtaskID, 0, len(sorted))
-	used := make(map[graph.SubtaskID]bool, len(sorted))
-
-	// Port-pairing bound: loads serialize on the controller, so the
-	// j-th load still to issue cannot end before portFloor plus j
-	// load latencies, and the makespan is at least that load's end
-	// plus the remaining path weight of its subtask. Pairing the
-	// largest weights with the earliest slots minimizes the maximum,
-	// so that pairing is a valid lower bound for every completion.
+	// Port-pairing bound inputs: the controller's floor and the loads
+	// in descending weight order (stable, like the ideal-start order
+	// it is taken from).
 	portFloor0 := b.LoadFloor
 	if b.PortFree != nil {
 		for _, t := range b.PortFree {
 			portFloor0 = model.MaxT(portFloor0, t)
 		}
 	}
-	start := b.ExecFloor
-	weightOrder := append([]graph.SubtaskID(nil), sorted...)
-	sort.SliceStable(weightOrder, func(a, c int) bool {
-		return s.Weights[weightOrder[a]] > s.Weights[weightOrder[c]]
+	weightOrder := append(bs.weightOrder[:0], sorted...)
+	bs.weightOrder = weightOrder
+	slices.SortStableFunc(weightOrder, func(a, c graph.SubtaskID) int {
+		return cmp.Compare(s.Weights[c], s.Weights[a])
 	})
-	lats := make([]model.Dur, 0, len(sorted))
-	pairingBound := func() model.Dur {
-		portFloor := portFloor0
-		for _, id := range placed {
-			portFloor = portFloor.Add(st.Latency(id))
-		}
-		// Slot ends: prefix sums of the unplaced latencies in
-		// ascending order (the earliest the j-th remaining load can
-		// possibly finish).
-		lats = lats[:0]
-		for _, id := range sorted {
-			if !used[id] {
-				lats = append(lats, st.Latency(id))
-			}
-		}
-		slices.Sort(lats)
-		var best model.Dur
-		slot := 0
-		end := portFloor
-		for _, id := range weightOrder {
-			if used[id] {
-				continue
-			}
-			end = end.Add(lats[slot])
-			slot++
-			if m := end.Add(s.Weights[id]).Sub(start); m > best {
-				best = m
-			}
-		}
-		return best
-	}
 
-	// lowerBound relaxes the problem: loads not yet placed are free.
-	var node Result
-	lowerBound := func() (model.Dur, bool) {
-		if err := sc.evaluateInto(&node, st, placed, b, false, ideal); err != nil {
-			return 0, false
-		}
-		return node.Makespan, true
+	search := bbSearch{
+		bbScratch:    bs,
+		s:            s,
+		st:           st,
+		b:            b,
+		sc:           sc,
+		ideal:        ideal,
+		portFloor0:   portFloor0,
+		bestMakespan: incumbent.Makespan,
 	}
+	bs.bestOrder = append(bs.bestOrder[:0], incumbent.PortOrder...)
+	bs.placed = bs.placed[:0]
+	search.dfs()
 
-	var dfs func()
-	dfs = func() {
-		if bestMakespan <= ideal {
-			return // already provably optimal
-		}
-		nodes++
-		if nodes > maxNodes {
-			return
-		}
-		if len(placed) == len(sorted) {
-			err := sc.evaluateInto(&node, st, placed, b, false, ideal)
-			if err == nil && node.Makespan < bestMakespan {
-				bestMakespan = node.Makespan
-				bestOrder = append(bestOrder[:0], placed...)
-			}
-			return
-		}
-		if pairingBound() >= bestMakespan {
-			return
-		}
-		if lb, ok := lowerBound(); !ok || lb >= bestMakespan {
-			return
-		}
-		// Candidates: unplaced loads whose same-tile predecessor load
-		// (if any) is already placed. Expand in ideal-start order so
-		// good solutions are found early.
-		for _, id := range sorted {
-			if used[id] {
-				continue
-			}
-			if prev, ok := prevOnTile[id]; ok && !used[prev] {
-				continue
-			}
-			used[id] = true
-			placed = append(placed, id)
-			dfs()
-			placed = placed[:len(placed)-1]
-			used[id] = false
-		}
-	}
-	dfs()
-
-	if err := sc.evaluateInto(&sc.res, st, bestOrder, b, false, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, st, bs.bestOrder, b, false, ideal); err != nil {
 		return nil, fmt.Errorf("prefetch: re-evaluating best order: %w", err)
 	}
 	return &sc.res, nil
+}
+
+// bbScratch holds BranchBound's reusable buffers; the id-indexed ones
+// cover every subtask of the schedule.
+type bbScratch struct {
+	sorted      []graph.SubtaskID // the loads in ideal-start order
+	weightOrder []graph.SubtaskID // the loads in descending weight order
+	placed      []graph.SubtaskID // the current search path
+	bestOrder   []graph.SubtaskID // the best complete order so far
+	lats        []model.Dur
+	node        Result
+
+	inSet      []bool            // per subtask: in the load set
+	used       []bool            // per subtask: on the current path
+	prevOnTile []graph.SubtaskID // per load: previous load on its tile, or -1
+}
+
+// grow sizes every buffer for a schedule of n subtasks, so one search
+// never reallocates, and clears the per-subtask flags.
+func (bs *bbScratch) grow(n int) {
+	if cap(bs.inSet) < n {
+		bs.inSet = make([]bool, n)
+		bs.used = make([]bool, n)
+		bs.prevOnTile = make([]graph.SubtaskID, n)
+		bs.sorted = make([]graph.SubtaskID, 0, n)
+		bs.weightOrder = make([]graph.SubtaskID, 0, n)
+		bs.placed = make([]graph.SubtaskID, 0, n)
+		bs.bestOrder = make([]graph.SubtaskID, 0, n)
+		bs.lats = make([]model.Dur, 0, n)
+	}
+	bs.inSet, bs.used, bs.prevOnTile = bs.inSet[:n], bs.used[:n], bs.prevOnTile[:n]
+	clear(bs.inSet)
+	clear(bs.used)
+}
+
+// bbSearch is one BranchBound call's depth-first search.
+type bbSearch struct {
+	*bbScratch
+	s  *assign.Schedule
+	st *schedule.Static
+	b  Bounds
+	sc *Scratch
+
+	ideal        model.Dur
+	portFloor0   model.Time
+	bestMakespan model.Dur
+	nodes        int
+}
+
+// pairingBound is the port-pairing bound: loads serialize on the
+// controller, so the j-th load still to issue cannot end before
+// portFloor plus j load latencies, and the makespan is at least that
+// load's end plus the remaining path weight of its subtask. Pairing the
+// largest weights with the earliest slots minimizes the maximum, so
+// that pairing is a valid lower bound for every completion.
+func (x *bbSearch) pairingBound() model.Dur {
+	portFloor := x.portFloor0
+	for _, id := range x.placed {
+		portFloor = portFloor.Add(x.st.Latency(id))
+	}
+	// Slot ends: prefix sums of the unplaced latencies in ascending
+	// order (the earliest the j-th remaining load can possibly finish).
+	lats := x.lats[:0]
+	for _, id := range x.sorted {
+		if !x.used[id] {
+			lats = append(lats, x.st.Latency(id))
+		}
+	}
+	x.lats = lats
+	slices.Sort(lats)
+	var best model.Dur
+	slot := 0
+	end := portFloor
+	for _, id := range x.weightOrder {
+		if x.used[id] {
+			continue
+		}
+		end = end.Add(lats[slot])
+		slot++
+		if m := end.Add(x.s.Weights[id]).Sub(x.b.ExecFloor); m > best {
+			best = m
+		}
+	}
+	return best
+}
+
+// lowerBound relaxes the problem: loads not yet placed are free.
+func (x *bbSearch) lowerBound() (model.Dur, bool) {
+	if err := x.sc.evaluateInto(&x.node, x.st, x.placed, x.b, false, x.ideal); err != nil {
+		return 0, false
+	}
+	return x.node.Makespan, true
+}
+
+func (x *bbSearch) dfs() {
+	if x.bestMakespan <= x.ideal {
+		return // already provably optimal
+	}
+	x.nodes++
+	if x.nodes > maxNodes {
+		return
+	}
+	if len(x.placed) == len(x.sorted) {
+		err := x.sc.evaluateInto(&x.node, x.st, x.placed, x.b, false, x.ideal)
+		if err == nil && x.node.Makespan < x.bestMakespan {
+			x.bestMakespan = x.node.Makespan
+			x.bestOrder = append(x.bestOrder[:0], x.placed...)
+		}
+		return
+	}
+	if x.pairingBound() >= x.bestMakespan {
+		return
+	}
+	if lb, ok := x.lowerBound(); !ok || lb >= x.bestMakespan {
+		return
+	}
+	// Candidates: unplaced loads whose same-tile predecessor load (if
+	// any) is already placed. Expand in ideal-start order so good
+	// solutions are found early.
+	for _, id := range x.sorted {
+		if x.used[id] {
+			continue
+		}
+		if prev := x.prevOnTile[id]; prev >= 0 && !x.used[prev] {
+			continue
+		}
+		x.used[id] = true
+		x.placed = append(x.placed, id)
+		x.dfs()
+		x.placed = x.placed[:len(x.placed)-1]
+		x.used[id] = false
+	}
 }

@@ -27,6 +27,7 @@ type Scratch struct {
 	res   Result
 
 	repair repairScratch
+	bb     bbScratch
 }
 
 // instance is the one place Bounds become a schedule.Instance.

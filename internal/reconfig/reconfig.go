@@ -18,6 +18,7 @@ package reconfig
 
 import (
 	"math/rand"
+	"unique"
 
 	"drhwsched/internal/assign"
 	"drhwsched/internal/graph"
@@ -25,10 +26,15 @@ import (
 )
 
 // State tracks what is resident on every physical tile.
+//
+// Residency is held as interned configuration handles
+// (graph.Graph.ConfigKey), so the per-instance reuse checks compare
+// handles; names are read back through Config only at the edges
+// (lookahead policies, fabric admission, trace events).
 type State struct {
-	// Configs holds the configuration on each tile; empty string means
-	// the tile has never been configured.
-	Configs []graph.ConfigID
+	// keys holds the configuration on each tile; the zero handle
+	// means the tile has never been configured.
+	keys []unique.Handle[graph.ConfigID]
 	// LastUse is the last time the tile executed or loaded anything.
 	LastUse []model.Time
 	// LoadedAt is when the current configuration was loaded.
@@ -38,7 +44,7 @@ type State struct {
 // NewState returns an all-empty tile state.
 func NewState(tiles int) *State {
 	return &State{
-		Configs:  make([]graph.ConfigID, tiles),
+		keys:     make([]unique.Handle[graph.ConfigID], tiles),
 		LastUse:  make([]model.Time, tiles),
 		LoadedAt: make([]model.Time, tiles),
 	}
@@ -48,19 +54,40 @@ func NewState(tiles int) *State {
 // the cold start of a fresh fabric, reused across independent
 // simulation replications.
 func (st *State) Reset() {
-	for t := range st.Configs {
-		st.Configs[t] = ""
-		st.LastUse[t] = 0
-		st.LoadedAt[t] = 0
-	}
+	clear(st.keys)
+	clear(st.LastUse)
+	clear(st.LoadedAt)
 }
 
 // Tiles reports the number of physical tiles tracked.
-func (st *State) Tiles() int { return len(st.Configs) }
+func (st *State) Tiles() int { return len(st.keys) }
 
-// Set records that tile now holds cfg, loaded at the given time.
+// Config returns the configuration resident on tile, or "" if the tile
+// has never been configured.
+func (st *State) Config(tile int) graph.ConfigID {
+	if k := st.keys[tile]; k != (unique.Handle[graph.ConfigID]{}) {
+		return k.Value()
+	}
+	return ""
+}
+
+// Key returns the interned handle of the configuration resident on
+// tile; the zero handle means the tile is empty. It equals
+// graph.Graph.ConfigKey of every subtask with that configuration.
+func (st *State) Key(tile int) unique.Handle[graph.ConfigID] { return st.keys[tile] }
+
+// Set records that tile now holds cfg, loaded at the given time. An
+// empty cfg empties the tile.
 func (st *State) Set(tile int, cfg graph.ConfigID, at model.Time) {
-	st.Configs[tile] = cfg
+	var k unique.Handle[graph.ConfigID]
+	if cfg != "" {
+		k = unique.Make(cfg)
+	}
+	st.set(tile, k, at)
+}
+
+func (st *State) set(tile int, k unique.Handle[graph.ConfigID], at model.Time) {
+	st.keys[tile] = k
 	st.LoadedAt[tile] = at
 	st.LastUse[tile] = at
 }
@@ -76,8 +103,8 @@ func (st *State) Touch(tile int, at model.Time) {
 // Clone deep-copies the state (used by what-if evaluation in the
 // simulator's ablations).
 func (st *State) Clone() *State {
-	c := NewState(len(st.Configs))
-	copy(c.Configs, st.Configs)
+	c := NewState(st.Tiles())
+	copy(c.keys, st.keys)
 	copy(c.LastUse, st.LastUse)
 	copy(c.LoadedAt, st.LoadedAt)
 	return c
@@ -87,9 +114,9 @@ func (st *State) Clone() *State {
 // no tile holding the wanted configuration is available.
 type Policy interface {
 	Name() string
-	// Victim picks one tile from candidates (never empty). future
-	// lists the configurations of upcoming subtasks, nearest first,
-	// for lookahead policies; it may be nil.
+	// Victim picks one tile from candidates (never empty, ascending,
+	// read-only). future lists the configurations of upcoming
+	// subtasks, nearest first, for lookahead policies; it may be nil.
 	Victim(st *State, candidates []int, future []graph.ConfigID) int
 }
 
@@ -146,8 +173,8 @@ func (Belady) Victim(st *State, candidates []int, future []graph.ConfigID) int {
 	best, bestDist := candidates[0], -1
 	for _, t := range candidates {
 		dist := 1 << 30 // never used again
-		if st.Configs[t] != "" {
-			if d, ok := next[st.Configs[t]]; ok {
+		if c := st.Config(t); c != "" {
+			if d, ok := next[c]; ok {
 				dist = d
 			}
 		} else {
@@ -241,6 +268,7 @@ func Resident(s *assign.Schedule, st *State, m Mapping) []bool {
 // LoadedAt, and LastUse advances to the tile's final activity. resident
 // is the instance's residency vector (nil: nothing was resident).
 func Commit(s *assign.Schedule, st *State, m Mapping, resident []bool, endOf func(graph.SubtaskID) model.Time) {
+	keys := s.G.ConfigKeys()
 	for v := 0; v < s.Tiles; v++ {
 		order := s.TileOrder[v]
 		if len(order) == 0 {
@@ -252,7 +280,7 @@ func Commit(s *assign.Schedule, st *State, m Mapping, resident []bool, endOf fun
 			if resident != nil && resident[id] {
 				st.Touch(phys, end)
 			} else {
-				st.Set(phys, s.G.Subtask(id).Config, end)
+				st.set(phys, keys[id], end)
 			}
 		}
 	}

@@ -26,14 +26,23 @@ func sched(t *testing.T, cfgs ...graph.ConfigID) *assign.Schedule {
 	return s
 }
 
+// configs reads the state's residency vector by name.
+func configs(st *State) []graph.ConfigID {
+	out := make([]graph.ConfigID, st.Tiles())
+	for t := range out {
+		out[t] = st.Config(t)
+	}
+	return out
+}
+
 func TestStateBasics(t *testing.T) {
 	st := NewState(3)
 	if st.Tiles() != 3 {
 		t.Fatal("tiles")
 	}
 	st.Set(1, "a", 100)
-	if st.Configs[0] != "" || st.Configs[1] != "a" || st.Configs[2] != "" {
-		t.Fatalf("configs = %q, want only tile 1 holding a", st.Configs)
+	if got := configs(st); !slices.Equal(got, []graph.ConfigID{"", "a", ""}) {
+		t.Fatalf("configs = %q, want only tile 1 holding a", got)
 	}
 	st.Touch(1, 200)
 	if st.LastUse[1] != 200 {
@@ -45,7 +54,7 @@ func TestStateBasics(t *testing.T) {
 	}
 	c := st.Clone()
 	c.Set(0, "b", 1)
-	if st.Configs[0] != "" {
+	if st.Config(0) != "" {
 		t.Fatal("clone not deep")
 	}
 }
@@ -157,10 +166,10 @@ func TestCommitRecordsFinalConfigs(t *testing.T) {
 	}
 	res := Resident(s, st, m)
 	Commit(s, st, m, res, func(id graph.SubtaskID) model.Time { return model.Time(100 + int64(id)) })
-	configs := slices.Clone(st.Configs)
-	slices.Sort(configs)
-	if !slices.Equal(configs, []graph.ConfigID{"A", "B"}) {
-		t.Fatalf("configs after commit: %v", st.Configs)
+	got := configs(st)
+	slices.Sort(got)
+	if !slices.Equal(got, []graph.ConfigID{"A", "B"}) {
+		t.Fatalf("configs after commit: %v", configs(st))
 	}
 }
 
@@ -261,7 +270,7 @@ func TestMapResidentProperty(t *testing.T) {
 				continue
 			}
 			first := s.TileOrder[v][0]
-			if res[first] && st.Configs[m.PhysOf[v]] != g.Subtask(first).Config {
+			if res[first] && st.Config(m.PhysOf[v]) != g.Subtask(first).Config {
 				return false
 			}
 		}

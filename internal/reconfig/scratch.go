@@ -2,8 +2,11 @@ package reconfig
 
 import (
 	"fmt"
+	"slices"
+	"unique"
 
 	"drhwsched/internal/assign"
+	"drhwsched/internal/graph"
 )
 
 // MapScratch holds the working buffers of one Map decision so the
@@ -18,7 +21,8 @@ type MapScratch struct {
 	busyRest  []int
 	initTiles []int
 	unmatched []int
-	others    []int
+	empty     []int
+	occupied  []int
 }
 
 // MapInto is Map with caller-owned scratch buffers; the returned
@@ -95,16 +99,15 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	byWeight(busyRest)
 	sc.busyCrit, sc.busyRest = busyCrit[:0], busyRest[:0]
 
+	keys := s.G.ConfigKeys()
 	match := func(v int) bool {
-		cfg := s.G.Subtask(s.TileOrder[v][0]).Config
-		// The taken filter comes first — before the element read, so a
-		// restricted Allowed set never reads residency outside the
-		// claim, like every other pass.
-		for t := range st.Configs {
-			if taken[t] {
-				continue
-			}
-			if c := st.Configs[t]; c != "" && c == cfg {
+		// Graph handles are never zero, so an empty tile never
+		// matches. The taken filter comes first, so a restricted
+		// Allowed set never reads residency outside the claim, like
+		// every other pass.
+		cfg := keys[s.TileOrder[v][0]]
+		for t, c := range st.keys {
+			if c == cfg && !taken[t] {
 				claim(v, t)
 				return true
 			}
@@ -149,28 +152,32 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	sc.unmatched = unmatched[:0]
 	// Pass 4: replacement policy picks victims for the rest. Empty
 	// tiles are preferred outright — evicting nothing is always safe.
-	for _, v := range unmatched {
-		firstEmpty := -1
-		others := sc.others[:0]
-		for t := 0; t < st.Tiles(); t++ {
-			if taken[t] {
-				continue
-			}
-			if st.Configs[t] == "" {
-				if firstEmpty < 0 {
-					firstEmpty = t
-				}
-			} else {
-				others = append(others, t)
+	// The free tiles are split once into ascending empty and occupied
+	// lists, and each claim removes its tile, so the policy sees the
+	// same candidates as a rescan of the free tiles per virtual tile.
+	empty, occupied := sc.empty[:0], sc.occupied[:0]
+	if len(unmatched) > 0 {
+		for t, c := range st.keys {
+			switch {
+			case taken[t]:
+			case c == (unique.Handle[graph.ConfigID]{}):
+				empty = append(empty, t)
+			default:
+				occupied = append(occupied, t)
 			}
 		}
-		sc.others = others[:0]
+	}
+	sc.empty, sc.occupied = empty[:0], occupied[:0]
+	for _, v := range unmatched {
 		var pick int
 		switch {
-		case firstEmpty >= 0:
-			pick = firstEmpty
-		case len(others) > 0:
-			pick = policy.Victim(st, others, opt.Future)
+		case len(empty) > 0:
+			pick, empty = empty[0], empty[1:]
+		case len(occupied) > 0:
+			pick = policy.Victim(st, occupied, opt.Future)
+			if i := slices.Index(occupied, pick); i >= 0 {
+				occupied = append(occupied[:i], occupied[i+1:]...)
+			}
 		default:
 			return Mapping{}, fmt.Errorf("reconfig: ran out of physical tiles")
 		}
@@ -215,10 +222,11 @@ func ResidentInto(res []bool, s *assign.Schedule, st *State, m Mapping) []bool {
 		res = res[:n]
 		clear(res)
 	}
+	keys := s.G.ConfigKeys()
 	for v := 0; v < s.Tiles; v++ {
-		cur := st.Configs[m.PhysOf[v]]
+		cur := st.keys[m.PhysOf[v]]
 		for _, id := range s.TileOrder[v] {
-			cfg := s.G.Subtask(id).Config
+			cfg := keys[id]
 			if cfg == cur {
 				res[id] = true
 			} else {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"time"
+	"unique"
 
 	"drhwsched/internal/assign"
 	"drhwsched/internal/core"
@@ -850,19 +851,20 @@ func (k *kernel) traceInstance(pr *prepared, mapping reconfig.Mapping, start, po
 	hybrid := k.opt.Approach == Hybrid
 	for v := 0; v < s.Tiles; v++ {
 		phys := mapping.PhysOf[v]
-		prev := state.Configs[phys]
+		prev := state.Key(phys)
 		for _, id := range s.TileOrder[v] {
 			sub := s.G.Subtask(id)
 			if tl.LoadStart[id] != schedule.NoEvent {
-				if prev != "" && prev != sub.Config {
+				key := s.G.ConfigKey(id)
+				if prev != (unique.Handle[graph.ConfigID]{}) && prev != key {
 					k.record(obs.Event{
 						Kind: obs.KindVictim, Iter: k.curIter, Seq: seq, Task: name,
-						Subtask: sub.Name, Config: string(prev), Detail: string(sub.Config),
+						Subtask: sub.Name, Config: string(prev.Value()), Detail: string(sub.Config),
 						Tile: phys, Port: -1, ISP: -1,
 						Start: tl.LoadStart[id], End: tl.LoadStart[id],
 					})
 				}
-				prev = sub.Config
+				prev = key
 				var detail string
 				if hybrid && pr.analysis.IsCritical(id) {
 					detail = "init"
