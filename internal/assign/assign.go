@@ -197,10 +197,6 @@ func List(g *graph.Graph, p platform.Platform, opt Options) (*Schedule, error) {
 // the engine's validation matches the decision set; callers remap
 // virtual tiles to physical ones separately (see the reconfig package).
 func (s *Schedule) EngineInput(p platform.Platform, portOrder []graph.SubtaskID) schedule.Input {
-	need := make([]bool, s.G.Len())
-	for _, id := range portOrder {
-		need[id] = true
-	}
 	p.Tiles = s.Tiles
 	p.ISPs = s.ISPs
 	return schedule.Input{
@@ -208,7 +204,6 @@ func (s *Schedule) EngineInput(p platform.Platform, portOrder []graph.SubtaskID)
 		P:          p,
 		Assignment: s.Assignment,
 		TileOrder:  s.TileOrder,
-		NeedLoad:   need,
 		PortOrder:  portOrder,
 	}
 }

@@ -135,9 +135,6 @@ func TestEngineRejectsMisplacedISPSubtasks(t *testing.T) {
 
 	// ISP subtask marked for loading.
 	bad2 := in
-	need := append([]bool(nil), in.NeedLoad...)
-	need[0] = true
-	bad2.NeedLoad = need
 	bad2.PortOrder = append([]graph.SubtaskID{0}, in.PortOrder...)
 	if _, err := schedule.Compute(bad2); err == nil {
 		t.Fatal("want error for loading an ISP subtask")

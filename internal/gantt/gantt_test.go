@@ -21,7 +21,6 @@ func sample(t *testing.T) (schedule.Input, *schedule.Timeline) {
 		P:          platform.Default(2),
 		Assignment: []int{0, 1},
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
-		NeedLoad:   []bool{true, true},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
 	tl, err := schedule.Compute(in)
@@ -87,7 +86,6 @@ func TestManySubtaskLabels(t *testing.T) {
 		P:          platform.Default(1),
 		Assignment: make([]int, 40),
 		TileOrder:  [][]graph.SubtaskID{order},
-		NeedLoad:   make([]bool, 40),
 	}
 	tl, err := schedule.Compute(in)
 	if err != nil {

@@ -42,7 +42,11 @@ type Subtask struct {
 // Edge is a precedence (and optionally communication) dependency.
 type Edge struct {
 	From, To SubtaskID
-	Bytes    int // payload carried over the ICN; 0 for pure precedence
+	// Bytes is the payload size the edge carries, 0 for pure
+	// precedence. It is kept on the wire and in the analysis
+	// fingerprint, not modelled: communication cost is folded into
+	// the subtasks' execution times.
+	Bytes int
 }
 
 // Graph is a mutable task graph. The zero value is unusable; create one
@@ -104,8 +108,8 @@ func (g *Graph) SetOnISP(id SubtaskID, on bool) { g.subtasks[id].OnISP = on }
 // another.
 func (g *Graph) AddEdge(from, to SubtaskID) { g.AddEdgeBytes(from, to, 0) }
 
-// AddEdgeBytes records a dependency carrying a payload of the given size
-// over the interconnection network.
+// AddEdgeBytes records a dependency carrying a payload of the given
+// size (see Edge.Bytes).
 func (g *Graph) AddEdgeBytes(from, to SubtaskID, bytes int) {
 	g.edges = append(g.edges, Edge{From: from, To: to, Bytes: bytes})
 	g.succ[from] = append(g.succ[from], to)

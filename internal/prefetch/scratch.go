@@ -131,7 +131,7 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads [
 				next[j-1], next[j] = next[j], next[j-1]
 			}
 		}
-		sc.repair.repair(s, st, next, true)
+		sc.repair.repair(s, st, next)
 		if equalOrder(next, order) {
 			break
 		}
@@ -247,20 +247,20 @@ func (rs *repairScratch) grow(n int) {
 }
 
 // repair permutes a load order in place, as little as possible, so that
-// it is feasible:
+// it is feasible under on-demand semantics:
 //
 //   - loads of subtasks sharing a tile appear in the tile's execution
 //     order (a tile cannot be reconfigured for a later subtask before
 //     an earlier one has run), and
-//   - under on-demand semantics, a load never precedes the load of a
-//     loaded graph ancestor (the ancestor must execute before this
-//     load's request even exists, and its own load must come first).
+//   - a load never precedes the load of a loaded graph ancestor (the
+//     ancestor must execute before this load's request even exists,
+//     and its own load must come first).
 //
 // It models the controller letting an unblocked request overtake a
 // blocked one: a stable topological sort that keeps the desired order
 // wherever the constraints allow. The tests check it against an
 // independent map-based reference.
-func (rs *repairScratch) repair(s *assign.Schedule, st *schedule.Static, order []graph.SubtaskID, onDemand bool) {
+func (rs *repairScratch) repair(s *assign.Schedule, st *schedule.Static, order []graph.SubtaskID) {
 	m := len(order)
 	if m < 2 {
 		return
@@ -271,52 +271,38 @@ func (rs *repairScratch) repair(s *assign.Schedule, st *schedule.Static, order [
 		rs.inSet[id] = true
 	}
 	// deps[i] lists loads that must be issued before order-member i.
-	for _, tileOrder := range s.TileOrder {
-		var prev graph.SubtaskID = -1
-		for _, id := range tileOrder {
-			if !rs.inSet[id] {
+	// An on-demand load waits for its predecessors' executions, and
+	// executions are ordered by the *combined* precedence: graph edges
+	// plus per-tile execution chains (through resident subtasks too).
+	// Any loaded subtask that executes strictly before subtask i, its
+	// tile's earlier loads included, must therefore have its load
+	// issued before i's. Walk each load's combined-predecessor closure
+	// and record the loaded members.
+	push := func(stack []graph.SubtaskID, id graph.SubtaskID) []graph.SubtaskID {
+		stack = append(stack, s.G.Preds(id)...)
+		if pe := st.Prev(id); pe >= 0 {
+			stack = append(stack, pe)
+		}
+		return stack
+	}
+	for _, id := range order {
+		for i := 0; i < n; i++ {
+			rs.seen[i] = false
+		}
+		stack := push(rs.stack[:0], id)
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if rs.seen[p] {
 				continue
 			}
-			if prev >= 0 {
-				rs.deps[id] = append(rs.deps[id], prev)
+			rs.seen[p] = true
+			if rs.inSet[p] && p != id {
+				rs.deps[id] = append(rs.deps[id], p)
 			}
-			prev = id
+			stack = push(stack, p)
 		}
-	}
-	if onDemand {
-		// An on-demand load waits for its predecessors' executions,
-		// and executions are ordered by the *combined* precedence:
-		// graph edges plus per-tile execution chains (through resident
-		// subtasks too). Any loaded subtask that executes strictly
-		// before subtask i must therefore have its load issued before
-		// i's. Walk each load's combined-predecessor closure and
-		// record the loaded members.
-		push := func(stack []graph.SubtaskID, id graph.SubtaskID) []graph.SubtaskID {
-			stack = append(stack, s.G.Preds(id)...)
-			if pe := st.Prev(id); pe >= 0 {
-				stack = append(stack, pe)
-			}
-			return stack
-		}
-		for _, id := range order {
-			for i := 0; i < n; i++ {
-				rs.seen[i] = false
-			}
-			stack := push(rs.stack[:0], id)
-			for len(stack) > 0 {
-				p := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if rs.seen[p] {
-					continue
-				}
-				rs.seen[p] = true
-				if rs.inSet[p] && p != id {
-					rs.deps[id] = append(rs.deps[id], p)
-				}
-				stack = push(stack, p)
-			}
-			rs.stack = stack[:0]
-		}
+		rs.stack = stack[:0]
 	}
 	out := rs.out[:0]
 	for len(out) < m {

@@ -87,7 +87,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 
 // TestRepairMatchesReference pins repairScratch.repair to repairOrder,
 // the map-based reference below that shares none of its bookkeeping:
-// random schedules, random load subsets in random orders, both
+// random schedules, random load subsets in random orders, on-demand
 // semantics, and one scratch reused throughout so stale buffers from a
 // larger graph would show.
 func TestRepairMatchesReference(t *testing.T) {
@@ -97,14 +97,12 @@ func TestRepairMatchesReference(t *testing.T) {
 		s, p, loads := randSched(rng, 14, 1+rng.Intn(4))
 		st := mustStatic(t, s, p)
 		rng.Shuffle(len(loads), func(i, j int) { loads[i], loads[j] = loads[j], loads[i] })
-		for _, onDemand := range []bool{false, true} {
-			want := append([]graph.SubtaskID(nil), loads...)
-			repairOrder(s, want, onDemand)
-			got := append([]graph.SubtaskID(nil), loads...)
-			rs.repair(s, st, got, onDemand)
-			if !equalOrder(got, want) {
-				t.Fatalf("trial %d onDemand=%v: repair(%v) = %v, reference %v", trial, onDemand, loads, got, want)
-			}
+		want := append([]graph.SubtaskID(nil), loads...)
+		repairOrder(s, want, true)
+		got := append([]graph.SubtaskID(nil), loads...)
+		rs.repair(s, st, got)
+		if !equalOrder(got, want) {
+			t.Fatalf("trial %d: repair(%v) = %v, reference %v", trial, loads, got, want)
 		}
 	}
 }
@@ -361,7 +359,7 @@ func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.Su
 				next[j-1], next[j] = next[j], next[j-1]
 			}
 		}
-		sc.repair.repair(s, st, next, true)
+		sc.repair.repair(s, st, next)
 		if equalOrder(next, order) {
 			break
 		}

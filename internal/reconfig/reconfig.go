@@ -166,19 +166,18 @@ func (Belady) Name() string { return "belady" }
 
 // Victim implements Policy.
 func (Belady) Victim(st *State, candidates []int, future []graph.ConfigID) int {
-	next := make(map[graph.ConfigID]int, len(future))
-	for i := len(future) - 1; i >= 0; i-- {
-		next[future[i]] = i
-	}
 	best, bestDist := candidates[0], -1
 	for _, t := range candidates {
-		dist := 1 << 30 // never used again
+		// Empty tiles are free victims, like configurations never
+		// used again; otherwise the distance is the first use.
+		dist := 1 << 30
 		if c := st.Config(t); c != "" {
-			if d, ok := next[c]; ok {
-				dist = d
+			for i, f := range future {
+				if f == c {
+					dist = i
+					break
+				}
 			}
-		} else {
-			dist = 1 << 30 // empty tiles are free victims
 		}
 		if dist > bestDist || (dist == bestDist && st.LastUse[t] < st.LastUse[best]) {
 			best, bestDist = t, dist

@@ -325,7 +325,8 @@ func allocSched(tb testing.TB, tiles int) (*assign.Schedule, *State) {
 
 // TestMapIntoAllocs pins the per-instance reuse and replacement path
 // (MapInto, ResidentInto, Commit) at zero allocations per warm decision
-// at 16 tiles, with the whole fabric available and under a claim.
+// at 16 tiles, with the whole fabric available, under a claim, and
+// with Belady reading a lookahead.
 func TestMapIntoAllocs(t *testing.T) {
 	const tiles = 16
 	s, st := allocSched(t, tiles)
@@ -335,18 +336,25 @@ func TestMapIntoAllocs(t *testing.T) {
 	for t := 0; t < tiles; t += 2 {
 		claim = append(claim, t)
 	}
+	future := make([]graph.ConfigID, 10)
+	for i := range future {
+		future[i] = graph.ConfigID(fmt.Sprintf("pool/%d", 3*i%(tiles+3)))
+	}
 	for _, tc := range []struct {
 		name    string
 		allowed []int
 		sched   *assign.Schedule
+		policy  Policy
+		future  []graph.ConfigID
 	}{
-		{"full", nil, s},
-		{"allowed", claim, randomMapSched(t, rand.New(rand.NewSource(5)), 12, len(claim))},
+		{"full", nil, s, nil, nil},
+		{"allowed", claim, randomMapSched(t, rand.New(rand.NewSource(5)), 12, len(claim)), nil, nil},
+		{"belady", nil, s, Belady{}, future},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := &MapScratch{}
 			var res []bool
-			opt := MapOptions{Critical: crit, Allowed: tc.allowed}
+			opt := MapOptions{Policy: tc.policy, Critical: crit, Allowed: tc.allowed, Future: tc.future}
 			decide := func() {
 				m, err := MapInto(tc.sched, st, opt, sc)
 				if err != nil {

@@ -18,10 +18,9 @@ import (
 )
 
 // refScratch is the reference evaluator: Prepare builds the static
-// constraint DAG (graph edges with their communication delay, on-demand
-// edges, load→exec edges and tile chains) of one input, load set
-// included; Reorder evaluates one port order on it. The zero value is
-// ready to use.
+// constraint DAG (graph edges, on-demand edges, load→exec edges and
+// tile chains) of one input, load set included; Reorder evaluates one
+// port order on it. The zero value is ready to use.
 type refScratch struct {
 	// The prepared input. DAG nodes are indexed 2·id+kind; total counts
 	// the n exec nodes plus one load node per loaded subtask.
@@ -31,11 +30,12 @@ type refScratch struct {
 	execFloor       model.Time
 	loadFloor       model.Time
 
-	// The static constraint DAG in compressed-row form: the constraints
-	// into node v are cons[consAt[v]:consAt[v+1]] and its successors
-	// out[outAt[v]:outAt[v+1]].
-	cons          []refConstraint
-	out           []int // in ints
+	// The static constraint DAG in compressed-row form: the nodes whose
+	// ends constrain node v's start are cons[consAt[v]:consAt[v+1]] and
+	// its successors out[outAt[v]:outAt[v+1]]. Every static constraint
+	// runs from an end; the port order's start-to-start links are kept
+	// in portPrev/portNext instead.
+	cons, out     []int // in ints
 	consAt, outAt []int // 2n+1 each
 	// indeg and ready (2n each) are the evaluation's in-degrees and
 	// LIFO ready stack; Prepare uses them as fill cursors and the tail
@@ -56,22 +56,14 @@ type refScratch struct {
 	times               []model.Time // backs the above and the timeline
 
 	// dur is each node's exec time or load latency. tail[v] is dur[v]
-	// plus the longest chain of static successors, with delays: a lower
-	// bound on End − start(v). It is filled by the first limited
-	// Reorder after Prepare, so unlimited evaluations never pay for it.
+	// plus the longest chain of static successors: a lower bound on
+	// End − start(v). It is filled by the first limited Reorder after
+	// Prepare, so unlimited evaluations never pay for it.
 	dur, tail []model.Dur
 	tailReady bool
 	durs      []model.Dur
 
 	tl Timeline
-}
-
-// refConstraint: start(to) ≥ end(from) + delay. Every static constraint
-// runs from an end; the port order's start-to-start links are kept in
-// portPrev/portNext instead.
-type refConstraint struct {
-	from  int
-	delay model.Dur
 }
 
 // grow sizes every buffer for n subtasks with edges graph edges on ports
@@ -82,10 +74,7 @@ type refConstraint struct {
 func (sc *refScratch) grow(n, edges, ports int) {
 	n2 := 2 * n
 	maxCons := 2*edges + 3*n // graph and on-demand edges, load→exec, two tile chains
-	if cap(sc.cons) < maxCons {
-		sc.cons = make([]refConstraint, maxCons)
-	}
-	if need := 2*(n2+1) + 2*n2 + 4*n + maxCons; cap(sc.ints) < need {
+	if need := 2*(n2+1) + 2*n2 + 4*n + 2*maxCons; cap(sc.ints) < need {
 		sc.ints = make([]int, need)
 	}
 	ints := sc.ints[:cap(sc.ints)]
@@ -93,7 +82,7 @@ func (sc *refScratch) grow(n, edges, ports int) {
 	sc.indeg, sc.ready = take(&ints, n2), take(&ints, n2)
 	sc.portPrev, sc.portNext, sc.stamp = take(&ints, n), take(&ints, n), take(&ints, n)
 	loadPort := take(&ints, n)
-	sc.out = ints[:0:maxCons]
+	sc.cons, sc.out = take(&ints, maxCons)[:0], take(&ints, maxCons)[:0]
 	for i := range sc.stamp {
 		sc.stamp[i] = 0
 	}
@@ -143,7 +132,7 @@ func (sc *refScratch) Compute(in Input) (*Timeline, error) {
 
 // Prepare validates in and builds the part of the evaluation that does
 // not depend on the port order. Subsequent Reorder calls evaluate port
-// orders over in's load set (the subtasks with NeedLoad set). Prepare
+// orders over in's load set (the subtasks its PortOrder lists). Prepare
 // keeps no reference to in's slices, so the caller may reuse them.
 func (sc *refScratch) Prepare(in Input) error {
 	sc.prepared = false
@@ -215,16 +204,16 @@ func (sc *refScratch) Prepare(in Input) error {
 // staticEdges enumerates the port-order-independent constraints. With
 // fill false it counts them into consAt[to+1] and outAt[from+1]; with
 // fill true it writes them at the cursors indeg (constraints) and ready
-// (successors). CommDelay is called only while filling.
+// (successors).
 func (sc *refScratch) staticEdges(in *Input, fill bool) {
 	loaded := sc.inPort
-	add := func(from, to int, delay model.Dur) {
+	add := func(from, to int) {
 		if !fill {
 			sc.consAt[to+1]++
 			sc.outAt[from+1]++
 			return
 		}
-		sc.cons[sc.indeg[to]] = refConstraint{from, delay}
+		sc.cons[sc.indeg[to]] = from
 		sc.indeg[to]++
 		sc.out[sc.ready[from]] = to
 		sc.ready[from]++
@@ -232,19 +221,15 @@ func (sc *refScratch) staticEdges(in *Input, fill bool) {
 	// Precedence edges: exec(p) -> exec(i), plus exec(p) -> load(i)
 	// under on-demand semantics.
 	for _, e := range in.G.Edges() {
-		var comm model.Dur
-		if fill && in.CommDelay != nil {
-			comm = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
-		}
-		add(2*int(e.From), 2*int(e.To), comm)
+		add(2*int(e.From), 2*int(e.To))
 		if in.OnDemand && loaded[e.To] {
-			add(2*int(e.From), 2*int(e.To)+1, 0)
+			add(2*int(e.From), 2*int(e.To)+1)
 		}
 	}
 	// Load before execution.
 	for i, l := range loaded {
 		if l {
-			add(2*i+1, 2*i, 0)
+			add(2*i+1, 2*i)
 		}
 	}
 	// Tile order: executions chain; a load waits for the previous
@@ -252,9 +237,9 @@ func (sc *refScratch) staticEdges(in *Input, fill bool) {
 	for _, order := range in.TileOrder {
 		for k := 1; k < len(order); k++ {
 			prev, cur := 2*int(order[k-1]), int(order[k])
-			add(prev, 2*cur, 0)
+			add(prev, 2*cur)
 			if loaded[cur] {
-				add(prev, 2*cur+1, 0)
+				add(prev, 2*cur+1)
 			}
 		}
 	}
@@ -280,11 +265,11 @@ func (sc *refScratch) computeTails() {
 		stack = stack[:len(stack)-1]
 		walked++
 		sc.tail[v] += sc.dur[v]
-		for _, c := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
-			sc.tail[c.from] = max(sc.tail[c.from], c.delay+sc.tail[v])
-			outdeg[c.from]--
-			if outdeg[c.from] == 0 {
-				stack = append(stack, c.from)
+		for _, from := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
+			sc.tail[from] = max(sc.tail[from], sc.tail[v])
+			outdeg[from]--
+			if outdeg[from] == 0 {
+				stack = append(stack, from)
 			}
 		}
 	}
@@ -317,7 +302,7 @@ func (sc *refScratch) checkOrder(order []graph.SubtaskID) error {
 		}
 		sc.stamp[id] = sc.mark
 		if !sc.inPort[id] {
-			return fmt.Errorf("schedule: subtask %d needLoad=false but portOrder presence=true", id)
+			return fmt.Errorf("schedule: subtask %d is not in the bound load set", id)
 		}
 	}
 	if len(order) != sc.loads {
@@ -384,8 +369,8 @@ func (sc *refScratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeli
 		done++
 
 		start := sc.floor[v]
-		for _, c := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
-			start = model.MaxT(start, sc.fin[c.from].Add(c.delay))
+		for _, from := range sc.cons[sc.consAt[v]:sc.consAt[v+1]] {
+			start = model.MaxT(start, sc.fin[from])
 		}
 		id := v / 2
 		if v%2 == kindExec {
@@ -440,9 +425,6 @@ func refCheckInput(in *Input, seen, inPort []bool) error {
 	if len(in.Assignment) != n {
 		return fmt.Errorf("schedule: assignment covers %d of %d subtasks", len(in.Assignment), n)
 	}
-	if len(in.NeedLoad) != n {
-		return fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
-	}
 	if len(in.TileOrder) > in.P.Processors() {
 		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), in.P.Processors())
 	}
@@ -483,9 +465,6 @@ func refCheckInput(in *Input, seen, inPort []bool) error {
 		if !onISP && in.P.IsISP(a) {
 			return fmt.Errorf("schedule: hardware subtask %d assigned to ISP %d", i, a)
 		}
-		if onISP && in.NeedLoad[i] {
-			return fmt.Errorf("schedule: ISP subtask %d cannot be loaded", i)
-		}
 	}
 	for _, id := range in.PortOrder {
 		if id < 0 || int(id) >= n {
@@ -494,12 +473,10 @@ func refCheckInput(in *Input, seen, inPort []bool) error {
 		if inPort[id] {
 			return fmt.Errorf("schedule: subtask %d loaded twice", id)
 		}
-		inPort[id] = true
-	}
-	for i := 0; i < n; i++ {
-		if in.NeedLoad[i] != inPort[i] {
-			return fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, in.NeedLoad[i], inPort[i])
+		if in.G.Subtask(id).OnISP {
+			return fmt.Errorf("schedule: ISP subtask %d cannot be loaded", id)
 		}
+		inPort[id] = true
 	}
 	return nil
 }
@@ -512,15 +489,13 @@ func varyInstance(rng *rand.Rand, in *Input) {
 	if rng.Intn(4) == 0 {
 		in.ExecFloor, in.LoadFloor = 0, 0
 	}
-	need := make([]bool, in.G.Len())
 	var port []graph.SubtaskID
 	for _, id := range in.PortOrder {
 		if rng.Intn(10) < 7 {
-			need[id] = true
 			port = append(port, id)
 		}
 	}
-	in.NeedLoad, in.PortOrder = need, port
+	in.PortOrder = port
 	if rng.Intn(4) > 0 {
 		in.TileFree = make([]model.Time, in.P.Processors())
 		for r := range in.TileFree {
@@ -531,7 +506,6 @@ func varyInstance(rng *rand.Rand, in *Input) {
 
 // noLoads is in with its load set emptied: the ideal reference.
 func noLoads(in Input) Input {
-	in.NeedLoad = make([]bool, in.G.Len())
 	in.PortOrder = nil
 	return in
 }
@@ -539,11 +513,11 @@ func noLoads(in Input) Input {
 // TestBindMatchesReference pins the static/bind evaluation to refScratch,
 // which builds the whole constraint DAG per input: random graphs, load
 // sets and orders (infeasible ones included), both semantics, 1–3 ports,
-// ISP rows, processor drain times above and below the execution floor,
-// and communication delays. Every successful evaluation
-// must match the reference field by field and pass Verify; limited
-// evaluations must cut off exactly when the full makespan reaches the
-// limit; and Static.Ideal must equal the reference's no-load makespan.
+// ISP rows, and processor drain times above and below the execution
+// floor. Every successful evaluation must match the reference field by
+// field and pass Verify; limited evaluations must cut off exactly when
+// the full makespan reaches the limit; and Static.Ideal must equal the
+// reference's no-load makespan.
 func TestBindMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var sc Scratch
@@ -630,7 +604,7 @@ func TestBindMatchesReference(t *testing.T) {
 
 // TestInputErrorsMatchReference checks that each single fault of an
 // input is reported with the reference's error text, whether it lands
-// in NewStatic, the needLoad checks or Bind.
+// in NewStatic or Bind.
 func TestInputErrorsMatchReference(t *testing.T) {
 	g := graph.New("v")
 	a := g.AddSubtask("a", 1)
@@ -646,7 +620,6 @@ func TestInputErrorsMatchReference(t *testing.T) {
 			P:          p,
 			Assignment: []int{0, 1, 2},
 			TileOrder:  [][]graph.SubtaskID{{a}, {b}, {c}},
-			NeedLoad:   []bool{true, true, false},
 			PortOrder:  []graph.SubtaskID{a, b},
 		}
 	}
@@ -655,7 +628,6 @@ func TestInputErrorsMatchReference(t *testing.T) {
 		"bad platform":         func(in *Input) { in.P.Tiles = 0 },
 		"short assignment":     func(in *Input) { in.Assignment = []int{0, 1} },
 		"too many orders":      func(in *Input) { in.TileOrder = append(in.TileOrder, nil) },
-		"short needLoad":       func(in *Input) { in.NeedLoad = []bool{true} },
 		"tile out of range":    func(in *Input) { in.Assignment = []int{0, 7, 2} },
 		"subtask twice":        func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a, b}, {b}, {c}} },
 		"subtask missing":      func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a}, {}, {c}} },
@@ -663,9 +635,7 @@ func TestInputErrorsMatchReference(t *testing.T) {
 		"wrong tile":           func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{b}, {a}, {c}} },
 		"hardware on ISP":      func(in *Input) { in.Assignment[b], in.TileOrder = 2, [][]graph.SubtaskID{{a}, {}, {c, b}} },
 		"ISP on tile":          func(in *Input) { in.Assignment[c], in.TileOrder = 1, [][]graph.SubtaskID{{a}, {b, c}, {}} },
-		"ISP loaded":           func(in *Input) { in.NeedLoad[c], in.PortOrder = true, []graph.SubtaskID{a, b, c} },
-		"port order mismatch":  func(in *Input) { in.PortOrder = []graph.SubtaskID{a} },
-		"unneeded load":        func(in *Input) { in.NeedLoad[b] = false },
+		"ISP loaded":           func(in *Input) { in.PortOrder = []graph.SubtaskID{a, b, c} },
 		"duplicate load":       func(in *Input) { in.PortOrder = []graph.SubtaskID{a, a} },
 		"unknown load subtask": func(in *Input) { in.PortOrder = []graph.SubtaskID{a, 9} },
 		"bad tileFree len":     func(in *Input) { in.TileFree = []model.Time{0} },

@@ -14,9 +14,9 @@ import (
 
 // randomDecision builds a random, structurally valid decision set over
 // the whole input surface: 1–3 ports, 0–3 ISPs, random processor and
-// port availability and communication delays, a load floor
-// below the execution floor, and either semantics. The port order is
-// the loads in topological order; callers permute it.
+// port availability, a load floor below the execution floor, and
+// either semantics. The port order is the loads in topological order;
+// callers permute it.
 func randomDecision(rng *rand.Rand) Input {
 	g := graph.Generate(rng, graph.GenSpec{
 		Name:     "reorder",
@@ -34,7 +34,6 @@ func randomDecision(rng *rand.Rand) Input {
 	topo, _ := g.TopoOrder()
 	assign := make([]int, g.Len())
 	tileOrder := make([][]graph.SubtaskID, p.Processors())
-	need := make([]bool, g.Len())
 	var port []graph.SubtaskID
 	for _, id := range topo {
 		proc := rng.Intn(p.Tiles)
@@ -42,13 +41,12 @@ func randomDecision(rng *rand.Rand) Input {
 			g.SetOnISP(id, true)
 			proc = p.Tiles + rng.Intn(p.ISPs)
 		} else if rng.Float64() < 0.8 {
-			need[id] = true
 			port = append(port, id)
 		}
 		assign[id] = proc
 		tileOrder[proc] = append(tileOrder[proc], id)
 	}
-	in := Input{G: g, P: p, Assignment: assign, TileOrder: tileOrder, NeedLoad: need, PortOrder: port}
+	in := Input{G: g, P: p, Assignment: assign, TileOrder: tileOrder, PortOrder: port}
 	in.ExecFloor = ms(40)
 	in.LoadFloor = in.ExecFloor - ms(10)
 	in.OnDemand = rng.Intn(2) == 0
@@ -64,16 +62,16 @@ func randomDecision(rng *rand.Rand) Input {
 			in.PortFree[i] = in.LoadFloor + ms(15)
 		}
 	}
-	if rng.Intn(2) == 0 {
-		scale := model.Dur(1 + rng.Intn(3))
-		in.CommDelay = func(e graph.Edge, from, to int) model.Dur {
-			if from == to {
-				return 0
-			}
-			return scale * model.Dur(1+(int(e.From)+2*int(e.To)+from+to)%4) * model.Millisecond / 2
-		}
-	}
 	return in
+}
+
+// loadSet marks the subtasks in's port order lists.
+func loadSet(in Input) []bool {
+	set := make([]bool, in.G.Len())
+	for _, id := range in.PortOrder {
+		set[id] = true
+	}
+	return set
 }
 
 // diffTimelines names the first field in which two timelines differ.
@@ -200,7 +198,7 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		in := randomDecision(rng)
 		bind(t, sc, in)
-		n := in.G.Len()
+		n, need := in.G.Len(), loadSet(in)
 		var bad [][]graph.SubtaskID
 		if m := len(in.PortOrder); m > 0 {
 			bad = append(bad, append([]graph.SubtaskID(nil), in.PortOrder[1:]...)) // missing
@@ -214,7 +212,7 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 			}
 		}
 		for id := 0; id < n; id++ {
-			if !in.NeedLoad[id] {
+			if !need[id] {
 				bad = append(bad, append(append([]graph.SubtaskID(nil), in.PortOrder...), graph.SubtaskID(id)))
 				if m := len(in.PortOrder); m > 0 {
 					swapped := append([]graph.SubtaskID(nil), in.PortOrder...)
@@ -333,9 +331,9 @@ func FuzzReorder(f *testing.F) {
 		}
 		limit := model.Dur(limitMS%200) * model.Millisecond
 		isPerm := len(order) == len(in.PortOrder)
-		seen := make([]bool, n)
+		seen, need := make([]bool, n), loadSet(in)
 		for _, id := range order {
-			if id < 0 || int(id) >= n || !in.NeedLoad[id] || seen[id] {
+			if id < 0 || int(id) >= n || !need[id] || seen[id] {
 				isPerm = false
 				break
 			}

@@ -3,13 +3,12 @@
 // when every subtask executes.
 //
 // It is the arbiter all scheduling policies share. A policy only chooses
-// *decisions* — the tile assignment, the per-tile execution order, which
-// subtasks must be loaded, and the order of loads on the reconfiguration
-// port(s). This package turns those decisions into a concrete timeline
-// under the hardware's constraints:
+// *decisions* — the tile assignment, the per-tile execution order, and
+// the order of loads on the reconfiguration port(s), which also names
+// the subtasks that must be loaded. This package turns those decisions
+// into a concrete timeline under the hardware's constraints:
 //
-//   - a subtask cannot start before its predecessors have finished
-//     (plus any interconnect communication delay),
+//   - a subtask cannot start before its predecessors have finished,
 //   - a subtask that must be loaded cannot start before its load ends,
 //   - a tile executes one subtask at a time, in the given order,
 //   - reconfiguring a tile destroys its contents, so a load cannot start
@@ -24,8 +23,6 @@
 package schedule
 
 import (
-	"fmt"
-
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
@@ -45,13 +42,10 @@ type Input struct {
 	// order. Every subtask appears exactly once, on its assigned
 	// processor. Rows beyond P.Tiles are ISPs.
 	TileOrder [][]graph.SubtaskID
-	// NeedLoad marks the subtasks whose configuration must be loaded.
-	// A false entry means the configuration is already resident
-	// (reused), so the subtask executes without a reconfiguration.
-	NeedLoad []bool
 	// PortOrder is the sequence in which loads are issued to the
-	// reconfiguration controller(s). It must contain exactly the
-	// subtasks with NeedLoad set.
+	// reconfiguration controller(s), and so the load set: a subtask
+	// not listed is already resident (reused) and executes without a
+	// reconfiguration.
 	PortOrder []graph.SubtaskID
 
 	// ExecFloor is the earliest instant any execution may start (the
@@ -73,11 +67,6 @@ type Input struct {
 	// waits for all predecessors of its subtask to finish. This models
 	// the paper's "without prefetch" baseline (Fig. 3b).
 	OnDemand bool
-
-	// CommDelay, when non-nil, returns the communication latency an
-	// edge incurs between two tiles (e.g. from the ICN model). Nil
-	// means communication is free.
-	CommDelay func(e graph.Edge, fromTile, toTile int) model.Dur
 }
 
 // Timeline holds the computed event times. Slices are indexed by
@@ -125,17 +114,9 @@ func Compute(in Input) (*Timeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n := in.G.Len(); len(in.NeedLoad) != n {
-		return nil, fmt.Errorf("schedule: needLoad covers %d of %d subtasks", len(in.NeedLoad), n)
-	}
 	sc := new(Scratch)
 	if err := sc.Bind(st, in.PortOrder, in.instance()); err != nil {
 		return nil, err
-	}
-	for i, need := range in.NeedLoad {
-		if need != sc.loaded[i] {
-			return nil, fmt.Errorf("schedule: subtask %d needLoad=%v but portOrder presence=%v", i, need, sc.loaded[i])
-		}
 	}
 	return sc.Reorder(in.PortOrder, 0)
 }

@@ -27,7 +27,6 @@ func fig3() (*graph.Graph, Input) {
 		P:          platform.Default(3),
 		Assignment: []int{0, 1, 2, 1},
 		TileOrder:  [][]graph.SubtaskID{{s1}, {s2, s4}, {s3}},
-		NeedLoad:   []bool{true, true, true, true},
 		PortOrder:  []graph.SubtaskID{s1, s2, s3, s4},
 	}
 	return g, in
@@ -50,7 +49,6 @@ func mustCompute(t *testing.T, in Input) *Timeline {
 // makespan is the paper's "ideal execution time".
 func withoutLoads(in Input) Input {
 	out := in
-	out.NeedLoad = make([]bool, in.G.Len())
 	out.PortOrder = nil
 	return out
 }
@@ -91,7 +89,6 @@ func TestFig3OnDemandDelaysEverySubtask(t *testing.T) {
 func TestFig3ReuseRemovesLoad(t *testing.T) {
 	_, in := fig3()
 	// Subtask 1 reused: its load disappears and nothing is exposed.
-	in.NeedLoad = []bool{false, true, true, true}
 	in.PortOrder = []graph.SubtaskID{1, 2, 3}
 	tl := mustCompute(t, in)
 	if got := tl.Makespan(); got != 40*model.Millisecond {
@@ -114,7 +111,6 @@ func TestLoadWaitsForTileToDrain(t *testing.T) {
 		P:          platform.Default(1),
 		Assignment: []int{0, 0},
 		TileOrder:  [][]graph.SubtaskID{{a, b}},
-		NeedLoad:   []bool{true, true},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
 	tl := mustCompute(t, in)
@@ -135,7 +131,6 @@ func TestPortSerializesIndependentLoads(t *testing.T) {
 		P:          platform.Default(2),
 		Assignment: []int{0, 1},
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
-		NeedLoad:   []bool{true, true},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
 	tl := mustCompute(t, in)
@@ -158,7 +153,6 @@ func TestTwoPortsLoadInParallel(t *testing.T) {
 		P:          p,
 		Assignment: []int{0, 1},
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
-		NeedLoad:   []bool{true, true},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
 	tl := mustCompute(t, in)
@@ -182,7 +176,6 @@ func TestInconsistentOrdersAreRejected(t *testing.T) {
 		P:          platform.Default(1),
 		Assignment: []int{0, 0},
 		TileOrder:  [][]graph.SubtaskID{{a, b}},
-		NeedLoad:   []bool{true, true},
 		PortOrder:  []graph.SubtaskID{b, a},
 	}
 	if _, err := Compute(in); err == nil || !strings.Contains(err.Error(), "cycle") {
@@ -198,7 +191,6 @@ func TestFloorsAndCarriedState(t *testing.T) {
 		P:          platform.Default(2),
 		Assignment: []int{1},
 		TileOrder:  [][]graph.SubtaskID{{}, {a}},
-		NeedLoad:   []bool{true},
 		PortOrder:  []graph.SubtaskID{a},
 		ExecFloor:  model.Time(100 * model.Millisecond),
 		LoadFloor:  model.Time(80 * model.Millisecond),
@@ -228,37 +220,12 @@ func TestOnDemandLoadWaitsForPreds(t *testing.T) {
 		P:          platform.Default(2),
 		Assignment: []int{0, 1},
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
-		NeedLoad:   []bool{false, true},
 		PortOrder:  []graph.SubtaskID{b},
 		OnDemand:   true,
 	}
 	tl := mustCompute(t, in)
 	if tl.LoadStart[b] != tl.ExecEnd[a] {
 		t.Fatalf("on-demand load of b starts %v, want %v", tl.LoadStart[b], tl.ExecEnd[a])
-	}
-}
-
-func TestCommDelayAppliesBetweenTiles(t *testing.T) {
-	g := graph.New("comm")
-	a := g.AddSubtask("a", model.MS(10))
-	b := g.AddSubtask("b", model.MS(10))
-	g.AddEdgeBytes(a, b, 1024)
-	in := Input{
-		G:          g,
-		P:          platform.Default(2),
-		Assignment: []int{0, 1},
-		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
-		NeedLoad:   []bool{false, false},
-		CommDelay: func(e graph.Edge, from, to int) model.Dur {
-			if from != to {
-				return model.MS(2)
-			}
-			return 0
-		},
-	}
-	tl := mustCompute(t, in)
-	if tl.ExecStart[b] != tl.ExecEnd[a].Add(model.MS(2)) {
-		t.Fatalf("comm delay not applied: b starts %v", tl.ExecStart[b])
 	}
 }
 
@@ -272,19 +239,16 @@ func TestInputValidation(t *testing.T) {
 			P:          platform.Default(2),
 			Assignment: []int{0, 1},
 			TileOrder:  [][]graph.SubtaskID{{a}, {b}},
-			NeedLoad:   []bool{true, true},
 			PortOrder:  []graph.SubtaskID{a, b},
 		}
 	}
 	cases := map[string]func(*Input){
 		"nil graph":            func(in *Input) { in.G = nil },
 		"short assignment":     func(in *Input) { in.Assignment = []int{0} },
-		"short needLoad":       func(in *Input) { in.NeedLoad = []bool{true} },
 		"tile out of range":    func(in *Input) { in.Assignment = []int{0, 7} },
 		"subtask twice":        func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a, b}, {b}} },
 		"subtask missing":      func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a}, {}} },
 		"wrong tile":           func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{b}, {a}} },
-		"port order mismatch":  func(in *Input) { in.PortOrder = []graph.SubtaskID{a} },
 		"duplicate load":       func(in *Input) { in.PortOrder = []graph.SubtaskID{a, a} },
 		"unknown load subtask": func(in *Input) { in.PortOrder = []graph.SubtaskID{a, 9} },
 		"bad tileFree len":     func(in *Input) { in.TileFree = []model.Time{0} },
@@ -320,15 +284,13 @@ func randomInput(rng *rand.Rand, tiles int) Input {
 		assign[id] = tl
 		tileOrder[tl] = append(tileOrder[tl], id)
 	}
-	need := make([]bool, g.Len())
 	var port []graph.SubtaskID
 	for _, id := range order {
 		if rng.Float64() < 0.8 {
-			need[id] = true
 			port = append(port, id)
 		}
 	}
-	return Input{G: g, P: p, Assignment: assign, TileOrder: tileOrder, NeedLoad: need, PortOrder: port}
+	return Input{G: g, P: p, Assignment: assign, TileOrder: tileOrder, PortOrder: port}
 }
 
 // Property: every computed timeline passes independent verification, and
@@ -384,7 +346,7 @@ func TestEmptyGraph(t *testing.T) {
 	in := Input{
 		G: g, P: platform.Default(1),
 		Assignment: nil, TileOrder: [][]graph.SubtaskID{{}},
-		NeedLoad: nil, ExecFloor: 50,
+		ExecFloor: 50,
 	}
 	tl := mustCompute(t, in)
 	if tl.Makespan() != 0 {

@@ -67,9 +67,9 @@ type Scratch struct {
 	times               []model.Time // backs the above, floor and the timeline
 
 	// tail[v] is a lower bound on End − start(v): the node's duration
-	// plus the longest chain of successors under the bound load set,
-	// delays included. It is filled by the first limited Reorder after
-	// Bind, so unlimited evaluations never pay for it.
+	// plus the longest chain of successors under the bound load set. It
+	// is filled by the first limited Reorder after Bind, so unlimited
+	// evaluations never pay for it.
 	tail      []model.Dur
 	tailReady bool
 
@@ -207,10 +207,10 @@ func (sc *Scratch) computeTails() {
 	for k := st.n - 1; k >= 0; k-- {
 		i := st.topo[k]
 		var t model.Dur
-		for _, a := range st.succs[st.succAt[i]:st.succAt[i+1]] {
-			t = max(t, a.delay+tail[2*a.node])
-			if sc.onDemand && loaded[a.node] {
-				t = max(t, tail[2*a.node+1])
+		for _, s := range st.g.Succs(graph.SubtaskID(i)) {
+			t = max(t, tail[2*s])
+			if sc.onDemand && loaded[s] {
+				t = max(t, tail[2*s+1])
 			}
 		}
 		if nx := st.next[i]; nx >= 0 {
@@ -245,7 +245,7 @@ func (sc *Scratch) checkOrder(order []graph.SubtaskID) error {
 		}
 		sc.stamp[id] = sc.mark
 		if !sc.loaded[id] {
-			return fmt.Errorf("schedule: subtask %d needLoad=false but portOrder presence=true", id)
+			return fmt.Errorf("schedule: subtask %d is not in the bound load set", id)
 		}
 	}
 	if len(order) != sc.loads {
@@ -303,7 +303,7 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 				lin++
 			}
 			if onDemand {
-				lin += st.predAt[i+1] - st.predAt[i]
+				lin += len(st.g.Preds(graph.SubtaskID(i)))
 			}
 			if sc.portPrev[i] >= 0 {
 				lin++
@@ -339,11 +339,11 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 			// destroys the previous subtask's state.
 			start = model.MaxT(start, tl.ExecEnd[p])
 		}
-		preds := st.preds[st.predAt[id]:st.predAt[id+1]]
+		preds := st.g.Preds(graph.SubtaskID(id))
 		var tail model.Dur
 		if v%2 == kindExec {
-			for _, a := range preds {
-				start = model.MaxT(start, tl.ExecEnd[a.node].Add(a.delay))
+			for _, p := range preds {
+				start = model.MaxT(start, tl.ExecEnd[p])
 			}
 			if loaded[id] {
 				start = model.MaxT(start, tl.LoadEnd[id])
@@ -352,10 +352,10 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 			tl.ExecStart[id], tl.ExecEnd[id] = start, end
 			tl.End = model.MaxT(tl.End, end)
 			tail = sc.tail[v]
-			for _, a := range st.succs[st.succAt[id]:st.succAt[id+1]] {
-				release(2 * a.node)
-				if onDemand && loaded[a.node] {
-					release(2*a.node + 1)
+			for _, s := range st.g.Succs(graph.SubtaskID(id)) {
+				release(2 * int(s))
+				if onDemand && loaded[s] {
+					release(2*int(s) + 1)
 				}
 			}
 			if nx := st.next[id]; nx >= 0 {
@@ -367,8 +367,8 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 		} else {
 			if onDemand {
 				// The load request exists once every predecessor ran.
-				for _, a := range preds {
-					start = model.MaxT(start, tl.ExecEnd[a.node])
+				for _, p := range preds {
+					start = model.MaxT(start, tl.ExecEnd[p])
 				}
 			}
 			if p := sc.portPrev[id]; p >= 0 {

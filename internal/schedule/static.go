@@ -9,10 +9,9 @@ import (
 )
 
 // Static is the part of the constraint system that a stored schedule
-// fixes on a platform: the execution DAG (graph edges with their
-// communication delay, and the per-processor execution chains), every
-// subtask's execution time and load latency, and the longest paths
-// through that DAG. A task instance only adds its load set and floors,
+// fixes on a platform: the execution DAG (the graph's edges and the
+// per-processor execution chains), every subtask's execution time and
+// load latency, and the longest paths through that DAG. A task instance only adds its load set and floors,
 // which Scratch.Bind sets in O(n + loads), so the DAG is built and
 // validated once per stored schedule — the host-side counterpart of the
 // paper's design-time/run-time split.
@@ -20,7 +19,7 @@ import (
 // A Static is read-only after NewStatic returns: any number of
 // goroutines may bind scratches to it at once.
 type Static struct {
-	name         string
+	g            *graph.Graph // its Preds and Succs are the graph rows
 	n            int
 	procs, ports int
 
@@ -31,11 +30,6 @@ type Static struct {
 	// on processor r (-1 when r executes nothing).
 	prev, next, first []int
 
-	// Graph edges in compressed-row form: the edges into subtask i are
-	// preds[predAt[i]:predAt[i+1]], those out of it
-	// succs[succAt[i]:succAt[i+1]], each with its communication delay.
-	preds, succs   []arc
-	predAt, succAt []int
 	// execIn is each execution's static in-degree: its graph edges plus
 	// its processor predecessor.
 	execIn []int
@@ -48,24 +42,19 @@ type Static struct {
 	cyclic     bool
 	// tail[i] is the longest path from subtask i's execution start to
 	// the end of the last execution, with no loads: exec[i] plus the
-	// longest chain of successors, delays included. span is the
-	// largest tail, the makespan with no loads and no tile floors. Both
-	// are set only when the DAG is acyclic.
+	// longest chain of successors. span is the largest tail, the
+	// makespan with no loads and no tile floors. Both are set only when
+	// the DAG is acyclic.
 	tail []model.Dur
 	span model.Dur
 }
 
-// arc is one graph edge seen from one end: the subtask at the other end
-// and the edge's communication delay.
-type arc struct {
-	node  int
-	delay model.Dur
-}
-
-// NewStatic validates the static fields of in — G, P, Assignment,
-// TileOrder and CommDelay — and builds their constraint DAG. Every
-// other field is ignored: it belongs to an instance and is given to
-// Scratch.Bind. NewStatic keeps no reference to in's slices.
+// NewStatic validates the static fields of in — G, P, Assignment and
+// TileOrder — and builds their constraint DAG. Every other field is
+// ignored: it belongs to an instance and is given to Scratch.Bind.
+// NewStatic keeps in.G, whose edges are the DAG's graph rows, so the
+// graph must not change afterwards; it keeps no reference to in's
+// slices.
 func NewStatic(in Input) (*Static, error) {
 	st := new(Static)
 	if err := st.build(&in); err != nil {
@@ -74,19 +63,16 @@ func NewStatic(in Input) (*Static, error) {
 	return st, nil
 }
 
-// alloc sizes the buffers for n subtasks, procs processors and edges
-// graph edges. Buffers of one type share one allocation.
-func (st *Static) alloc(n, procs, edges int) {
+// alloc sizes the buffers for n subtasks and procs processors. Buffers
+// of one type share one allocation.
+func (st *Static) alloc(n, procs int) {
 	st.onISP = make([]bool, n)
 	durs := make([]model.Dur, 3*n)
 	st.exec, st.lat, st.tail = take(&durs, n), take(&durs, n), take(&durs, n)
-	arcs := make([]arc, 2*edges)
-	st.preds, st.succs = take(&arcs, edges), take(&arcs, edges)
-	ints := make([]int, 5*n+procs+2*(n+1))
+	ints := make([]int, 5*n+procs)
 	st.prev, st.next, st.execIn = take(&ints, n), take(&ints, n), take(&ints, n)
 	st.topo, st.work = take(&ints, n), take(&ints, n)
 	st.first = take(&ints, procs)
-	st.predAt, st.succAt = take(&ints, n+1), take(&ints, n+1)
 }
 
 // build validates in's static fields and fills st from them.
@@ -104,9 +90,8 @@ func (st *Static) build(in *Input) error {
 	if len(in.TileOrder) > procs {
 		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), procs)
 	}
-	edges := in.G.Edges()
-	st.alloc(n, procs, len(edges))
-	st.name, st.n, st.procs, st.ports = in.G.Name, n, procs, in.P.Ports
+	st.alloc(n, procs)
+	st.g, st.n, st.procs, st.ports = in.G, n, procs, in.P.Ports
 
 	// Processor orders: each subtask exactly once, on its processor.
 	for i := range st.prev {
@@ -159,33 +144,7 @@ func (st *Static) build(in *Input) error {
 		if !s.OnISP {
 			st.lat[i] = in.P.LoadLatency(s.Load)
 		}
-	}
-
-	// Graph edges by target and by source: count, offsets, fill.
-	for _, e := range edges {
-		st.predAt[e.To+1]++
-		st.succAt[e.From+1]++
-	}
-	for i := 1; i <= n; i++ {
-		st.predAt[i] += st.predAt[i-1]
-		st.succAt[i] += st.succAt[i-1]
-	}
-	predCur, succCur := st.work, st.execIn // fill cursors
-	copy(predCur, st.predAt)
-	copy(succCur, st.succAt)
-	for _, e := range edges {
-		var d model.Dur
-		if in.CommDelay != nil {
-			d = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
-		}
-		from, to := int(e.From), int(e.To)
-		st.preds[predCur[to]] = arc{from, d}
-		predCur[to]++
-		st.succs[succCur[from]] = arc{to, d}
-		succCur[from]++
-	}
-	for i := 0; i < n; i++ {
-		st.execIn[i] = st.predAt[i+1] - st.predAt[i]
+		st.execIn[i] = len(in.G.Preds(graph.SubtaskID(i)))
 		if st.prev[i] >= 0 {
 			st.execIn[i]++
 		}
@@ -212,8 +171,8 @@ func (st *Static) order() {
 	}
 	for k := 0; k < len(topo); k++ {
 		i := topo[k]
-		for _, a := range st.succs[st.succAt[i]:st.succAt[i+1]] {
-			release(a.node)
+		for _, s := range st.g.Succs(graph.SubtaskID(i)) {
+			release(int(s))
 		}
 		if nx := st.next[i]; nx >= 0 {
 			release(nx)
@@ -227,8 +186,8 @@ func (st *Static) order() {
 	for k := st.n - 1; k >= 0; k-- {
 		i := topo[k]
 		var t model.Dur
-		for _, a := range st.succs[st.succAt[i]:st.succAt[i+1]] {
-			t = max(t, a.delay+st.tail[a.node])
+		for _, s := range st.g.Succs(graph.SubtaskID(i)) {
+			t = max(t, st.tail[s])
 		}
 		if nx := st.next[i]; nx >= 0 {
 			t = max(t, st.tail[nx])
@@ -282,5 +241,5 @@ func (st *Static) Prev(id graph.SubtaskID) graph.SubtaskID { return graph.Subtas
 func (st *Static) Latency(id graph.SubtaskID) model.Dur { return st.lat[id] }
 
 func (st *Static) cycleErr() error {
-	return fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", st.name)
+	return fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", st.g.Name)
 }

@@ -14,6 +14,13 @@ import (
 // Compute returns must Verify.
 func Verify(in Input, tl *Timeline) error {
 	n := in.G.Len()
+	loaded := make([]bool, n)
+	for _, id := range in.PortOrder {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("verify: port order lists unknown subtask %d", id)
+		}
+		loaded[id] = true
+	}
 
 	// Event presence and basic shape.
 	for i := 0; i < n; i++ {
@@ -25,7 +32,7 @@ func Verify(in Input, tl *Timeline) error {
 			return fmt.Errorf("verify: subtask %d execution window %v..%v does not match exec time %v",
 				i, tl.ExecStart[i], tl.ExecEnd[i], in.G.Subtask(id).Exec)
 		}
-		if in.NeedLoad[i] {
+		if loaded[i] {
 			if tl.LoadStart[i] == NoEvent {
 				return fmt.Errorf("verify: subtask %d needs a load but has none", i)
 			}
@@ -49,22 +56,18 @@ func Verify(in Input, tl *Timeline) error {
 		if tl.ExecStart[i] < in.ExecFloor {
 			return fmt.Errorf("verify: subtask %d executes at %v before floor %v", i, tl.ExecStart[i], in.ExecFloor)
 		}
-		if in.NeedLoad[i] && tl.LoadStart[i] < in.LoadFloor {
+		if loaded[i] && tl.LoadStart[i] < in.LoadFloor {
 			return fmt.Errorf("verify: subtask %d loads at %v before floor %v", i, tl.LoadStart[i], in.LoadFloor)
 		}
 	}
 
-	// Precedence (+ optional communication, + on-demand readiness).
+	// Precedence (+ on-demand readiness).
 	for _, e := range in.G.Edges() {
-		var comm model.Dur
-		if in.CommDelay != nil {
-			comm = in.CommDelay(e, in.Assignment[e.From], in.Assignment[e.To])
+		if tl.ExecStart[e.To] < tl.ExecEnd[e.From] {
+			return fmt.Errorf("verify: edge %d->%d violated: succ starts %v, pred ends %v",
+				e.From, e.To, tl.ExecStart[e.To], tl.ExecEnd[e.From])
 		}
-		if tl.ExecStart[e.To] < tl.ExecEnd[e.From].Add(comm) {
-			return fmt.Errorf("verify: edge %d->%d violated: succ starts %v, pred ends %v (+%v comm)",
-				e.From, e.To, tl.ExecStart[e.To], tl.ExecEnd[e.From], comm)
-		}
-		if in.OnDemand && in.NeedLoad[e.To] && tl.LoadStart[e.To] < tl.ExecEnd[e.From] {
+		if in.OnDemand && loaded[e.To] && tl.LoadStart[e.To] < tl.ExecEnd[e.From] {
 			return fmt.Errorf("verify: on-demand load of %d starts %v before pred %d finishes %v",
 				e.To, tl.LoadStart[e.To], e.From, tl.ExecEnd[e.From])
 		}
@@ -72,7 +75,7 @@ func Verify(in Input, tl *Timeline) error {
 
 	// Load before execution.
 	for i := 0; i < n; i++ {
-		if in.NeedLoad[i] && tl.ExecStart[i] < tl.LoadEnd[i] {
+		if loaded[i] && tl.ExecStart[i] < tl.LoadEnd[i] {
 			return fmt.Errorf("verify: subtask %d executes at %v before its load ends %v", i, tl.ExecStart[i], tl.LoadEnd[i])
 		}
 	}
@@ -88,7 +91,7 @@ func Verify(in Input, tl *Timeline) error {
 		var ws []window
 		for _, id := range order {
 			ws = append(ws, window{tl.ExecStart[id], tl.ExecEnd[id], fmt.Sprintf("exec %d", id)})
-			if in.NeedLoad[id] {
+			if loaded[id] {
 				ws = append(ws, window{tl.LoadStart[id], tl.LoadEnd[id], fmt.Sprintf("load %d", id)})
 			}
 		}
@@ -118,7 +121,7 @@ func Verify(in Input, tl *Timeline) error {
 	// loads must start in port order (no overtaking).
 	perPort := make([][]window, in.P.Ports)
 	for i := 0; i < n; i++ {
-		if in.NeedLoad[i] {
+		if loaded[i] {
 			p := tl.LoadPort[i]
 			perPort[p] = append(perPort[p], window{tl.LoadStart[i], tl.LoadEnd[i], fmt.Sprintf("load %d", i)})
 		}

@@ -676,10 +676,14 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 		portBusyUntil = f.MinPortFree()
 	}
 
-	inst, err := k.execute(pr, bounds{
-		taskStart: start,
-		loadFloor: loadFloor,
-		tileFree:  tileFree,
+	// PortFree is the fabric's shared per-port timeline, which execute
+	// advances in place, so concurrently admitted instances contend for
+	// the controllers.
+	inst, err := k.execute(pr, prefetch.Bounds{
+		ExecFloor: start,
+		LoadFloor: loadFloor,
+		TileFree:  tileFree,
+		PortFree:  f.PortFree(),
 	}, resident)
 	if err != nil {
 		return 0, fmt.Errorf("sim: executing %q: %w", s.G.Name, err)
@@ -731,7 +735,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 // writing into the scratch instance. Port availability is read from and
 // written back to the fabric's shared per-port timeline, so instances
 // admitted while this one is in flight contend for the controllers.
-func (k *kernel) execute(pr *prepared, b bounds, resident []bool) (*instance, error) {
+func (k *kernel) execute(pr *prepared, b prefetch.Bounds, resident []bool) (*instance, error) {
 	sc := &k.sc
 	s := pr.sched
 	f := k.fab
@@ -744,9 +748,9 @@ func (k *kernel) execute(pr *prepared, b bounds, resident []bool) (*instance, er
 		// controller (the paper's platform), so it consumes and
 		// advances port 0 only.
 		r, err := pr.analysis.ExecuteScratch(pr.static, core.RunBounds{
-			TaskStart: b.taskStart,
-			PortFree:  model.MaxT(f.PortFree()[0], b.loadFloor),
-			TileFree:  b.tileFree,
+			TaskStart: b.ExecFloor,
+			PortFree:  model.MaxT(b.PortFree[0], b.LoadFloor),
+			TileFree:  b.TileFree,
 		}, resident, &sc.coreSc)
 		if err != nil {
 			return nil, err
@@ -762,30 +766,15 @@ func (k *kernel) execute(pr *prepared, b bounds, resident []bool) (*instance, er
 		tl = r.Timeline
 
 	case NoPrefetch, DesignTimePrefetch, RunTime, RunTimeInterTask:
-		loads := sc.loads[:0]
-		for i := 0; i < s.G.Len(); i++ {
-			id := graph.SubtaskID(i)
-			if (resident == nil || !resident[id]) && !s.G.Subtask(id).OnISP {
-				loads = append(loads, id)
-			}
-		}
-		s.SortByIdealStart(loads)
-		sc.loads = loads
-		pb := prefetch.Bounds{
-			ExecFloor: b.taskStart,
-			LoadFloor: b.loadFloor,
-			TileFree:  b.tileFree,
-			PortFree:  f.PortFree(),
-		}
 		var r *prefetch.Result
 		var err error
 		switch k.opt.Approach {
 		case NoPrefetch:
-			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, pr.static, loads, pb, &sc.pfSc)
+			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), b, &sc.pfSc)
 		case DesignTimePrefetch:
-			r, err = prefetch.EvaluateScratch(pr.static, pr.dtOrder, pb, false, &sc.pfSc)
+			r, err = prefetch.EvaluateScratch(pr.static, pr.dtOrder, b, false, &sc.pfSc)
 		default:
-			r, err = (prefetch.List{}).ScheduleScratch(s, pr.static, loads, pb, &sc.pfSc)
+			r, err = (prefetch.List{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), b, &sc.pfSc)
 		}
 		if err != nil {
 			return nil, err
@@ -910,6 +899,22 @@ func (k *kernel) record(ev obs.Event) {
 	ev.Start += k.traceBase
 	ev.End += k.traceBase
 	k.rec.Record(ev)
+}
+
+// hardwareLoads lists, in the scratch buffer, the hardware subtasks of s
+// that resident (nil: nothing) does not hold, in ideal-start order: the
+// load set the run-time schedulers order.
+func (sc *scratch) hardwareLoads(s *assign.Schedule, resident []bool) []graph.SubtaskID {
+	loads := sc.loads[:0]
+	for i := 0; i < s.G.Len(); i++ {
+		id := graph.SubtaskID(i)
+		if (resident == nil || !resident[id]) && !s.G.Subtask(id).OnISP {
+			loads = append(loads, id)
+		}
+	}
+	s.SortByIdealStart(loads)
+	sc.loads = loads
+	return loads
 }
 
 // tileLastFrom finds each processor row's last activity (the end of its

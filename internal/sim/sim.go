@@ -411,16 +411,6 @@ func Run(mix []TaskMix, p platform.Platform, opt Options) (*Result, error) {
 	return k.run()
 }
 
-// bounds carries one instance's boundary conditions in virtual space.
-// Port availability is not here: the execute stage reads the fabric's
-// shared per-port timeline directly and advances it in place, so
-// concurrently admitted instances contend for the controllers.
-type bounds struct {
-	taskStart model.Time
-	loadFloor model.Time
-	tileFree  []model.Time
-}
-
 // instance is the outcome of one task arrival.
 type instance struct {
 	ideal        model.Dur
