@@ -18,6 +18,7 @@ import (
 	"drhwsched/internal/experiments"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
+	"drhwsched/internal/schedule"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/workload"
 )
@@ -123,7 +124,7 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 			loads := sched.AllLoads()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (prefetch.List{}).Schedule(sched, p, loads, prefetch.Bounds{}); err != nil {
+				if _, err := (prefetch.List{}).Schedule(sched, p, loads, schedule.Instance{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -272,7 +273,7 @@ func BenchmarkEngine(b *testing.B) {
 	loads := s.AllLoads()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prefetch.Evaluate(s, p, loads, prefetch.Bounds{}, false); err != nil {
+		if _, err := prefetch.Evaluate(s, p, loads, schedule.Instance{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -122,13 +122,11 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		r, err := a.Execute(core.RunBounds{}, nil)
+		r, err := a.Execute(schedule.Instance{}, nil)
 		if err != nil {
 			fail("%v", err)
 		}
 		in := s.EngineInput(p, r.Plan.BodyLoads)
-		in.ExecFloor = r.BodyStart
-		in.LoadFloor = r.InitEnd
 		if *format == "chrome" {
 			chromeOut(in, r.Timeline)
 			return
@@ -155,13 +153,12 @@ func main() {
 	default:
 		fail("unknown mode %q", *mode)
 	}
-	r, err := prefetch.Schedule(sched, s, p, s.AllLoads(), prefetch.Bounds{})
+	r, err := prefetch.Schedule(sched, s, p, s.AllLoads(), schedule.Instance{})
 	if err != nil {
 		fail("%v", err)
 	}
 	in := s.EngineInput(p, r.PortOrder)
-	in.OnDemand = r.OnDemand
-	if err := schedule.Verify(in, r.Timeline); err != nil {
+	if err := schedule.Verify(in, schedule.Instance{OnDemand: r.OnDemand}, r.Timeline); err != nil {
 		fail("internal: %v", err)
 	}
 	if *format == "chrome" {

@@ -56,7 +56,7 @@
 //	p := drhwsched.DefaultPlatform(3) // 3 tiles, 4 ms loads, 1 port
 //	s, _ := drhwsched.ListSchedule(g, p, drhwsched.ScheduleOptions{})
 //	analysis, _ := drhwsched.Analyze(s, p, drhwsched.AnalyzeOptions{})
-//	run, _ := analysis.Execute(drhwsched.RunBounds{}, nil)
+//	run, _ := analysis.Execute(drhwsched.RunBounds{}, nil) // start at 0, all idle
 //	fmt.Println(run.Overhead) // reconfiguration overhead of a cold start
 //
 // See the examples directory for complete programs.
@@ -158,8 +158,9 @@ type (
 	// StaticSchedule is a schedule's constraint DAG on a platform,
 	// built once by Schedule.Static.
 	StaticSchedule = schedule.Static
-	// PrefetchBounds are one task instance's boundary conditions.
-	PrefetchBounds = prefetch.Bounds
+	// PrefetchBounds are one task instance's boundary conditions:
+	// schedule.Instance, the same type as RunBounds.
+	PrefetchBounds = schedule.Instance
 	// PrefetchResult is an evaluated prefetch schedule.
 	PrefetchResult = prefetch.Result
 	// OnDemand loads every configuration when its subtask is ready
@@ -178,8 +179,12 @@ type (
 	Analysis = core.Analysis
 	// AnalyzeOptions tune the design-time phase.
 	AnalyzeOptions = core.Options
-	// RunBounds are a task arrival's boundary conditions.
-	RunBounds = core.RunBounds
+	// RunBounds are a task arrival's boundary conditions:
+	// schedule.Instance, the same type as PrefetchBounds. ExecFloor is
+	// the task start, LoadFloor when the reconfiguration circuitry goes
+	// idle (before ExecFloor under the inter-task optimization),
+	// TileFree when each tile drains and PortFree each controller.
+	RunBounds = schedule.Instance
 	// RunResult is the evaluated execution of one arrival.
 	RunResult = core.RunResult
 	// InstancePlan is the run-time phase's O(N) output.

@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("task A: makespan %v, overhead %v, port idle from %v\n",
-		runA.Makespan, runA.Overhead, runA.PortFreeAfter)
+		runA.Makespan, runA.Overhead, runA.Timeline.LastLoadEnd)
 
 	// Record what task A left on the tiles and when each tile drained.
 	physFree := make([]drhw.Time, p.Tiles)
@@ -96,8 +96,8 @@ func main() {
 	// Without the inter-task optimization the initialization waits for
 	// the task start...
 	noInter, err := ab.Execute(drhw.RunBounds{
-		TaskStart: runA.Timeline.End,
-		PortFree:  runA.Timeline.End, // port considered only at task start
+		ExecFloor: runA.Timeline.End,
+		LoadFloor: runA.Timeline.End, // port considered only at task start
 		TileFree:  tileFree,
 	}, resident)
 	if err != nil {
@@ -106,8 +106,8 @@ func main() {
 	// ...with it, the initialization begins the moment the circuitry
 	// idles, while task A still executes.
 	withInter, err := ab.Execute(drhw.RunBounds{
-		TaskStart: runA.Timeline.End,
-		PortFree:  runA.PortFreeAfter,
+		ExecFloor: runA.Timeline.End,
+		LoadFloor: runA.Timeline.LastLoadEnd,
 		TileFree:  tileFree,
 	}, resident)
 	if err != nil {
@@ -120,9 +120,6 @@ func main() {
 	// Render task B with the inter-task window applied: its
 	// initialization load, then the stored body.
 	in := sb.EngineInput(p, withInter.Plan.BodyLoads)
-	in.ExecFloor = withInter.BodyStart
-	in.LoadFloor = withInter.InitEnd
-	in.TileFree = tileFree
 	fmt.Println("task B (inter-task case):")
 	fmt.Print(gantt.Gantt(in, withInter.Timeline, gantt.Options{Width: 64}))
 }

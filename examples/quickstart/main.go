@@ -77,8 +77,8 @@ func main() {
 	// 40 ms but its last load finished at 16 ms; the initialization
 	// phase hides in the idle reconfiguration window.
 	inter, err := a.Execute(drhw.RunBounds{
-		TaskStart: drhw.Time(40 * drhw.Millisecond),
-		PortFree:  drhw.Time(16 * drhw.Millisecond),
+		ExecFloor: drhw.Time(40 * drhw.Millisecond),
+		LoadFloor: drhw.Time(16 * drhw.Millisecond),
 	}, nil)
 	if err != nil {
 		log.Fatal(err)

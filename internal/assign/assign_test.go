@@ -129,11 +129,11 @@ func TestEngineInputAgreesWithIdealTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := s.EngineInput(p, nil) // no loads: the ideal schedule
-		tl, err := schedule.Compute(in)
+		tl, err := schedule.Compute(in, schedule.Instance{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := schedule.Verify(in, tl); err != nil {
+		if err := schedule.Verify(in, schedule.Instance{}, tl); err != nil {
 			t.Fatal(err)
 		}
 		if tl.Makespan() > s.IdealMakespan {

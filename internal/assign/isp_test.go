@@ -85,11 +85,11 @@ func TestISPTimelineComputesAndVerifies(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := s.EngineInput(p, s.AllLoads())
-	tl, err := schedule.Compute(in)
+	tl, err := schedule.Compute(in, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := schedule.Verify(in, tl); err != nil {
+	if err := schedule.Verify(in, schedule.Instance{}, tl); err != nil {
 		t.Fatal(err)
 	}
 	// The kernels' loads hide behind the producer's software execution:
@@ -129,14 +129,14 @@ func TestEngineRejectsMisplacedISPSubtasks(t *testing.T) {
 	badOrder[0] = append([]graph.SubtaskID{0}, in.TileOrder[0]...)
 	badOrder[2] = in.TileOrder[2][1:]
 	bad.TileOrder = badOrder
-	if _, err := schedule.Compute(bad); err == nil {
+	if _, err := schedule.Compute(bad, schedule.Instance{}); err == nil {
 		t.Fatal("want error for ISP subtask on a tile")
 	}
 
 	// ISP subtask marked for loading.
 	bad2 := in
 	bad2.PortOrder = append([]graph.SubtaskID{0}, in.PortOrder...)
-	if _, err := schedule.Compute(bad2); err == nil {
+	if _, err := schedule.Compute(bad2, schedule.Instance{}); err == nil {
 		t.Fatal("want error for loading an ISP subtask")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
+	"drhwsched/internal/schedule"
 )
 
 // TestAddAllDelayedConverges checks the large-graph batch mode: it must
@@ -39,7 +40,7 @@ func TestAddAllDelayedConverges(t *testing.T) {
 	if len(batch.CS) < len(exact.CS) {
 		t.Fatalf("batch CS %d smaller than exact %d", len(batch.CS), len(exact.CS))
 	}
-	body, err := prefetch.Evaluate(s, p, batch.BodyOrder, prefetch.Bounds{}, false)
+	body, err := prefetch.Evaluate(s, p, batch.BodyOrder, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestExecuteWithISPRows(t *testing.T) {
 			t.Fatalf("ISP subtask %d in CS set", id)
 		}
 	}
-	r, err := a.Execute(RunBounds{}, nil)
+	r, err := a.Execute(schedule.Instance{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func multimedia(tb testing.TB) []stored {
 
 // arrival is one instance's boundary conditions and residency.
 type arrival struct {
-	rb       core.RunBounds
+	inst     schedule.Instance
 	resident []bool
 }
 
@@ -61,11 +61,11 @@ func arrivals(rng *rand.Rand, a *core.Analysis, k int) []arrival {
 	out := make([]arrival, k)
 	for i := range out {
 		start := model.Time(0).Add(ms(rng.Intn(100)))
-		rb := core.RunBounds{TaskStart: start, PortFree: model.MaxT(0, start.Add(-ms(rng.Intn(8))))}
+		inst := schedule.Instance{ExecFloor: start, LoadFloor: model.MaxT(0, start.Add(-ms(rng.Intn(8))))}
 		if rng.Intn(3) > 0 {
-			rb.TileFree = make([]model.Time, rows)
-			for r := range rb.TileFree {
-				rb.TileFree[r] = model.MaxT(0, start.Add(ms(rng.Intn(12)-6)))
+			inst.TileFree = make([]model.Time, rows)
+			for r := range inst.TileFree {
+				inst.TileFree[r] = model.MaxT(0, start.Add(ms(rng.Intn(12)-6)))
 			}
 		}
 		if kind := rng.Intn(3); kind > 0 {
@@ -74,7 +74,7 @@ func arrivals(rng *rand.Rand, a *core.Analysis, k int) []arrival {
 				out[i].resident[j] = kind == 2 || rng.Intn(2) == 0
 			}
 		}
-		out[i].rb = rb
+		out[i].inst = inst
 	}
 	return out
 }
@@ -83,12 +83,12 @@ func arrivals(rng *rand.Rand, a *core.Analysis, k int) []arrival {
 // part: the body and the ideal reference are each a full
 // schedule.Compute of a freshly built input, and the initialization
 // windows are written into the body timeline on port 0.
-func referenceExecute(a *core.Analysis, rb core.RunBounds, resident []bool) (*core.RunResult, error) {
+func referenceExecute(a *core.Analysis, inst schedule.Instance, resident []bool) (*core.RunResult, error) {
 	r := &core.RunResult{Plan: a.Plan(resident)}
-	cur := rb.PortFree
+	cur := inst.LoadFloor
 	tileFree := make([]model.Time, len(a.Sched.TileOrder))
-	if rb.TileFree != nil {
-		copy(tileFree, rb.TileFree)
+	if inst.TileFree != nil {
+		copy(tileFree, inst.TileFree)
 	}
 	r.InitEnd = cur
 	var initStart, initEnd []model.Time
@@ -101,12 +101,12 @@ func referenceExecute(a *core.Analysis, rb core.RunBounds, resident []bool) (*co
 		cur = end
 		r.InitEnd = end
 	}
-	r.BodyStart = model.MaxT(rb.TaskStart, r.InitEnd)
 	in := a.Sched.EngineInput(a.P, r.Plan.BodyLoads)
-	in.ExecFloor = r.BodyStart
-	in.LoadFloor = model.MaxT(rb.PortFree, r.InitEnd)
-	in.TileFree = tileFree
-	tl, err := schedule.Compute(in)
+	tl, err := schedule.Compute(in, schedule.Instance{
+		ExecFloor: model.MaxT(inst.ExecFloor, r.InitEnd),
+		LoadFloor: model.MaxT(inst.LoadFloor, r.InitEnd),
+		TileFree:  tileFree,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -114,17 +114,16 @@ func referenceExecute(a *core.Analysis, rb core.RunBounds, resident []bool) (*co
 		tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = initStart[i], initEnd[i], 0
 	}
 	r.Timeline = tl
-	ideal := a.Sched.EngineInput(a.P, nil)
-	ideal.ExecFloor = rb.TaskStart
-	ideal.TileFree = rb.TileFree
-	idealTL, err := schedule.Compute(ideal)
+	idealTL, err := schedule.Compute(a.Sched.EngineInput(a.P, nil), schedule.Instance{
+		ExecFloor: inst.ExecFloor,
+		TileFree:  inst.TileFree,
+	})
 	if err != nil {
 		return nil, err
 	}
-	r.Makespan = tl.End.Sub(rb.TaskStart)
-	r.Ideal = idealTL.End.Sub(rb.TaskStart)
+	r.Makespan = tl.End.Sub(inst.ExecFloor)
+	r.Ideal = idealTL.End.Sub(inst.ExecFloor)
 	r.Overhead = r.Makespan - r.Ideal
-	r.PortFreeAfter = model.MaxT(r.InitEnd, tl.LastLoadEnd)
 	return r, nil
 }
 
@@ -149,17 +148,17 @@ func TestExecuteScratchMatchesReference(t *testing.T) {
 	var sc core.ExecScratch
 	for _, s := range multimedia(t) {
 		for k, in := range arrivals(rng, s.a, 200) {
-			want, err := referenceExecute(s.a, in.rb, in.resident)
+			want, err := referenceExecute(s.a, in.inst, in.resident)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.a.ExecuteScratch(s.st, in.rb, in.resident, &sc)
+			got, err := s.a.ExecuteScratch(s.st, in.inst, in.resident, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}
 			name := s.a.Sched.G.Name
 			if got.Makespan != want.Makespan || got.Ideal != want.Ideal || got.Overhead != want.Overhead ||
-				got.InitEnd != want.InitEnd || got.BodyStart != want.BodyStart || got.PortFreeAfter != want.PortFreeAfter {
+				got.InitEnd != want.InitEnd {
 				t.Fatalf("%s arrival %d: summary %+v, reference %+v", name, k, got, want)
 			}
 			if !sameIDs(got.Plan.InitLoads, want.Plan.InitLoads) || !sameIDs(got.Plan.BodyLoads, want.Plan.BodyLoads) ||
@@ -194,7 +193,7 @@ func TestExecuteScratchAllocs(t *testing.T) {
 		ins := arrivals(rng, s.a, 8)
 		step := func() {
 			for _, in := range ins {
-				if _, err := s.a.ExecuteScratch(s.st, in.rb, in.resident, &sc); err != nil {
+				if _, err := s.a.ExecuteScratch(s.st, in.inst, in.resident, &sc); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -222,7 +221,7 @@ func BenchmarkExecuteScratch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := stored[i%len(stored)]
 		in := ins[i%len(stored)][(i/len(stored))%16]
-		if _, err := s.a.ExecuteScratch(s.st, in.rb, in.resident, &sc); err != nil {
+		if _, err := s.a.ExecuteScratch(s.st, in.inst, in.resident, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,14 +139,14 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 		return nil, fmt.Errorf("core: design-time prefetch: %w", err)
 	}
 	sc := new(prefetch.Scratch)
-	var loads []graph.SubtaskID
+	var loads, delayed []graph.SubtaskID
 	for iter := 0; ; iter++ {
 		a.Iterations = iter
 		if iter > maxIter {
 			return nil, fmt.Errorf("core: CS selection did not converge on %q", s.G.Name)
 		}
 		loads = nonCriticalLoads(s, a.isCS, loads[:0])
-		res, err := sched.ScheduleScratch(s, st, loads, prefetch.Bounds{}, sc)
+		res, err := sched.ScheduleScratch(s, st, loads, schedule.Instance{}, sc)
 		if err != nil {
 			return nil, fmt.Errorf("core: design-time prefetch: %w", err)
 		}
@@ -155,7 +155,7 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 		// load must be *totally hidden*, not merely off the critical
 		// path. When no subtask is load-delayed the makespan equals
 		// the ideal one and the stored schedule has zero overhead.
-		delayed := delayedSubtasks(s, st, res)
+		delayed = delayedSubtasks(s, st, res, delayed[:0])
 		if len(delayed) == 0 {
 			a.BodyOrder = append([]graph.SubtaskID(nil), res.PortOrder...)
 			break
@@ -204,13 +204,13 @@ func nonCriticalLoads(s *assign.Schedule, isCS []bool, loads []graph.SubtaskID) 
 	return loads
 }
 
-// delayedSubtasks finds the loaded subtasks whose own reconfiguration is
-// the binding constraint on their start: the execution begins exactly
-// when the load ends and strictly later than every other constraint
-// (predecessors, tile availability, floors) would require.
-func delayedSubtasks(s *assign.Schedule, st *schedule.Static, res *prefetch.Result) []graph.SubtaskID {
+// delayedSubtasks appends to out the loaded subtasks whose own
+// reconfiguration is the binding constraint on their start: the
+// execution begins exactly when the load ends and strictly later than
+// every other constraint (predecessors, tile availability, floors)
+// would require.
+func delayedSubtasks(s *assign.Schedule, st *schedule.Static, res *prefetch.Result, out []graph.SubtaskID) []graph.SubtaskID {
 	tl := res.Timeline
-	var out []graph.SubtaskID
 	for _, id := range res.PortOrder {
 		if tl.ExecStart[id] != tl.LoadEnd[id] {
 			continue
@@ -254,59 +254,47 @@ func (a *Analysis) Plan(resident []bool) InstancePlan {
 	return p
 }
 
-// RunBounds are the boundary conditions of one task arrival, expressed
-// in the schedule's (virtual) tile space.
-type RunBounds struct {
-	// TaskStart is when the task may begin executing (typically the end
-	// of the previous task).
-	TaskStart model.Time
-	// PortFree is when the reconfiguration circuitry goes idle. With
-	// the inter-task optimization this is the previous task's last
-	// load end, usually well before TaskStart; without it, callers
-	// pass TaskStart.
-	PortFree model.Time
-	// TileFree gives, per virtual tile, when the tile drains. Nil
-	// means all tiles free.
-	TileFree []model.Time
-}
+// RunBounds is schedule.Instance under its old name.
+//
+// Deprecated: use schedule.Instance.
+type RunBounds = schedule.Instance
 
 // RunResult is the evaluated execution of one task arrival under the
 // hybrid heuristic.
 type RunResult struct {
 	Plan InstancePlan
 	// InitEnd is when the last initialization-phase load finishes
-	// (PortFree if there were none).
+	// (the initialization phase's port floor if there were none).
 	InitEnd model.Time
-	// BodyStart is when the design-time schedule begins: the later of
-	// TaskStart and InitEnd.
-	BodyStart model.Time
 	// Timeline is the whole instance: every execution, the surviving
 	// non-critical loads, and the initialization loads of
-	// Plan.InitLoads, which it records on port 0 (the one controller
-	// the hybrid engine models).
+	// Plan.InitLoads, which it records on port 0. Its Start is when the
+	// design-time schedule begins (the later of ExecFloor and InitEnd),
+	// and its LastLoadEnd when the circuitry goes idle after this task.
 	Timeline *schedule.Timeline
-	// Makespan counts from TaskStart to the last execution; Ideal is
-	// the zero-overhead reference from TaskStart; Overhead their
-	// difference.
+	// Makespan counts from the instance's ExecFloor to the last
+	// execution; Ideal is the zero-overhead reference from ExecFloor;
+	// Overhead their difference.
 	Makespan model.Dur
 	Ideal    model.Dur
 	Overhead model.Dur
-	// PortFreeAfter is when the reconfiguration circuitry goes idle
-	// after this task — the window the next task's initialization can
-	// use.
-	PortFreeAfter model.Time
 }
 
-// Execute evaluates one arrival: it runs the initialization phase on the
-// reconfiguration circuitry, then replays the design-time schedule with
-// the cancelled loads removed. resident is the reuse module's residency
-// vector, indexed by subtask ID (nil: nothing resident).
-func (a *Analysis) Execute(rb RunBounds, resident []bool) (*RunResult, error) {
+// Execute evaluates one arrival with bounds inst: it runs the
+// initialization phase on the reconfiguration circuitry, then replays
+// the design-time schedule with the cancelled loads removed. resident
+// is the reuse module's residency vector, indexed by subtask ID (nil:
+// nothing resident). The initialization phase starts when port 0, the
+// one controller the hybrid engine models, goes idle: at LoadFloor, or
+// max(LoadFloor, PortFree[0]); under the inter-task optimization that
+// may be before ExecFloor, the task start. The body always prefetches:
+// inst.OnDemand is ignored.
+func (a *Analysis) Execute(inst schedule.Instance, resident []bool) (*RunResult, error) {
 	// A fresh static part and scratch per call keep the returned result
 	// unaliased; hot loops reuse both via ExecuteScratch.
 	st, err := a.Sched.Static(a.P)
 	if err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
-	return a.ExecuteScratch(st, rb, resident, new(ExecScratch))
+	return a.ExecuteScratch(st, inst, resident, new(ExecScratch))
 }

@@ -10,6 +10,7 @@ import (
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
+	"drhwsched/internal/schedule"
 )
 
 // fig3 rebuilds the paper's running example: a 4-stage, 10 ms pipeline on
@@ -62,7 +63,7 @@ func TestBodyScheduleHasZeroOverheadByConstruction(t *testing.T) {
 	a := analyze(t, s, p)
 	// The CS definition: with the CS resident and everything else
 	// loaded, the heuristic hides every remaining load completely.
-	r, err := prefetch.Evaluate(s, p, a.BodyOrder, prefetch.Bounds{}, false)
+	r, err := prefetch.Evaluate(s, p, a.BodyOrder, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func residentSet(s *assign.Schedule, ids ...graph.SubtaskID) []bool {
 func TestExecuteColdStartPaysOnlyInit(t *testing.T) {
 	s, p := fig3(t)
 	a := analyze(t, s, p)
-	r, err := a.Execute(RunBounds{}, nil)
+	r, err := a.Execute(schedule.Instance{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestExecuteColdStartPaysOnlyInit(t *testing.T) {
 func TestExecuteWithCriticalResidentIsFree(t *testing.T) {
 	s, p := fig3(t)
 	a := analyze(t, s, p)
-	r, err := a.Execute(RunBounds{}, residentSet(s, 0))
+	r, err := a.Execute(schedule.Instance{}, residentSet(s, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +120,9 @@ func TestInterTaskWindowHidesInitialization(t *testing.T) {
 	// Previous task still runs until 40ms but its last load finished at
 	// 16ms: the initialization phase fits entirely in the idle tail —
 	// the paper's Figure 5(b.3) situation.
-	rb := RunBounds{
-		TaskStart: model.Time(40 * model.Millisecond),
-		PortFree:  model.Time(16 * model.Millisecond),
+	rb := schedule.Instance{
+		ExecFloor: model.Time(40 * model.Millisecond),
+		LoadFloor: model.Time(16 * model.Millisecond),
 		TileFree: []model.Time{
 			model.Time(30 * model.Millisecond),
 			model.Time(40 * model.Millisecond),
@@ -143,14 +144,14 @@ func TestInterTaskWindowHidesInitialization(t *testing.T) {
 func TestCancellationRemovesLoadWithoutTimingChange(t *testing.T) {
 	s, p := fig3(t)
 	a := analyze(t, s, p)
-	cold, err := a.Execute(RunBounds{}, nil)
+	cold, err := a.Execute(schedule.Instance{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Subtask 2 resident (a non-critical reuse, the paper's "L3
 	// removed" in Fig. 5): the load is cancelled, the makespan is not
 	// hurt.
-	r, err := a.Execute(RunBounds{}, residentSet(s, 2))
+	r, err := a.Execute(schedule.Instance{}, residentSet(s, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,16 +232,16 @@ func TestHybridProperties(t *testing.T) {
 			t.Logf("analyze: %v", err)
 			return false
 		}
-		body, err := prefetch.Evaluate(s, p, a.BodyOrder, prefetch.Bounds{}, false)
+		body, err := prefetch.Evaluate(s, p, a.BodyOrder, schedule.Instance{})
 		if err != nil || body.Overhead != 0 {
 			t.Logf("body overhead %v err %v", body.Overhead, err)
 			return false
 		}
-		run, err := a.Execute(RunBounds{}, nil)
+		run, err := a.Execute(schedule.Instance{}, nil)
 		if err != nil {
 			return false
 		}
-		if got, want := run.Overhead, run.BodyStart.Sub(0); got != want {
+		if got, want := run.Overhead, run.Timeline.Start.Sub(0); got != want {
 			t.Logf("overhead %v != exposed init %v", got, want)
 			return false
 		}
@@ -271,9 +272,9 @@ func TestInterTaskWindowPropertyZeroOverhead(t *testing.T) {
 			return false
 		}
 		// The previous task finished loading long ago and every tile
-		// is idle: the whole initialization fits before TaskStart.
+		// is idle: the whole initialization fits before ExecFloor.
 		window := model.Dur(len(a.CS)+1) * 4 * model.Millisecond
-		rb := RunBounds{TaskStart: model.Time(window), PortFree: 0}
+		rb := schedule.Instance{ExecFloor: model.Time(window), LoadFloor: 0}
 		run, err := a.Execute(rb, nil)
 		if err != nil {
 			return false
@@ -304,7 +305,7 @@ func TestAllCriticalGraphStillWorks(t *testing.T) {
 	if len(a.CS) != 1 || len(a.BodyOrder) != 0 {
 		t.Fatalf("CS=%v body=%v", a.CS, a.BodyOrder)
 	}
-	r, err := a.Execute(RunBounds{}, nil)
+	r, err := a.Execute(schedule.Instance{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

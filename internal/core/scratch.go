@@ -52,14 +52,17 @@ func (a *Analysis) planInto(p *InstancePlan, resident []bool) {
 // schedule's static constraint part (a.Sched.Static(a.P)), which the
 // caller builds once and may share between goroutines. The returned
 // RunResult and everything it references are owned by sc.
-func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident []bool, sc *ExecScratch) (*RunResult, error) {
+func (a *Analysis) ExecuteScratch(st *schedule.Static, inst schedule.Instance, resident []bool, sc *ExecScratch) (*RunResult, error) {
 	r := &sc.res
 	a.planInto(&r.Plan, resident)
 	sc.init = sc.init[:0]
 
-	// Initialization phase: serialized loads in stored order. Each
-	// waits for the circuitry and for its target tile to drain.
-	cur := rb.PortFree
+	// Initialization phase: serialized loads in stored order on port 0.
+	// Each waits for the circuitry and for its target tile to drain.
+	r.InitEnd = inst.LoadFloor
+	if len(inst.PortFree) > 0 {
+		r.InitEnd = model.MaxT(r.InitEnd, inst.PortFree[0])
+	}
 	rows := len(a.Sched.TileOrder)
 	if cap(sc.tileFree) < rows {
 		sc.tileFree = make([]model.Time, rows)
@@ -68,27 +71,23 @@ func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident []
 	for i := range tileFree {
 		tileFree[i] = 0
 	}
-	if rb.TileFree != nil {
-		copy(tileFree, rb.TileFree)
+	if inst.TileFree != nil {
+		copy(tileFree, inst.TileFree)
 	}
-	r.InitEnd = cur
 	for _, id := range r.Plan.InitLoads {
 		t := a.Sched.Assignment[id]
-		start := model.MaxT(cur, tileFree[t])
-		lat := a.P.LoadLatency(a.Sched.G.Subtask(id).Load)
-		end := start.Add(lat)
+		start := model.MaxT(r.InitEnd, tileFree[t])
+		end := start.Add(a.P.LoadLatency(a.Sched.G.Subtask(id).Load))
 		sc.init = append(sc.init, window{start, end})
-		tileFree[t] = end
-		cur = end
-		r.InitEnd = end
+		tileFree[t], r.InitEnd = end, end
 	}
-	r.BodyStart = model.MaxT(rb.TaskStart, r.InitEnd)
 
 	// Body: the design-time schedule with reused loads cancelled. The
-	// critical subtasks are resident by construction now.
+	// critical subtasks are resident by construction now, so the body
+	// and its loads start once the initialization phase ends.
 	err := sc.body.Bind(st, r.Plan.BodyLoads, schedule.Instance{
-		ExecFloor: r.BodyStart,
-		LoadFloor: model.MaxT(rb.PortFree, r.InitEnd),
+		ExecFloor: model.MaxT(inst.ExecFloor, r.InitEnd),
+		LoadFloor: r.InitEnd,
 		TileFree:  tileFree,
 	})
 	if err != nil {
@@ -106,16 +105,15 @@ func (a *Analysis) ExecuteScratch(st *schedule.Static, rb RunBounds, resident []
 	}
 	r.Timeline = tl
 
-	// Ideal reference: same decisions, no loads, starting at TaskStart
+	// Ideal reference: same decisions, no loads, starting at ExecFloor
 	// with the tiles as the previous task left them.
-	ideal, err := st.Ideal(rb.TaskStart, rb.TileFree)
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
 	if err != nil {
 		return nil, fmt.Errorf("core: ideal reference: %w", err)
 	}
 
-	r.Makespan = tl.End.Sub(rb.TaskStart)
+	r.Makespan = tl.End.Sub(inst.ExecFloor)
 	r.Ideal = ideal
 	r.Overhead = r.Makespan - r.Ideal
-	r.PortFreeAfter = model.MaxT(r.InitEnd, tl.LastLoadEnd)
 	return r, nil
 }

@@ -7,6 +7,7 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
+	"drhwsched/internal/schedule"
 )
 
 // TestExecuteScratchMatchesExecute pins the scratch-reusing run-time
@@ -42,10 +43,10 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 		residentSet(s, a0, b0),
 	}
 	for ri, resident := range residencies {
-		for _, rb := range []RunBounds{
+		for _, rb := range []schedule.Instance{
 			{},
-			{TaskStart: 30 * model.Time(model.Millisecond), PortFree: 10 * model.Time(model.Millisecond)},
-			{TaskStart: 5 * model.Time(model.Millisecond), PortFree: 5 * model.Time(model.Millisecond),
+			{ExecFloor: 30 * model.Time(model.Millisecond), LoadFloor: 10 * model.Time(model.Millisecond)},
+			{ExecFloor: 5 * model.Time(model.Millisecond), LoadFloor: 5 * model.Time(model.Millisecond),
 				TileFree: []model.Time{3000, 0, 9000}},
 		} {
 			want, err := an.Execute(rb, resident)
@@ -57,8 +58,8 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Makespan != want.Makespan || got.Ideal != want.Ideal || got.Overhead != want.Overhead ||
-				got.InitEnd != want.InitEnd || got.BodyStart != want.BodyStart ||
-				got.PortFreeAfter != want.PortFreeAfter {
+				got.InitEnd != want.InitEnd || got.Timeline.Start != want.Timeline.Start ||
+				got.Timeline.LastLoadEnd != want.Timeline.LastLoadEnd {
 				t.Fatalf("residency %d bounds %+v: scratch %+v != allocating %+v", ri, rb, got, want)
 			}
 			if len(got.Plan.InitLoads) != len(want.Plan.InitLoads) ||

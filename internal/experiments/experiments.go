@@ -20,6 +20,7 @@ import (
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
 	"drhwsched/internal/reconfig"
+	"drhwsched/internal/schedule"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/stats"
 	"drhwsched/internal/workload"
@@ -221,7 +222,7 @@ func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, erro
 		// first call on a freshly built graph pays cold caches, a
 		// one-off that would otherwise dominate the smallest sizes.
 		rtCost, err := minCost(func() error {
-			_, err := (prefetch.List{MaxPasses: -1}).Schedule(s, p, loads, prefetch.Bounds{})
+			_, err := (prefetch.List{MaxPasses: -1}).Schedule(s, p, loads, schedule.Instance{})
 			return err
 		})
 		if err != nil {
@@ -411,11 +412,11 @@ func AblationOptimality(samples int, seed int64) (*stats.Table, error) {
 			return nil, err
 		}
 		loads := s.AllLoads()
-		ls, err := (prefetch.List{}).Schedule(s, p, loads, prefetch.Bounds{})
+		ls, err := (prefetch.List{}).Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return nil, err
 		}
-		bb, err := (prefetch.BranchBound{}).Schedule(s, p, loads, prefetch.Bounds{})
+		bb, err := (prefetch.BranchBound{}).Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return nil, err
 		}
@@ -448,7 +449,7 @@ func AblationPlacement() (*stats.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				r, err := (prefetch.BranchBound{}).Schedule(s, p, s.AllLoads(), prefetch.Bounds{})
+				r, err := (prefetch.BranchBound{}).Schedule(s, p, s.AllLoads(), schedule.Instance{})
 				if err != nil {
 					return nil, err
 				}

@@ -23,7 +23,7 @@ func sample(t *testing.T) (schedule.Input, *schedule.Timeline) {
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
-	tl, err := schedule.Compute(in)
+	tl, err := schedule.Compute(in, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestManySubtaskLabels(t *testing.T) {
 		Assignment: make([]int, 40),
 		TileOrder:  [][]graph.SubtaskID{order},
 	}
-	tl, err := schedule.Compute(in)
+	tl, err := schedule.Compute(in, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}

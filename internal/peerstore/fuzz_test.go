@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"drhwsched/internal/core"
+	"drhwsched/internal/schedule"
 )
 
 func FuzzDecode(f *testing.F) {
@@ -38,7 +39,7 @@ func FuzzDecode(f *testing.F) {
 			all[i] = true
 		}
 		for _, resident := range [][]bool{nil, all} {
-			if _, err := dec.ExecuteScratch(st, core.RunBounds{}, resident, &sc); err != nil {
+			if _, err := dec.ExecuteScratch(st, schedule.Instance{}, resident, &sc); err != nil {
 				return
 			}
 		}

@@ -161,7 +161,7 @@ func newGateScheduler() *gateScheduler {
 
 func (g *gateScheduler) Name() string { return "gate" }
 
-func (g *gateScheduler) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b prefetch.Bounds, sc *prefetch.Scratch) (*prefetch.Result, error) {
+func (g *gateScheduler) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b schedule.Instance, sc *prefetch.Scratch) (*prefetch.Result, error) {
 	g.state.once.Do(func() {
 		close(g.state.started)
 		<-g.state.release

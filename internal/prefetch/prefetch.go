@@ -32,6 +32,9 @@
 // schedulers' Schedule methods — run it on a freshly built static part
 // and Scratch, so their Results alias nothing. The zero-overhead
 // reference (Result.Ideal) is schedule.Static.Ideal, a closed form.
+// Every entry point takes the instance's bounds as a schedule.Instance:
+// OnDemand evaluates it on demand, List and BranchBound with prefetch,
+// and Evaluate as its OnDemand field says.
 package prefetch
 
 import (
@@ -46,15 +49,10 @@ import (
 	"drhwsched/internal/schedule"
 )
 
-// Bounds carries the boundary conditions of one task instance: when
-// execution may start, when the reconfiguration circuitry is available,
-// and when each tile drains from the previous task.
-type Bounds struct {
-	ExecFloor model.Time
-	LoadFloor model.Time
-	TileFree  []model.Time
-	PortFree  []model.Time
-}
+// Bounds is schedule.Instance under its old name.
+//
+// Deprecated: use schedule.Instance.
+type Bounds = schedule.Instance
 
 // Result is a prefetch schedule together with its evaluated timeline.
 type Result struct {
@@ -73,26 +71,26 @@ type Result struct {
 type Scheduler interface {
 	Name() string
 	// ScheduleScratch orders the loads of the given subtasks of s, whose
-	// static constraint part on the platform is st. The loads slice is
-	// not modified. The Result and its Timeline are owned by sc and
-	// valid until its next use.
-	ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error)
+	// static constraint part on the platform is st, in the instance inst
+	// (the scheduler sets its OnDemand). The loads slice is not modified.
+	// The Result and its Timeline are owned by sc until its next use.
+	ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error)
 }
 
 // Schedule is the allocating form of sched.ScheduleScratch: it builds
 // s's static part on p and runs sched on a fresh Scratch.
-func Schedule(sched Scheduler, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
+func Schedule(sched Scheduler, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
 	return fresh(s, p, func(st *schedule.Static, sc *Scratch) (*Result, error) {
-		return sched.ScheduleScratch(s, st, loads, b, sc)
+		return sched.ScheduleScratch(s, st, loads, inst, sc)
 	})
 }
 
 // Evaluate computes the timeline and overhead for a given load order
-// under the boundary conditions: the allocating form of
-// EvaluateScratch.
-func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) (*Result, error) {
+// for the instance inst, under on-demand semantics when inst.OnDemand
+// is set: the allocating form of EvaluateScratch.
+func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
 	return fresh(s, p, func(st *schedule.Static, sc *Scratch) (*Result, error) {
-		return EvaluateScratch(st, order, b, onDemand, sc)
+		return EvaluateScratch(st, order, inst, sc)
 	})
 }
 
@@ -114,8 +112,8 @@ type OnDemand struct{}
 func (OnDemand) Name() string { return "on-demand" }
 
 // Schedule is Schedule(o, …), the allocating form.
-func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return Schedule(o, s, p, loads, b)
+func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
+	return Schedule(o, s, p, loads, inst)
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in
@@ -138,8 +136,8 @@ type List struct {
 func (l List) Name() string { return "list" }
 
 // Schedule is Schedule(l, …), the allocating form.
-func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return Schedule(l, s, p, loads, b)
+func (l List) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
+	return Schedule(l, s, p, loads, inst)
 }
 
 // BranchBound finds the load order with the minimum makespan. The search
@@ -162,22 +160,23 @@ const maxNodes = 200000
 func (BranchBound) Name() string { return "branch&bound" }
 
 // Schedule is Schedule(bb, …), the allocating form.
-func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) (*Result, error) {
-	return Schedule(bb, s, p, loads, b)
+func (bb BranchBound) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
+	return Schedule(bb, s, p, loads, inst)
 }
 
 // ScheduleScratch implements Scheduler. The incumbent, every search node
 // and the final evaluation run on sc, and the search keeps its state in
 // sc's id-indexed buffers; the returned Result and its Timeline are
 // owned by sc.
-func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
 	maxLoads := bb.MaxLoads
 	if maxLoads == 0 {
 		maxLoads = 12
 	}
 	if len(loads) > maxLoads {
-		return List{}.ScheduleScratch(s, st, loads, b, sc)
+		return List{}.ScheduleScratch(s, st, loads, inst, sc)
 	}
+	inst.OnDemand = false
 
 	bs := &sc.bb
 	bs.grow(s.G.Len())
@@ -204,13 +203,13 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 	// the incumbent reaches it, the search is over before it starts —
 	// the common case inside the CS-selection loop, where the stored
 	// schedule hides everything.
-	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
 	if err != nil {
 		return nil, err
 	}
 
 	// Seed the incumbent with the list heuristic.
-	incumbent, err := List{}.ScheduleScratch(s, st, loads, b, sc)
+	incumbent, err := List{}.ScheduleScratch(s, st, loads, inst, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +217,9 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 	// Port-pairing bound inputs: the controller's floor and the loads
 	// in descending weight order (stable, like the ideal-start order
 	// it is taken from).
-	portFloor0 := b.LoadFloor
-	if b.PortFree != nil {
-		for _, t := range b.PortFree {
-			portFloor0 = model.MaxT(portFloor0, t)
-		}
+	portFloor0 := inst.LoadFloor
+	for _, t := range inst.PortFree {
+		portFloor0 = model.MaxT(portFloor0, t)
 	}
 	weightOrder := append(bs.weightOrder[:0], sorted...)
 	bs.weightOrder = weightOrder
@@ -234,7 +231,7 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 		bbScratch:    bs,
 		s:            s,
 		st:           st,
-		b:            b,
+		inst:         inst,
 		sc:           sc,
 		ideal:        ideal,
 		portFloor0:   portFloor0,
@@ -244,7 +241,7 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 	bs.placed = bs.placed[:0]
 	search.dfs()
 
-	if err := sc.evaluateInto(&sc.res, st, bs.bestOrder, b, false, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, st, bs.bestOrder, inst, ideal); err != nil {
 		return nil, fmt.Errorf("prefetch: re-evaluating best order: %w", err)
 	}
 	return &sc.res, nil
@@ -286,10 +283,10 @@ func (bs *bbScratch) grow(n int) {
 // bbSearch is one BranchBound call's depth-first search.
 type bbSearch struct {
 	*bbScratch
-	s  *assign.Schedule
-	st *schedule.Static
-	b  Bounds
-	sc *Scratch
+	s    *assign.Schedule
+	st   *schedule.Static
+	inst schedule.Instance // with OnDemand false
+	sc   *Scratch
 
 	ideal        model.Dur
 	portFloor0   model.Time
@@ -327,7 +324,7 @@ func (x *bbSearch) pairingBound() model.Dur {
 		}
 		end = end.Add(lats[slot])
 		slot++
-		if m := end.Add(x.s.Weights[id]).Sub(x.b.ExecFloor); m > best {
+		if m := end.Add(x.s.Weights[id]).Sub(x.inst.ExecFloor); m > best {
 			best = m
 		}
 	}
@@ -336,7 +333,7 @@ func (x *bbSearch) pairingBound() model.Dur {
 
 // lowerBound relaxes the problem: loads not yet placed are free.
 func (x *bbSearch) lowerBound() (model.Dur, bool) {
-	if err := x.sc.evaluateInto(&x.node, x.st, x.placed, x.b, false, x.ideal); err != nil {
+	if err := x.sc.evaluateInto(&x.node, x.st, x.placed, x.inst, x.ideal); err != nil {
 		return 0, false
 	}
 	return x.node.Makespan, true
@@ -351,7 +348,7 @@ func (x *bbSearch) dfs() {
 		return
 	}
 	if len(x.placed) == len(x.sorted) {
-		err := x.sc.evaluateInto(&x.node, x.st, x.placed, x.b, false, x.ideal)
+		err := x.sc.evaluateInto(&x.node, x.st, x.placed, x.inst, x.ideal)
 		if err == nil && x.node.Makespan < x.bestMakespan {
 			x.bestMakespan = x.node.Makespan
 			x.bestOrder = append(x.bestOrder[:0], x.placed...)

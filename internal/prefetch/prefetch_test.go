@@ -33,7 +33,7 @@ func allLoads(s *assign.Schedule) []graph.SubtaskID { return s.AllLoads() }
 
 func TestFig3OnDemandOverhead(t *testing.T) {
 	s, p := fig3Sched(t)
-	r, err := OnDemand{}.Schedule(s, p, allLoads(s), Bounds{})
+	r, err := OnDemand{}.Schedule(s, p, allLoads(s), schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFig3OnDemandOverhead(t *testing.T) {
 
 func TestFig3ListHidesAllButFirst(t *testing.T) {
 	s, p := fig3Sched(t)
-	r, err := List{}.Schedule(s, p, allLoads(s), Bounds{})
+	r, err := List{}.Schedule(s, p, allLoads(s), schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestFig3ListHidesAllButFirst(t *testing.T) {
 
 func TestFig3BranchBoundMatchesList(t *testing.T) {
 	s, p := fig3Sched(t)
-	r, err := BranchBound{}.Schedule(s, p, allLoads(s), Bounds{})
+	r, err := BranchBound{}.Schedule(s, p, allLoads(s), schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFig3BranchBoundMatchesList(t *testing.T) {
 func TestPartialLoadSet(t *testing.T) {
 	s, p := fig3Sched(t)
 	// First subtask resident: nothing is exposed any more.
-	r, err := List{}.Schedule(s, p, []graph.SubtaskID{1, 2, 3}, Bounds{})
+	r, err := List{}.Schedule(s, p, []graph.SubtaskID{1, 2, 3}, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestPartialLoadSet(t *testing.T) {
 func TestEmptyLoadSet(t *testing.T) {
 	s, p := fig3Sched(t)
 	for _, sched := range []Scheduler{OnDemand{}, List{}, BranchBound{}} {
-		r, err := Schedule(sched, s, p, nil, Bounds{})
+		r, err := Schedule(sched, s, p, nil, schedule.Instance{})
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
 		}
@@ -94,7 +94,7 @@ func TestEmptyLoadSet(t *testing.T) {
 
 func TestBoundsDelayLoads(t *testing.T) {
 	s, p := fig3Sched(t)
-	b := Bounds{
+	b := schedule.Instance{
 		PortFree: []model.Time{model.Time(6 * model.Millisecond)},
 	}
 	r, err := List{}.Schedule(s, p, allLoads(s), b)
@@ -112,7 +112,7 @@ func TestLoadFloorBeforeExecFloorEnablesHiddenInit(t *testing.T) {
 	s, p := fig3Sched(t)
 	// The task starts at 20ms but the port is idle from 0: prefetching
 	// can hide even the first load.
-	b := Bounds{
+	b := schedule.Instance{
 		ExecFloor: model.Time(20 * model.Millisecond),
 		LoadFloor: 0,
 	}
@@ -135,7 +135,7 @@ func TestLoadFloorBeforeExecFloorEnablesHiddenInit(t *testing.T) {
 
 func TestBranchBoundFallsBackAboveMaxLoads(t *testing.T) {
 	s, p := fig3Sched(t)
-	r, err := BranchBound{MaxLoads: 2}.Schedule(s, p, allLoads(s), Bounds{})
+	r, err := BranchBound{MaxLoads: 2}.Schedule(s, p, allLoads(s), schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +170,15 @@ func TestSchedulerHierarchyProperty(t *testing.T) {
 	f := func(seed int64, tiles uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s, p, loads := randSched(rng, 10, 1+int(tiles%5))
-		od, err := OnDemand{}.Schedule(s, p, loads, Bounds{})
+		od, err := OnDemand{}.Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return false
 		}
-		ls, err := List{}.Schedule(s, p, loads, Bounds{})
+		ls, err := List{}.Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return false
 		}
-		bb, err := BranchBound{}.Schedule(s, p, loads, Bounds{})
+		bb, err := BranchBound{}.Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return false
 		}
@@ -212,15 +212,15 @@ func TestResultsVerifyProperty(t *testing.T) {
 		default:
 			sched = BranchBound{MaxLoads: 8}
 		}
-		r, err := Schedule(sched, s, p, loads, Bounds{})
+		r, err := Schedule(sched, s, p, loads, schedule.Instance{})
 		if err != nil {
 			return false
 		}
 		if r.Overhead < 0 {
 			return false
 		}
-		in := engineInput(s, p, r.PortOrder, Bounds{}, r.OnDemand)
-		return schedule.Verify(in, r.Timeline) == nil
+		in, inst := engineInput(s, p, r.PortOrder, schedule.Instance{}, r.OnDemand)
+		return schedule.Verify(in, inst, r.Timeline) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 90}); err != nil {
 		t.Fatal(err)
@@ -229,13 +229,13 @@ func TestResultsVerifyProperty(t *testing.T) {
 
 // exhaustive finds the true optimum by trying every permutation of the
 // load set (skipping infeasible ones); only usable for tiny inputs.
-func exhaustive(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds) model.Dur {
+func exhaustive(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b schedule.Instance) model.Dur {
 	best := model.Dur(1 << 62)
 	perm := append([]graph.SubtaskID(nil), loads...)
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(perm) {
-			if r, err := Evaluate(s, p, perm, b, false); err == nil && r.Makespan < best {
+			if r, err := Evaluate(s, p, perm, b); err == nil && r.Makespan < best {
 				best = r.Makespan
 			}
 			return
@@ -258,11 +258,11 @@ func TestBranchBoundIsOptimal(t *testing.T) {
 		if len(loads) > 6 {
 			loads = loads[:6]
 		}
-		bb, err := BranchBound{}.Schedule(s, p, loads, Bounds{})
+		bb, err := BranchBound{}.Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := exhaustive(s, p, loads, Bounds{})
+		want := exhaustive(s, p, loads, schedule.Instance{})
 		if bb.Makespan != want {
 			t.Fatalf("iteration %d: b&b %v, exhaustive %v", i, bb.Makespan, want)
 		}

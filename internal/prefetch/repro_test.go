@@ -15,15 +15,15 @@ import (
 func TestOnDemandOrderRespectsCombinedPrecedence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3949291582562784689))
 	s, p, loads := randSched(rng, 14, 1+int(uint8(0xc)%5))
-	r, err := (OnDemand{}).Schedule(s, p, loads, Bounds{})
+	r, err := (OnDemand{}).Schedule(s, p, loads, schedule.Instance{})
 	if err != nil {
 		t.Fatalf("schedule error: %v", err)
 	}
 	if r.Overhead < 0 {
 		t.Fatalf("negative overhead %v", r.Overhead)
 	}
-	in := engineInput(s, p, r.PortOrder, Bounds{}, r.OnDemand)
-	if err := schedule.Verify(in, r.Timeline); err != nil {
+	in, inst := engineInput(s, p, r.PortOrder, schedule.Instance{}, r.OnDemand)
+	if err := schedule.Verify(in, inst, r.Timeline); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 }

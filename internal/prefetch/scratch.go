@@ -16,7 +16,7 @@ import (
 //
 // The *Scratch entry points take the schedule's static part st
 // (assign.Schedule.Static), built once per stored schedule and platform;
-// each decision binds its loads and floors to it.
+// each decision binds its loads and its schedule.Instance to it.
 type Scratch struct {
 	// eval evaluates every candidate timeline.
 	eval schedule.Scratch
@@ -30,29 +30,22 @@ type Scratch struct {
 	bb     bbScratch
 }
 
-// instance is the one place Bounds become a schedule.Instance.
-func (b Bounds) instance(onDemand bool) schedule.Instance {
-	in := schedule.Instance{
-		ExecFloor: b.ExecFloor,
-		LoadFloor: b.LoadFloor,
-		TileFree:  b.TileFree,
-		PortFree:  b.PortFree,
-		OnDemand:  onDemand,
-	}
-	if onDemand && in.LoadFloor < b.ExecFloor {
-		// An on-demand load request only exists once the task runs.
-		in.LoadFloor = b.ExecFloor
-	}
-	return in
+// onDemandInstance is inst under on-demand semantics. An on-demand
+// load request only exists once the task runs, so no load starts
+// before ExecFloor either.
+func onDemandInstance(inst schedule.Instance) schedule.Instance {
+	inst.OnDemand = true
+	inst.LoadFloor = model.MaxT(inst.LoadFloor, inst.ExecFloor)
+	return inst
 }
 
 // evaluateInto evaluates one load order into out; out.Timeline is the
 // scratch's reusable timeline.
-func (sc *Scratch) evaluateInto(out *Result, st *schedule.Static, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
-	if err := sc.eval.Bind(st, order, b.instance(onDemand)); err != nil {
+func (sc *Scratch) evaluateInto(out *Result, st *schedule.Static, order []graph.SubtaskID, inst schedule.Instance, ideal model.Dur) error {
+	if err := sc.eval.Bind(st, order, inst); err != nil {
 		return err
 	}
-	return sc.reorderInto(out, order, onDemand, ideal)
+	return sc.reorderInto(out, order, inst.OnDemand, ideal)
 }
 
 // reorderInto evaluates order, a permutation of the bound load set,
@@ -75,12 +68,15 @@ func (sc *Scratch) reorderInto(out *Result, order []graph.SubtaskID, onDemand bo
 
 // EvaluateScratch is the implementation of Evaluate; the returned Result
 // and its Timeline are owned by sc.
-func EvaluateScratch(st *schedule.Static, order []graph.SubtaskID, b Bounds, onDemand bool, sc *Scratch) (*Result, error) {
-	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
+func EvaluateScratch(st *schedule.Static, order []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
+	if inst.OnDemand {
+		inst = onDemandInstance(inst)
+	}
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.evaluateInto(&sc.res, st, order, b, onDemand, ideal); err != nil {
+	if err := sc.evaluateInto(&sc.res, st, order, inst, ideal); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
@@ -92,7 +88,8 @@ func EvaluateScratch(st *schedule.Static, order []graph.SubtaskID, b Bounds, onD
 // timeline itself, so the order is resolved by fixpoint iteration:
 // start from the ideal-start order and re-sort by observed readiness
 // until the order stabilizes.
-func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
+	inst = onDemandInstance(inst)
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
 	s.SortByIdealStart(order)
@@ -104,11 +101,11 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads [
 
 	// The ideal reference and the bound load set do not depend on the
 	// order, so every fixpoint iteration shares them.
-	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
 	if err != nil {
 		return nil, err
 	}
-	if err := sc.eval.Bind(st, order, b.instance(true)); err != nil {
+	if err := sc.eval.Bind(st, order, inst); err != nil {
 		return nil, err
 	}
 	maxIter := 2*len(order) + 2
@@ -117,7 +114,7 @@ func (OnDemand) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads [
 			return nil, err
 		}
 		for _, id := range order {
-			t := b.ExecFloor
+			t := inst.ExecFloor
 			for _, pr := range s.G.Preds(id) {
 				t = model.MaxT(t, sc.res.Timeline.ExecEnd[pr])
 			}
@@ -157,15 +154,16 @@ func equalOrder(a, b []graph.SubtaskID) bool {
 // The decision binds its loads to st once; each candidate is one
 // Reorder limited by the best makespan so far, which stops as soon as
 // the candidate provably cannot beat it.
-func (l List) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
-	ideal, err := st.Ideal(b.ExecFloor, b.TileFree)
+func (l List) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
+	inst.OnDemand = false
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
 	if err != nil {
 		return nil, err
 	}
 	order := append(sc.order[:0], loads...)
 	sc.order = order[:0]
 	s.SortByIdealStart(order)
-	if err := sc.eval.Bind(st, order, b.instance(false)); err != nil {
+	if err := sc.eval.Bind(st, order, inst); err != nil {
 		return nil, err
 	}
 	res := &sc.res

@@ -73,11 +73,11 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 			compareResults(t, sched.Name(), trial, want, got)
 		}
 
-		want, err := Evaluate(s, p, loads, b, false)
+		want, err := Evaluate(s, p, loads, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvaluateScratch(st, loads, b, false, sc)
+		got, err := EvaluateScratch(st, loads, b, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,9 +110,9 @@ func TestRepairMatchesReference(t *testing.T) {
 // randomBounds draws boundary conditions for s on p: an execution
 // floor, a load floor up to 10 ms earlier, and processors and ports
 // that drain a little later.
-func randomBounds(rng *rand.Rand, s *assign.Schedule, p platform.Platform) Bounds {
+func randomBounds(rng *rand.Rand, s *assign.Schedule, p platform.Platform) schedule.Instance {
 	ms := func(n int) model.Time { return model.Time(n) * model.Time(model.Millisecond) }
-	b := Bounds{
+	b := schedule.Instance{
 		ExecFloor: ms(rng.Intn(50)),
 		TileFree:  make([]model.Time, s.Tiles+s.ISPs),
 		PortFree:  make([]model.Time, p.Ports),
@@ -232,25 +232,22 @@ func compareFull(t *testing.T, name string, trial int, want, got *Result) {
 }
 
 // engineInput builds the schedule.Input of one decision, loading
-// exactly the subtasks in order. The tests use it to Verify timelines
-// and to evaluate decisions from scratch.
-func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool) schedule.Input {
-	in := s.EngineInput(p, order)
-	in.ExecFloor = b.ExecFloor
-	in.LoadFloor = b.LoadFloor
-	if onDemand && in.LoadFloor < b.ExecFloor {
-		in.LoadFloor = b.ExecFloor
+// exactly the subtasks in order, and the schedule.Instance it runs in:
+// b under the given semantics, where an on-demand load waits for the
+// execution floor too. The tests use it to Verify timelines and to
+// evaluate decisions from scratch.
+func engineInput(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b schedule.Instance, onDemand bool) (schedule.Input, schedule.Instance) {
+	b.OnDemand = onDemand
+	if onDemand && b.LoadFloor < b.ExecFloor {
+		b.LoadFloor = b.ExecFloor
 	}
-	in.TileFree = b.TileFree
-	in.PortFree = b.PortFree
-	in.OnDemand = onDemand
-	return in
+	return s.EngineInput(p, order), b
 }
 
 // refIdeal is the zero-overhead reference evaluated in full: a
 // schedule.Compute of the decision with no loads, against which the
 // schedulers' closed-form Static.Ideal is pinned.
-func refIdeal(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, error) {
+func refIdeal(s *assign.Schedule, p platform.Platform, b schedule.Instance) (model.Dur, error) {
 	tl, err := schedule.Compute(engineInput(s, p, nil, b, false))
 	if err != nil {
 		return 0, err
@@ -260,7 +257,7 @@ func refIdeal(s *assign.Schedule, p platform.Platform, b Bounds) (model.Dur, err
 
 // evaluateFull evaluates one load order from scratch: a fresh
 // schedule.Compute of its whole input.
-func evaluateFull(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b Bounds, onDemand bool, ideal model.Dur) error {
+func evaluateFull(out *Result, s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, b schedule.Instance, onDemand bool, ideal model.Dur) error {
 	tl, err := schedule.Compute(engineInput(s, p, order, b, onDemand))
 	if err != nil {
 		return err
@@ -279,7 +276,7 @@ func evaluateFull(out *Result, s *assign.Schedule, p platform.Platform, order []
 // referenceList is List.ScheduleScratch as it was before candidates
 // shared a prepared DAG: every swap is a full evaluation, and the best
 // order is evaluated once more at the end.
-func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b schedule.Instance, sc *Scratch) (*Result, error) {
 	ideal, err := refIdeal(s, p, b)
 	if err != nil {
 		return nil, err
@@ -324,7 +321,7 @@ func referenceList(l List, s *assign.Schedule, p platform.Platform, loads []grap
 
 // referenceOnDemand is the on-demand fixpoint as it was before its
 // iterations shared a prepared DAG: a full evaluation per iteration.
-func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b Bounds, sc *Scratch) (*Result, error) {
+func referenceOnDemand(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, b schedule.Instance, sc *Scratch) (*Result, error) {
 	n := s.G.Len()
 	order := append(sc.order[:0], loads...)
 	s.SortByIdealStart(order)

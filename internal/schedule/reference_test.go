@@ -123,18 +123,19 @@ func (sc *refScratch) grow(n, edges, ports int) {
 }
 
 // Compute is Prepare, then Reorder of in.PortOrder without a limit.
-func (sc *refScratch) Compute(in Input) (*Timeline, error) {
-	if err := sc.Prepare(in); err != nil {
+func (sc *refScratch) Compute(in Input, inst Instance) (*Timeline, error) {
+	if err := sc.Prepare(in, inst); err != nil {
 		return nil, err
 	}
 	return sc.Reorder(in.PortOrder, 0)
 }
 
-// Prepare validates in and builds the part of the evaluation that does
-// not depend on the port order. Subsequent Reorder calls evaluate port
-// orders over in's load set (the subtasks its PortOrder lists). Prepare
-// keeps no reference to in's slices, so the caller may reuse them.
-func (sc *refScratch) Prepare(in Input) error {
+// Prepare validates in and inst and builds the part of the evaluation
+// that does not depend on the port order. Subsequent Reorder calls
+// evaluate port orders over in's load set (the subtasks its PortOrder
+// lists). Prepare keeps no reference to in's or inst's slices, so the
+// caller may reuse them.
+func (sc *refScratch) Prepare(in Input, inst Instance) error {
 	sc.prepared = false
 	if in.G == nil {
 		return errors.New("schedule: nil graph")
@@ -144,18 +145,18 @@ func (sc *refScratch) Prepare(in Input) error {
 	}
 	n := in.G.Len()
 	sc.grow(n, len(in.G.Edges()), in.P.Ports)
-	if err := refCheckInput(&in, sc.seen, sc.inPort); err != nil {
+	if err := refCheckInput(&in, &inst, sc.seen, sc.inPort); err != nil {
 		return err
 	}
 	sc.n, sc.name = n, in.G.Name
-	sc.execFloor, sc.loadFloor = in.ExecFloor, in.LoadFloor
+	sc.execFloor, sc.loadFloor = inst.ExecFloor, inst.LoadFloor
 
 	// Count every node's constraints and successors, turn the counts
 	// into row offsets, then fill the rows.
 	for v := range sc.consAt {
 		sc.consAt[v], sc.outAt[v] = 0, 0
 	}
-	sc.staticEdges(&in, false)
+	sc.staticEdges(&in, inst.OnDemand, false)
 	for v := 1; v <= 2*n; v++ {
 		sc.consAt[v] += sc.consAt[v-1]
 		sc.outAt[v] += sc.outAt[v-1]
@@ -164,14 +165,14 @@ func (sc *refScratch) Prepare(in Input) error {
 	sc.cons, sc.out = sc.cons[:m], sc.out[:m]
 	copy(sc.indeg, sc.consAt)
 	copy(sc.ready, sc.outAt)
-	sc.staticEdges(&in, true)
+	sc.staticEdges(&in, inst.OnDemand, true)
 
 	// Per-node floors and durations; the first subtask on a processor
 	// (and its load) also waits for the processor to drain.
 	sc.loads = 0
 	for i := 0; i < n; i++ {
 		st := in.G.Subtask(graph.SubtaskID(i))
-		sc.floor[2*i], sc.floor[2*i+1] = in.ExecFloor, in.LoadFloor
+		sc.floor[2*i], sc.floor[2*i+1] = inst.ExecFloor, inst.LoadFloor
 		sc.dur[2*i] = st.Exec
 		sc.dur[2*i+1] = 0
 		if sc.inPort[i] {
@@ -183,8 +184,8 @@ func (sc *refScratch) Prepare(in Input) error {
 	for t, order := range in.TileOrder {
 		if len(order) > 0 {
 			var free model.Time // nil TileFree: everything free at zero
-			if in.TileFree != nil {
-				free = in.TileFree[t]
+			if inst.TileFree != nil {
+				free = inst.TileFree[t]
 			}
 			id := order[0]
 			sc.floor[2*id] = model.MaxT(sc.floor[2*id], free)
@@ -192,9 +193,9 @@ func (sc *refScratch) Prepare(in Input) error {
 		}
 	}
 	for p := range sc.portFree0 {
-		sc.portFree0[p] = in.LoadFloor
-		if in.PortFree != nil {
-			sc.portFree0[p] = model.MaxT(sc.portFree0[p], in.PortFree[p])
+		sc.portFree0[p] = inst.LoadFloor
+		if inst.PortFree != nil {
+			sc.portFree0[p] = model.MaxT(sc.portFree0[p], inst.PortFree[p])
 		}
 	}
 	sc.prepared = true
@@ -205,7 +206,7 @@ func (sc *refScratch) Prepare(in Input) error {
 // fill false it counts them into consAt[to+1] and outAt[from+1]; with
 // fill true it writes them at the cursors indeg (constraints) and ready
 // (successors).
-func (sc *refScratch) staticEdges(in *Input, fill bool) {
+func (sc *refScratch) staticEdges(in *Input, onDemand, fill bool) {
 	loaded := sc.inPort
 	add := func(from, to int) {
 		if !fill {
@@ -222,7 +223,7 @@ func (sc *refScratch) staticEdges(in *Input, fill bool) {
 	// under on-demand semantics.
 	for _, e := range in.G.Edges() {
 		add(2*int(e.From), 2*int(e.To))
-		if in.OnDemand && loaded[e.To] {
+		if onDemand && loaded[e.To] {
 			add(2*int(e.From), 2*int(e.To)+1)
 		}
 	}
@@ -420,7 +421,7 @@ func (sc *refScratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeli
 
 // refCheckInput validates structural properties of the decision set. seen
 // and inPort are caller-owned all-false buffers of length G.Len().
-func refCheckInput(in *Input, seen, inPort []bool) error {
+func refCheckInput(in *Input, inst *Instance, seen, inPort []bool) error {
 	n := in.G.Len()
 	if len(in.Assignment) != n {
 		return fmt.Errorf("schedule: assignment covers %d of %d subtasks", len(in.Assignment), n)
@@ -428,11 +429,11 @@ func refCheckInput(in *Input, seen, inPort []bool) error {
 	if len(in.TileOrder) > in.P.Processors() {
 		return fmt.Errorf("schedule: %d processor orders for %d processors", len(in.TileOrder), in.P.Processors())
 	}
-	if in.TileFree != nil && len(in.TileFree) != in.P.Processors() {
-		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(in.TileFree), in.P.Processors())
+	if inst.TileFree != nil && len(inst.TileFree) != in.P.Processors() {
+		return fmt.Errorf("schedule: tileFree covers %d of %d processors", len(inst.TileFree), in.P.Processors())
 	}
-	if in.PortFree != nil && len(in.PortFree) != in.P.Ports {
-		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(in.PortFree), in.P.Ports)
+	if inst.PortFree != nil && len(inst.PortFree) != in.P.Ports {
+		return fmt.Errorf("schedule: portFree covers %d of %d ports", len(inst.PortFree), in.P.Ports)
 	}
 	for t, order := range in.TileOrder {
 		for _, id := range order {
@@ -484,10 +485,10 @@ func refCheckInput(in *Input, seen, inPort []bool) error {
 // varyInstance redraws the instance part of a random decision: a random
 // subset of its loads, an execution floor that is sometimes zero, and
 // per-processor drain times on both sides of the execution floor.
-func varyInstance(rng *rand.Rand, in *Input) {
+func varyInstance(rng *rand.Rand, in *Input, inst *Instance) {
 	ms := func(k int) model.Dur { return model.Dur(k) * model.Millisecond }
 	if rng.Intn(4) == 0 {
-		in.ExecFloor, in.LoadFloor = 0, 0
+		inst.ExecFloor, inst.LoadFloor = 0, 0
 	}
 	var port []graph.SubtaskID
 	for _, id := range in.PortOrder {
@@ -497,9 +498,9 @@ func varyInstance(rng *rand.Rand, in *Input) {
 	}
 	in.PortOrder = port
 	if rng.Intn(4) > 0 {
-		in.TileFree = make([]model.Time, in.P.Processors())
-		for r := range in.TileFree {
-			in.TileFree[r] = model.MaxT(0, in.ExecFloor.Add(ms(rng.Intn(40)-20)))
+		inst.TileFree = make([]model.Time, in.P.Processors())
+		for r := range inst.TileFree {
+			inst.TileFree[r] = model.MaxT(0, inst.ExecFloor.Add(ms(rng.Intn(40)-20)))
 		}
 	}
 }
@@ -524,15 +525,15 @@ func TestBindMatchesReference(t *testing.T) {
 	var ref refScratch
 	evaluated, cuts := 0, 0
 	for trial := 0; trial < 600; trial++ {
-		in := randomDecision(rng)
-		varyInstance(rng, &in)
+		in, inst := randomDecision(rng)
+		varyInstance(rng, &in, &inst)
 		st, err := NewStatic(in)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 
-		wantIdeal, werr := ref.Compute(noLoads(in))
-		ideal, err := st.Ideal(in.ExecFloor, in.TileFree)
+		wantIdeal, werr := ref.Compute(noLoads(in), inst)
+		ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("trial %d: ideal error %v, reference %v", trial, err, werr)
 		}
@@ -540,10 +541,10 @@ func TestBindMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d: closed-form ideal %v, reference %v", trial, ideal, wantIdeal.Makespan())
 		}
 
-		if err := sc.Bind(st, in.PortOrder, in.instance()); err != nil {
+		if err := sc.Bind(st, in.PortOrder, inst); err != nil {
 			t.Fatalf("trial %d: bind: %v", trial, err)
 		}
-		if err := ref.Prepare(in); err != nil {
+		if err := ref.Prepare(in, inst); err != nil {
 			t.Fatalf("trial %d: reference prepare: %v", trial, err)
 		}
 		order := append([]graph.SubtaskID(nil), in.PortOrder...)
@@ -566,7 +567,7 @@ func TestBindMatchesReference(t *testing.T) {
 			if d := diffTimelines(got, want); d != "" {
 				t.Fatalf("trial %d order %v: %s", trial, order, d)
 			}
-			if err := Verify(withOrder(in, order), got); err != nil {
+			if err := Verify(withOrder(in, order), inst, got); err != nil {
 				t.Fatalf("trial %d order %v: %v", trial, order, err)
 			}
 			if len(order) == 0 && got.Makespan() != ideal {
@@ -623,31 +624,31 @@ func TestInputErrorsMatchReference(t *testing.T) {
 			PortOrder:  []graph.SubtaskID{a, b},
 		}
 	}
-	cases := map[string]func(*Input){
-		"nil graph":            func(in *Input) { in.G = nil },
-		"bad platform":         func(in *Input) { in.P.Tiles = 0 },
-		"short assignment":     func(in *Input) { in.Assignment = []int{0, 1} },
-		"too many orders":      func(in *Input) { in.TileOrder = append(in.TileOrder, nil) },
-		"tile out of range":    func(in *Input) { in.Assignment = []int{0, 7, 2} },
-		"subtask twice":        func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a, b}, {b}, {c}} },
-		"subtask missing":      func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a}, {}, {c}} },
-		"unknown in order":     func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a, 5}, {b}, {c}} },
-		"wrong tile":           func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{b}, {a}, {c}} },
-		"hardware on ISP":      func(in *Input) { in.Assignment[b], in.TileOrder = 2, [][]graph.SubtaskID{{a}, {}, {c, b}} },
-		"ISP on tile":          func(in *Input) { in.Assignment[c], in.TileOrder = 1, [][]graph.SubtaskID{{a}, {b, c}, {}} },
-		"ISP loaded":           func(in *Input) { in.PortOrder = []graph.SubtaskID{a, b, c} },
-		"duplicate load":       func(in *Input) { in.PortOrder = []graph.SubtaskID{a, a} },
-		"unknown load subtask": func(in *Input) { in.PortOrder = []graph.SubtaskID{a, 9} },
-		"bad tileFree len":     func(in *Input) { in.TileFree = []model.Time{0} },
-		"bad portFree len":     func(in *Input) { in.PortFree = []model.Time{0, 0} },
-		"cycle":                func(in *Input) { in.Assignment[b], in.TileOrder = 0, [][]graph.SubtaskID{{b, a}, {}, {c}} },
+	cases := map[string]func(*Input, *Instance){
+		"nil graph":            func(in *Input, _ *Instance) { in.G = nil },
+		"bad platform":         func(in *Input, _ *Instance) { in.P.Tiles = 0 },
+		"short assignment":     func(in *Input, _ *Instance) { in.Assignment = []int{0, 1} },
+		"too many orders":      func(in *Input, _ *Instance) { in.TileOrder = append(in.TileOrder, nil) },
+		"tile out of range":    func(in *Input, _ *Instance) { in.Assignment = []int{0, 7, 2} },
+		"subtask twice":        func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{a, b}, {b}, {c}} },
+		"subtask missing":      func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{a}, {}, {c}} },
+		"unknown in order":     func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{a, 5}, {b}, {c}} },
+		"wrong tile":           func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{b}, {a}, {c}} },
+		"hardware on ISP":      func(in *Input, _ *Instance) { in.Assignment[b], in.TileOrder = 2, [][]graph.SubtaskID{{a}, {}, {c, b}} },
+		"ISP on tile":          func(in *Input, _ *Instance) { in.Assignment[c], in.TileOrder = 1, [][]graph.SubtaskID{{a}, {b, c}, {}} },
+		"ISP loaded":           func(in *Input, _ *Instance) { in.PortOrder = []graph.SubtaskID{a, b, c} },
+		"duplicate load":       func(in *Input, _ *Instance) { in.PortOrder = []graph.SubtaskID{a, a} },
+		"unknown load subtask": func(in *Input, _ *Instance) { in.PortOrder = []graph.SubtaskID{a, 9} },
+		"bad tileFree len":     func(_ *Input, inst *Instance) { inst.TileFree = []model.Time{0} },
+		"bad portFree len":     func(_ *Input, inst *Instance) { inst.PortFree = []model.Time{0, 0} },
+		"cycle":                func(in *Input, _ *Instance) { in.Assignment[b], in.TileOrder = 0, [][]graph.SubtaskID{{b, a}, {}, {c}} },
 	}
 	for name, mutate := range cases {
-		in := base()
-		mutate(&in)
-		_, err := Compute(in)
+		in, inst := base(), Instance{}
+		mutate(&in, &inst)
+		_, err := Compute(in, inst)
 		var ref refScratch
-		_, werr := ref.Compute(in)
+		_, werr := ref.Compute(in, inst)
 		if err == nil || werr == nil {
 			t.Errorf("%s: error %v, reference %v", name, err, werr)
 			continue

@@ -17,7 +17,7 @@ import (
 // port availability, a load floor below the execution floor, and
 // either semantics. The port order is the loads in topological order;
 // callers permute it.
-func randomDecision(rng *rand.Rand) Input {
+func randomDecision(rng *rand.Rand) (Input, Instance) {
 	g := graph.Generate(rng, graph.GenSpec{
 		Name:     "reorder",
 		Subtasks: 1 + rng.Intn(18),
@@ -47,22 +47,23 @@ func randomDecision(rng *rand.Rand) Input {
 		tileOrder[proc] = append(tileOrder[proc], id)
 	}
 	in := Input{G: g, P: p, Assignment: assign, TileOrder: tileOrder, PortOrder: port}
-	in.ExecFloor = ms(40)
-	in.LoadFloor = in.ExecFloor - ms(10)
-	in.OnDemand = rng.Intn(2) == 0
+	var inst Instance
+	inst.ExecFloor = ms(40)
+	inst.LoadFloor = inst.ExecFloor - ms(10)
+	inst.OnDemand = rng.Intn(2) == 0
 	if rng.Intn(3) > 0 {
-		in.TileFree = make([]model.Time, p.Processors())
-		for i := range in.TileFree {
-			in.TileFree[i] = in.LoadFloor + ms(20)
+		inst.TileFree = make([]model.Time, p.Processors())
+		for i := range inst.TileFree {
+			inst.TileFree[i] = inst.LoadFloor + ms(20)
 		}
 	}
 	if rng.Intn(3) > 0 {
-		in.PortFree = make([]model.Time, p.Ports)
-		for i := range in.PortFree {
-			in.PortFree[i] = in.LoadFloor + ms(15)
+		inst.PortFree = make([]model.Time, p.Ports)
+		for i := range inst.PortFree {
+			inst.PortFree[i] = inst.LoadFloor + ms(15)
 		}
 	}
-	return in
+	return in, inst
 }
 
 // loadSet marks the subtasks in's port order lists.
@@ -98,15 +99,15 @@ func diffTimelines(got, want *Timeline) string {
 	return ""
 }
 
-// bind builds in's static part and binds in's load set and floors to
-// sc on it.
-func bind(t *testing.T, sc *Scratch, in Input) {
+// bind builds in's static part and binds in's load set and inst to sc
+// on it.
+func bind(t *testing.T, sc *Scratch, in Input, inst Instance) {
 	t.Helper()
 	st, err := NewStatic(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Bind(st, in.PortOrder, in.instance()); err != nil {
+	if err := sc.Bind(st, in.PortOrder, inst); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,10 +119,10 @@ func withOrder(in Input, order []graph.SubtaskID) Input {
 
 // checkReorder pins one Reorder on a bound scratch to a fresh
 // Compute of the same input under that port order.
-func checkReorder(t *testing.T, sc *Scratch, in Input, order []graph.SubtaskID, limit model.Dur) {
+func checkReorder(t *testing.T, sc *Scratch, in Input, inst Instance, order []graph.SubtaskID, limit model.Dur) {
 	t.Helper()
 	in = withOrder(in, order)
-	want, wantErr := Compute(in)
+	want, wantErr := Compute(in, inst)
 	got, err := sc.Reorder(order, limit)
 	switch {
 	case errors.Is(err, ErrCutoff):
@@ -148,7 +149,7 @@ func checkReorder(t *testing.T, sc *Scratch, in Input, order []graph.SubtaskID, 
 		if d := diffTimelines(got, want); d != "" {
 			t.Fatalf("order %v limit %v: %s", order, limit, d)
 		}
-		if err := Verify(in, got); err != nil {
+		if err := Verify(in, inst, got); err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
 	}
@@ -163,21 +164,21 @@ func TestReorderMatchesCompute(t *testing.T) {
 	sc := new(Scratch)
 	cuts := 0
 	for trial := 0; trial < 400; trial++ {
-		in := randomDecision(rng)
-		bind(t, sc, in)
+		in, inst := randomDecision(rng)
+		bind(t, sc, in, inst)
 		order := append([]graph.SubtaskID(nil), in.PortOrder...)
 		for k := 0; k < 6; k++ {
 			if k > 0 {
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			}
-			checkReorder(t, sc, in, order, 0)
+			checkReorder(t, sc, in, inst, order, 0)
 			// Limits at random, and right at this order's makespan
 			// (to the microsecond), where an inexact cut would show.
 			limit := model.Dur(1+rng.Intn(60)) * model.Millisecond
-			if want, err := Compute(withOrder(in, order)); err == nil && rng.Intn(3) > 0 {
+			if want, err := Compute(withOrder(in, order), inst); err == nil && rng.Intn(3) > 0 {
 				limit = want.Makespan() + model.Dur(rng.Intn(3)-1)
 			}
-			checkReorder(t, sc, in, order, limit)
+			checkReorder(t, sc, in, inst, order, limit)
 			if _, err := sc.Reorder(order, limit); errors.Is(err, ErrCutoff) {
 				cuts++
 			}
@@ -196,8 +197,8 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sc := new(Scratch)
 	for trial := 0; trial < 200; trial++ {
-		in := randomDecision(rng)
-		bind(t, sc, in)
+		in, inst := randomDecision(rng)
+		bind(t, sc, in, inst)
 		n, need := in.G.Len(), loadSet(in)
 		var bad [][]graph.SubtaskID
 		if m := len(in.PortOrder); m > 0 {
@@ -230,7 +231,7 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 				t.Fatalf("trial %d: order %v over loads %v accepted (err %v)", trial, order, in.PortOrder, err)
 			}
 		}
-		checkReorder(t, sc, in, in.PortOrder, 0)
+		checkReorder(t, sc, in, inst, in.PortOrder, 0)
 	}
 	var zero Scratch
 	if _, err := zero.Reorder(nil, 0); err == nil {
@@ -241,7 +242,7 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Bind(st, []graph.SubtaskID{-1}, in.instance()); err == nil {
+	if err := sc.Bind(st, []graph.SubtaskID{-1}, Instance{}); err == nil {
 		t.Fatal("Bind accepted an unknown subtask")
 	}
 	if _, err := sc.Reorder(nil, 0); err == nil {
@@ -254,12 +255,12 @@ func TestReorderRejectsNonPermutations(t *testing.T) {
 func TestReorderStampWrap(t *testing.T) {
 	_, in := fig3()
 	sc := new(Scratch)
-	bind(t, sc, in)
+	bind(t, sc, in, Instance{})
 	// Stamps left by an early call must not read as seen after the wrap.
-	checkReorder(t, sc, in, in.PortOrder, 0)
+	checkReorder(t, sc, in, Instance{}, in.PortOrder, 0)
 	sc.mark = math.MaxInt
 	for k := 0; k < 4; k++ {
-		checkReorder(t, sc, in, in.PortOrder, 0)
+		checkReorder(t, sc, in, Instance{}, in.PortOrder, 0)
 		if _, err := sc.Reorder([]graph.SubtaskID{0, 1, 1, 3}, 0); err == nil {
 			t.Fatalf("call %d (mark %d): duplicate accepted", k, sc.mark)
 		}
@@ -280,7 +281,7 @@ func FuzzReorder(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 2, 3}, uint16(0), []byte{})
 	f.Add(int64(7), []byte{3, 2, 1, 0, 4}, uint16(30), []byte{0x80, 0x10, 0xf0, 0x00, 0x33})
 	f.Fuzz(func(t *testing.T, seed int64, ids []byte, limitMS uint16, floors []byte) {
-		in := randomDecision(rand.New(rand.NewSource(seed)))
+		in, inst := randomDecision(rand.New(rand.NewSource(seed)))
 		n, procs := in.G.Len(), in.P.Processors()
 		st, err := NewStatic(in)
 		if err != nil {
@@ -290,28 +291,28 @@ func FuzzReorder(f *testing.F) {
 		// each an offset of up to ±64 ms around the execution floor.
 		badLen := false
 		if len(floors) > 0 {
-			in.TileFree = make([]model.Time, procs)
-			for r := range in.TileFree {
+			inst.TileFree = make([]model.Time, procs)
+			for r := range inst.TileFree {
 				var b byte
 				if 1+r < len(floors) {
 					b = floors[1+r]
 				}
-				in.TileFree[r] = in.ExecFloor.Add(model.Dur(int(b)-128) * model.Millisecond / 2)
+				inst.TileFree[r] = inst.ExecFloor.Add(model.Dur(int(b)-128) * model.Millisecond / 2)
 			}
 			switch floors[0] % 8 {
 			case 1:
-				in.TileFree = in.TileFree[:procs-1]
+				inst.TileFree = inst.TileFree[:procs-1]
 				badLen = true
 			case 3:
-				in.TileFree = nil
+				inst.TileFree = nil
 			}
 		}
-		ideal, ierr := st.Ideal(in.ExecFloor, in.TileFree)
+		ideal, ierr := st.Ideal(inst.ExecFloor, inst.TileFree)
 		sc := new(Scratch)
-		berr := sc.Bind(st, in.PortOrder, in.instance())
+		berr := sc.Bind(st, in.PortOrder, inst)
 		if badLen {
 			if berr == nil {
-				t.Fatalf("Bind accepted TileFree of %d", len(in.TileFree))
+				t.Fatalf("Bind accepted TileFree of %d", len(inst.TileFree))
 			}
 			if ierr == nil {
 				t.Fatal("Ideal accepted a short TileFree")
@@ -322,7 +323,7 @@ func FuzzReorder(f *testing.F) {
 			t.Fatalf("bind %v, ideal %v", berr, ierr)
 		}
 		var ref refScratch
-		if want, err := ref.Compute(noLoads(in)); err != nil || want.Makespan() != ideal {
+		if want, err := ref.Compute(noLoads(in), inst); err != nil || want.Makespan() != ideal {
 			t.Fatalf("closed-form ideal %v, reference %v (err %v)", ideal, want, err)
 		}
 		order := make([]graph.SubtaskID, len(ids))
@@ -345,8 +346,8 @@ func FuzzReorder(f *testing.F) {
 			}
 			return
 		}
-		checkReorder(t, sc, in, order, limit)
-		if err := ref.Prepare(withOrder(in, in.PortOrder)); err != nil {
+		checkReorder(t, sc, in, inst, order, limit)
+		if err := ref.Prepare(in, inst); err != nil {
 			t.Fatal(err)
 		}
 		want, werr := ref.Reorder(order, 0)

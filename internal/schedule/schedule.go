@@ -16,6 +16,13 @@
 //   - loads start in port order (no overtaking) and each occupies one
 //     reconfiguration controller for its whole latency.
 //
+// An Input holds the decisions and an Instance the boundary conditions
+// of one task instance: its floors, the tile and port state earlier
+// instances leave behind, and the load semantics. Instance is the one
+// per-instance bounds type: the simulator builds one per instance, and
+// the prefetch schedulers, the hybrid run-time phase and Scratch.Bind
+// all take it, so no layer converts it.
+//
 // The combined constraint system is a DAG when the decisions are
 // consistent; Compute evaluates it in topological order and rejects
 // cyclic inputs. Verify re-checks a computed timeline against the raw
@@ -28,8 +35,9 @@ import (
 	"drhwsched/internal/platform"
 )
 
-// Input bundles the decisions and boundary conditions for one task
-// instance.
+// Input bundles the decisions for one task instance: the placement,
+// the per-processor execution orders and the port order. The
+// instance's boundary conditions are an Instance, given separately.
 type Input struct {
 	G *graph.Graph
 	P platform.Platform
@@ -47,7 +55,13 @@ type Input struct {
 	// not listed is already resident (reused) and executes without a
 	// reconfiguration.
 	PortOrder []graph.SubtaskID
+}
 
+// Instance holds the boundary conditions of one task instance: the
+// floors, the processor and port state carried over from earlier
+// instances, and the load semantics. The zero value is an instance
+// starting at time zero on an idle platform, with prefetching allowed.
+type Instance struct {
 	// ExecFloor is the earliest instant any execution may start (the
 	// task's start time). Zero is a valid floor.
 	ExecFloor model.Time
@@ -78,7 +92,7 @@ type Timeline struct {
 	ExecStart []model.Time
 	ExecEnd   []model.Time
 
-	Start model.Time // the input's ExecFloor
+	Start model.Time // the instance's ExecFloor
 	End   model.Time // latest execution end
 	// LastLoadEnd is when the reconfiguration circuitry finishes its
 	// final load (Start when there were no loads); the idle tail
@@ -102,32 +116,21 @@ const (
 	kindLoad = 1
 )
 
-// Compute evaluates the constraint system and returns the timeline.
-// It fails if the input is malformed or if the decision orders are
-// mutually inconsistent (cyclic).
+// Compute evaluates the constraint system of in under inst and returns
+// the timeline. It fails if the input or the instance is malformed or
+// if the decision orders are mutually inconsistent (cyclic).
 //
 // Every call builds a fresh Static and Scratch, so the Timeline aliases
 // nothing; callers evaluating many instances of one schedule build the
 // Static once and Bind each instance to a reused Scratch instead.
-func Compute(in Input) (*Timeline, error) {
+func Compute(in Input, inst Instance) (*Timeline, error) {
 	st, err := NewStatic(in)
 	if err != nil {
 		return nil, err
 	}
 	sc := new(Scratch)
-	if err := sc.Bind(st, in.PortOrder, in.instance()); err != nil {
+	if err := sc.Bind(st, in.PortOrder, inst); err != nil {
 		return nil, err
 	}
 	return sc.Reorder(in.PortOrder, 0)
-}
-
-// instance is the per-instance part of in, for Bind.
-func (in *Input) instance() Instance {
-	return Instance{
-		ExecFloor: in.ExecFloor,
-		LoadFloor: in.LoadFloor,
-		TileFree:  in.TileFree,
-		PortFree:  in.PortFree,
-		OnDemand:  in.OnDemand,
-	}
 }

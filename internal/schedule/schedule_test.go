@@ -32,13 +32,13 @@ func fig3() (*graph.Graph, Input) {
 	return g, in
 }
 
-func mustCompute(t *testing.T, in Input) *Timeline {
+func mustCompute(t *testing.T, in Input, inst Instance) *Timeline {
 	t.Helper()
-	tl, err := Compute(in)
+	tl, err := Compute(in, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(in, tl); err != nil {
+	if err := Verify(in, inst, tl); err != nil {
 		t.Fatalf("verification failed: %v", err)
 	}
 	return tl
@@ -55,7 +55,7 @@ func withoutLoads(in Input) Input {
 
 func TestFig3IdealMakespan(t *testing.T) {
 	_, in := fig3()
-	tl := mustCompute(t, withoutLoads(in))
+	tl := mustCompute(t, withoutLoads(in), Instance{})
 	if got := tl.Makespan(); got != 40*model.Millisecond {
 		t.Fatalf("ideal makespan = %v, want 40ms", got)
 	}
@@ -63,7 +63,7 @@ func TestFig3IdealMakespan(t *testing.T) {
 
 func TestFig3PrefetchExposesOnlyFirstLoad(t *testing.T) {
 	_, in := fig3()
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{})
 	if got := tl.Makespan(); got != 44*model.Millisecond {
 		t.Fatalf("prefetch makespan = %v, want 44ms (ideal + one load)", got)
 	}
@@ -78,8 +78,7 @@ func TestFig3PrefetchExposesOnlyFirstLoad(t *testing.T) {
 
 func TestFig3OnDemandDelaysEverySubtask(t *testing.T) {
 	_, in := fig3()
-	in.OnDemand = true
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{OnDemand: true})
 	// Every load sits on the critical path: 40 + 4*4 = 56 ms.
 	if got := tl.Makespan(); got != 56*model.Millisecond {
 		t.Fatalf("on-demand makespan = %v, want 56ms", got)
@@ -90,7 +89,7 @@ func TestFig3ReuseRemovesLoad(t *testing.T) {
 	_, in := fig3()
 	// Subtask 1 reused: its load disappears and nothing is exposed.
 	in.PortOrder = []graph.SubtaskID{1, 2, 3}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{})
 	if got := tl.Makespan(); got != 40*model.Millisecond {
 		t.Fatalf("makespan with s1 reused = %v, want 40ms", got)
 	}
@@ -113,7 +112,7 @@ func TestLoadWaitsForTileToDrain(t *testing.T) {
 		TileOrder:  [][]graph.SubtaskID{{a, b}},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{})
 	if tl.LoadStart[b] != tl.ExecEnd[a] {
 		t.Fatalf("load of b starts %v, want %v (end of a)", tl.LoadStart[b], tl.ExecEnd[a])
 	}
@@ -133,7 +132,7 @@ func TestPortSerializesIndependentLoads(t *testing.T) {
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{})
 	if tl.LoadStart[b] != tl.LoadEnd[a] {
 		t.Fatalf("load b starts %v, want %v (port busy with a)", tl.LoadStart[b], tl.LoadEnd[a])
 	}
@@ -155,7 +154,7 @@ func TestTwoPortsLoadInParallel(t *testing.T) {
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
 		PortOrder:  []graph.SubtaskID{a, b},
 	}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{})
 	if tl.LoadStart[a] != 0 || tl.LoadStart[b] != 0 {
 		t.Fatalf("loads should start together, got %v and %v", tl.LoadStart[a], tl.LoadStart[b])
 	}
@@ -178,7 +177,7 @@ func TestInconsistentOrdersAreRejected(t *testing.T) {
 		TileOrder:  [][]graph.SubtaskID{{a, b}},
 		PortOrder:  []graph.SubtaskID{b, a},
 	}
-	if _, err := Compute(in); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := Compute(in, Instance{}); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("want constraint-cycle error, got %v", err)
 	}
 }
@@ -192,12 +191,13 @@ func TestFloorsAndCarriedState(t *testing.T) {
 		Assignment: []int{1},
 		TileOrder:  [][]graph.SubtaskID{{}, {a}},
 		PortOrder:  []graph.SubtaskID{a},
-		ExecFloor:  model.Time(100 * model.Millisecond),
-		LoadFloor:  model.Time(80 * model.Millisecond),
-		TileFree:   []model.Time{0, model.Time(90 * model.Millisecond)},
-		PortFree:   []model.Time{model.Time(85 * model.Millisecond)},
 	}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{
+		ExecFloor: model.Time(100 * model.Millisecond),
+		LoadFloor: model.Time(80 * model.Millisecond),
+		TileFree:  []model.Time{0, model.Time(90 * model.Millisecond)},
+		PortFree:  []model.Time{model.Time(85 * model.Millisecond)},
+	})
 	// Load may start before the exec floor (inter-task prefetch) but
 	// not before the tile drains (90ms) nor before the port frees (85ms).
 	if tl.LoadStart[a] != model.Time(90*model.Millisecond) {
@@ -221,9 +221,8 @@ func TestOnDemandLoadWaitsForPreds(t *testing.T) {
 		Assignment: []int{0, 1},
 		TileOrder:  [][]graph.SubtaskID{{a}, {b}},
 		PortOrder:  []graph.SubtaskID{b},
-		OnDemand:   true,
 	}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{OnDemand: true})
 	if tl.LoadStart[b] != tl.ExecEnd[a] {
 		t.Fatalf("on-demand load of b starts %v, want %v", tl.LoadStart[b], tl.ExecEnd[a])
 	}
@@ -242,22 +241,22 @@ func TestInputValidation(t *testing.T) {
 			PortOrder:  []graph.SubtaskID{a, b},
 		}
 	}
-	cases := map[string]func(*Input){
-		"nil graph":            func(in *Input) { in.G = nil },
-		"short assignment":     func(in *Input) { in.Assignment = []int{0} },
-		"tile out of range":    func(in *Input) { in.Assignment = []int{0, 7} },
-		"subtask twice":        func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a, b}, {b}} },
-		"subtask missing":      func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{a}, {}} },
-		"wrong tile":           func(in *Input) { in.TileOrder = [][]graph.SubtaskID{{b}, {a}} },
-		"duplicate load":       func(in *Input) { in.PortOrder = []graph.SubtaskID{a, a} },
-		"unknown load subtask": func(in *Input) { in.PortOrder = []graph.SubtaskID{a, 9} },
-		"bad tileFree len":     func(in *Input) { in.TileFree = []model.Time{0} },
-		"bad portFree len":     func(in *Input) { in.PortFree = []model.Time{0, 0} },
+	cases := map[string]func(*Input, *Instance){
+		"nil graph":            func(in *Input, _ *Instance) { in.G = nil },
+		"short assignment":     func(in *Input, _ *Instance) { in.Assignment = []int{0} },
+		"tile out of range":    func(in *Input, _ *Instance) { in.Assignment = []int{0, 7} },
+		"subtask twice":        func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{a, b}, {b}} },
+		"subtask missing":      func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{a}, {}} },
+		"wrong tile":           func(in *Input, _ *Instance) { in.TileOrder = [][]graph.SubtaskID{{b}, {a}} },
+		"duplicate load":       func(in *Input, _ *Instance) { in.PortOrder = []graph.SubtaskID{a, a} },
+		"unknown load subtask": func(in *Input, _ *Instance) { in.PortOrder = []graph.SubtaskID{a, 9} },
+		"bad tileFree len":     func(_ *Input, inst *Instance) { inst.TileFree = []model.Time{0} },
+		"bad portFree len":     func(_ *Input, inst *Instance) { inst.PortFree = []model.Time{0, 0} },
 	}
 	for name, mutate := range cases {
-		in := base()
-		mutate(&in)
-		if _, err := Compute(in); err == nil {
+		in, inst := base(), Instance{}
+		mutate(&in, &inst)
+		if _, err := Compute(in, inst); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}
@@ -299,15 +298,15 @@ func TestComputeVerifiesAndLoadsOnlyHurt(t *testing.T) {
 	f := func(seed int64, tiles uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInput(rng, 1+int(tiles%6))
-		tl, err := Compute(in)
+		tl, err := Compute(in, Instance{})
 		if err != nil {
 			return false
 		}
-		if err := Verify(in, tl); err != nil {
+		if err := Verify(in, Instance{}, tl); err != nil {
 			t.Logf("verify: %v", err)
 			return false
 		}
-		ideal, err := Compute(withoutLoads(in))
+		ideal, err := Compute(withoutLoads(in), Instance{})
 		if err != nil {
 			return false
 		}
@@ -324,13 +323,11 @@ func TestPrefetchDominatesOnDemand(t *testing.T) {
 	f := func(seed int64, tiles uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomInput(rng, 1+int(tiles%6))
-		pre, err := Compute(in)
+		pre, err := Compute(in, Instance{})
 		if err != nil {
 			return false
 		}
-		od := in
-		od.OnDemand = true
-		odTL, err := Compute(od)
+		odTL, err := Compute(in, Instance{OnDemand: true})
 		if err != nil {
 			return false
 		}
@@ -346,9 +343,8 @@ func TestEmptyGraph(t *testing.T) {
 	in := Input{
 		G: g, P: platform.Default(1),
 		Assignment: nil, TileOrder: [][]graph.SubtaskID{{}},
-		ExecFloor: 50,
 	}
-	tl := mustCompute(t, in)
+	tl := mustCompute(t, in, Instance{ExecFloor: 50})
 	if tl.Makespan() != 0 {
 		t.Fatalf("empty makespan = %v", tl.Makespan())
 	}

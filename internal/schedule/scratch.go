@@ -13,17 +13,6 @@ import (
 // makespan would reach the limit. The timeline is then incomplete.
 var ErrCutoff = errors.New("schedule: makespan cut-off reached")
 
-// Instance holds the per-instance part of an Input: the floors, the
-// carried processor and port state, and the load semantics. Field
-// meanings are those of Input's fields of the same names.
-type Instance struct {
-	ExecFloor model.Time
-	LoadFloor model.Time
-	TileFree  []model.Time
-	PortFree  []model.Time
-	OnDemand  bool
-}
-
 // Scratch holds every buffer one evaluation needs, so a caller
 // evaluating many inputs back to back (the simulator's per-iteration
 // loop, the prefetch schedulers' candidate searches) performs no

@@ -17,12 +17,12 @@ func TestScratchComputeMatchesFresh(t *testing.T) {
 	sc := &Scratch{}
 	for trial := 0; trial < 60; trial++ {
 		in := randomInput(rng, 1+rng.Intn(5))
-		in.ExecFloor = model.Time(rng.Intn(30)) * model.Time(model.Millisecond)
-		want, err := Compute(in)
+		inst := Instance{ExecFloor: model.Time(rng.Intn(30)) * model.Time(model.Millisecond)}
+		want, err := Compute(in, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bind(t, sc, in)
+		bind(t, sc, in, inst)
 		got, err := sc.Reorder(in.PortOrder, 0)
 		if err != nil {
 			t.Fatal(err)

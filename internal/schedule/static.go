@@ -50,8 +50,8 @@ type Static struct {
 }
 
 // NewStatic validates the static fields of in — G, P, Assignment and
-// TileOrder — and builds their constraint DAG. Every other field is
-// ignored: it belongs to an instance and is given to Scratch.Bind.
+// TileOrder — and builds their constraint DAG. PortOrder is ignored:
+// the load set belongs to an instance and is given to Scratch.Bind.
 // NewStatic keeps in.G, whose edges are the DAG's graph rows, so the
 // graph must not change afterwards; it keeps no reference to in's
 // slices.

@@ -9,10 +9,11 @@ import (
 )
 
 // Verify independently re-checks a timeline against the raw hardware
-// constraints of the input. It shares no code with Compute's topological
-// evaluation, so the test suite can use it as an oracle: any timeline
-// Compute returns must Verify.
-func Verify(in Input, tl *Timeline) error {
+// constraints of the input under the instance's bounds. It shares no
+// code with Compute's topological evaluation, so the test suite can use
+// it as an oracle: any timeline Compute(in, inst) returns must
+// Verify(in, inst, ...).
+func Verify(in Input, inst Instance, tl *Timeline) error {
 	n := in.G.Len()
 	loaded := make([]bool, n)
 	for _, id := range in.PortOrder {
@@ -53,11 +54,11 @@ func Verify(in Input, tl *Timeline) error {
 
 	// Floors.
 	for i := 0; i < n; i++ {
-		if tl.ExecStart[i] < in.ExecFloor {
-			return fmt.Errorf("verify: subtask %d executes at %v before floor %v", i, tl.ExecStart[i], in.ExecFloor)
+		if tl.ExecStart[i] < inst.ExecFloor {
+			return fmt.Errorf("verify: subtask %d executes at %v before floor %v", i, tl.ExecStart[i], inst.ExecFloor)
 		}
-		if loaded[i] && tl.LoadStart[i] < in.LoadFloor {
-			return fmt.Errorf("verify: subtask %d loads at %v before floor %v", i, tl.LoadStart[i], in.LoadFloor)
+		if loaded[i] && tl.LoadStart[i] < inst.LoadFloor {
+			return fmt.Errorf("verify: subtask %d loads at %v before floor %v", i, tl.LoadStart[i], inst.LoadFloor)
 		}
 	}
 
@@ -67,7 +68,7 @@ func Verify(in Input, tl *Timeline) error {
 			return fmt.Errorf("verify: edge %d->%d violated: succ starts %v, pred ends %v",
 				e.From, e.To, tl.ExecStart[e.To], tl.ExecEnd[e.From])
 		}
-		if in.OnDemand && loaded[e.To] && tl.LoadStart[e.To] < tl.ExecEnd[e.From] {
+		if inst.OnDemand && loaded[e.To] && tl.LoadStart[e.To] < tl.ExecEnd[e.From] {
 			return fmt.Errorf("verify: on-demand load of %d starts %v before pred %d finishes %v",
 				e.To, tl.LoadStart[e.To], e.From, tl.ExecEnd[e.From])
 		}
@@ -97,8 +98,8 @@ func Verify(in Input, tl *Timeline) error {
 		}
 		sort.Slice(ws, func(a, b int) bool { return ws[a].from < ws[b].from })
 		floor := model.Time(0)
-		if in.TileFree != nil {
-			floor = in.TileFree[t]
+		if inst.TileFree != nil {
+			floor = inst.TileFree[t]
 		}
 		for k, w := range ws {
 			if w.from < floor {
@@ -128,9 +129,9 @@ func Verify(in Input, tl *Timeline) error {
 	}
 	for p, ws := range perPort {
 		sort.Slice(ws, func(a, b int) bool { return ws[a].from < ws[b].from })
-		floor := in.LoadFloor
-		if in.PortFree != nil {
-			floor = model.MaxT(floor, in.PortFree[p])
+		floor := inst.LoadFloor
+		if inst.PortFree != nil {
+			floor = model.MaxT(floor, inst.PortFree[p])
 		}
 		for k, w := range ws {
 			if w.from < floor {

@@ -12,6 +12,7 @@ import (
 	"drhwsched/internal/graph"
 	"drhwsched/internal/httpd"
 	"drhwsched/internal/obs"
+	"drhwsched/internal/schedule"
 	"drhwsched/internal/sim"
 	"drhwsched/internal/workload"
 )
@@ -116,7 +117,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) error {
 			if err != nil {
 				return httpd.BadRequest("analyzing %q: %v", g.Name, err)
 			}
-			run, err := a.Execute(core.RunBounds{}, nil)
+			run, err := a.Execute(schedule.Instance{}, nil)
 			if err != nil {
 				return fmt.Errorf("evaluating %q: %w", g.Name, err)
 			}

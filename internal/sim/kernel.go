@@ -676,10 +676,11 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 		portBusyUntil = f.MinPortFree()
 	}
 
-	// PortFree is the fabric's shared per-port timeline, which execute
-	// advances in place, so concurrently admitted instances contend for
-	// the controllers.
-	inst, err := k.execute(pr, prefetch.Bounds{
+	// The one set of boundary conditions every approach gets. PortFree
+	// is the fabric's shared per-port timeline, which execute advances
+	// in place, so concurrently admitted instances contend for the
+	// controllers.
+	inst, err := k.execute(pr, schedule.Instance{
 		ExecFloor: start,
 		LoadFloor: loadFloor,
 		TileFree:  tileFree,
@@ -731,11 +732,12 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	return inst.end, nil
 }
 
-// execute replays one prepared artifact under the selected approach,
-// writing into the scratch instance. Port availability is read from and
-// written back to the fabric's shared per-port timeline, so instances
-// admitted while this one is in flight contend for the controllers.
-func (k *kernel) execute(pr *prepared, b prefetch.Bounds, resident []bool) (*instance, error) {
+// execute replays one prepared artifact within bounds under the selected
+// approach, writing into the scratch instance. Port availability is read
+// from and written back to the fabric's shared per-port timeline, so
+// instances admitted while this one is in flight contend for the
+// controllers.
+func (k *kernel) execute(pr *prepared, bounds schedule.Instance, resident []bool) (*instance, error) {
 	sc := &k.sc
 	s := pr.sched
 	f := k.fab
@@ -747,15 +749,11 @@ func (k *kernel) execute(pr *prepared, b prefetch.Bounds, resident []bool) (*ins
 		// The hybrid core engine models a single reconfiguration
 		// controller (the paper's platform), so it consumes and
 		// advances port 0 only.
-		r, err := pr.analysis.ExecuteScratch(pr.static, core.RunBounds{
-			TaskStart: b.ExecFloor,
-			PortFree:  model.MaxT(b.PortFree[0], b.LoadFloor),
-			TileFree:  b.TileFree,
-		}, resident, &sc.coreSc)
+		r, err := pr.analysis.ExecuteScratch(pr.static, bounds, resident, &sc.coreSc)
 		if err != nil {
 			return nil, err
 		}
-		f.AdvancePort(0, r.PortFreeAfter)
+		f.AdvancePort(0, r.Timeline.LastLoadEnd)
 		*inst = instance{
 			ideal:     r.Ideal,
 			overhead:  r.Overhead,
@@ -770,11 +768,11 @@ func (k *kernel) execute(pr *prepared, b prefetch.Bounds, resident []bool) (*ins
 		var err error
 		switch k.opt.Approach {
 		case NoPrefetch:
-			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), b, &sc.pfSc)
+			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
 		case DesignTimePrefetch:
-			r, err = prefetch.EvaluateScratch(pr.static, pr.dtOrder, b, false, &sc.pfSc)
+			r, err = prefetch.EvaluateScratch(pr.static, pr.dtOrder, bounds, &sc.pfSc)
 		default:
-			r, err = (prefetch.List{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), b, &sc.pfSc)
+			r, err = (prefetch.List{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
 		}
 		if err != nil {
 			return nil, err

@@ -393,7 +393,7 @@ func makePrepared(s *assign.Schedule, p platform.Platform, approach Approach, an
 		}
 		pr.analysis = a
 	case DesignTimePrefetch:
-		r, err := (prefetch.BranchBound{}).ScheduleScratch(s, pr.static, s.AllLoads(), prefetch.Bounds{}, new(prefetch.Scratch))
+		r, err := (prefetch.BranchBound{}).ScheduleScratch(s, pr.static, s.AllLoads(), schedule.Instance{}, new(prefetch.Scratch))
 		if err != nil {
 			return nil, fmt.Errorf("sim: design-time prefetch %q: %w", s.G.Name, err)
 		}

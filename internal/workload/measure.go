@@ -6,6 +6,7 @@ import (
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/prefetch"
+	"drhwsched/internal/schedule"
 )
 
 // AppMeasurement holds the Table 1 quantities measured on the model:
@@ -29,11 +30,11 @@ func MeasureApp(app App, p platform.Platform) (AppMeasurement, error) {
 			return m, err
 		}
 		loads := s.AllLoads()
-		od, err := (prefetch.OnDemand{}).Schedule(s, p, loads, prefetch.Bounds{})
+		od, err := (prefetch.OnDemand{}).Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return m, err
 		}
-		opt, err := (prefetch.BranchBound{}).Schedule(s, p, loads, prefetch.Bounds{})
+		opt, err := (prefetch.BranchBound{}).Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return m, err
 		}
@@ -81,11 +82,11 @@ func MeasurePocketGL(app *PocketGLApp, p platform.Platform) (PGLMeasurement, err
 			return m, err
 		}
 		loads := s.AllLoads()
-		od, err := (prefetch.OnDemand{}).Schedule(s, p, loads, prefetch.Bounds{})
+		od, err := (prefetch.OnDemand{}).Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return m, err
 		}
-		opt, err := (prefetch.BranchBound{}).Schedule(s, p, loads, prefetch.Bounds{})
+		opt, err := (prefetch.BranchBound{}).Schedule(s, p, loads, schedule.Instance{})
 		if err != nil {
 			return m, err
 		}
