@@ -65,14 +65,12 @@ fuzz-smoke: ## run each fuzz target for FUZZTIME (default 10s) beyond its commit
 	$(GO) test -run='^$$' -fuzz='^FuzzReorder$$' -fuzztime=$(FUZZTIME) ./internal/schedule
 
 .PHONY: examples
-examples: ## run every examples/* program, and cmd/schedviz in each -mode and -format; fails on a non-zero exit
-	@for d in examples/*/; do \
-		echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; \
-	done
-	@for m in ondemand list optimal hybrid; do for f in ascii chrome; do \
-		echo "== schedviz -mode $$m -format $$f"; \
-		$(GO) run ./cmd/schedviz -mode $$m -format $$f -events > /dev/null || exit 1; \
-	done; done
+examples: ## run every examples/* program, and cmd/schedviz in each -mode and -format, diffing stdout against testdata/examples
+	GO=$(GO) ./scripts/examples.sh
+
+.PHONY: examples-update
+examples-update: ## rewrite the testdata/examples goldens from the current tree
+	GO=$(GO) ./scripts/examples.sh -update
 
 .PHONY: check
 check: lint build test examples perfbench-check ## what CI runs

@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("task A: makespan %v, overhead %v, port idle from %v\n",
-		runA.Makespan, runA.Overhead, runA.Timeline.LastLoadEnd)
+		runA.Makespan, runA.Overhead, runA.Timeline.PortFreeAfter[0])
 
 	// Record what task A left on the tiles and when each tile drained.
 	physFree := make([]drhw.Time, p.Tiles)
@@ -104,11 +104,12 @@ func main() {
 		log.Fatal(err)
 	}
 	// ...with it, the initialization begins the moment the circuitry
-	// idles, while task A still executes.
+	// idles, while task A still executes: task B gets the ports as task
+	// A left them, the way the simulator hands them on.
 	withInter, err := ab.Execute(drhw.RunBounds{
 		ExecFloor: runA.Timeline.End,
-		LoadFloor: runA.Timeline.LastLoadEnd,
 		TileFree:  tileFree,
+		PortFree:  runA.Timeline.PortFreeAfter,
 	}, resident)
 	if err != nil {
 		log.Fatal(err)

@@ -270,7 +270,8 @@ type RunResult struct {
 	// non-critical loads, and the initialization loads of
 	// Plan.InitLoads, which it records on port 0. Its Start is when the
 	// design-time schedule begins (the later of ExecFloor and InitEnd),
-	// and its LastLoadEnd when the circuitry goes idle after this task.
+	// and its PortFreeAfter when each controller goes idle after this
+	// task, the initialization loads included.
 	Timeline *schedule.Timeline
 	// Makespan counts from the instance's ExecFloor to the last
 	// execution; Ideal is the zero-overhead reference from ExecFloor;
@@ -284,11 +285,13 @@ type RunResult struct {
 // initialization phase on the reconfiguration circuitry, then replays
 // the design-time schedule with the cancelled loads removed. resident
 // is the reuse module's residency vector, indexed by subtask ID (nil:
-// nothing resident). The initialization phase starts when port 0, the
-// one controller the hybrid engine models, goes idle: at LoadFloor, or
+// nothing resident). The initialization phase runs its loads in order
+// on port 0, starting when that port goes idle: at LoadFloor, or
 // max(LoadFloor, PortFree[0]); under the inter-task optimization that
-// may be before ExecFloor, the task start. The body always prefetches:
-// inst.OnDemand is ignored.
+// may be before ExecFloor, the task start. The body's loads then run
+// on every port, none before InitEnd and each no earlier than its
+// controller's own PortFree. The body always prefetches: inst.OnDemand
+// is ignored.
 func (a *Analysis) Execute(inst schedule.Instance, resident []bool) (*RunResult, error) {
 	// A fresh static part and scratch per call keep the returned result
 	// unaliased; hot loops reuse both via ExecuteScratch.

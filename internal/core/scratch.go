@@ -84,11 +84,15 @@ func (a *Analysis) ExecuteScratch(st *schedule.Static, inst schedule.Instance, r
 
 	// Body: the design-time schedule with reused loads cancelled. The
 	// critical subtasks are resident by construction now, so the body
-	// and its loads start once the initialization phase ends.
+	// and its loads start once the initialization phase ends, each load
+	// on a controller once that controller is free too. Port 0 is free
+	// by InitEnd, so the body's PortFreeAfter covers the initialization
+	// loads as well as every controller's own state.
 	err := sc.body.Bind(st, r.Plan.BodyLoads, schedule.Instance{
 		ExecFloor: model.MaxT(inst.ExecFloor, r.InitEnd),
 		LoadFloor: r.InitEnd,
 		TileFree:  tileFree,
+		PortFree:  inst.PortFree,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: body schedule: %w", err)
@@ -98,8 +102,7 @@ func (a *Analysis) ExecuteScratch(st *schedule.Static, inst schedule.Instance, r
 		return nil, fmt.Errorf("core: body schedule: %w", err)
 	}
 	// The critical subtasks are unloaded in the body, so their
-	// initialization windows drop into the timeline as they are; the
-	// body's load floor already holds LastLoadEnd at or past InitEnd.
+	// initialization windows drop into the timeline as they are.
 	for i, id := range r.Plan.InitLoads {
 		tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = sc.init[i].start, sc.init[i].end, 0
 	}

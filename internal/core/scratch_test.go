@@ -58,9 +58,13 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Makespan != want.Makespan || got.Ideal != want.Ideal || got.Overhead != want.Overhead ||
-				got.InitEnd != want.InitEnd || got.Timeline.Start != want.Timeline.Start ||
-				got.Timeline.LastLoadEnd != want.Timeline.LastLoadEnd {
+				got.InitEnd != want.InitEnd || got.Timeline.Start != want.Timeline.Start {
 				t.Fatalf("residency %d bounds %+v: scratch %+v != allocating %+v", ri, rb, got, want)
+			}
+			for i := range want.Timeline.PortFreeAfter {
+				if got.Timeline.PortFreeAfter[i] != want.Timeline.PortFreeAfter[i] {
+					t.Fatalf("residency %d bounds %+v: port %d free time differs", ri, rb, i)
+				}
 			}
 			if len(got.Plan.InitLoads) != len(want.Plan.InitLoads) ||
 				len(got.Plan.BodyLoads) != len(want.Plan.BodyLoads) ||

@@ -12,6 +12,11 @@
 // reconfiguration (arXiv:2301.07615) — without any caller reaching into
 // another instance's tiles.
 //
+// An instance's evaluated schedule.Timeline is the only thing that
+// carries availability to the next instance, for every scheduling
+// approach: Availability is the one reader (with PortFree for the
+// ports), Advance the one writer of tiles, ISPs and ports.
+//
 // Admission is a pluggable seam (Allocation): Serial grants the whole
 // fabric to one instance at a time (the paper's original execution
 // model), Partition carves the tiles into fixed blocks, and Greedy
@@ -23,10 +28,12 @@ package fabric
 import (
 	"fmt"
 
+	"drhwsched/internal/assign"
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/reconfig"
+	"drhwsched/internal/schedule"
 )
 
 // Fabric is the shared platform run-time state.
@@ -103,20 +110,50 @@ func (f *Fabric) State() *reconfig.State { return f.state }
 // Policy is the replacement-policy hook victims are picked with.
 func (f *Fabric) Policy() reconfig.Policy { return f.policy }
 
-// TileFree reports when physical tile t drains (last activity end).
-func (f *Fabric) TileFree(t int) model.Time { return f.tileFree[t] }
-
-// AdvanceTile records activity on tile t ending at the given time; the
-// availability timeline only ever moves forward.
-func (f *Fabric) AdvanceTile(t int, at model.Time) {
-	if at > f.tileFree[t] {
-		f.tileFree[t] = at
+// Availability fills dst (reused, grown as needed) with the
+// per-processor drain times of an instance of s placed by m, its
+// schedule.Instance.TileFree: virtual tile v reads physical tile
+// m.PhysOf[v], and ISP row s.Tiles+i reads ISP i.
+func (f *Fabric) Availability(s *assign.Schedule, m reconfig.Mapping, dst []model.Time) []model.Time {
+	rows := len(s.TileOrder)
+	if cap(dst) < rows {
+		dst = make([]model.Time, rows)
 	}
+	dst = dst[:rows]
+	for v := 0; v < s.Tiles; v++ {
+		dst[v] = f.tileFree[m.PhysOf[v]]
+	}
+	for v := s.Tiles; v < rows; v++ {
+		dst[v] = f.ispFree[v-s.Tiles]
+	}
+	return dst
+}
+
+// Advance commits an instance's evaluated timeline tl (of s placed by
+// m): every processor row that executed drains at the end of its last
+// execution, which is the row's last activity because each row
+// executes in TileOrder and a load always ends before its own
+// execution starts; the ports take tl.PortFreeAfter. Tile and ISP
+// availability only ever moves forward.
+func (f *Fabric) Advance(s *assign.Schedule, m reconfig.Mapping, tl *schedule.Timeline) {
+	for v, row := range s.TileOrder {
+		if len(row) == 0 {
+			continue
+		}
+		end := tl.ExecEnd[row[len(row)-1]]
+		if v < s.Tiles {
+			t := m.PhysOf[v]
+			f.tileFree[t] = model.MaxT(f.tileFree[t], end)
+		} else {
+			i := v - s.Tiles
+			f.ispFree[i] = model.MaxT(f.ispFree[i], end)
+		}
+	}
+	copy(f.portFree, tl.PortFreeAfter)
 }
 
 // PortFree exposes the per-port availability timeline. Callers must
-// treat the slice as read-only and use SetPortsFrom/AdvancePort to
-// write.
+// treat the slice as read-only; Advance writes it.
 func (f *Fabric) PortFree() []model.Time { return f.portFree }
 
 // MinPortFree reports the earliest instant any reconfiguration port is
@@ -129,31 +166,6 @@ func (f *Fabric) MinPortFree() model.Time {
 		}
 	}
 	return min
-}
-
-// SetPortsFrom overwrites the per-port availability from an evaluated
-// timeline's PortFreeAfter vector (which must cover every port).
-func (f *Fabric) SetPortsFrom(after []model.Time) {
-	copy(f.portFree, after)
-}
-
-// AdvancePort moves a single port's availability forward (the hybrid
-// core engine models one reconfiguration controller, so it reports a
-// scalar).
-func (f *Fabric) AdvancePort(port int, at model.Time) {
-	if at > f.portFree[port] {
-		f.portFree[port] = at
-	}
-}
-
-// ISPFree reports when ISP i drains.
-func (f *Fabric) ISPFree(i int) model.Time { return f.ispFree[i] }
-
-// AdvanceISP records activity on ISP i ending at the given time.
-func (f *Fabric) AdvanceISP(i int, at model.Time) {
-	if at > f.ispFree[i] {
-		f.ispFree[i] = at
-	}
 }
 
 // InUse reports whether tile t is held by an in-flight instance. Tiles

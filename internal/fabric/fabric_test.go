@@ -1,12 +1,15 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
+	"drhwsched/internal/assign"
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
 	"drhwsched/internal/platform"
 	"drhwsched/internal/reconfig"
+	"drhwsched/internal/schedule"
 )
 
 func testFabric(tiles int) *Fabric {
@@ -127,20 +130,53 @@ func TestInUseTilesNeverGranted(t *testing.T) {
 	}
 }
 
+// TestTimelinesAdvanceMonotonically drives the one reader and the one
+// writer: Advance moves every processor row that executed to the end of
+// its last execution, through the mapping for tiles and directly for
+// ISPs, never backwards, and copies the ports from PortFreeAfter;
+// Availability reads the rows back through a (possibly different)
+// mapping.
 func TestTimelinesAdvanceMonotonically(t *testing.T) {
-	f := testFabric(2)
-	f.AdvanceTile(0, model.Time(5*model.Millisecond))
-	f.AdvanceTile(0, model.Time(3*model.Millisecond))
-	if got := f.TileFree(0); got != model.Time(5*model.Millisecond) {
-		t.Fatalf("tile timeline moved backwards: %v", got)
+	ms := func(n int) model.Time { return model.Time(n * int(model.Millisecond)) }
+	f := testFabric(3)
+	// Two virtual tiles and one ISP row: tile 0 runs a then b, tile 1
+	// nothing, the ISP c.
+	s := &assign.Schedule{
+		Tiles:     2,
+		TileOrder: [][]graph.SubtaskID{{0, 1}, nil, {2}},
 	}
-	f.SetPortsFrom([]model.Time{model.Time(2 * model.Millisecond), model.Time(7 * model.Millisecond)})
-	if got := f.MinPortFree(); got != model.Time(2*model.Millisecond) {
+	m := reconfig.Mapping{PhysOf: []int{2, 0}}
+	tl := &schedule.Timeline{
+		ExecEnd:       []model.Time{ms(4), ms(9), ms(6)},
+		PortFreeAfter: []model.Time{ms(2), ms(7)},
+	}
+	f.Advance(s, m, tl)
+	if got, want := f.Availability(s, m, nil), []model.Time{ms(9), 0, ms(6)}; !slices.Equal(got, want) {
+		t.Fatalf("availability after advance = %v, want %v", got, want)
+	}
+	if got := f.MinPortFree(); got != ms(2) {
 		t.Fatalf("MinPortFree = %v, want 2ms", got)
 	}
-	f.AdvanceISP(0, model.Time(9*model.Millisecond))
-	if got := f.ISPFree(0); got != model.Time(9*model.Millisecond) {
-		t.Fatalf("ISPFree = %v, want 9ms", got)
+	if got := f.PortFree(); got[1] != ms(7) {
+		t.Fatalf("port 1 free at %v, want 7ms", got[1])
+	}
+
+	// An earlier timeline moves no row backwards; the ports take the
+	// timeline's vector as it is.
+	tl.ExecEnd = []model.Time{ms(1), ms(3), ms(2)}
+	tl.PortFreeAfter = []model.Time{ms(8), ms(7)}
+	f.Advance(s, m, tl)
+	swapped := reconfig.Mapping{PhysOf: []int{0, 2}}
+	dst := make([]model.Time, 1, 8)
+	got := f.Availability(s, swapped, dst)
+	if want := []model.Time{0, ms(9), ms(6)}; !slices.Equal(got, want) {
+		t.Fatalf("availability through the swapped mapping = %v, want %v", got, want)
+	}
+	if &got[0] != &dst[0] {
+		t.Fatal("Availability did not reuse a buffer with room")
+	}
+	if got := f.MinPortFree(); got != ms(7) {
+		t.Fatalf("MinPortFree = %v, want 7ms", got)
 	}
 	if f.Policy().Name() != (reconfig.LRU{}).Name() {
 		t.Fatalf("default policy = %q, want lru", f.Policy().Name())

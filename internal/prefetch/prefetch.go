@@ -214,12 +214,12 @@ func (bb BranchBound) ScheduleScratch(s *assign.Schedule, st *schedule.Static, l
 		return nil, err
 	}
 
-	// Port-pairing bound inputs: the controller's floor and the loads
-	// in descending weight order (stable, like the ideal-start order
-	// it is taken from).
+	// Port-pairing bound inputs: the earliest instant any controller
+	// is free and the loads in descending weight order (stable, like
+	// the ideal-start order it is taken from).
 	portFloor0 := inst.LoadFloor
-	for _, t := range inst.PortFree {
-		portFloor0 = model.MaxT(portFloor0, t)
+	if len(inst.PortFree) > 0 {
+		portFloor0 = model.MaxT(portFloor0, slices.Min(inst.PortFree))
 	}
 	weightOrder := append(bs.weightOrder[:0], sorted...)
 	bs.weightOrder = weightOrder
@@ -294,19 +294,27 @@ type bbSearch struct {
 	nodes        int
 }
 
-// pairingBound is the port-pairing bound: loads serialize on the
-// controller, so the j-th load still to issue cannot end before
-// portFloor plus j load latencies, and the makespan is at least that
-// load's end plus the remaining path weight of its subtask. Pairing the
-// largest weights with the earliest slots minimizes the maximum, so
-// that pairing is a valid lower bound for every completion.
+// pairingBound is the port-pairing bound. Loads share P controllers,
+// so of the first j loads still to issue to finish, one controller ran
+// at least ⌈j/P⌉: the j-th cannot end before portFloor plus the ⌈j/P⌉
+// shortest remaining latencies. The makespan
+// is at least each load's end plus the remaining path weight of its
+// subtask; pairing the largest weights with the earliest slots
+// minimizes the maximum, so that pairing is a valid lower bound for
+// every completion. On one controller the placed loads run first, so
+// portFloor starts after them; on several it is the earliest instant
+// any controller is free.
 func (x *bbSearch) pairingBound() model.Dur {
+	ports := x.st.Ports()
 	portFloor := x.portFloor0
-	for _, id := range x.placed {
-		portFloor = portFloor.Add(x.st.Latency(id))
+	if ports == 1 {
+		for _, id := range x.placed {
+			portFloor = portFloor.Add(x.st.Latency(id))
+		}
 	}
 	// Slot ends: prefix sums of the unplaced latencies in ascending
-	// order (the earliest the j-th remaining load can possibly finish).
+	// order, each reached by P slots (the earliest the j-th remaining
+	// load can possibly finish).
 	lats := x.lats[:0]
 	for _, id := range x.sorted {
 		if !x.used[id] {
@@ -316,14 +324,17 @@ func (x *bbSearch) pairingBound() model.Dur {
 	x.lats = lats
 	slices.Sort(lats)
 	var best model.Dur
-	slot := 0
 	end := portFloor
+	next, left := 0, 0 // the next latency to add; slots left before it
 	for _, id := range x.weightOrder {
 		if x.used[id] {
 			continue
 		}
-		end = end.Add(lats[slot])
-		slot++
+		if left == 0 {
+			end = end.Add(lats[next])
+			next, left = next+1, ports
+		}
+		left--
 		if m := end.Add(x.s.Weights[id]).Sub(x.inst.ExecFloor); m > best {
 			best = m
 		}

@@ -216,7 +216,7 @@ func compareFull(t *testing.T, name string, trial int, want, got *Result) {
 		t.Fatalf("%s trial %d: OnDemand %v, reference %v", name, trial, got.OnDemand, want.OnDemand)
 	}
 	w, g := want.Timeline, got.Timeline
-	if g.Start != w.Start || g.End != w.End || g.LastLoadEnd != w.LastLoadEnd || len(g.PortFreeAfter) != len(w.PortFreeAfter) {
+	if g.Start != w.Start || g.End != w.End || len(g.PortFreeAfter) != len(w.PortFreeAfter) {
 		t.Fatalf("%s trial %d: timeline summary differs", name, trial)
 	}
 	for i := range w.ExecStart {

@@ -28,7 +28,6 @@ type refScratch struct {
 	n, loads, total int
 	name            string
 	execFloor       model.Time
-	loadFloor       model.Time
 
 	// The static constraint DAG in compressed-row form: the nodes whose
 	// ends constrain node v's start are cons[consAt[v]:consAt[v+1]] and
@@ -149,7 +148,7 @@ func (sc *refScratch) Prepare(in Input, inst Instance) error {
 		return err
 	}
 	sc.n, sc.name = n, in.G.Name
-	sc.execFloor, sc.loadFloor = inst.ExecFloor, inst.LoadFloor
+	sc.execFloor = inst.ExecFloor
 
 	// Count every node's constraints and successors, turn the counts
 	// into row offsets, then fill the rows.
@@ -349,7 +348,7 @@ func (sc *refScratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeli
 	}
 
 	tl := &sc.tl
-	tl.Start, tl.End, tl.LastLoadEnd = sc.execFloor, 0, sc.loadFloor
+	tl.Start, tl.End = sc.execFloor, 0
 	for i := 0; i < n; i++ {
 		tl.LoadStart[i], tl.LoadEnd[i], tl.LoadPort[i] = NoEvent, NoEvent, -1
 	}
@@ -394,7 +393,6 @@ func (sc *refScratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeli
 			end := start.Add(sc.dur[v])
 			tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = start, end, best
 			portFree[best] = end
-			tl.LastLoadEnd = model.MaxT(tl.LastLoadEnd, end)
 			sc.fin[v] = end
 			if nx := sc.portNext[id]; nx >= 0 {
 				if indeg[2*nx+1]--; indeg[2*nx+1] == 0 {

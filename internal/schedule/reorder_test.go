@@ -77,9 +77,9 @@ func loadSet(in Input) []bool {
 
 // diffTimelines names the first field in which two timelines differ.
 func diffTimelines(got, want *Timeline) string {
-	if got.Start != want.Start || got.End != want.End || got.LastLoadEnd != want.LastLoadEnd {
-		return fmt.Sprintf("summary (start %v end %v lastLoad %v) != (start %v end %v lastLoad %v)",
-			got.Start, got.End, got.LastLoadEnd, want.Start, want.End, want.LastLoadEnd)
+	if got.Start != want.Start || got.End != want.End {
+		return fmt.Sprintf("summary (start %v end %v) != (start %v end %v)",
+			got.Start, got.End, want.Start, want.End)
 	}
 	if len(got.ExecStart) != len(want.ExecStart) || len(got.PortFreeAfter) != len(want.PortFreeAfter) {
 		return "lengths differ"

@@ -94,11 +94,11 @@ type Timeline struct {
 
 	Start model.Time // the instance's ExecFloor
 	End   model.Time // latest execution end
-	// LastLoadEnd is when the reconfiguration circuitry finishes its
-	// final load (Start when there were no loads); the idle tail
-	// [LastLoadEnd, End) is what the inter-task optimization exploits.
-	LastLoadEnd model.Time
-	// PortFreeAfter reports, per port, when it is free after this task.
+	// PortFreeAfter reports, per port, when it is free after this task:
+	// the end of its last load, and never before the instance's
+	// LoadFloor or the port's own PortFree. It is the port state the
+	// next instance starts from; the idle tail up to End is what the
+	// inter-task optimization exploits.
 	PortFreeAfter []model.Time
 }
 

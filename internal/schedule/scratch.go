@@ -37,7 +37,6 @@ type Scratch struct {
 	loads     int
 	onDemand  bool
 	execFloor model.Time
-	loadFloor model.Time
 
 	loaded []bool // per subtask: in the bound load set
 	// Nodes are indexed 2·id+kind. floor is each node's earliest start;
@@ -160,7 +159,7 @@ func (sc *Scratch) Bind(st *Static, loads []graph.SubtaskID, in Instance) error 
 		sc.loaded[id] = true
 	}
 	sc.loads, sc.onDemand = len(loads), in.OnDemand
-	sc.execFloor, sc.loadFloor = in.ExecFloor, in.LoadFloor
+	sc.execFloor = in.ExecFloor
 
 	// Per-node floors; the first subtask on a processor (and its load)
 	// also waits for the processor to drain.
@@ -280,7 +279,7 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 	}
 
 	tl := &sc.tl
-	tl.Start, tl.End, tl.LastLoadEnd = sc.execFloor, 0, sc.loadFloor
+	tl.Start, tl.End = sc.execFloor, 0
 	ready := sc.ready[:0]
 	for i := 0; i < n; i++ {
 		tl.LoadStart[i], tl.LoadEnd[i], tl.LoadPort[i] = NoEvent, NoEvent, -1
@@ -374,7 +373,6 @@ func (sc *Scratch) Reorder(order []graph.SubtaskID, limit model.Dur) (*Timeline,
 			end := start.Add(st.lat[id])
 			tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = start, end, best
 			portFree[best] = end
-			tl.LastLoadEnd = model.MaxT(tl.LastLoadEnd, end)
 			tail = sc.tail[v]
 			release(2 * id)
 			if nx := sc.portNext[id]; nx >= 0 {

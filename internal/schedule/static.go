@@ -240,6 +240,9 @@ func (st *Static) Prev(id graph.SubtaskID) graph.SubtaskID { return graph.Subtas
 // ISP subtask).
 func (st *Static) Latency(id graph.SubtaskID) model.Dur { return st.lat[id] }
 
+// Ports is the number of reconfiguration controllers loads share.
+func (st *Static) Ports() int { return st.ports }
+
 func (st *Static) cycleErr() error {
 	return fmt.Errorf("schedule: inconsistent decision orders (constraint cycle) in %q", st.g.Name)
 }

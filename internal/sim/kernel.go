@@ -126,7 +126,6 @@ type scratch struct {
 	loads     []graph.SubtaskID
 	future    []graph.ConfigID
 	resident  []bool
-	tileLast  []model.Time
 	flights   []flight
 	inst      instance
 
@@ -656,17 +655,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	if k.interTask {
 		loadFloor = model.MinT(f.MinPortFree(), start)
 	}
-	rows := len(s.TileOrder)
-	if cap(sc.tileFree) < rows {
-		sc.tileFree = make([]model.Time, rows)
-	}
-	tileFree := sc.tileFree[:rows]
-	for v := 0; v < s.Tiles; v++ {
-		tileFree[v] = f.TileFree(mapping.PhysOf[v])
-	}
-	for v := s.Tiles; v < rows; v++ {
-		tileFree[v] = f.ISPFree(v - s.Tiles)
-	}
+	sc.tileFree = f.Availability(s, mapping, sc.tileFree)
 
 	// Port availability before this instance runs: if the controller
 	// is still draining earlier work past our start, any loads we
@@ -677,13 +666,13 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	}
 
 	// The one set of boundary conditions every approach gets. PortFree
-	// is the fabric's shared per-port timeline, which execute advances
-	// in place, so concurrently admitted instances contend for the
+	// is the fabric's shared per-port timeline, which the commit below
+	// advances, so concurrently admitted instances contend for the
 	// controllers.
 	inst, err := k.execute(pr, schedule.Instance{
 		ExecFloor: start,
 		LoadFloor: loadFloor,
-		TileFree:  tileFree,
+		TileFree:  sc.tileFree,
 		PortFree:  f.PortFree(),
 	}, resident)
 	if err != nil {
@@ -715,17 +704,13 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 		k.traceInstance(pr, mapping, start, portBusyUntil)
 	}
 
-	// Advance the shared fabric state. The commit is eager — at
-	// admission, not retirement — which is exact because concurrent
-	// claims are disjoint: only this instance can touch its tiles'
-	// residency and availability until it releases them. (Port and ISP
-	// advances were already made by execute.)
-	for v := 0; v < s.Tiles; v++ {
-		f.AdvanceTile(mapping.PhysOf[v], inst.tileLast[v])
-	}
-	for v := s.Tiles; v < rows; v++ {
-		f.AdvanceISP(v-s.Tiles, inst.tileLast[v])
-	}
+	// Advance the shared fabric state from the evaluated timeline:
+	// tiles, ISPs and every port, the same way for every approach. The
+	// commit is eager — at admission, not retirement — which is exact
+	// because concurrent claims are disjoint: only this instance can
+	// touch its tiles' residency and availability until it releases
+	// them.
+	f.Advance(s, mapping, sc.tl)
 	if k.useReuse {
 		reconfig.Commit(s, f.State(), mapping, resident, sc.endOfFn)
 	}
@@ -733,27 +718,21 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 }
 
 // execute replays one prepared artifact within bounds under the selected
-// approach, writing into the scratch instance. Port availability is read
-// from and written back to the fabric's shared per-port timeline, so
-// instances admitted while this one is in flight contend for the
-// controllers.
+// approach, writing into the scratch instance and leaving the evaluated
+// timeline in sc.tl. It does not touch the fabric: runInstance commits
+// the timeline.
 func (k *kernel) execute(pr *prepared, bounds schedule.Instance, resident []bool) (*instance, error) {
 	sc := &k.sc
 	s := pr.sched
-	f := k.fab
 
 	inst := &sc.inst
 	var tl *schedule.Timeline
 	switch k.opt.Approach {
 	case Hybrid:
-		// The hybrid core engine models a single reconfiguration
-		// controller (the paper's platform), so it consumes and
-		// advances port 0 only.
 		r, err := pr.analysis.ExecuteScratch(pr.static, bounds, resident, &sc.coreSc)
 		if err != nil {
 			return nil, err
 		}
-		f.AdvancePort(0, r.Timeline.LastLoadEnd)
 		*inst = instance{
 			ideal:     r.Ideal,
 			overhead:  r.Overhead,
@@ -777,11 +756,6 @@ func (k *kernel) execute(pr *prepared, bounds schedule.Instance, resident []bool
 		if err != nil {
 			return nil, err
 		}
-		// Carry the full per-port availability vector forward: with
-		// several controllers, a port the instance left idle early is
-		// capacity the next instance may use (it used to be collapsed
-		// to port 0's value, leaking idle controller time).
-		f.SetPortsFrom(r.Timeline.PortFreeAfter)
 		*inst = instance{
 			ideal:    r.Ideal,
 			overhead: r.Overhead,
@@ -793,7 +767,6 @@ func (k *kernel) execute(pr *prepared, bounds schedule.Instance, resident []bool
 		return nil, fmt.Errorf("sim: unknown approach %v", k.opt.Approach)
 	}
 	inst.end = tl.End
-	inst.tileLast = sc.tileLastFrom(s, tl)
 	k.countInstance(s, tl, inst)
 	sc.tl = tl
 	return inst, nil
@@ -900,8 +873,8 @@ func (k *kernel) record(ev obs.Event) {
 }
 
 // hardwareLoads lists, in the scratch buffer, the hardware subtasks of s
-// that resident (nil: nothing) does not hold, in ideal-start order: the
-// load set the run-time schedulers order.
+// that resident (nil: nothing) does not hold, in ID order: the load set
+// the run-time schedulers order (each sorts its own copy).
 func (sc *scratch) hardwareLoads(s *assign.Schedule, resident []bool) []graph.SubtaskID {
 	loads := sc.loads[:0]
 	for i := 0; i < s.G.Len(); i++ {
@@ -910,34 +883,8 @@ func (sc *scratch) hardwareLoads(s *assign.Schedule, resident []bool) []graph.Su
 			loads = append(loads, id)
 		}
 	}
-	s.SortByIdealStart(loads)
 	sc.loads = loads
 	return loads
-}
-
-// tileLastFrom finds each processor row's last activity (the end of its
-// final execution or load) in the scratch buffer, so availability can
-// be carried to the next instance.
-func (sc *scratch) tileLastFrom(s *assign.Schedule, tl *schedule.Timeline) []model.Time {
-	rows := len(s.TileOrder)
-	if cap(sc.tileLast) < rows {
-		sc.tileLast = make([]model.Time, rows)
-	}
-	last := sc.tileLast[:rows]
-	for v := range last {
-		last[v] = 0
-	}
-	for v := range s.TileOrder {
-		for _, id := range s.TileOrder[v] {
-			if tl.ExecEnd[id] > last[v] {
-				last[v] = tl.ExecEnd[id]
-			}
-			if tl.LoadEnd[id] != schedule.NoEvent && tl.LoadEnd[id] > last[v] {
-				last[v] = tl.LoadEnd[id]
-			}
-		}
-	}
-	return last
 }
 
 // finish folds the tail estimators into the aggregate.

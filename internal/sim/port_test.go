@@ -70,4 +70,22 @@ func TestPortVectorCarriedAcrossInstances(t *testing.T) {
 	if two.Loads != one.Loads {
 		t.Fatalf("port count changed the load count: %d vs %d", two.Loads, one.Loads)
 	}
+
+	// Hybrid hands its ports on through the same evaluated timeline, so
+	// every controller's clock advances with each instance (port 1's
+	// used to stay at zero: only port 0 was carried).
+	opt.Approach = Hybrid
+	k, err = newKernel(mix, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.run(); err != nil {
+		t.Fatal(err)
+	}
+	ports = k.fab.PortFree()
+	for q, free := range ports {
+		if free == 0 {
+			t.Fatalf("hybrid left port %d's clock at zero (%v): the port vector is not carried", q, ports)
+		}
+	}
 }

@@ -419,9 +419,8 @@ type instance struct {
 	loads        int
 	initLoads    int
 	cancelled    int
-	prefetchHits int          // loads hidden behind computation
-	demandMisses int          // loads the execution stalled on
-	tileLast     []model.Time // per virtual tile, last activity end
+	prefetchHits int // loads hidden behind computation
+	demandMisses int // loads the execution stalled on
 }
 
 // drawScenario samples a scenario index under the mix's weights (which
