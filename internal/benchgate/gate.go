@@ -10,7 +10,9 @@
 //   - allocs/op is deterministic for a given binary — it does not
 //     depend on machine load or CPU count — so the gate holds it to a
 //     tight ratio (default 1.3x, plus a small absolute slack so
-//     near-zero baselines are not impossible to meet).
+//     near-zero baselines are not impossible to meet). A zero baseline
+//     is held to the slack alone: an allocation-free hot path that
+//     starts allocating per op fails.
 //
 //   - ns/op is noisy and machine-dependent, so it is compared only
 //     between rows measured on hosts with the same CPU count, and
@@ -149,7 +151,7 @@ func Check(current, baseline []Record, lim Limits) []string {
 			bad = append(bad, fmt.Sprintf("%s: present in baseline but missing from current artifact", key))
 			continue
 		}
-		if lim.AllocRatio > 0 && base.AllocsOp > 0 {
+		if lim.AllocRatio > 0 {
 			limit := base.AllocsOp*lim.AllocRatio + lim.AllocSlack
 			if now.AllocsOp > limit {
 				bad = append(bad, fmt.Sprintf("%s: allocs/op %.0f exceeds %.0f (baseline %.0f x %.2g + %.0f)",

@@ -46,6 +46,18 @@ func TestCheckAllocSlackProtectsTinyBaselines(t *testing.T) {
 	}
 }
 
+func TestCheckGatesZeroAllocBaselines(t *testing.T) {
+	base := []Record{{Name: "BenchmarkMapInto/tiles=8", AllocsOp: 0, HostCPUs: 2}}
+	cur := []Record{rec("BenchmarkMapInto/tiles=8", 400, 8, 2)}
+	if bad := Check(cur, base, DefaultLimits()); len(bad) != 0 {
+		t.Fatalf("0 -> 8 allocs within slack flagged: %v", bad)
+	}
+	cur[0].AllocsOp = 9
+	if bad := Check(cur, base, DefaultLimits()); len(bad) != 1 || !strings.Contains(bad[0], "allocs/op") {
+		t.Fatalf("0 -> 9 allocs not flagged: %v", bad)
+	}
+}
+
 func TestCheckNsOnlyComparedOnMatchingHosts(t *testing.T) {
 	base := []Record{rec("BenchmarkSimRun/hybrid", 1e6, 600, 1)}
 

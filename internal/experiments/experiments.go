@@ -215,14 +215,23 @@ func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, erro
 			return nil, nil, err
 		}
 		loads := s.AllLoads()
+		st, err := s.Static(p)
+		if err != nil {
+			return nil, nil, err
+		}
 
 		// MaxPasses: -1 measures the pure list schedule — the paper's
 		// N·log(N) heuristic without this implementation's optional
-		// improvement pass. Each size gets one untimed call first: the
-		// first call on a freshly built graph pays cold caches, a
-		// one-off that would otherwise dominate the smallest sizes.
+		// improvement pass — one decision on the stored schedule's
+		// static part and one reused scratch, as the simulator runs it
+		// (the static part is built once per stored schedule; the
+		// simulator's decision table is not consulted, so every call
+		// is the heuristic itself). Each size gets one untimed call
+		// first: it sizes the scratch and pays cold caches, a one-off
+		// that would otherwise dominate the smallest sizes.
+		var sc prefetch.Scratch
 		rtCost, err := minCost(func() error {
-			_, err := (prefetch.List{MaxPasses: -1}).Schedule(s, p, loads, schedule.Instance{})
+			_, err := (prefetch.List{MaxPasses: -1}).ScheduleScratch(s, st, loads, schedule.Instance{}, &sc)
 			return err
 		})
 		if err != nil {
@@ -252,24 +261,33 @@ func SchedulerScaling(sizes []int, seed int64) ([]ScalingRow, *stats.Table, erro
 	return rows, tab, nil
 }
 
-// scalingReps is how many timed calls minCost takes per size.
-const scalingReps = 9
+// minCost takes at least scalingReps timed calls, and keeps timing
+// until they span scalingSpan, so a short call is sampled hundreds of
+// times: a disturbance of a few microseconds (a GC cycle, a neighbour
+// on a shared host) then cannot cover every sample of a size.
+const (
+	scalingReps = 9
+	scalingSpan = time.Millisecond
+)
 
-// minCost times fn scalingReps times, one call at a time, after one
-// untimed warm-up call, and returns the fastest call. On a shared host
-// the minimum is the call least disturbed by other work; a mean lets one
-// descheduled call move the whole row.
+// minCost times fn one call at a time, after one untimed warm-up call,
+// and returns the fastest call. On a shared host the minimum is the call
+// least disturbed by other work; a mean lets one descheduled call move
+// the whole row.
 func minCost(fn func() error) (time.Duration, error) {
 	if err := fn(); err != nil {
 		return 0, err
 	}
 	best := time.Duration(-1)
-	for i := 0; i < scalingReps; i++ {
+	var spent time.Duration
+	for i := 0; i < scalingReps || spent < scalingSpan; i++ {
 		start := time.Now()
 		if err := fn(); err != nil {
 			return 0, err
 		}
-		if d := time.Since(start); best < 0 || d < best {
+		d := time.Since(start)
+		spent += d
+		if best < 0 || d < best {
 			best = d
 		}
 	}

@@ -35,6 +35,19 @@
 // Every entry point takes the instance's bounds as a schedule.Instance:
 // OnDemand evaluates it on demand, List and BranchBound with prefetch,
 // and Evaluate as its OnDemand field says.
+//
+// A Memo (memo.go) replays run-time decisions instead of recomputing
+// them, the host-side form of the paper's design-time/run-time split.
+// Its key is the scheduler, the static part, the load list and the
+// instance's floors relative to ExecFloor, with tile and port
+// availabilities clamped at min(LoadFloor, ExecFloor) and processors
+// that run nothing left out. Evaluation is integer max-plus, hence
+// shift-invariant, and no node starts before the clamp, so a decision
+// stored relative to its ExecFloor is exactly the decision of every
+// instance with the same key once shifted by that instance's ExecFloor.
+// The simulator keeps one Memo per run-time scratch, for the
+// no-prefetch, design-time-prefetch and run-time approaches; it holds
+// its static parts, so it never outlives the run that prepared them.
 package prefetch
 
 import (
@@ -56,6 +69,8 @@ type Bounds = schedule.Instance
 
 // Result is a prefetch schedule together with its evaluated timeline.
 type Result struct {
+	// PortOrder is the load order. It may alias the scratch or a Memo's
+	// table, so it is read-only.
 	PortOrder []graph.SubtaskID
 	OnDemand  bool
 	Timeline  *schedule.Timeline
@@ -114,6 +129,22 @@ func (OnDemand) Name() string { return "on-demand" }
 // Schedule is Schedule(o, …), the allocating form.
 func (o OnDemand) Schedule(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
 	return Schedule(o, s, p, loads, inst)
+}
+
+// FixedOrder issues the loads in the order given, each as early as the
+// port and its tile allow: the evaluation of a load order decided
+// elsewhere, such as the design-time prefetch order, as a Scheduler so
+// a Memo can replay it.
+type FixedOrder struct{}
+
+// Name implements Scheduler.
+func (FixedOrder) Name() string { return "fixed-order" }
+
+// ScheduleScratch implements Scheduler: EvaluateScratch of loads, with
+// prefetch.
+func (FixedOrder) ScheduleScratch(_ *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
+	inst.OnDemand = false
+	return EvaluateScratch(st, loads, inst, sc)
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in

@@ -177,7 +177,8 @@ func TestOnDemandMatchesReference(t *testing.T) {
 }
 
 // TestListDecisionAllocs pins the run-time decision path: once a
-// scratch is warm, List and OnDemand decisions allocate nothing.
+// scratch is warm, List and OnDemand decisions allocate nothing, and
+// neither does a Memo hit on a warm table, at a new ExecFloor.
 func TestListDecisionAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	s, p, _ := randSched(rng, 14, 3)
@@ -205,6 +206,26 @@ func TestListDecisionAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, onDemand); a != 0 {
 		t.Errorf("OnDemand decision allocates %v per call on a warm scratch", a)
+	}
+
+	var m Memo
+	shifts := []schedule.Instance{b, shifted(b, model.Millisecond), shifted(b, 7*model.Millisecond)}
+	next := 0
+	hit := func() {
+		for _, sched := range []Scheduler{List{}, OnDemand{}} {
+			r, err := m.Schedule(sched, s, st, loads, shifts[next%len(shifts)], sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next > 0 && r.Timeline != &m.tl {
+				t.Fatalf("%s: a stored key missed", sched.Name())
+			}
+		}
+		next++
+	}
+	hit()
+	if a := testing.AllocsPerRun(20, hit); a != 0 {
+		t.Errorf("Memo hits allocate %v per call on a warm table", a)
 	}
 }
 

@@ -236,9 +236,16 @@ func (st *Static) Ideal(execFloor model.Time, tileFree []model.Time) (model.Dur,
 // or -1 when id runs first there.
 func (st *Static) Prev(id graph.SubtaskID) graph.SubtaskID { return graph.SubtaskID(st.prev[id]) }
 
+// Exec is id's execution time.
+func (st *Static) Exec(id graph.SubtaskID) model.Dur { return st.exec[id] }
+
 // Latency is the time it takes to load id's configuration (zero for an
 // ISP subtask).
 func (st *Static) Latency(id graph.SubtaskID) model.Dur { return st.lat[id] }
+
+// Processors is the number of processors (tiles, then ISPs) a
+// TileFree vector covers.
+func (st *Static) Processors() int { return st.procs }
 
 // Ports is the number of reconfiguration controllers loads share.
 func (st *Static) Ports() int { return st.ports }

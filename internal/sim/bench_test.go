@@ -23,12 +23,15 @@ func benchMix() []sim.TaskMix {
 // BenchmarkSimRun measures sim.Run on the built-in multimedia corpus.
 // Run with -benchmem: the staged kernel's scratch reuse shows up in the
 // allocs/op column (design-time preparation is amortized over the 100
-// simulated iterations, so the per-iteration loop dominates).
+// simulated iterations, so the per-iteration loop dominates). The
+// run-time+inter-task row is the decision table's miss-heavy path: its
+// load floors vary from instance to instance, so far more of its
+// decisions miss the table than on the run-time row.
 func BenchmarkSimRun(b *testing.B) {
 	mix := benchMix()
 	p := platform.Default(8)
 	p.ISPs = 1
-	for _, ap := range []sim.Approach{sim.NoPrefetch, sim.RunTime, sim.Hybrid} {
+	for _, ap := range []sim.Approach{sim.NoPrefetch, sim.RunTime, sim.RunTimeInterTask, sim.Hybrid} {
 		b.Run(fmt.Sprint(ap), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -139,6 +139,11 @@ type scratch struct {
 	curAnalysis *core.Analysis
 	endOfFn     func(graph.SubtaskID) model.Time
 	criticalFn  func(graph.SubtaskID) bool
+
+	// memo replays the no-prefetch, design-time-prefetch and run-time
+	// decisions of this run: it keys them by the prepared statics, so
+	// it lives and dies with the kernel and is never pooled across runs.
+	memo prefetch.Memo
 }
 
 // validateWeights rejects degenerate scenario-weight vectors up front:
@@ -747,11 +752,11 @@ func (k *kernel) execute(pr *prepared, bounds schedule.Instance, resident []bool
 		var err error
 		switch k.opt.Approach {
 		case NoPrefetch:
-			r, err = (prefetch.OnDemand{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
+			r, err = sc.memo.Schedule(prefetch.OnDemand{}, s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
 		case DesignTimePrefetch:
-			r, err = prefetch.EvaluateScratch(pr.static, pr.dtOrder, bounds, &sc.pfSc)
+			r, err = sc.memo.Schedule(prefetch.FixedOrder{}, s, pr.static, pr.dtOrder, bounds, &sc.pfSc)
 		default:
-			r, err = (prefetch.List{}).ScheduleScratch(s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
+			r, err = sc.memo.Schedule(prefetch.List{}, s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
 		}
 		if err != nil {
 			return nil, err

@@ -183,7 +183,10 @@ type Options struct {
 	// SchedulerCost, when true, models the CPU time of the run-time
 	// scheduling computation itself and adds it to the task start (the
 	// paper's motivation for the hybrid split: the [7] heuristic costs
-	// O(N log N) per task, the hybrid run-time phase O(N)).
+	// O(N log N) per task, the hybrid run-time phase O(N)). The modelled
+	// cost is charged for every decision, whether or not the host
+	// replays it from its decision table (prefetch.Memo): it models the
+	// paper's hardware, not the host.
 	SchedulerCost bool
 	// Deadline, when positive, activates the TCM run-time scheduler of
 	// the paper's Fig. 2: every iteration the Pareto points of the

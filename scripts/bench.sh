@@ -2,7 +2,8 @@
 # bench.sh — run the simulation, engine and fabric benchmarks with
 # -benchmem and emit two JSON artifacts:
 #
-#   BENCH_sim.json     sim kernel (per approach) + engine sweep
+#   BENCH_sim.json     sim kernel (per approach) + engine sweep + the
+#                      design-time, hybrid-step and mapping layers
 #   BENCH_fabric.json  multitask kernel at partition counts 1/2/4 plus
 #                      the sharded partitions x workers grid
 #
@@ -70,6 +71,17 @@ go test -run '^$' -bench 'BenchmarkSimRun' -benchmem \
 echo "== engine sweep benchmark =="
 go test -run '^$' -bench 'BenchmarkEngineSweep' -benchmem \
     -benchtime "${SWEEP_BENCHTIME:-3x}" . | tee -a "$RAW"
+
+echo "== layer benchmarks =="
+# Design time, the hybrid run-time step and tile mapping, each on its
+# own. Their rows in BENCH_baseline.json carry allocs/op only (no ns/op),
+# so the gate holds their allocations whatever the host's width. The
+# fixed 1000 iterations, at which those rows were recorded, amortize a
+# warm-up scratch's growth below one allocation per op.
+go test -run '^$' -bench '^(BenchmarkAnalyze|BenchmarkExecuteScratch)$' -benchmem \
+    -benchtime 1000x ./internal/core | tee -a "$RAW"
+go test -run '^$' -bench '^BenchmarkMapInto$' -benchmem \
+    -benchtime 1000x ./internal/reconfig | tee -a "$RAW"
 
 echo "== multitask fabric benchmarks =="
 # The unanchored pattern also matches BenchmarkMultitaskRunParallel
