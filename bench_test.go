@@ -10,6 +10,7 @@
 package drhwsched_test
 
 import (
+	"strconv"
 	"testing"
 
 	drhw "drhwsched"
@@ -86,7 +87,7 @@ func BenchmarkFigure6(b *testing.B) {
 			sim.NoPrefetch, sim.DesignTimePrefetch, sim.RunTime, sim.RunTimeInterTask, sim.Hybrid,
 		} {
 			tiles, ap := tiles, ap
-			b.Run(ap.String()+"/tiles="+itoa(tiles), func(b *testing.B) {
+			b.Run(ap.String()+"/tiles="+strconv.Itoa(tiles), func(b *testing.B) {
 				overhead := benchSweepPoint(b, mix, tiles, ap)
 				b.ReportMetric(overhead, "overhead-%")
 			})
@@ -103,7 +104,7 @@ func BenchmarkFigure7(b *testing.B) {
 			sim.NoPrefetch, sim.DesignTimePrefetch, sim.RunTime, sim.RunTimeInterTask, sim.Hybrid,
 		} {
 			tiles, ap := tiles, ap
-			b.Run(ap.String()+"/tiles="+itoa(tiles), func(b *testing.B) {
+			b.Run(ap.String()+"/tiles="+strconv.Itoa(tiles), func(b *testing.B) {
 				overhead := benchSweepPoint(b, mix, tiles, ap)
 				b.ReportMetric(overhead, "overhead-%")
 			})
@@ -118,18 +119,25 @@ func BenchmarkFigure7(b *testing.B) {
 func BenchmarkSchedulerScaling(b *testing.B) {
 	p := platform.Default(8)
 	for _, n := range []int{14, 56, 224, 448} {
-		n := n
 		sched, analysis := scalingFixture(b, n, p)
-		b.Run("run-time/N="+itoa(n), func(b *testing.B) {
+		b.Run("run-time/N="+strconv.Itoa(n), func(b *testing.B) {
+			// The pure list schedule (MaxPasses -1, the paper's
+			// heuristic) as the simulator runs it: one decision on the
+			// stored schedule's static part with one reused scratch.
+			st, err := sched.Static(p)
+			if err != nil {
+				b.Fatal(err)
+			}
 			loads := sched.AllLoads()
+			var sc prefetch.Scratch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := (prefetch.List{}).Schedule(sched, p, loads, schedule.Instance{}); err != nil {
+				if _, err := (prefetch.List{MaxPasses: -1}).ScheduleScratch(sched, st, loads, schedule.Instance{}, &sc); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run("hybrid-runtime/N="+itoa(n), func(b *testing.B) {
+		b.Run("hybrid-runtime/N="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				analysis.Plan(nil)
 			}
@@ -141,25 +149,15 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 // replacement policy and reports the resulting overhead.
 func BenchmarkAblationReplacement(b *testing.B) {
 	mix := multimediaMix()
-	for _, pc := range []struct {
-		name      string
-		policy    drhw.ReplacementPolicy
-		lookahead bool
-	}{
-		{"lru", drhw.LRU{}, false},
-		{"fifo", drhw.FIFO{}, false},
-		{"belady", drhw.Belady{}, true},
-	} {
-		pc := pc
-		b.Run(pc.name, func(b *testing.B) {
+	for _, pol := range []drhw.ReplacementPolicy{drhw.LRU{}, drhw.FIFO{}, drhw.Belady{}} {
+		b.Run(pol.Name(), func(b *testing.B) {
 			var overhead, reuse float64
 			for i := 0; i < b.N; i++ {
 				r, err := sim.Run(mix, platform.Default(8), sim.Options{
 					Approach:   sim.Hybrid,
 					Iterations: benchIterations,
 					Seed:       2005,
-					Policy:     pc.policy,
-					Lookahead:  pc.lookahead,
+					Policy:     pol,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -262,7 +260,9 @@ func BenchmarkEngineSweep(b *testing.B) {
 }
 
 // BenchmarkEngine measures the raw timeline engine on the Pocket GL
-// graph — the unit of work every scheduler iterates.
+// graph — the unit of work every scheduler iterates: binding one load
+// set to the schedule's prebuilt static part and evaluating one port
+// order, on one reused scratch.
 func BenchmarkEngine(b *testing.B) {
 	pgl := workload.PocketGL()
 	p := platform.Default(8)
@@ -270,10 +270,18 @@ func BenchmarkEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	st, err := s.Static(p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	loads := s.AllLoads()
+	var sc schedule.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prefetch.Evaluate(s, p, loads, schedule.Instance{}); err != nil {
+		if err := sc.Bind(st, loads, schedule.Instance{}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sc.Reorder(loads, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,18 +294,4 @@ func scalingFixture(b *testing.B, n int, p platform.Platform) (*assign.Schedule,
 		b.Fatal(err)
 	}
 	return fx.Sched, fx.Analysis
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -133,7 +133,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	pol, lookahead, err := workload.ParsePolicy(*policy)
+	pol, err := workload.ParsePolicy(*policy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drhwsim: %v\n", err)
 		os.Exit(2)
@@ -190,7 +190,6 @@ func main() {
 		Iterations:       *iterations,
 		Seed:             *seed,
 		Policy:           pol,
-		Lookahead:        lookahead,
 		Arrivals:         arr,
 		Multitask:        mt,
 		SchedulerCost:    *schedCost,

@@ -74,12 +74,8 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		// the (astronomically unlikely) event of a hash collision.
 		return r.points[i].node < r.points[j].node
 	})
-	sort.Strings(r.nodes)
 	return r
 }
-
-// Nodes lists the ring's members, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
 // Len is the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
@@ -95,17 +91,4 @@ func (r *Ring) Lookup(key string) string {
 		i = 0 // wrap: first point clockwise
 	}
 	return r.points[i].node
-}
-
-// Without returns a new ring with node removed (the receiver is
-// unchanged). Keys the removed node owned re-hash to the survivors;
-// all other keys keep their owner.
-func (r *Ring) Without(node string) *Ring {
-	var rest []string
-	for _, n := range r.nodes {
-		if n != node {
-			rest = append(rest, n)
-		}
-	}
-	return NewRing(rest, r.vnodes)
 }

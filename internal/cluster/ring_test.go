@@ -40,9 +40,9 @@ func TestRingSpreadsKeys(t *testing.T) {
 func TestRingWithoutMovesOnlyOrphans(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c", "http://d"}
 	r := NewRing(nodes, 64)
-	shrunk := r.Without("http://b")
+	shrunk := NewRing([]string{"http://a", "http://c", "http://d"}, 64)
 	if shrunk.Len() != 3 {
-		t.Fatalf("Without left %d nodes", shrunk.Len())
+		t.Fatalf("shrunk ring has %d nodes", shrunk.Len())
 	}
 	moved, kept := 0, 0
 	for i := 0; i < 500; i++ {
@@ -71,7 +71,7 @@ func TestRingEmptyAndDuplicates(t *testing.T) {
 	}
 	r := NewRing([]string{"http://a", "http://a", ""}, 8)
 	if r.Len() != 1 {
-		t.Fatalf("duplicates not collapsed: %v", r.Nodes())
+		t.Fatalf("duplicates not collapsed: %d nodes", r.Len())
 	}
 	if got := r.Lookup("k"); got != "http://a" {
 		t.Fatalf("single-node ring returned %q", got)

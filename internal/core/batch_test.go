@@ -40,7 +40,7 @@ func TestAddAllDelayedConverges(t *testing.T) {
 	if len(batch.CS) < len(exact.CS) {
 		t.Fatalf("batch CS %d smaller than exact %d", len(batch.CS), len(exact.CS))
 	}
-	body, err := prefetch.Evaluate(s, p, batch.BodyOrder, schedule.Instance{})
+	body, err := prefetch.Schedule(prefetch.FixedOrder{}, s, p, batch.BodyOrder, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,8 @@ func TestExecuteWithISPRows(t *testing.T) {
 	}
 }
 
-// TestAnalysisIterationsBounded guards the safety valve.
+// TestAnalysisIterationsBounded guards the convergence bound: the
+// selection loop ends within n+1 rounds.
 func TestAnalysisIterationsBounded(t *testing.T) {
 	g := graph.New("tiny")
 	g.AddSubtask("a", model.MS(1))
@@ -95,11 +96,11 @@ func TestAnalysisIterationsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Analyze(s, p, Options{MaxIterations: 5})
+	a, err := Analyze(s, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Iterations > 5 {
-		t.Fatalf("iterations = %d", a.Iterations)
+	if a.Iterations > g.Len()+1 {
+		t.Fatalf("iterations = %d, want at most %d", a.Iterations, g.Len()+1)
 	}
 }

@@ -46,16 +46,15 @@ import (
 	"drhwsched/internal/schedule"
 )
 
-// Options tune the design-time analysis.
+// Options tune the design-time analysis; the zero value is the
+// paper's. The selection loop has no cap to set: it ends within n+1
+// rounds on an n-subtask graph, and Analyze reports a loop that does
+// not as an error.
 type Options struct {
 	// Scheduler computes the prefetch schedules inside the CS-selection
 	// loop. Nil means BranchBound (optimal for small graphs, falling
 	// back to the list heuristic for large ones), as in the paper.
 	Scheduler prefetch.Scheduler
-	// MaxIterations caps the selection loop as a safety valve; zero
-	// means the number of subtasks (the loop adds one CS per round, so
-	// it cannot usefully run longer).
-	MaxIterations int
 	// AddAllDelayed moves every delayed subtask into the CS set per
 	// round instead of only the heaviest one. The CS set may end up
 	// slightly larger than minimal, but the loop converges in a few
@@ -125,10 +124,6 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 		sched = prefetch.BranchBound{}
 	}
 	n := s.G.Len()
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n + 1
-	}
 
 	a := &Analysis{Sched: s, P: p, isCS: make([]bool, n)}
 
@@ -142,7 +137,9 @@ func Analyze(s *assign.Schedule, p platform.Platform, opt Options) (*Analysis, e
 	var loads, delayed []graph.SubtaskID
 	for iter := 0; ; iter++ {
 		a.Iterations = iter
-		if iter > maxIter {
+		// Every round but the last adds at least one CS member, so a
+		// loop that runs n+1 rounds has stopped converging.
+		if iter > n+1 {
 			return nil, fmt.Errorf("core: CS selection did not converge on %q", s.G.Name)
 		}
 		loads = nonCriticalLoads(s, a.isCS, loads[:0])

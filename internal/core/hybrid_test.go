@@ -63,7 +63,7 @@ func TestBodyScheduleHasZeroOverheadByConstruction(t *testing.T) {
 	a := analyze(t, s, p)
 	// The CS definition: with the CS resident and everything else
 	// loaded, the heuristic hides every remaining load completely.
-	r, err := prefetch.Evaluate(s, p, a.BodyOrder, schedule.Instance{})
+	r, err := prefetch.Schedule(prefetch.FixedOrder{}, s, p, a.BodyOrder, schedule.Instance{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestHybridProperties(t *testing.T) {
 			t.Logf("analyze: %v", err)
 			return false
 		}
-		body, err := prefetch.Evaluate(s, p, a.BodyOrder, schedule.Instance{})
+		body, err := prefetch.Schedule(prefetch.FixedOrder{}, s, p, a.BodyOrder, schedule.Instance{})
 		if err != nil || body.Overhead != 0 {
 			t.Logf("body overhead %v err %v", body.Overhead, err)
 			return false

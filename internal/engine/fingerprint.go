@@ -56,7 +56,6 @@ func Fingerprint(s *assign.Schedule, p platform.Platform, opt core.Options) stri
 	for _, e := range g.Edges() {
 		w.int(int64(e.From))
 		w.int(int64(e.To))
-		w.int(int64(e.Bytes))
 	}
 
 	w.int(int64(s.Tiles))
@@ -78,7 +77,7 @@ func Fingerprint(s *assign.Schedule, p platform.Platform, opt core.Options) stri
 	w.int(int64(p.ISPs))
 	fmt.Fprintf(h, "|%g|%g|%g", p.LoadEnergy, p.ActivePower, p.IdlePower)
 
-	fmt.Fprintf(h, "|%T%+v|%d|%t", opt.Scheduler, opt.Scheduler, opt.MaxIterations, opt.AddAllDelayed)
+	fmt.Fprintf(h, "|%T%+v|%t", opt.Scheduler, opt.Scheduler, opt.AddAllDelayed)
 
 	return string(h.Sum(nil))
 }

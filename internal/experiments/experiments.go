@@ -327,26 +327,15 @@ func AblationReplacement(opt FigureOptions) (*stats.Table, error) {
 	mix := mixOf(workload.Multimedia())
 	p := platform.Default(8)
 	tab := stats.NewTable("Policy", "Overhead %", "Reuse %")
-	policies := []struct {
-		name      string
-		policy    reconfig.Policy
-		lookahead bool
-	}{
-		{"lru", reconfig.LRU{}, false},
-		{"fifo", reconfig.FIFO{}, false},
-		{"belady", reconfig.Belady{}, true},
-		{"random", reconfig.Random{}, false},
-	}
 	var runs []engine.Run
-	for _, pc := range policies {
+	for _, pol := range []reconfig.Policy{reconfig.LRU{}, reconfig.FIFO{}, reconfig.Belady{}, reconfig.Random{}} {
 		runs = append(runs, engine.Run{
-			X: p.Tiles, Line: pc.name, Mix: mix, Platform: p,
+			X: p.Tiles, Line: pol.Name(), Mix: mix, Platform: p,
 			Options: sim.Options{
 				Approach:   sim.Hybrid,
 				Iterations: opt.iterations(),
 				Seed:       opt.Seed,
-				Policy:     pc.policy,
-				Lookahead:  pc.lookahead,
+				Policy:     pol,
 			},
 		})
 	}

@@ -39,14 +39,10 @@ type Subtask struct {
 	OnISP bool
 }
 
-// Edge is a precedence (and optionally communication) dependency.
+// Edge is a precedence dependency. Communication cost is folded into
+// the subtasks' execution times.
 type Edge struct {
 	From, To SubtaskID
-	// Bytes is the payload size the edge carries, 0 for pure
-	// precedence. It is kept on the wire and in the analysis
-	// fingerprint, not modelled: communication cost is folded into
-	// the subtasks' execution times.
-	Bytes int
 }
 
 // Graph is a mutable task graph. The zero value is unusable; create one
@@ -104,14 +100,9 @@ func (g *Graph) SetLoad(id SubtaskID, load model.Dur) { g.subtasks[id].Load = lo
 // and never reconfigures a tile.
 func (g *Graph) SetOnISP(id SubtaskID, on bool) { g.subtasks[id].OnISP = on }
 
-// AddEdge records a pure precedence dependency from one subtask to
-// another.
-func (g *Graph) AddEdge(from, to SubtaskID) { g.AddEdgeBytes(from, to, 0) }
-
-// AddEdgeBytes records a dependency carrying a payload of the given
-// size (see Edge.Bytes).
-func (g *Graph) AddEdgeBytes(from, to SubtaskID, bytes int) {
-	g.edges = append(g.edges, Edge{From: from, To: to, Bytes: bytes})
+// AddEdge records a precedence dependency from one subtask to another.
+func (g *Graph) AddEdge(from, to SubtaskID) {
+	g.edges = append(g.edges, Edge{From: from, To: to})
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
 }
@@ -168,28 +159,6 @@ func (g *Graph) Preds(id SubtaskID) []SubtaskID { return g.pred[id] }
 
 // Edges returns every dependency. Shared slice; read-only.
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// Sources returns the subtasks with no predecessors.
-func (g *Graph) Sources() []SubtaskID {
-	var out []SubtaskID
-	for i := range g.subtasks {
-		if len(g.pred[i]) == 0 {
-			out = append(out, SubtaskID(i))
-		}
-	}
-	return out
-}
-
-// Sinks returns the subtasks with no successors.
-func (g *Graph) Sinks() []SubtaskID {
-	var out []SubtaskID
-	for i := range g.subtasks {
-		if len(g.succ[i]) == 0 {
-			out = append(out, SubtaskID(i))
-		}
-	}
-	return out
-}
 
 // TotalExec is the sum of all subtask execution times (the serial lower
 // bound on one tile, ignoring loads).
@@ -299,31 +268,6 @@ func (g *Graph) CriticalPath() (model.Dur, error) {
 		}
 	}
 	return best, nil
-}
-
-// Clone returns a deep copy of the graph under a new name.
-func (g *Graph) Clone(name string) *Graph {
-	c := &Graph{Name: name}
-	c.subtasks = append([]Subtask(nil), g.subtasks...)
-	c.keys.Store(g.keys.Load()) // never written in place, so shared
-	c.edges = append([]Edge(nil), g.edges...)
-	c.succ = make([][]SubtaskID, len(g.succ))
-	c.pred = make([][]SubtaskID, len(g.pred))
-	for i := range g.succ {
-		c.succ[i] = append([]SubtaskID(nil), g.succ[i]...)
-		c.pred[i] = append([]SubtaskID(nil), g.pred[i]...)
-	}
-	return c
-}
-
-// ScaleExec multiplies every execution time by num/den, rounding to the
-// nearest microsecond. Scenario builders use it to derive data-dependent
-// variants of one task structure.
-func (g *Graph) ScaleExec(num, den int64) {
-	for i := range g.subtasks {
-		e := int64(g.subtasks[i].Exec)
-		g.subtasks[i].Exec = model.Dur((e*num + den/2) / den)
-	}
 }
 
 // minIDHeap is a tiny binary min-heap of SubtaskIDs, used to keep

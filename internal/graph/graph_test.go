@@ -190,45 +190,9 @@ func TestCriticalPath(t *testing.T) {
 	}
 }
 
-func TestSourcesAndSinks(t *testing.T) {
-	g := diamond()
-	if s := g.Sources(); len(s) != 1 || s[0] != 0 {
-		t.Fatalf("sources = %v", s)
-	}
-	if s := g.Sinks(); len(s) != 1 || s[0] != 3 {
-		t.Fatalf("sinks = %v", s)
-	}
-}
-
 func TestTotalExec(t *testing.T) {
 	if got := chain4().TotalExec(); got != 100*model.Millisecond {
 		t.Fatalf("TotalExec = %v", got)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := diamond()
-	g.ConfigKeys() // interned before the clone, which then shares them
-	c := g.Clone("copy")
-	c.AddEdge(1, 2)
-	if len(g.Succs(1)) == len(c.Succs(1)) {
-		t.Fatal("clone shares adjacency with original")
-	}
-	if g.Len() != c.Len() {
-		t.Fatal("clone lost subtasks")
-	}
-	for i := 0; i < g.Len(); i++ {
-		id := SubtaskID(i)
-		if c.ConfigKey(id) != g.ConfigKey(id) || c.ConfigKey(id).Value() != g.Subtask(id).Config {
-			t.Fatalf("clone's handle of %d reads %q, want %q", i, c.ConfigKey(id).Value(), g.Subtask(id).Config)
-		}
-	}
-	extra := c.AddConfigured("extra", model.MS(1), "extra")
-	if g.Len() == c.Len() {
-		t.Fatal("clone shares subtasks with original")
-	}
-	if c.ConfigKey(extra).Value() != "extra" || len(g.ConfigKeys()) != g.Len() {
-		t.Fatal("a subtask added to the clone is missing from its handles, or leaked into the original's")
 	}
 }
 
@@ -253,15 +217,6 @@ func TestConfigKeysConcurrentFirstUse(t *testing.T) {
 				t.Fatalf("goroutine %d: handle of %d reads %q", i, id, k.Value())
 			}
 		}
-	}
-}
-
-func TestScaleExecRounds(t *testing.T) {
-	g := New("s")
-	g.AddSubtask("a", 3)
-	g.ScaleExec(1, 2) // 3/2 rounds to 2
-	if got := g.Subtask(0).Exec; got != 2 {
-		t.Fatalf("scaled exec = %d, want 2", got)
 	}
 }
 

@@ -8,10 +8,7 @@
 // who wins a resource, and results are reproducible across platforms.
 package model
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is an absolute instant on the simulated clock, in microseconds
 // since the start of the simulation. Time zero is the simulator epoch.
@@ -41,10 +38,6 @@ func (t Time) Sub(u Time) Dur { return Dur(t - u) }
 
 // Milliseconds reports the duration in (possibly fractional) milliseconds.
 func (d Dur) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
-
-// Std converts d to a time.Duration for interoperability with the
-// standard library (e.g. when modelling scheduler CPU cost).
-func (d Dur) Std() time.Duration { return time.Duration(d) * time.Microsecond }
 
 // String renders the duration in the most natural unit.
 func (d Dur) String() string {

@@ -3,7 +3,6 @@ package model
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestMSExactForPaperParameters(t *testing.T) {
@@ -50,12 +49,6 @@ func TestDurString(t *testing.T) {
 		if got := c.d.String(); got != c.want {
 			t.Errorf("%d.String() = %q, want %q", c.d, got, c.want)
 		}
-	}
-}
-
-func TestStdConversion(t *testing.T) {
-	if got := (4 * Millisecond).Std(); got != 4*time.Millisecond {
-		t.Fatalf("Std = %v", got)
 	}
 }
 

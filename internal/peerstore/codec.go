@@ -24,7 +24,7 @@ import (
 // to the wire structs below; a replica rejects versions it does not
 // speak and falls back to computing, so mixed-version pools degrade to
 // cold behavior instead of corrupting.
-const WireVersion = 1
+const WireVersion = 2
 
 // envelope is the outer frame of a serialized artifact. Fingerprint
 // binds the payload to the engine key it was stored under; Checksum
@@ -68,9 +68,8 @@ type subtaskWire struct {
 }
 
 type edgeWire struct {
-	From  int `json:"from"`
-	To    int `json:"to"`
-	Bytes int `json:"bytes,omitempty"`
+	From int `json:"from"`
+	To   int `json:"to"`
 }
 
 type schedWire struct {
@@ -126,7 +125,7 @@ func Encode(key string, a *core.Analysis) ([]byte, error) {
 		})
 	}
 	for _, e := range g.Edges() {
-		w.Graph.Edges = append(w.Graph.Edges, edgeWire{From: int(e.From), To: int(e.To), Bytes: e.Bytes})
+		w.Graph.Edges = append(w.Graph.Edges, edgeWire{From: int(e.From), To: int(e.To)})
 	}
 	w.Sched = schedWire{
 		Tiles:           s.Tiles,
@@ -212,7 +211,7 @@ func Decode(key string, data []byte) (*core.Analysis, error) {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return nil, fmt.Errorf("peerstore: decode: edge %d→%d out of range [0,%d)", e.From, e.To, n)
 		}
-		g.AddEdgeBytes(graph.SubtaskID(e.From), graph.SubtaskID(e.To), e.Bytes)
+		g.AddEdge(graph.SubtaskID(e.From), graph.SubtaskID(e.To))
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("peerstore: decode: graph: %w", err)

@@ -18,8 +18,8 @@ import (
 )
 
 // testInputs builds a deterministic schedule exercising every wire
-// field: mixed configs (one shared), explicit load overrides, an ISP
-// subtask, and a payload-carrying edge.
+// field: mixed configs (one shared), explicit load overrides and an ISP
+// subtask.
 func testInputs(t *testing.T, tiles int) (*assign.Schedule, platform.Platform) {
 	t.Helper()
 	g := graph.New("codec-pipe")
@@ -29,7 +29,7 @@ func testInputs(t *testing.T, tiles int) (*assign.Schedule, platform.Platform) {
 	s3 := g.AddConfigured("sw", model.MS(6), "soft")
 	g.SetLoad(s1, model.MS(7))
 	g.SetOnISP(s3, true)
-	g.AddEdgeBytes(s0, s1, 512)
+	g.AddEdge(s0, s1)
 	g.AddEdge(s1, s2)
 	g.AddEdge(s2, s3)
 
@@ -195,6 +195,19 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		bad, _ := json.Marshal(env)
 		if _, err := Decode(key, bad); err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("Decode accepted a future wire version: %v", err)
+		}
+	})
+	t.Run("version-1", func(t *testing.T) {
+		// Version 1 carried an edge payload; a replica that still
+		// speaks it falls back to computing.
+		var env envelope
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		env.Version = 1
+		old, _ := json.Marshal(env)
+		if _, err := Decode(key, old); err == nil || !strings.Contains(err.Error(), "wire version 1, want 2") {
+			t.Fatalf("Decode accepted a version-1 envelope: %v", err)
 		}
 	})
 	t.Run("structural", func(t *testing.T) {

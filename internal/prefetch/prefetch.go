@@ -28,13 +28,14 @@
 // (schedule.Static, built by assign.Schedule.Static). Design time
 // (core.Analyze: one static part and one Scratch per analysis) and the
 // simulator's per-instance loop (one static part per stored schedule)
-// both call it. The allocating forms — Schedule, Evaluate and the
-// schedulers' Schedule methods — run it on a freshly built static part
-// and Scratch, so their Results alias nothing. The zero-overhead
-// reference (Result.Ideal) is schedule.Static.Ideal, a closed form.
-// Every entry point takes the instance's bounds as a schedule.Instance:
-// OnDemand evaluates it on demand, List and BranchBound with prefetch,
-// and Evaluate as its OnDemand field says.
+// both call it. The allocating forms — Schedule and the schedulers'
+// Schedule methods — run it on a freshly built static part and Scratch,
+// so their Results alias nothing. FixedOrder is the one way to evaluate
+// a load order decided elsewhere. The zero-overhead reference
+// (Result.Ideal) is schedule.Static.Ideal, a closed form. Every entry
+// point takes the instance's bounds as a schedule.Instance: OnDemand
+// evaluates it on demand, List, BranchBound and FixedOrder with
+// prefetch.
 //
 // A Memo (memo.go) replays run-time decisions instead of recomputing
 // them, the host-side form of the paper's design-time/run-time split.
@@ -93,30 +94,14 @@ type Scheduler interface {
 }
 
 // Schedule is the allocating form of sched.ScheduleScratch: it builds
-// s's static part on p and runs sched on a fresh Scratch.
+// s's static part on p and runs sched on a fresh Scratch, so the Result
+// it returns aliases nothing.
 func Schedule(sched Scheduler, s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
-	return fresh(s, p, func(st *schedule.Static, sc *Scratch) (*Result, error) {
-		return sched.ScheduleScratch(s, st, loads, inst, sc)
-	})
-}
-
-// Evaluate computes the timeline and overhead for a given load order
-// for the instance inst, under on-demand semantics when inst.OnDemand
-// is set: the allocating form of EvaluateScratch.
-func Evaluate(s *assign.Schedule, p platform.Platform, order []graph.SubtaskID, inst schedule.Instance) (*Result, error) {
-	return fresh(s, p, func(st *schedule.Static, sc *Scratch) (*Result, error) {
-		return EvaluateScratch(st, order, inst, sc)
-	})
-}
-
-// fresh runs f on s's static part on p and a new Scratch, so the Result
-// it returns aliases nothing: the one allocating path.
-func fresh(s *assign.Schedule, p platform.Platform, f func(*schedule.Static, *Scratch) (*Result, error)) (*Result, error) {
 	st, err := s.Static(p)
 	if err != nil {
 		return nil, err
 	}
-	return f(st, new(Scratch))
+	return sched.ScheduleScratch(s, st, loads, inst, new(Scratch))
 }
 
 // OnDemand issues every load when its subtask becomes ready: the
@@ -140,11 +125,19 @@ type FixedOrder struct{}
 // Name implements Scheduler.
 func (FixedOrder) Name() string { return "fixed-order" }
 
-// ScheduleScratch implements Scheduler: EvaluateScratch of loads, with
-// prefetch.
+// ScheduleScratch implements Scheduler: it evaluates loads, in the
+// order given, with prefetch. The returned Result and its Timeline are
+// owned by sc; its PortOrder is loads.
 func (FixedOrder) ScheduleScratch(_ *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
 	inst.OnDemand = false
-	return EvaluateScratch(st, loads, inst, sc)
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
+	if err != nil {
+		return nil, err
+	}
+	if err := sc.evaluateInto(&sc.res, st, loads, inst, ideal); err != nil {
+		return nil, err
+	}
+	return &sc.res, nil
 }
 
 // List is the run-time prefetch heuristic of [7]: loads are issued in

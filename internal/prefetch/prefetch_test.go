@@ -235,7 +235,7 @@ func exhaustive(s *assign.Schedule, p platform.Platform, loads []graph.SubtaskID
 	var rec func(k int)
 	rec = func(k int) {
 		if k == len(perm) {
-			if r, err := Evaluate(s, p, perm, b); err == nil && r.Makespan < best {
+			if r, err := Schedule(FixedOrder{}, s, p, perm, b); err == nil && r.Makespan < best {
 				best = r.Makespan
 			}
 			return

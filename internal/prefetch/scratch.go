@@ -66,22 +66,6 @@ func (sc *Scratch) reorderInto(out *Result, order []graph.SubtaskID, onDemand bo
 	return nil
 }
 
-// EvaluateScratch is the implementation of Evaluate; the returned Result
-// and its Timeline are owned by sc.
-func EvaluateScratch(st *schedule.Static, order []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
-	if inst.OnDemand {
-		inst = onDemandInstance(inst)
-	}
-	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.evaluateInto(&sc.res, st, order, inst, ideal); err != nil {
-		return nil, err
-	}
-	return &sc.res, nil
-}
-
 // ScheduleScratch implements Scheduler; the returned Result and its
 // Timeline are owned by sc. The request order (which load reaches the
 // controller first) depends on readiness times, which depend on the

@@ -100,16 +100,6 @@ func (st *State) Touch(tile int, at model.Time) {
 	}
 }
 
-// Clone deep-copies the state (used by what-if evaluation in the
-// simulator's ablations).
-func (st *State) Clone() *State {
-	c := NewState(st.Tiles())
-	copy(c.keys, st.keys)
-	copy(c.LastUse, st.LastUse)
-	copy(c.LoadedAt, st.LoadedAt)
-	return c
-}
-
 // Policy selects which tile to sacrifice when a load needs a target and
 // no tile holding the wanted configuration is available.
 type Policy interface {
@@ -118,6 +108,14 @@ type Policy interface {
 	// read-only). future lists the configurations of upcoming
 	// subtasks, nearest first, for lookahead policies; it may be nil.
 	Victim(st *State, candidates []int, future []graph.ConfigID) int
+}
+
+// Lookahead is implemented by the policies that read Victim's future
+// argument. The simulator builds the upcoming configuration stream
+// only for them; every other policy receives nil.
+type Lookahead interface {
+	Policy
+	ReadsFuture()
 }
 
 // LRU evicts the tile that has been idle longest — the paper's default
@@ -163,6 +161,9 @@ type Belady struct{}
 
 // Name implements Policy.
 func (Belady) Name() string { return "belady" }
+
+// ReadsFuture implements Lookahead.
+func (Belady) ReadsFuture() {}
 
 // Victim implements Policy.
 func (Belady) Victim(st *State, candidates []int, future []graph.ConfigID) int {

@@ -52,11 +52,6 @@ func TestStateBasics(t *testing.T) {
 	if st.LastUse[1] != 200 {
 		t.Fatal("touch rewound")
 	}
-	c := st.Clone()
-	c.Set(0, "b", 1)
-	if st.Config(0) != "" {
-		t.Fatal("clone not deep")
-	}
 }
 
 func TestMapClaimsExactMatches(t *testing.T) {

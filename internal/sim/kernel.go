@@ -76,6 +76,9 @@ type kernel struct {
 
 	useReuse  bool
 	interTask bool
+	// lookahead is set when the policy reads the upcoming
+	// configuration stream (reconfig.Lookahead); only then is it built.
+	lookahead bool
 
 	// workers is the resolved Parallelism: 0 for one whole-run
 	// replication, >= 1 for 32-iteration replications on that many
@@ -183,38 +186,46 @@ func validateWeights(mix []TaskMix) error {
 // callers use it to reject a bad request before committing a success
 // status to the wire; Run performs the same checks itself.
 func Validate(mix []TaskMix, p platform.Platform, opt Options) error {
-	_, err := validate(mix, p, opt)
+	_, _, err := validate(mix, p, opt)
 	return err
 }
 
-// validate is Validate returning the started arrival source, which the
+// validate is Validate returning what it resolved: a kernel carrying
+// the inputs with the iteration default applied, the admission mode
+// and the worker count, and the started arrival source, which the
 // master kernel then draws from.
-func validate(mix []TaskMix, p platform.Platform, opt Options) (IndexedSource, error) {
+func validate(mix []TaskMix, p platform.Platform, opt Options) (*kernel, IndexedSource, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(mix) == 0 {
-		return nil, fmt.Errorf("sim: empty task mix")
+		return nil, nil, fmt.Errorf("sim: empty task mix")
 	}
 	if err := validateWeights(mix); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if _, _, _, err := opt.Multitask.resolve(p.Tiles); err != nil {
-		return nil, err
+	k := &kernel{mix: mix, p: p, opt: opt}
+	var err error
+	if k.alloc, k.modeName, k.partitions, err = opt.Multitask.resolve(p.Tiles); err != nil {
+		return nil, nil, err
 	}
-	if _, err := opt.effectiveWorkers(); err != nil {
-		return nil, err
+	if k.workers, err = opt.effectiveWorkers(); err != nil {
+		return nil, nil, err
 	}
-	iters := opt.Iterations
-	if iters <= 0 {
-		iters = 1000
+	if k.opt.Iterations <= 0 {
+		k.opt.Iterations = 1000
 	}
-	return startArrivals(opt, len(mix), iters)
+	isrc, err := startArrivals(k.opt, len(mix))
+	if err != nil {
+		return nil, nil, err
+	}
+	return k, isrc, nil
 }
 
-// startArrivals starts the run's indexed arrival source: Options.Arrivals,
-// or the Bernoulli default under InclusionProb.
-func startArrivals(opt Options, tasks, iterations int) (IndexedSource, error) {
+// startArrivals starts the run's indexed arrival source over
+// opt.Iterations: Options.Arrivals, or the Bernoulli default under
+// InclusionProb.
+func startArrivals(opt Options, tasks int) (IndexedSource, error) {
 	arrivals := opt.Arrivals
 	if arrivals == nil {
 		arrivals = Bernoulli{P: opt.InclusionProb}
@@ -224,7 +235,7 @@ func startArrivals(opt Options, tasks, iterations int) (IndexedSource, error) {
 		return nil, fmt.Errorf("sim: arrival process %q has no indexed per-iteration draw (ShardableArrivals)",
 			arrivals.Name())
 	}
-	return sa.StartSharded(tasks, iterations, opt.Seed)
+	return sa.StartSharded(tasks, opt.Iterations, opt.Seed)
 }
 
 // newKernel validates the inputs, resolves defaults, and runs the
@@ -233,26 +244,13 @@ func newKernel(mix []TaskMix, p platform.Platform, opt Options) (*kernel, error)
 	// validate is the single source of truth for what a run rejects —
 	// streaming servers rely on Validate matching this constructor
 	// exactly.
-	isrc, err := validate(mix, p, opt)
+	k, isrc, err := validate(mix, p, opt)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Iterations <= 0 {
-		opt.Iterations = 1000
 	}
 	analyze := opt.Analyzer
 	if analyze == nil {
 		analyze = core.Analyze
-	}
-
-	k := &kernel{mix: mix, p: p, opt: opt}
-	k.alloc, k.modeName, k.partitions, err = opt.Multitask.resolve(p.Tiles)
-	if err != nil {
-		return nil, err
-	}
-	k.workers, err = opt.effectiveWorkers()
-	if err != nil {
-		return nil, err
 	}
 	k.useReuse = opt.Approach == RunTime || opt.Approach == RunTimeInterTask || opt.Approach == Hybrid
 	k.interTask = opt.Approach == RunTimeInterTask ||
@@ -288,6 +286,7 @@ func (k *kernel) initRunState(isrc IndexedSource) {
 	if policy == nil {
 		policy = reconfig.LRU{}
 	}
+	_, k.lookahead = policy.(reconfig.Lookahead)
 	if _, ok := policy.(reconfig.Random); ok {
 		// The one stateful policy: every kernel draws victims from its
 		// own generator, re-pointed per iteration (iterate), so victim
@@ -612,8 +611,9 @@ func (k *kernel) executeIteration(instances []*prepared) (int, error) {
 // under the selected approach against the shared port and ISP
 // timelines, then accounting and the eager fabric-state commit (safe
 // because concurrent claims are disjoint). upcoming is the queued
-// remainder of this iteration (this instance first) for lookahead
-// policies. It returns the instance's completion time.
+// remainder of this iteration (this instance first), whose loads make
+// the lookahead stream of a reconfig.Lookahead policy. It returns the
+// instance's completion time.
 func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Time, claim []int) (model.Time, error) {
 	sc := &k.sc
 	res := k.res
@@ -635,7 +635,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 		critical = sc.criticalFn
 	}
 	var future []graph.ConfigID
-	if k.opt.Lookahead {
+	if k.lookahead {
 		future = sc.future[:0]
 		for _, up := range upcoming {
 			for _, id := range up.sched.AllLoads() {

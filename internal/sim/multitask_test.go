@@ -220,7 +220,7 @@ func TestLookaheadBeatsLRUUnderContention(t *testing.T) {
 	}
 	lru := run(sim.Options{Approach: sim.RunTime, Iterations: 100, Seed: 1})
 	belady := run(sim.Options{Approach: sim.RunTime, Iterations: 100, Seed: 1,
-		Policy: reconfig.Belady{}, Lookahead: true})
+		Policy: reconfig.Belady{}})
 	if belady.ReusePct < lru.ReusePct {
 		t.Fatalf("lookahead reuse %.2f%% below LRU %.2f%%", belady.ReusePct, lru.ReusePct)
 	}

@@ -215,7 +215,7 @@ func (k *kernel) runChunk(c, chunk int, partial *Result, emit Observer) error {
 func (k *kernel) newShard() (*kernel, error) {
 	// Every shard starts its own indexed source: sources keep draw
 	// buffers, so one belongs to one kernel.
-	isrc, err := startArrivals(k.opt, len(k.mix), k.opt.Iterations)
+	isrc, err := startArrivals(k.opt, len(k.mix))
 	if err != nil {
 		return nil, err
 	}

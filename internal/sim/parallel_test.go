@@ -129,7 +129,6 @@ func TestShardInvarianceStatefulPolicy(t *testing.T) {
 		Iterations: 80,
 		Seed:       11,
 		Policy:     reconfig.Belady{},
-		Lookahead:  true,
 	})
 }
 

@@ -139,10 +139,11 @@ type Options struct {
 	Parallelism int
 
 	// Policy is the replacement policy (nil: LRU, the default module).
+	// A policy that implements reconfig.Lookahead, such as Belady,
+	// receives the upcoming configuration stream of the iteration (the
+	// queued instances, this one first); every other policy receives a
+	// nil stream.
 	Policy reconfig.Policy
-	// Lookahead feeds the upcoming configuration stream to the policy
-	// (required for Belady to be meaningful).
-	Lookahead bool
 	// InclusionProb is the chance each application appears in an
 	// iteration ("the applications executed during each iteration vary
 	// randomly"); zero means 0.8. At least one always runs. It

@@ -168,7 +168,7 @@ func TestScenarioWeightsAreUsed(t *testing.T) {
 func TestBeladyWithLookaheadRuns(t *testing.T) {
 	mix := []TaskMix{{Task: pipeline("a", 4)}, {Task: pipeline("b", 4)}}
 	r := run(t, mix, 3, Options{
-		Approach: Hybrid, Iterations: 40, Policy: reconfig.Belady{}, Lookahead: true,
+		Approach: Hybrid, Iterations: 40, Policy: reconfig.Belady{},
 	})
 	if r.Instances == 0 {
 		t.Fatal("no instances")

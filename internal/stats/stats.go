@@ -1,21 +1,20 @@
 // Package stats provides the small statistical and tabular toolkit the
 // experiment harness uses: running summaries, series keyed by a sweep
-// parameter, and plain-text/CSV/markdown rendering so every table and
-// figure of the paper can be regenerated as text.
+// parameter, and plain-text/CSV rendering so every table and figure of
+// the paper can be regenerated as text.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
 
 // Summary accumulates scalar observations.
 type Summary struct {
-	n          int
-	sum, sumSq float64
-	min, max   float64
+	n        int
+	sum      float64
+	min, max float64
 }
 
 // Add records one observation.
@@ -28,7 +27,6 @@ func (s *Summary) Add(x float64) {
 	}
 	s.n++
 	s.sum += x
-	s.sumSq += x * x
 }
 
 // N reports the number of observations.
@@ -47,28 +45,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max reports the largest observation.
 func (s *Summary) Max() float64 { return s.max }
-
-// StdDev reports the sample standard deviation.
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	v := (s.sumSq - float64(s.n)*mean*mean) / float64(s.n-1)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
-// CI95 reports the half-width of a normal-approximation 95% confidence
-// interval on the mean.
-func (s *Summary) CI95() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return 1.96 * s.StdDev() / math.Sqrt(float64(s.n))
-}
 
 // Series maps a sweep parameter (e.g. tile count) to values for several
 // named lines (e.g. the three heuristics of Fig. 6).
@@ -154,7 +130,7 @@ func (s *Series) CSV() string {
 }
 
 // Table is a generic string table with a header, rendered as aligned
-// text or GitHub-flavoured markdown.
+// text by String.
 type Table struct {
 	Header []string
 	Rows   [][]string
@@ -208,21 +184,6 @@ func (t *Table) String() string {
 	line(sep)
 	for _, r := range t.Rows {
 		line(r)
-	}
-	return b.String()
-}
-
-// Markdown renders the table as GitHub-flavoured markdown.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	b.WriteString("| " + strings.Join(t.Header, " | ") + " |\n")
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
-	for _, r := range t.Rows {
-		b.WriteString("| " + strings.Join(r, " | ") + " |\n")
 	}
 	return b.String()
 }

@@ -21,27 +21,20 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("range = [%v,%v]", s.Min(), s.Max())
 	}
-	// Sample stddev of this classic set is ~2.138.
-	if math.Abs(s.StdDev()-2.138) > 0.01 {
-		t.Fatalf("stddev = %v", s.StdDev())
-	}
-	if s.CI95() <= 0 {
-		t.Fatalf("ci = %v", s.CI95())
-	}
 }
 
 func TestSummaryEmptyAndSingle(t *testing.T) {
 	var s Summary
-	if s.Mean() != 0 || s.StdDev() != 0 || s.CI95() != 0 {
+	if s.Mean() != 0 {
 		t.Fatal("empty summary should be zero")
 	}
 	s.Add(3)
-	if s.Mean() != 3 || s.StdDev() != 0 {
+	if s.Mean() != 3 {
 		t.Fatal("single-sample summary")
 	}
 }
 
-// Property: mean lies within [min, max] and stddev is non-negative.
+// Property: mean lies within [min, max].
 func TestSummaryProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		var s Summary
@@ -57,7 +50,7 @@ func TestSummaryProperty(t *testing.T) {
 			return true
 		}
 		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9 && s.StdDev() >= 0
+		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -104,13 +97,6 @@ func TestTableRendering(t *testing.T) {
 	s := tb.String()
 	if !strings.Contains(s, "alpha") || !strings.Contains(s, "name") {
 		t.Fatalf("table:\n%s", s)
-	}
-	md := tb.Markdown()
-	if !strings.HasPrefix(md, "| name | value |") {
-		t.Fatalf("markdown:\n%s", md)
-	}
-	if strings.Count(md, "\n") != 4 {
-		t.Fatalf("markdown rows:\n%s", md)
 	}
 }
 

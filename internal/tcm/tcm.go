@@ -237,16 +237,3 @@ func Select(curves []*Curve, deadline model.Dur) ([]Selection, error) {
 	}
 	return out, nil
 }
-
-// FutureConfigs flattens the configurations of an upcoming task sequence
-// in execution order — the lookahead the Belady replacement policy and
-// the inter-task optimization consume.
-func FutureConfigs(points []*ParetoPoint) []graph.ConfigID {
-	var out []graph.ConfigID
-	for _, pt := range points {
-		for _, id := range pt.Sched.AllLoads() {
-			out = append(out, pt.Sched.G.Subtask(id).Config)
-		}
-	}
-	return out
-}

@@ -146,16 +146,6 @@ func TestDesignTimeRejectsEmptyTask(t *testing.T) {
 	}
 }
 
-func TestFutureConfigs(t *testing.T) {
-	task := NewTask("f", forkJoin("f", 2))
-	ds := space(t, DTOptions{}, task)
-	pt := ds.Curve(0, 0).Fastest()
-	future := FutureConfigs([]*ParetoPoint{pt, pt})
-	if len(future) != 2*pt.Sched.G.Len() {
-		t.Fatalf("future length %d", len(future))
-	}
-}
-
 // Property: every curve is non-empty, strictly improving in time, and
 // selection under the sum-of-fastest deadline always succeeds and meets
 // the deadline.

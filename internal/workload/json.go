@@ -240,9 +240,8 @@ type SubtaskDoc struct {
 
 // EdgeDoc describes one dependency by subtask index.
 type EdgeDoc struct {
-	From  int `json:"from"`
-	To    int `json:"to"`
-	Bytes int `json:"bytes,omitempty"`
+	From int `json:"from"`
+	To   int `json:"to"`
 }
 
 // ParseMix decodes and validates a JSON workload into TCM tasks plus
@@ -309,7 +308,7 @@ func (doc *MixDoc) Mix() ([]*tcm.Task, [][]float64, error) {
 				if e.From < 0 || e.From >= g.Len() || e.To < 0 || e.To >= g.Len() {
 					return nil, nil, fmt.Errorf("workload: %s: edge %d->%d out of range", name, e.From, e.To)
 				}
-				g.AddEdgeBytes(graph.SubtaskID(e.From), graph.SubtaskID(e.To), e.Bytes)
+				g.AddEdge(graph.SubtaskID(e.From), graph.SubtaskID(e.To))
 			}
 			if err := g.Validate(); err != nil {
 				return nil, nil, fmt.Errorf("workload: %w", err)
@@ -352,7 +351,7 @@ func DocOf(name string, tasks []*tcm.Task, weights [][]float64) MixDoc {
 				})
 			}
 			for _, e := range g.Edges() {
-				sd.Edges = append(sd.Edges, EdgeDoc{From: int(e.From), To: int(e.To), Bytes: e.Bytes})
+				sd.Edges = append(sd.Edges, EdgeDoc{From: int(e.From), To: int(e.To)})
 			}
 			td.Scenarios = append(td.Scenarios, sd)
 		}
@@ -447,7 +446,7 @@ func (sd *SimDoc) Resolve() (sim.Options, error) {
 	if opt.Approach, err = ParseApproach(sd.Approach); err != nil {
 		return opt, err
 	}
-	if opt.Policy, opt.Lookahead, err = ParsePolicy(sd.Policy); err != nil {
+	if opt.Policy, err = ParsePolicy(sd.Policy); err != nil {
 		return opt, err
 	}
 	opt.Iterations = sd.Iterations
@@ -492,21 +491,20 @@ func ParseApproach(name string) (sim.Approach, error) {
 }
 
 // ParsePolicy maps the wire name of a replacement policy ("" means
-// LRU) and reports whether the policy needs configuration-stream
-// lookahead. The random policy's draws come from the kernel's
-// per-iteration policy streams of the run seed.
-func ParsePolicy(name string) (reconfig.Policy, bool, error) {
+// LRU). The random policy's draws come from the kernel's per-iteration
+// policy streams of the run seed.
+func ParsePolicy(name string) (reconfig.Policy, error) {
 	switch name {
 	case "", "lru":
-		return reconfig.LRU{}, false, nil
+		return reconfig.LRU{}, nil
 	case "fifo":
-		return reconfig.FIFO{}, false, nil
+		return reconfig.FIFO{}, nil
 	case "belady":
-		return reconfig.Belady{}, true, nil
+		return reconfig.Belady{}, nil
 	case "random":
-		return reconfig.Random{}, false, nil
+		return reconfig.Random{}, nil
 	}
-	return nil, false, fmt.Errorf("workload: unknown policy %q (%s)", name, Usage(Policies()))
+	return nil, fmt.Errorf("workload: unknown policy %q (%s)", name, Usage(Policies()))
 }
 
 // ParseMultitask maps the wire form of the fabric admission mode ("" or

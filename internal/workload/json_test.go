@@ -2,11 +2,16 @@ package workload
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
+	"drhwsched/internal/assign"
+	"drhwsched/internal/core"
+	"drhwsched/internal/engine"
 	"drhwsched/internal/graph"
 	"drhwsched/internal/model"
+	"drhwsched/internal/platform"
 	"drhwsched/internal/reconfig"
 	"drhwsched/internal/sim"
 )
@@ -63,8 +68,61 @@ func TestParseMix(t *testing.T) {
 	if tasks[0].Scenarios[0].Subtask(0).Config != tasks[0].Scenarios[1].Subtask(0).Config {
 		t.Fatal("default config sharing across scenarios broken")
 	}
-	if len(g.Edges()) != 2 || g.Edges()[0].Bytes != 128 {
+	if len(g.Edges()) != 2 || g.Edges()[0] != (graph.Edge{From: 0, To: 1}) {
 		t.Fatalf("edges = %v", g.Edges())
+	}
+}
+
+// TestEdgePayloadIgnored: documents written when edges carried a
+// "bytes" payload still parse, and analyze exactly as the same
+// documents without it (the key is an unknown field now).
+func TestEdgePayloadIgnored(t *testing.T) {
+	withRun := `{"tasks":[{"name":"p","scenarios":[{"subtasks":[{"name":"a","exec_ms":10,"config":"c/a"},
+	    {"name":"b","exec_ms":12},{"name":"c","exec_ms":12,"on_isp":true}],
+	    "edges":[{"from":0,"to":1,"bytes":64},{"from":1,"to":2}]}]}]}`
+	for name, with := range map[string]string{"mix": sampleMix, "run": withRun} {
+		without := strings.NewReplacer(`, "bytes": 128`, "", `,"bytes":64`, "").Replace(with)
+		if without == with {
+			t.Fatalf("%s: document carries no payload", name)
+		}
+		a, err := ParseRun([]byte(with))
+		if err != nil {
+			t.Fatalf("%s with payload: %v", name, err)
+		}
+		b, err := ParseRun([]byte(without))
+		if err != nil {
+			t.Fatalf("%s without payload: %v", name, err)
+		}
+		p := platform.Default(4)
+		p.ISPs = 1
+		for ti := range a.Mix {
+			for si, ga := range a.Mix[ti].Task.Scenarios {
+				gb := b.Mix[ti].Task.Scenarios[si]
+				sa, err := assign.List(ga, p, assign.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sb, err := assign.List(gb, p, assign.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if engine.Fingerprint(sa, p, core.Options{}) != engine.Fingerprint(sb, p, core.Options{}) {
+					t.Fatalf("%s scenario %d: the payload changed the analysis key", name, si)
+				}
+				aa, err := core.Analyze(sa, p, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ab, err := core.Analyze(sb, p, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(aa.CS, ab.CS) || !slices.Equal(aa.BodyOrder, ab.BodyOrder) || aa.Iterations != ab.Iterations {
+					t.Fatalf("%s scenario %d: analysis %v/%v/%d with payload, %v/%v/%d without", name, si,
+						aa.CS, aa.BodyOrder, aa.Iterations, ab.CS, ab.BodyOrder, ab.Iterations)
+				}
+			}
+		}
 	}
 }
 
@@ -191,8 +249,8 @@ func TestRunDocGoldenRoundTrip(t *testing.T) {
 	if o.Approach != sim.RunTimeInterTask || o.Iterations != 250 || o.Seed != 42 {
 		t.Fatalf("options = %+v", o)
 	}
-	if _, ok := o.Policy.(reconfig.Belady); !ok || !o.Lookahead {
-		t.Fatalf("policy = %T lookahead = %v", o.Policy, o.Lookahead)
+	if _, ok := o.Policy.(reconfig.Belady); !ok {
+		t.Fatalf("policy = %T", o.Policy)
 	}
 	if o.InclusionProb != 0.6 || !o.SchedulerCost || !o.DisableInterTask || o.Deadline != model.MS(120) {
 		t.Fatalf("options = %+v", o)

@@ -23,11 +23,11 @@ func TestRegistriesMatchParsers(t *testing.T) {
 	}
 
 	for _, name := range Policies() {
-		if _, _, err := ParsePolicy(name); err != nil {
+		if _, err := ParsePolicy(name); err != nil {
 			t.Errorf("registry policy %q rejected by ParsePolicy: %v", name, err)
 		}
 	}
-	if _, _, err := ParsePolicy("psychic"); err == nil || !strings.Contains(err.Error(), Usage(Policies())) {
+	if _, err := ParsePolicy("psychic"); err == nil || !strings.Contains(err.Error(), Usage(Policies())) {
 		t.Errorf("ParsePolicy error does not advertise the registry: %v", err)
 	}
 

@@ -24,9 +24,9 @@
 #                          set BENCH_GATE=0 to skip both gates)
 #   FABRIC_BASELINE=path   fabric gate baseline (default
 #                          BENCH_fabric_baseline.json)
-#   BENCHTIME=5x           -benchtime for BenchmarkSimRun*
-#   SWEEP_BENCHTIME=3x     -benchtime for BenchmarkEngineSweep
-#   FABRIC_BENCHTIME=5x    -benchtime for BenchmarkMultitaskRun*
+#
+# The -benchtime of each group is fixed: 5x for BenchmarkSimRun* and
+# BenchmarkMultitaskRun*, 3x for BenchmarkEngineSweep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,11 +66,11 @@ echo "== sim kernel benchmarks =="
 # sharded kernel at workers 1/2/4), whose rows feed the benchgate
 # speedup check on wide-enough hosts.
 go test -run '^$' -bench 'BenchmarkSimRun' -benchmem \
-    -benchtime "${BENCHTIME:-5x}" ./internal/sim | tee "$RAW"
+    -benchtime 5x ./internal/sim | tee "$RAW"
 
 echo "== engine sweep benchmark =="
 go test -run '^$' -bench 'BenchmarkEngineSweep' -benchmem \
-    -benchtime "${SWEEP_BENCHTIME:-3x}" . | tee -a "$RAW"
+    -benchtime 3x . | tee -a "$RAW"
 
 echo "== layer benchmarks =="
 # Design time, the hybrid run-time step and tile mapping, each on its
@@ -88,7 +88,7 @@ echo "== multitask fabric benchmarks =="
 # (chunk-sharded partition admission at workers 1/4), whose row pairs
 # feed the benchgate speedup check on wide-enough hosts.
 go test -run '^$' -bench 'BenchmarkMultitaskRun' -benchmem \
-    -benchtime "${FABRIC_BENCHTIME:-5x}" ./internal/sim | tee "$FABRIC_RAW"
+    -benchtime 5x ./internal/sim | tee "$FABRIC_RAW"
 
 to_json "$RAW" "$OUT"
 to_json "$FABRIC_RAW" "$FABRIC"
