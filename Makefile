@@ -73,7 +73,7 @@ examples-update: ## rewrite the testdata/examples goldens from the current tree
 	GO=$(GO) ./scripts/examples.sh -update
 
 .PHONY: check
-check: lint build test examples perfbench-check ## what CI runs
+check: lint build test examples perfbench-check ## gofmt + vet, build, race tests, examples, perfbench vet+test (CI also runs fuzz-smoke, bench.sh, smoke.sh, bench_cluster.sh)
 
 .PHONY: experiments
 experiments: ## regenerate every table and figure of the paper

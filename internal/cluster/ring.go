@@ -28,8 +28,6 @@ import (
 // it owned — every other shard keeps its replica, and with it its warm
 // analysis cache.
 type Ring struct {
-	vnodes int
-	nodes  []string
 	points []ringPoint // sorted by hash
 }
 
@@ -55,13 +53,12 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		vnodes = DefaultVNodes
 	}
 	seen := map[string]bool{}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
 	for _, n := range nodes {
 		if n == "" || seen[n] {
 			continue
 		}
 		seen[n] = true
-		r.nodes = append(r.nodes, n)
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", n, v)), node: n})
 		}
@@ -76,9 +73,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Len is the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
 
 // Lookup returns the node owning key, or "" on an empty ring.
 func (r *Ring) Lookup(key string) string {

@@ -41,8 +41,8 @@ func TestRingWithoutMovesOnlyOrphans(t *testing.T) {
 	nodes := []string{"http://a", "http://b", "http://c", "http://d"}
 	r := NewRing(nodes, 64)
 	shrunk := NewRing([]string{"http://a", "http://c", "http://d"}, 64)
-	if shrunk.Len() != 3 {
-		t.Fatalf("shrunk ring has %d nodes", shrunk.Len())
+	if len(shrunk.points) != 3*64 {
+		t.Fatalf("shrunk ring has %d points, want 3 nodes of 64", len(shrunk.points))
 	}
 	moved, kept := 0, 0
 	for i := 0; i < 500; i++ {
@@ -70,8 +70,8 @@ func TestRingEmptyAndDuplicates(t *testing.T) {
 		t.Fatalf("empty ring returned %q", got)
 	}
 	r := NewRing([]string{"http://a", "http://a", ""}, 8)
-	if r.Len() != 1 {
-		t.Fatalf("duplicates not collapsed: %d nodes", r.Len())
+	if len(r.points) != 8 {
+		t.Fatalf("duplicates not collapsed: %d points, want one node of 8", len(r.points))
 	}
 	if got := r.Lookup("k"); got != "http://a" {
 		t.Fatalf("single-node ring returned %q", got)

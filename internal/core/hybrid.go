@@ -31,6 +31,13 @@
 //     reconfiguration circuitry goes idle, which may be while the
 //     previous task still executes — the paper's inter-task
 //     optimization.
+//
+// Steps 2 and 3 are the plan: PlanInto turns the residency of step 1
+// into one load list, the non-resident critical subtasks then the
+// surviving body loads, with the length of its initialization prefix.
+// Step 4 and the timing are a prefetch scheduler, prefetch.Phased, which
+// evaluates that list as given. Execute is the two together; the
+// simulator runs the same two calls on its own reused buffers.
 package core
 
 import (
@@ -237,18 +244,45 @@ type InstancePlan struct {
 	// Cancelled lists the non-critical loads removed because the
 	// configuration is resident (an energy saving).
 	Cancelled []graph.SubtaskID
-	// ReusedCritical lists CS members found resident (initialization
-	// work avoided).
-	ReusedCritical []graph.SubtaskID
+
+	loads []graph.SubtaskID // InitLoads then BodyLoads, one array
 }
+
+// Loads is the instance's load list, InitLoads then BodyLoads: the list
+// prefetch.Phased{Init: len(InitLoads)} evaluates. It shares the plan's
+// arrays and is read-only.
+func (p InstancePlan) Loads() []graph.SubtaskID { return p.loads }
 
 // Plan applies the reuse information to the stored orders. resident
 // is indexed by subtask ID and reports whether the subtask's
 // configuration is already on its tile; nil means nothing is resident.
 func (a *Analysis) Plan(resident []bool) InstancePlan {
 	var p InstancePlan
-	a.planInto(&p, resident)
+	a.PlanInto(&p, resident)
 	return p
+}
+
+// PlanInto is Plan writing into p, whose slices it resets and reuses:
+// the critical subtasks that are not resident, then the body loads that
+// are not, with the resident ones cancelled.
+func (a *Analysis) PlanInto(p *InstancePlan, resident []bool) {
+	loads := p.loads[:0]
+	p.Cancelled = p.Cancelled[:0]
+	for _, id := range a.CS {
+		if resident == nil || !resident[id] {
+			loads = append(loads, id)
+		}
+	}
+	init := len(loads)
+	for _, id := range a.BodyOrder {
+		if resident != nil && resident[id] {
+			p.Cancelled = append(p.Cancelled, id)
+		} else {
+			loads = append(loads, id)
+		}
+	}
+	p.loads = loads
+	p.InitLoads, p.BodyLoads = loads[:init:init], loads[init:]
 }
 
 // RunBounds is schedule.Instance under its old name.
@@ -257,44 +291,37 @@ func (a *Analysis) Plan(resident []bool) InstancePlan {
 type RunBounds = schedule.Instance
 
 // RunResult is the evaluated execution of one task arrival under the
-// hybrid heuristic.
+// hybrid heuristic. Its Result is prefetch.Phased's evaluation of the
+// plan: the Timeline holds the whole instance, the initialization loads
+// on port 0 included, and Makespan counts from the instance's
+// ExecFloor.
 type RunResult struct {
+	prefetch.Result
 	Plan InstancePlan
-	// InitEnd is when the last initialization-phase load finishes
-	// (the initialization phase's port floor if there were none).
+	// InitEnd is when the initialization phase ends: its last load's
+	// end, or prefetch.Phased.Start if it has no loads.
 	InitEnd model.Time
-	// Timeline is the whole instance: every execution, the surviving
-	// non-critical loads, and the initialization loads of
-	// Plan.InitLoads, which it records on port 0. Its Start is when the
-	// design-time schedule begins (the later of ExecFloor and InitEnd),
-	// and its PortFreeAfter when each controller goes idle after this
-	// task, the initialization loads included.
-	Timeline *schedule.Timeline
-	// Makespan counts from the instance's ExecFloor to the last
-	// execution; Ideal is the zero-overhead reference from ExecFloor;
-	// Overhead their difference.
-	Makespan model.Dur
-	Ideal    model.Dur
-	Overhead model.Dur
 }
 
-// Execute evaluates one arrival with bounds inst: it runs the
-// initialization phase on the reconfiguration circuitry, then replays
-// the design-time schedule with the cancelled loads removed. resident
-// is the reuse module's residency vector, indexed by subtask ID (nil:
-// nothing resident). The initialization phase runs its loads in order
-// on port 0, starting when that port goes idle: at LoadFloor, or
-// max(LoadFloor, PortFree[0]); under the inter-task optimization that
-// may be before ExecFloor, the task start. The body's loads then run
-// on every port, none before InitEnd and each no earlier than its
-// controller's own PortFree. The body always prefetches: inst.OnDemand
-// is ignored.
+// Execute evaluates one arrival with bounds inst: it plans the arrival
+// from resident, the reuse module's residency vector indexed by subtask
+// ID (nil: nothing resident), and evaluates the plan with
+// prefetch.Phased — the initialization phase on the reconfiguration
+// circuitry, then the design-time schedule with the cancelled loads
+// removed. The initialization phase starts as soon as the circuitry is
+// idle, which under the inter-task optimization (a LoadFloor before
+// ExecFloor) may be while the previous task still executes.
 func (a *Analysis) Execute(inst schedule.Instance, resident []bool) (*RunResult, error) {
-	// A fresh static part and scratch per call keep the returned result
-	// unaliased; hot loops reuse both via ExecuteScratch.
-	st, err := a.Sched.Static(a.P)
+	r := &RunResult{Plan: a.Plan(resident)}
+	ph := prefetch.Phased{Init: len(r.Plan.InitLoads)}
+	res, err := prefetch.Schedule(ph, a.Sched, a.P, r.Plan.Loads(), inst)
 	if err != nil {
-		return nil, fmt.Errorf("core: body schedule: %w", err)
+		return nil, fmt.Errorf("core: hybrid run: %w", err)
 	}
-	return a.ExecuteScratch(st, inst, resident, new(ExecScratch))
+	r.Result = *res
+	r.InitEnd = ph.Start(inst)
+	if n := len(r.Plan.InitLoads); n > 0 {
+		r.InitEnd = res.Timeline.LoadEnd[r.Plan.InitLoads[n-1]]
+	}
+	return r, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,8 +110,9 @@ func TestExecuteWithCriticalResidentIsFree(t *testing.T) {
 	if r.Overhead != 0 {
 		t.Fatalf("overhead = %v, want 0 when the CS is reused", r.Overhead)
 	}
-	if len(r.Plan.ReusedCritical) != 1 {
-		t.Fatalf("reused critical = %v", r.Plan.ReusedCritical)
+	// The one critical subtask is resident, so it is not loaded.
+	if len(a.CS) != 1 || len(r.Plan.InitLoads) != 0 {
+		t.Fatalf("critical %v, init loads %v: a resident critical subtask is loaded", a.CS, r.Plan.InitLoads)
 	}
 }
 
@@ -197,14 +199,18 @@ func TestPlanSplitsResidencyCorrectly(t *testing.T) {
 	if len(plan.InitLoads) != 0 {
 		t.Fatalf("init loads = %v", plan.InitLoads)
 	}
-	if len(plan.ReusedCritical) != 1 || plan.ReusedCritical[0] != 0 {
-		t.Fatalf("reused critical = %v", plan.ReusedCritical)
+	// Subtask 0, the one critical subtask, is resident and skipped.
+	if len(a.CS) != 1 || a.CS[0] != 0 {
+		t.Fatalf("critical = %v, want [0]", a.CS)
 	}
 	if len(plan.Cancelled) != 1 || plan.Cancelled[0] != 3 {
 		t.Fatalf("cancelled = %v", plan.Cancelled)
 	}
 	if len(plan.BodyLoads) != 2 {
 		t.Fatalf("body loads = %v", plan.BodyLoads)
+	}
+	if loads := plan.Loads(); !slices.Equal(loads, plan.BodyLoads) {
+		t.Fatalf("load list %v, want the body loads %v after no init loads", loads, plan.BodyLoads)
 	}
 }
 

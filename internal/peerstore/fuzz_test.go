@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"drhwsched/internal/core"
+	"drhwsched/internal/prefetch"
 	"drhwsched/internal/schedule"
 )
 
@@ -33,13 +34,16 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return // the stored schedule does not validate on its platform
 		}
-		var sc core.ExecScratch
+		var plan core.InstancePlan
+		var sc prefetch.Scratch
 		all := make([]bool, dec.Sched.G.Len())
 		for i := range all {
 			all[i] = true
 		}
 		for _, resident := range [][]bool{nil, all} {
-			if _, err := dec.ExecuteScratch(st, schedule.Instance{}, resident, &sc); err != nil {
+			dec.PlanInto(&plan, resident)
+			ph := prefetch.Phased{Init: len(plan.InitLoads)}
+			if _, err := ph.ScheduleScratch(dec.Sched, st, plan.Loads(), schedule.Instance{}, &sc); err != nil {
 				return
 			}
 		}

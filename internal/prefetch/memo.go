@@ -63,6 +63,17 @@ const memoEntries = 64
 // key and confirmed by comparing the stored key, so no entry allocates
 // on its own and a warm table replays without allocating.
 //
+// The simulator does not memoize hybrid instances (Phased), though the
+// key is exact for them too (a memoized prototype reproduced the sim
+// package's hybrid golden matrix): their keys recur too seldom. On that
+// prototype (seed 1, serial, 2-vCPU host) they hit 2074 falling to 553
+// of 3234 decisions on Figure 6 (8 to 16 tiles), 152/41/36/36/150/0 of
+// 1000 on Figure 7, and 39 and 120 of 720 at 16 tiles with on-off
+// arrivals under partition/4 and greedy admission. BenchmarkSimRun/hybrid
+// grew from 48.3 KB and 542 allocs/op to 116.3 KB and 577, and with
+// analyses cached a Figure 6 pass was slower in 9 of 10 interleaved
+// rounds (median +10 %), a Figure 7 pass in 5 of 10 (median ±0).
+//
 // A Memo holds its static parts alive, so it must not outlive the run
 // that prepared them: keep one per run-time scratch, never in a pool
 // shared across runs. Like a Scratch, it must not be shared between

@@ -5,7 +5,7 @@
 // issued to the reconfiguration controller and whether loads may start
 // before their subtask is ready.
 //
-// Three schedulers are provided:
+// Five schedulers are provided:
 //
 //   - OnDemand: no prefetching at all — a load is issued when the
 //     subtask becomes ready. This is the paper's "without prefetch"
@@ -21,6 +21,10 @@
 //     algorithm inside the design-time phase and for Table 1's
 //     "Prefetch" column; for large graphs it falls back to List, exactly
 //     as the paper keeps [7] "for large graphs".
+//   - FixedOrder: the loads in the order given, such as the design-time
+//     prefetch order.
+//   - Phased: the hybrid heuristic's run-time phase, a fixed order whose
+//     initialization prefix runs first, serialized on port 0.
 //
 // Each scheduler has one implementation, its ScheduleScratch method (the
 // Scheduler interface), on a reusable Scratch of id-indexed buffers
@@ -30,12 +34,13 @@
 // simulator's per-instance loop (one static part per stored schedule)
 // both call it. The allocating forms — Schedule and the schedulers'
 // Schedule methods — run it on a freshly built static part and Scratch,
-// so their Results alias nothing. FixedOrder is the one way to evaluate
-// a load order decided elsewhere. The zero-overhead reference
-// (Result.Ideal) is schedule.Static.Ideal, a closed form. Every entry
-// point takes the instance's bounds as a schedule.Instance: OnDemand
-// evaluates it on demand, List, BranchBound and FixedOrder with
-// prefetch.
+// so their Results alias nothing. FixedOrder and Phased evaluate a load
+// order decided elsewhere. The simulator evaluates every instance, under
+// each of its five approaches, with OnDemand, FixedOrder, List or
+// Phased. The zero-overhead reference (Result.Ideal) is
+// schedule.Static.Ideal, a closed form. Every entry point takes the
+// instance's bounds as a schedule.Instance: OnDemand evaluates it on
+// demand, the others with prefetch.
 //
 // A Memo (memo.go) replays run-time decisions instead of recomputing
 // them, the host-side form of the paper's design-time/run-time split.
@@ -49,6 +54,8 @@
 // The simulator keeps one Memo per run-time scratch, for the
 // no-prefetch, design-time-prefetch and run-time approaches; it holds
 // its static parts, so it never outlives the run that prepared them.
+// Hybrid instances (Phased) run unmemoized: their keys recur too seldom
+// to pay for the table (see Memo).
 package prefetch
 
 import (
@@ -136,6 +143,96 @@ func (FixedOrder) ScheduleScratch(_ *assign.Schedule, st *schedule.Static, loads
 	}
 	if err := sc.evaluateInto(&sc.res, st, loads, inst, ideal); err != nil {
 		return nil, err
+	}
+	return &sc.res, nil
+}
+
+// Phased is the run-time phase of the paper's hybrid heuristic
+// (core.Analysis.Execute builds its load list). The first Init loads,
+// the initialization phase, run in order on port 0 from Start(inst),
+// each once its tile is free too. The rest, the body, are issued in the
+// order given on every port; neither they nor any execution start
+// before the phase ends. The Timeline's Start is the later of ExecFloor
+// and that end, while Makespan counts from ExecFloor. inst.OnDemand is
+// ignored.
+type Phased struct {
+	// Init is how many leading loads form the initialization phase.
+	Init int
+}
+
+// Name implements Scheduler.
+func (Phased) Name() string { return "phased" }
+
+// Start is when the initialization phase begins: once port 0, the
+// reconfiguration circuitry, is idle, at LoadFloor or PortFree[0] if
+// later. Under the inter-task optimization that may be before ExecFloor.
+func (Phased) Start(inst schedule.Instance) model.Time {
+	if len(inst.PortFree) > 0 {
+		return model.MaxT(inst.LoadFloor, inst.PortFree[0])
+	}
+	return inst.LoadFloor
+}
+
+// ScheduleScratch implements Scheduler. The returned Result and its
+// Timeline are owned by sc; its PortOrder is loads.
+func (ph Phased) ScheduleScratch(s *assign.Schedule, st *schedule.Static, loads []graph.SubtaskID, inst schedule.Instance, sc *Scratch) (*Result, error) {
+	if ph.Init < 0 || ph.Init > len(loads) {
+		return nil, fmt.Errorf("prefetch: %d initialization loads of %d", ph.Init, len(loads))
+	}
+	init, body := loads[:ph.Init], loads[ph.Init:]
+
+	// Initialization phase: serialized loads on port 0, each after the
+	// circuitry and its target tile are free.
+	initEnd := ph.Start(inst)
+	rows := st.Processors()
+	if cap(sc.initTileFree) < rows {
+		sc.initTileFree = make([]model.Time, rows)
+	}
+	tileFree := sc.initTileFree[:rows]
+	clear(tileFree)
+	copy(tileFree, inst.TileFree)
+	initStart := sc.initStart[:0]
+	for _, id := range init {
+		t := s.Assignment[id]
+		start := model.MaxT(initEnd, tileFree[t])
+		initStart = append(initStart, start)
+		end := start.Add(st.Latency(id))
+		tileFree[t], initEnd = end, end
+	}
+	sc.initStart = initStart
+
+	// Body: the initialization loads are resident now, so the body's
+	// loads and executions start once the phase ends, each load on a
+	// controller once that controller is free too. Port 0 is free by
+	// then, so the body's PortFreeAfter covers the initialization loads.
+	if err := sc.eval.Bind(st, body, schedule.Instance{
+		ExecFloor: model.MaxT(inst.ExecFloor, initEnd),
+		LoadFloor: initEnd,
+		TileFree:  tileFree,
+		PortFree:  inst.PortFree,
+	}); err != nil {
+		return nil, err
+	}
+	tl, err := sc.eval.Reorder(body, 0)
+	if err != nil {
+		return nil, err
+	}
+	// The body leaves the initialization loads' subtasks unloaded, so
+	// their windows drop into the timeline as they are.
+	for i, id := range init {
+		tl.LoadStart[id], tl.LoadEnd[id], tl.LoadPort[id] = initStart[i], initStart[i].Add(st.Latency(id)), 0
+	}
+	ideal, err := st.Ideal(inst.ExecFloor, inst.TileFree)
+	if err != nil {
+		return nil, err
+	}
+	makespan := tl.End.Sub(inst.ExecFloor)
+	sc.res = Result{
+		PortOrder: loads,
+		Timeline:  tl,
+		Makespan:  makespan,
+		Ideal:     ideal,
+		Overhead:  makespan - ideal,
 	}
 	return &sc.res, nil
 }

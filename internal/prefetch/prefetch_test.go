@@ -289,7 +289,8 @@ func TestBranchBoundIsOptimal(t *testing.T) {
 }
 
 func TestSchedulerNames(t *testing.T) {
-	if (OnDemand{}).Name() == "" || (List{}).Name() == "" || (BranchBound{}).Name() == "" {
+	if (OnDemand{}).Name() == "" || (List{}).Name() == "" || (BranchBound{}).Name() == "" ||
+		(FixedOrder{}).Name() == "" || (Phased{}).Name() == "" {
 		t.Fatal("empty scheduler name")
 	}
 }

@@ -28,6 +28,11 @@ type Scratch struct {
 
 	repair repairScratch
 	bb     bbScratch
+
+	// Phased's initialization phase: the tile availabilities it
+	// advances, and its loads' starts until the body timeline exists.
+	initTileFree []model.Time
+	initStart    []model.Time
 }
 
 // onDemandInstance is inst under on-demand semantics. An on-demand

@@ -48,8 +48,9 @@ func mustStatic(t *testing.T, s *assign.Schedule, p platform.Platform) *schedule
 // TestScratchReuseMatchesFresh pins a scratch reused across calls to a
 // fresh one per call (what Schedule uses): identical port orders,
 // makespans, overheads and timelines for every scheduler, FixedOrder
-// included, on a spread of random schedules and boundary conditions,
-// so no buffer leaks state from one call into the next.
+// and Phased (with a random initialization prefix) included, on a
+// spread of random schedules and boundary conditions, so no buffer
+// leaks state from one call into the next.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sc := &Scratch{} // deliberately reused across every case
@@ -61,7 +62,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		loads := s.AllLoads()
 		st := mustStatic(t, s, p)
 
-		for _, sched := range []Scheduler{OnDemand{}, List{}, BranchBound{}, FixedOrder{}} {
+		phased := Phased{Init: rng.Intn(len(loads) + 1)}
+		for _, sched := range []Scheduler{OnDemand{}, List{}, BranchBound{}, FixedOrder{}, phased} {
 			want, err := Schedule(sched, s, p, loads, b)
 			if err != nil {
 				t.Fatal(err)

@@ -116,10 +116,10 @@ type flight struct {
 
 // scratch is the per-run reusable working memory of the hot path: the
 // buffers the pre-kernel simulator allocated fresh for every task
-// instance (tile availability vectors, load sets, lookahead streams,
-// the residency vector, the in-flight table of the event loop) plus the
-// scratches of the layers below (tile mapping, prefetch evaluation,
-// hybrid replay).
+// instance (tile availability vectors, load sets, the hybrid plan,
+// lookahead streams, the residency vector, the in-flight table of the
+// event loop) plus the scratches of the layers below (tile mapping and
+// the prefetch evaluation every approach runs on).
 type scratch struct {
 	todo      []int
 	instances []*prepared
@@ -132,9 +132,9 @@ type scratch struct {
 	flights   []flight
 	inst      instance
 
-	mapSc  reconfig.MapScratch
-	pfSc   prefetch.Scratch
-	coreSc core.ExecScratch
+	plan  core.InstancePlan
+	mapSc reconfig.MapScratch
+	pfSc  prefetch.Scratch
 
 	// tl is the current instance's timeline; endOfFn reads it so the
 	// replacement state commit needs no per-instance closure.
@@ -724,56 +724,45 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 
 // execute replays one prepared artifact within bounds under the selected
 // approach, writing into the scratch instance and leaving the evaluated
-// timeline in sc.tl. It does not touch the fabric: runInstance commits
-// the timeline.
+// timeline in sc.tl. Each approach is a prefetch scheduler and a load
+// list; all but hybrid replay their decisions from the run's memo (see
+// prefetch.Memo for why hybrid does not). It does not touch the fabric:
+// runInstance commits the timeline.
 func (k *kernel) execute(pr *prepared, bounds schedule.Instance, resident []bool) (*instance, error) {
 	sc := &k.sc
 	s := pr.sched
 
-	inst := &sc.inst
-	var tl *schedule.Timeline
+	var r *prefetch.Result
+	var err error
+	var init, cancelled int
 	switch k.opt.Approach {
 	case Hybrid:
-		r, err := pr.analysis.ExecuteScratch(pr.static, bounds, resident, &sc.coreSc)
-		if err != nil {
-			return nil, err
-		}
-		*inst = instance{
-			ideal:     r.Ideal,
-			overhead:  r.Overhead,
-			loads:     len(r.Plan.InitLoads) + len(r.Plan.BodyLoads),
-			initLoads: len(r.Plan.InitLoads),
-			cancelled: len(r.Plan.Cancelled),
-		}
-		tl = r.Timeline
-
-	case NoPrefetch, DesignTimePrefetch, RunTime, RunTimeInterTask:
-		var r *prefetch.Result
-		var err error
-		switch k.opt.Approach {
-		case NoPrefetch:
-			r, err = sc.memo.Schedule(prefetch.OnDemand{}, s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
-		case DesignTimePrefetch:
-			r, err = sc.memo.Schedule(prefetch.FixedOrder{}, s, pr.static, pr.dtOrder, bounds, &sc.pfSc)
-		default:
-			r, err = sc.memo.Schedule(prefetch.List{}, s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		*inst = instance{
-			ideal:    r.Ideal,
-			overhead: r.Overhead,
-			loads:    len(r.PortOrder),
-		}
-		tl = r.Timeline
-
+		pr.analysis.PlanInto(&sc.plan, resident)
+		init, cancelled = len(sc.plan.InitLoads), len(sc.plan.Cancelled)
+		r, err = prefetch.Phased{Init: init}.ScheduleScratch(s, pr.static, sc.plan.Loads(), bounds, &sc.pfSc)
+	case NoPrefetch:
+		r, err = sc.memo.Schedule(prefetch.OnDemand{}, s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
+	case DesignTimePrefetch:
+		r, err = sc.memo.Schedule(prefetch.FixedOrder{}, s, pr.static, pr.dtOrder, bounds, &sc.pfSc)
+	case RunTime, RunTimeInterTask:
+		r, err = sc.memo.Schedule(prefetch.List{}, s, pr.static, sc.hardwareLoads(s, resident), bounds, &sc.pfSc)
 	default:
 		return nil, fmt.Errorf("sim: unknown approach %v", k.opt.Approach)
 	}
-	inst.end = tl.End
-	k.countInstance(s, tl, inst)
-	sc.tl = tl
+	if err != nil {
+		return nil, err
+	}
+	inst := &sc.inst
+	*inst = instance{
+		ideal:     r.Ideal,
+		overhead:  r.Overhead,
+		end:       r.Timeline.End,
+		loads:     len(r.PortOrder),
+		initLoads: init,
+		cancelled: cancelled,
+	}
+	k.countInstance(s, r.Timeline, inst)
+	sc.tl = r.Timeline
 	return inst, nil
 }
 

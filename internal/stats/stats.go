@@ -12,25 +12,19 @@ import (
 
 // Summary accumulates scalar observations.
 type Summary struct {
-	n        int
-	sum      float64
-	min, max float64
+	n   int
+	sum float64
+	max float64
 }
 
 // Add records one observation.
 func (s *Summary) Add(x float64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
 	if s.n == 0 || x > s.max {
 		s.max = x
 	}
 	s.n++
 	s.sum += x
 }
-
-// N reports the number of observations.
-func (s *Summary) N() int { return s.n }
 
 // Mean reports the arithmetic mean (0 for an empty summary).
 func (s *Summary) Mean() float64 {
@@ -39,9 +33,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.sum / float64(s.n)
 }
-
-// Min and Max report the observed range.
-func (s *Summary) Min() float64 { return s.min }
 
 // Max reports the largest observation.
 func (s *Summary) Max() float64 { return s.max }
