@@ -192,6 +192,24 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintAllocs pins the cache key's allocations at a count
+// that does not grow with the schedule: the hash is fed field by field
+// through one buffer.
+func TestFingerprintAllocs(t *testing.T) {
+	p := platform.Default(3)
+	allocs := func(n int) float64 {
+		s, err := assign.List(pipeline("fp", n), p, assign.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { Fingerprint(s, p, core.Options{}) })
+	}
+	small, large := allocs(4), allocs(400)
+	if large > small {
+		t.Fatalf("Fingerprint allocates %.0f objects at 7 subtasks but %.0f at 403; want no growth", small, large)
+	}
+}
+
 // TestCacheEviction exercises the default store's LRU bound through
 // the engine's lookup path.
 func TestCacheEviction(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"io"
 
 	"drhwsched/internal/assign"
 	"drhwsched/internal/core"
@@ -40,7 +39,7 @@ import (
 // computes, so runs differing only in those knobs share entries.
 func Fingerprint(s *assign.Schedule, p platform.Platform, opt core.Options) string {
 	h := sha256.New()
-	w := writer{h: h}
+	w := &writer{h: h}
 
 	g := s.G
 	w.str(g.Name)
@@ -75,6 +74,7 @@ func Fingerprint(s *assign.Schedule, p platform.Platform, opt core.Options) stri
 	w.int(int64(p.ReconfigLatency))
 	w.int(int64(p.Ports))
 	w.int(int64(p.ISPs))
+	w.flush()
 	fmt.Fprintf(h, "|%g|%g|%g", p.LoadEnergy, p.ActivePower, p.IdlePower)
 
 	fmt.Fprintf(h, "|%T%+v|%t", opt.Scheduler, opt.Scheduler, opt.AddAllDelayed)
@@ -83,26 +83,46 @@ func Fingerprint(s *assign.Schedule, p platform.Platform, opt core.Options) stri
 }
 
 // writer hashes primitive values with unambiguous framing (fixed-width
-// integers, length-prefixed strings).
+// integers, length-prefixed strings). Fields are staged in buf and fed
+// to the hash a buffer at a time, so a key costs the same allocations
+// whatever the schedule's size: handing each field to the hash's Write
+// on its own would move it to the heap.
 type writer struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int
+	buf [512]byte
 }
 
-func (w writer) int(v int64) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(v))
-	w.h.Write(w.buf[:])
+func (w *writer) int(v int64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(v))
+	w.n += 8
 }
 
-func (w writer) str(s string) {
+func (w *writer) str(s string) {
 	w.int(int64(len(s)))
-	io.WriteString(w.h, s)
+	for s != "" {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
 }
 
-func (w writer) bool(b bool) {
+func (w *writer) bool(b bool) {
 	if b {
 		w.int(1)
 	} else {
 		w.int(0)
 	}
+}
+
+// flush feeds the staged bytes to the hash.
+func (w *writer) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
 }

@@ -14,6 +14,15 @@
 // 0..k-1 chosen by the design-time scheduler). Because all tiles are
 // identical, the run-time system is free to permute them; Map picks the
 // permutation.
+//
+// Like the prefetch heuristic it flanks, the replacement module is
+// split between design time and run time. A Plan, built once per stored
+// schedule, fixes everything the schedule and its CS set decide: the
+// order in which the mapping passes visit the busy virtual tiles, their
+// first configurations, and which subtasks find their configuration
+// left on the tile by their predecessor. The run-time half, MapInto and
+// ResidentInto, then reads only what the fabric decides: which free
+// tiles hold which configuration, and how long ago each was used.
 package reconfig
 
 import (
@@ -215,7 +224,8 @@ type MapOptions struct {
 	Policy Policy
 	// Critical reports whether a subtask is in the CS set; reusing a
 	// critical subtask saves initialization time, not just energy, so
-	// matching them gets priority. May be nil.
+	// matching them gets priority. May be nil. Map builds its Plan
+	// from it; MapInto reads the criticality fixed in its Plan instead.
 	Critical func(graph.SubtaskID) bool
 	// Future lists upcoming configurations for lookahead policies.
 	Future []graph.ConfigID
@@ -250,8 +260,8 @@ type MapOptions struct {
 // physical tiles so the configurations there survive for future tasks.
 func Map(s *assign.Schedule, st *State, opt MapOptions) (Mapping, error) {
 	// A fresh scratch per call keeps the returned mapping unaliased;
-	// hot loops reuse buffers via MapInto.
-	return MapInto(s, st, opt, new(MapScratch))
+	// hot loops build the plan once and reuse buffers via MapInto.
+	return MapInto(NewPlan(s, opt.Critical), st, opt, new(MapScratch))
 }
 
 // Resident reports, per subtask, whether its configuration is already on
@@ -260,7 +270,7 @@ func Map(s *assign.Schedule, st *State, opt MapOptions) (Mapping, error) {
 // configuration subtask of this very instance. The result is indexed by
 // subtask ID.
 func Resident(s *assign.Schedule, st *State, m Mapping) []bool {
-	return ResidentInto(nil, s, st, m)
+	return ResidentInto(nil, NewPlan(s, nil), st, m)
 }
 
 // Commit updates the state after the instance ran: each busy tile holds

@@ -198,8 +198,9 @@ func sameState(a, b *State) bool {
 	return true
 }
 
-// TestMapMatchesReference checks MapInto, ResidentInto and Commit
-// against the name-comparing reference over random schedules drawn
+// TestMapMatchesReference checks MapInto on a Plan, ResidentInto and
+// Commit against the name-comparing reference, which reads the
+// critical set from MapOptions.Critical, over random schedules drawn
 // from one shared configuration pool (so graphs reuse each other's
 // tiles), random prior states with some empty and some foreign tiles,
 // random Allowed claims and critical sets, and every replacement
@@ -207,8 +208,11 @@ func sameState(a, b *State) bool {
 // one pair of states, so later decisions see committed histories.
 // Seeded Random policies on both sides must also stay in step: the
 // policy has to see the same candidates, the same number of times.
+// One case in five runs on 60 to 140 tiles with a wider pool, so the
+// free set spans several bitset words and matches, drain scans,
+// victim lists and parking cross word boundaries.
 func TestMapMatchesReference(t *testing.T) {
-	const pool = 5
+	var pool int // the case's shared configurations
 	cfg := func(rng *rand.Rand) graph.ConfigID {
 		if rng.Intn(6) == 0 {
 			return graph.ConfigID(fmt.Sprintf("foreign/%d", rng.Intn(3)))
@@ -225,8 +229,14 @@ func TestMapMatchesReference(t *testing.T) {
 	sc := &MapScratch{}
 	var res []bool
 	decisions := 0
+	wide := 0
 	for c := 0; c < 300; c++ {
-		tiles := 1 + rng.Intn(10)
+		tiles, subtasks := 1+rng.Intn(10), 14
+		pool = 5
+		if c%5 == 4 {
+			tiles, subtasks, pool = 60+rng.Intn(81), 200, 40
+			wide++
+		}
 		got, want := NewState(tiles), NewState(tiles)
 		for t := 0; t < tiles; t++ {
 			if rng.Float64() < 0.7 {
@@ -241,7 +251,7 @@ func TestMapMatchesReference(t *testing.T) {
 		clock := model.Time(1000)
 		for step := 0; step < 6; step++ {
 			g := graph.Generate(rng, graph.GenSpec{
-				Name: "pool", Subtasks: 1 + rng.Intn(14), MaxWidth: 1 + rng.Intn(4),
+				Name: "pool", Subtasks: 1 + rng.Intn(subtasks), MaxWidth: 1 + rng.Intn(4*subtasks/14),
 				MinExec: model.MS(1), MaxExec: model.MS(10), EdgeProb: 0.2,
 				SharedCfg: pool,
 			})
@@ -267,7 +277,9 @@ func TestMapMatchesReference(t *testing.T) {
 			gotOpt.Policy, wantOpt.Policy = gotPol, wantPol
 
 			wantM, wantErr := refMap(s, want, wantOpt)
-			gotM, gotErr := MapInto(s, got, gotOpt, sc)
+			gotOpt.Critical = nil // the plan carries the critical set
+			plan := NewPlan(s, opt.Critical)
+			gotM, gotErr := MapInto(plan, got, gotOpt, sc)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("case %d step %d: error %v, reference %v", c, step, gotErr, wantErr)
 			}
@@ -279,7 +291,7 @@ func TestMapMatchesReference(t *testing.T) {
 				t.Fatalf("case %d step %d (%s, allowed %v): PhysOf %v, reference %v",
 					c, step, gotPol.Name(), opt.Allowed, gotM.PhysOf, wantM.PhysOf)
 			}
-			res = ResidentInto(res, s, got, gotM)
+			res = ResidentInto(res, plan, got, gotM)
 			wantRes := refResident(s, want, wantM)
 			if !slices.Equal(res, wantRes) {
 				t.Fatalf("case %d step %d: resident %v, reference %v", c, step, res, wantRes)
@@ -298,6 +310,9 @@ func TestMapMatchesReference(t *testing.T) {
 	}
 	if decisions < 1000 {
 		t.Fatalf("only %d decisions compared", decisions)
+	}
+	if wide < 60 {
+		t.Fatalf("only %d cases on 60 or more tiles", wide)
 	}
 }
 
@@ -354,13 +369,14 @@ func TestMapIntoAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sc := &MapScratch{}
 			var res []bool
-			opt := MapOptions{Policy: tc.policy, Critical: crit, Allowed: tc.allowed, Future: tc.future}
+			plan := NewPlan(tc.sched, crit)
+			opt := MapOptions{Policy: tc.policy, Allowed: tc.allowed, Future: tc.future}
 			decide := func() {
-				m, err := MapInto(tc.sched, st, opt, sc)
+				m, err := MapInto(plan, st, opt, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				res = ResidentInto(res, tc.sched, st, m)
+				res = ResidentInto(res, plan, st, m)
 				Commit(tc.sched, st, m, res, endOf)
 			}
 			decide()
@@ -372,17 +388,17 @@ func TestMapIntoAllocs(t *testing.T) {
 }
 
 // BenchmarkMapInto measures one warm mapping decision on a fixed tile
-// state: reuse matches, initialization steals and LRU victims.
+// state: reuse matches, initialization steals and LRU victims. At 128
+// tiles the free set spans two bitset words.
 func BenchmarkMapInto(b *testing.B) {
-	for _, tiles := range []int{8, 16} {
+	for _, tiles := range []int{8, 16, 128} {
 		b.Run(fmt.Sprintf("tiles=%d", tiles), func(b *testing.B) {
 			s, st := allocSched(b, tiles)
-			crit := func(id graph.SubtaskID) bool { return id%3 == 0 }
-			opt := MapOptions{Critical: crit}
+			plan := NewPlan(s, func(id graph.SubtaskID) bool { return id%3 == 0 })
 			sc := &MapScratch{}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := MapInto(s, st, opt, sc); err != nil {
+				if _, err := MapInto(plan, st, MapOptions{}, sc); err != nil {
 					b.Fatal(err)
 				}
 			}

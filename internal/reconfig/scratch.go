@@ -1,7 +1,9 @@
 package reconfig
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"unique"
 
@@ -9,28 +11,100 @@ import (
 	"drhwsched/internal/graph"
 )
 
+// Plan is the design-time half of the replacement module: everything
+// about a mapping decision that depends only on the schedule and its
+// CS set, computed once per stored schedule and shared read-only by
+// every instance (and every goroutine) that maps it.
+//
+// It lists the busy virtual tiles in the order the mapping passes visit
+// them, each with its first subtask's configuration handle, and the
+// idle virtual tiles that are parked. It also holds the static part of
+// the reuse module's answer: within an instance, a subtask that is not
+// first on its tile finds its configuration resident exactly when its
+// predecessor on the tile has the same configuration, whatever the
+// fabric held before. Only first-on-tile residency is read from the
+// fabric at run time.
+type Plan struct {
+	tiles int
+	// busy holds the virtual tiles that execute anything: the nCrit
+	// tiles whose first subtask is critical, then the rest, each group
+	// by descending first-subtask weight (virtual index breaks ties).
+	busy  []planTile
+	nCrit int
+	// idle holds the virtual tiles that execute nothing, ascending.
+	idle []int
+	// within is the static residency vector, indexed by subtask ID:
+	// true for a subtask that follows a same-configuration subtask on
+	// its tile. First-on-tile entries are false.
+	within []bool
+}
+
+// planTile is one busy virtual tile of a Plan.
+type planTile struct {
+	v     int
+	first graph.SubtaskID
+	key   unique.Handle[graph.ConfigID]
+}
+
+// NewPlan builds the mapping plan of s. critical reports whether a
+// subtask is in the CS set (see MapOptions.Critical); nil means none is.
+func NewPlan(s *assign.Schedule, critical func(graph.SubtaskID) bool) *Plan {
+	keys := s.G.ConfigKeys()
+	p := &Plan{
+		tiles:  s.Tiles,
+		busy:   make([]planTile, 0, s.Tiles),
+		within: make([]bool, s.G.Len()),
+	}
+	for v := 0; v < s.Tiles; v++ {
+		order := s.TileOrder[v]
+		if len(order) == 0 {
+			p.idle = append(p.idle, v)
+		}
+		for j := 1; j < len(order); j++ {
+			p.within[order[j]] = keys[order[j]] == keys[order[j-1]]
+		}
+	}
+	byWeight := func(a, b planTile) int { return cmp.Compare(s.Weights[b.first], s.Weights[a.first]) }
+	for _, crit := range [...]bool{true, false} {
+		from := len(p.busy)
+		for v := 0; v < s.Tiles; v++ {
+			if order := s.TileOrder[v]; len(order) > 0 && (critical != nil && critical(order[0])) == crit {
+				p.busy = append(p.busy, planTile{v: v, first: order[0], key: keys[order[0]]})
+			}
+		}
+		slices.SortStableFunc(p.busy[from:], byWeight)
+		if crit {
+			p.nCrit = len(p.busy)
+		}
+	}
+	return p
+}
+
 // MapScratch holds the working buffers of one Map decision so the
 // simulator's per-instance loop can place tiles without allocating. The
 // Mapping returned by MapInto aliases the scratch and is valid until the
 // next MapInto call on the same scratch. The zero value is ready to use;
 // a MapScratch must not be shared between goroutines.
 type MapScratch struct {
-	physOf    []int
-	taken     []bool
-	busyCrit  []int
-	busyRest  []int
+	physOf []int
+	// free is the set of physical tiles still open to this decision:
+	// bit t%64 of word t/64 is set while tile t is inside the claim and
+	// not yet taken.
+	free      []uint64
 	initTiles []int
 	unmatched []int
 	empty     []int
 	occupied  []int
 }
 
-// MapInto is Map with caller-owned scratch buffers; the returned
-// Mapping's PhysOf slice is owned by sc.
-func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Mapping, error) {
-	k := s.Tiles
-	if k > st.Tiles() {
-		return Mapping{}, fmt.Errorf("reconfig: schedule needs %d tiles, platform has %d", k, st.Tiles())
+// MapInto places the plan's virtual tiles on physical tiles with
+// caller-owned scratch buffers; the returned Mapping's PhysOf slice is
+// owned by sc. Criticality comes from the plan: opt.Critical is read
+// only by Map, which builds the plan from it.
+func MapInto(p *Plan, st *State, opt MapOptions, sc *MapScratch) (Mapping, error) {
+	k, n := p.tiles, st.Tiles()
+	if k > n {
+		return Mapping{}, fmt.Errorf("reconfig: schedule needs %d tiles, platform has %d", k, n)
 	}
 	policy := opt.Policy
 	if policy == nil {
@@ -40,76 +114,45 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	if cap(sc.physOf) < k {
 		sc.physOf = make([]int, k)
 	}
-	if cap(sc.taken) < st.Tiles() {
-		sc.taken = make([]bool, st.Tiles())
+	words := (n + 63) / 64
+	if cap(sc.free) < words {
+		sc.free = make([]uint64, words)
 	}
 	m := Mapping{PhysOf: sc.physOf[:k]}
-	taken := sc.taken[:st.Tiles()]
-	for v := range m.PhysOf {
-		m.PhysOf[v] = -1
-	}
-	// A restricted Allowed set is implemented by pre-claiming every
-	// other tile: all the passes below (reuse matches, drain scans,
-	// victim candidates, parking) already skip taken tiles, so none of
-	// them can touch a tile outside the claim.
-	for t := range taken {
-		taken[t] = opt.Allowed != nil
-	}
-	for _, t := range opt.Allowed {
-		if t < 0 || t >= st.Tiles() {
-			return Mapping{}, fmt.Errorf("reconfig: allowed tile %d outside platform of %d tiles", t, st.Tiles())
+	free := sc.free[:words]
+	// A restricted Allowed set is the free set: every pass below
+	// (reuse matches, drain scans, victim candidates, parking) reads
+	// only free tiles, so none of them can touch a tile outside the
+	// claim.
+	if opt.Allowed == nil {
+		for w := range free {
+			free[w] = ^uint64(0)
 		}
-		taken[t] = false
+		if r := n % 64; r != 0 {
+			free[words-1] = 1<<r - 1
+		}
+	} else {
+		clear(free)
+		for _, t := range opt.Allowed {
+			if t < 0 || t >= n {
+				return Mapping{}, fmt.Errorf("reconfig: allowed tile %d outside platform of %d tiles", t, n)
+			}
+			free[t>>6] |= 1 << (t & 63)
+		}
 	}
 	claim := func(v, t int) {
 		m.PhysOf[v] = t
-		taken[t] = true
+		free[t>>6] &^= 1 << (t & 63)
 	}
-
-	// Partition the busy virtual tiles by the criticality of their
-	// first subtask, each group in descending weight order.
-	busyCrit, busyRest := sc.busyCrit[:0], sc.busyRest[:0]
-	for v := 0; v < k; v++ {
-		if len(s.TileOrder[v]) == 0 {
-			continue
-		}
-		first := s.TileOrder[v][0]
-		if opt.Critical != nil && opt.Critical(first) {
-			busyCrit = append(busyCrit, v)
-		} else {
-			busyRest = append(busyRest, v)
-		}
-	}
-	// Stable insertion sort by descending first-subtask weight (index
-	// tie-break): identical ordering to sort.SliceStable under the same
-	// comparator, without the reflection allocation.
-	byWeight := func(vs []int) {
-		for i := 1; i < len(vs); i++ {
-			for j := i; j > 0; j-- {
-				wa := s.Weights[s.TileOrder[vs[j-1]][0]]
-				wb := s.Weights[s.TileOrder[vs[j]][0]]
-				if wa > wb || (wa == wb && vs[j-1] < vs[j]) {
-					break
+	// match claims the lowest free tile holding the configuration.
+	// Graph handles are never zero, so an empty tile never matches.
+	match := func(pt planTile) bool {
+		for w, word := range free {
+			for ; word != 0; word &= word - 1 {
+				if t := w<<6 | bits.TrailingZeros64(word); st.keys[t] == pt.key {
+					claim(pt.v, t)
+					return true
 				}
-				vs[j-1], vs[j] = vs[j], vs[j-1]
-			}
-		}
-	}
-	byWeight(busyCrit)
-	byWeight(busyRest)
-	sc.busyCrit, sc.busyRest = busyCrit[:0], busyRest[:0]
-
-	keys := s.G.ConfigKeys()
-	match := func(v int) bool {
-		// Graph handles are never zero, so an empty tile never
-		// matches. The taken filter comes first, so a restricted
-		// Allowed set never reads residency outside the claim, like
-		// every other pass.
-		cfg := keys[s.TileOrder[v][0]]
-		for t, c := range st.keys {
-			if c == cfg && !taken[t] {
-				claim(v, t)
-				return true
 			}
 		}
 		return false
@@ -117,9 +160,9 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 
 	// Pass 1: critical reuse matches.
 	initTiles := sc.initTiles[:0]
-	for _, v := range busyCrit {
-		if !match(v) {
-			initTiles = append(initTiles, v)
+	for _, pt := range p.busy[:p.nCrit] {
+		if !match(pt) {
+			initTiles = append(initTiles, pt.v)
 		}
 	}
 	sc.initTiles = initTiles[:0]
@@ -129,12 +172,11 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	// automatically.
 	for _, v := range initTiles {
 		best := -1
-		for t := 0; t < st.Tiles(); t++ {
-			if taken[t] {
-				continue
-			}
-			if best < 0 || st.LastUse[t] < st.LastUse[best] {
-				best = t
+		for w, word := range free {
+			for ; word != 0; word &= word - 1 {
+				if t := w<<6 | bits.TrailingZeros64(word); best < 0 || st.LastUse[t] < st.LastUse[best] {
+					best = t
+				}
 			}
 		}
 		if best < 0 {
@@ -144,9 +186,9 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	}
 	// Pass 3: non-critical reuse matches on what remains.
 	unmatched := sc.unmatched[:0]
-	for _, v := range busyRest {
-		if !match(v) {
-			unmatched = append(unmatched, v)
+	for _, pt := range p.busy[p.nCrit:] {
+		if !match(pt) {
+			unmatched = append(unmatched, pt.v)
 		}
 	}
 	sc.unmatched = unmatched[:0]
@@ -157,13 +199,13 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 	// same candidates as a rescan of the free tiles per virtual tile.
 	empty, occupied := sc.empty[:0], sc.occupied[:0]
 	if len(unmatched) > 0 {
-		for t, c := range st.keys {
-			switch {
-			case taken[t]:
-			case c == (unique.Handle[graph.ConfigID]{}):
-				empty = append(empty, t)
-			default:
-				occupied = append(occupied, t)
+		for w, word := range free {
+			for ; word != 0; word &= word - 1 {
+				if t := w<<6 | bits.TrailingZeros64(word); st.keys[t] == (unique.Handle[graph.ConfigID]{}) {
+					empty = append(empty, t)
+				} else {
+					occupied = append(occupied, t)
+				}
 			}
 		}
 	}
@@ -184,55 +226,42 @@ func MapInto(s *assign.Schedule, st *State, opt MapOptions, sc *MapScratch) (Map
 		claim(v, pick)
 	}
 
-	// Pass 5: park idle virtual tiles on leftovers. With the full
-	// fabric available there is always a distinct leftover per idle
-	// tile (k never exceeds the tile count); under a restricted claim
-	// the leftovers can run out, in which case parking reuses a claimed
-	// tile — parked rows are inert (they execute nothing, are never
-	// committed, and their availability floor is never consulted), so
-	// duplicates are harmless.
-	next := 0
-	for v := 0; v < k; v++ {
-		if m.PhysOf[v] >= 0 {
-			continue
+	// Pass 5: park idle virtual tiles on the leftovers, ascending.
+	// With the full fabric available there is always a distinct
+	// leftover per idle tile (k never exceeds the tile count); under a
+	// restricted claim the leftovers can run out, in which case parking
+	// reuses a claimed tile — parked rows are inert (they execute
+	// nothing, are never committed, and their availability floor is
+	// never consulted), so duplicates are harmless.
+	idle := p.idle
+	for w := 0; w < words && len(idle) > 0; w++ {
+		for word := free[w]; word != 0 && len(idle) > 0; word &= word - 1 {
+			m.PhysOf[idle[0]] = w<<6 | bits.TrailingZeros64(word)
+			idle = idle[1:]
 		}
-		for next < st.Tiles() && taken[next] {
-			next++
-		}
-		if next < st.Tiles() {
-			claim(v, next)
-		} else if len(opt.Allowed) > 0 {
-			m.PhysOf[v] = opt.Allowed[0]
-		} else {
-			m.PhysOf[v] = 0
-		}
+	}
+	spare := 0
+	if len(opt.Allowed) > 0 {
+		spare = opt.Allowed[0]
+	}
+	for _, v := range idle {
+		m.PhysOf[v] = spare
 	}
 	return m, nil
 }
 
-// ResidentInto is Resident writing into a caller-owned vector (cleared
-// and resized first), so the reuse module's per-instance query reuses
-// one buffer for a whole simulation run. Passing nil allocates as
-// Resident does.
-func ResidentInto(res []bool, s *assign.Schedule, st *State, m Mapping) []bool {
-	n := s.G.Len()
-	if cap(res) < n {
-		res = make([]bool, n)
-	} else {
-		res = res[:n]
-		clear(res)
+// ResidentInto is Resident writing into a caller-owned vector (resized
+// first), so the reuse module's per-instance query reuses one buffer
+// for a whole simulation run. Passing nil allocates as Resident does.
+// m must place the plan's schedule.
+func ResidentInto(res []bool, p *Plan, st *State, m Mapping) []bool {
+	if cap(res) < len(p.within) {
+		res = make([]bool, len(p.within))
 	}
-	keys := s.G.ConfigKeys()
-	for v := 0; v < s.Tiles; v++ {
-		cur := st.keys[m.PhysOf[v]]
-		for _, id := range s.TileOrder[v] {
-			cfg := keys[id]
-			if cfg == cur {
-				res[id] = true
-			} else {
-				cur = cfg
-			}
-		}
+	res = res[:len(p.within)]
+	copy(res, p.within)
+	for _, pt := range p.busy {
+		res[pt.first] = st.keys[m.PhysOf[pt.v]] == pt.key
 	}
 	return res
 }

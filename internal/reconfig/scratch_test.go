@@ -52,7 +52,8 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 			opt.Critical = nil
 		}
 
-		got, err := MapInto(s, stScratch, opt, sc)
+		plan := NewPlan(s, opt.Critical)
+		got, err := MapInto(plan, stScratch, opt, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +68,7 @@ func TestMapIntoMatchesFreshAcrossReuse(t *testing.T) {
 			}
 		}
 
-		res = ResidentInto(res, s, stScratch, got)
+		res = ResidentInto(res, plan, stScratch, got)
 		wantRes := Resident(s, stFresh, want)
 		if len(res) != len(wantRes) {
 			t.Fatalf("step %d: residency %v vs %v", step, res, wantRes)

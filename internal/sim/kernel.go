@@ -138,10 +138,8 @@ type scratch struct {
 
 	// tl is the current instance's timeline; endOfFn reads it so the
 	// replacement state commit needs no per-instance closure.
-	tl          *schedule.Timeline
-	curAnalysis *core.Analysis
-	endOfFn     func(graph.SubtaskID) model.Time
-	criticalFn  func(graph.SubtaskID) bool
+	tl      *schedule.Timeline
+	endOfFn func(graph.SubtaskID) model.Time
 
 	// memo replays the no-prefetch, design-time-prefetch and run-time
 	// decisions of this run: it keys them by the prepared statics, so
@@ -309,7 +307,6 @@ func (k *kernel) initRunState(isrc IndexedSource) {
 // kernel binds its own set over its own scratch.
 func (k *kernel) bindScratch() {
 	k.sc.endOfFn = func(id graph.SubtaskID) model.Time { return k.sc.tl.ExecEnd[id] }
-	k.sc.criticalFn = func(id graph.SubtaskID) bool { return k.sc.curAnalysis.IsCritical(id) }
 }
 
 // prepare is the design-time stage: schedule (and in deadline mode,
@@ -628,12 +625,7 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 	}
 
 	// Reuse + replacement modules (virtual -> physical), confined to
-	// the claimed tiles.
-	var critical func(graph.SubtaskID) bool
-	if pr.analysis != nil {
-		sc.curAnalysis = pr.analysis
-		critical = sc.criticalFn
-	}
+	// the claimed tiles: the run-time half of the prepared plan.
 	var future []graph.ConfigID
 	if k.lookahead {
 		future = sc.future[:0]
@@ -644,15 +636,15 @@ func (k *kernel) runInstance(pr *prepared, upcoming []*prepared, start model.Tim
 		}
 		sc.future = future
 	}
-	mapping, err := reconfig.MapInto(s, f.State(), reconfig.MapOptions{
-		Policy: f.Policy(), Critical: critical, Future: future, Allowed: claim,
+	mapping, err := reconfig.MapInto(pr.plan, f.State(), reconfig.MapOptions{
+		Policy: f.Policy(), Future: future, Allowed: claim,
 	}, &sc.mapSc)
 	if err != nil {
 		return 0, err
 	}
 	var resident []bool
 	if k.useReuse {
-		sc.resident = reconfig.ResidentInto(sc.resident, s, f.State(), mapping)
+		sc.resident = reconfig.ResidentInto(sc.resident, pr.plan, f.State(), mapping)
 		resident = sc.resident
 	}
 

@@ -341,6 +341,9 @@ type prepared struct {
 	analysis *core.Analysis    // reuse-aware approaches
 	dtOrder  []graph.SubtaskID // DesignTimePrefetch port order
 	hw       int               // hardware (loadable) subtask count
+	// plan is the replacement module's design-time half, built from
+	// the analysis's CS set (none without an analysis).
+	plan *reconfig.Plan
 	// busyTiles is the number of virtual tiles that execute anything —
 	// the fabric claim an instance of this schedule needs; cfgs is its
 	// distinct hardware configuration set (reuse-aware admission).
@@ -403,6 +406,11 @@ func makePrepared(s *assign.Schedule, p platform.Platform, approach Approach, an
 		}
 		pr.dtOrder = r.PortOrder
 	}
+	var critical func(graph.SubtaskID) bool
+	if pr.analysis != nil {
+		critical = pr.analysis.IsCritical
+	}
+	pr.plan = reconfig.NewPlan(s, critical)
 	return pr, nil
 }
 

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Sketch is a mergeable streaming quantile sketch with a relative-error
@@ -27,8 +26,8 @@ type Sketch struct {
 
 	n    uint64
 	zero uint64
-	pos  map[int]uint64 // bucket index -> count, for x > 0
-	neg  map[int]uint64 // bucket index of |x| -> count, for x < 0
+	pos  denseStore // bucket counts for x > 0
+	neg  denseStore // bucket counts of |x| for x < 0
 }
 
 // DefaultSketchAlpha is the default relative-error bound: estimates are
@@ -36,7 +35,10 @@ type Sketch struct {
 const DefaultSketchAlpha = 0.01
 
 // NewSketch creates a sketch with relative-error bound alpha in (0, 1);
-// zero or negative means DefaultSketchAlpha.
+// zero or negative means DefaultSketchAlpha. Its memory grows with
+// ln(largest/smallest magnitude)/ln((1+alpha)/(1-alpha)), one counter
+// per bucket in between: about 1040 buckets for nine decades at the
+// default alpha, and proportionally more for a smaller alpha.
 func NewSketch(alpha float64) *Sketch {
 	if alpha <= 0 {
 		alpha = DefaultSketchAlpha
@@ -49,8 +51,6 @@ func NewSketch(alpha float64) *Sketch {
 		alpha:   alpha,
 		gamma:   gamma,
 		lnGamma: math.Log(gamma),
-		pos:     make(map[int]uint64),
-		neg:     make(map[int]uint64),
 	}
 }
 
@@ -72,18 +72,19 @@ func (s *Sketch) bucketValue(i int) float64 {
 	return 2 * math.Pow(s.gamma, float64(i)) / (1 + s.gamma)
 }
 
-// Add records one observation. NaN observations are rejected loudly —
-// they would otherwise vanish from every quantile.
+// Add records one observation. NaN and ±Inf observations are rejected
+// loudly: NaN would vanish from every quantile, and an infinity has no
+// logarithmic bucket.
 func (s *Sketch) Add(x float64) {
-	if math.IsNaN(x) {
-		panic("stats: NaN observation added to sketch")
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		panic(fmt.Sprintf("stats: %v observation added to sketch", x))
 	}
 	s.n++
 	switch {
 	case x > 0:
-		s.pos[s.index(x)]++
+		s.pos.add(s.index(x), 1)
 	case x < 0:
-		s.neg[s.index(-x)]++
+		s.neg.add(s.index(-x), 1)
 	default:
 		s.zero++
 	}
@@ -103,43 +104,32 @@ func (s *Sketch) Quantile(q float64) float64 {
 	var cum uint64
 	// Ascending value order: negatives from largest magnitude down,
 	// then zeros, then positives from smallest magnitude up.
-	for _, i := range s.sortedKeys(s.neg, true) {
-		cum += s.neg[i]
+	for j := len(s.neg.counts) - 1; j >= 0; j-- {
+		cum += s.neg.counts[j]
 		if cum > target {
-			return -s.bucketValue(i)
+			return -s.bucketValue(s.neg.offset + j)
 		}
 	}
 	cum += s.zero
 	if cum > target {
 		return 0
 	}
-	keys := s.sortedKeys(s.pos, false)
-	for _, i := range keys {
-		cum += s.pos[i]
+	last := -1
+	for j, c := range s.pos.counts {
+		if c == 0 {
+			continue
+		}
+		last = j
+		cum += c
 		if cum > target {
-			return s.bucketValue(i)
+			return s.bucketValue(s.pos.offset + j)
 		}
 	}
 	// Unreachable when counts are consistent; report the largest bucket.
-	if len(keys) > 0 {
-		return s.bucketValue(keys[len(keys)-1])
+	if last >= 0 {
+		return s.bucketValue(s.pos.offset + last)
 	}
 	return 0
-}
-
-// sortedKeys returns a store's bucket indices in ascending (or, for the
-// negative store, descending-magnitude) order.
-func (s *Sketch) sortedKeys(store map[int]uint64, descending bool) []int {
-	keys := make([]int, 0, len(store))
-	for i := range store {
-		keys = append(keys, i)
-	}
-	if descending {
-		sort.Sort(sort.Reverse(sort.IntSlice(keys)))
-	} else {
-		sort.Ints(keys)
-	}
-	return keys
 }
 
 // Merge folds o into s by bucket-wise count addition. Both sketches
@@ -156,11 +146,59 @@ func (s *Sketch) Merge(o *Sketch) error {
 	}
 	s.n += o.n
 	s.zero += o.zero
-	for i, c := range o.pos {
-		s.pos[i] += c
-	}
-	for i, c := range o.neg {
-		s.neg[i] += c
-	}
+	s.pos.merge(&o.pos)
+	s.neg.merge(&o.neg)
 	return nil
+}
+
+// denseStore is DDSketch's dense bucket store: counts[j] is the count
+// of bucket offset+j. The covered index range only widens, in whole
+// chunks, so a stream whose range is warm adds without allocating. A
+// finite float64's bucket index is bounded (about ±37000 at the
+// default alpha), and so is the store.
+type denseStore struct {
+	counts []uint64
+	offset int
+}
+
+// storeChunk is the store's growth granule, in buckets: at the default
+// alpha, 64 buckets span a factor of about 3.6 in magnitude.
+const storeChunk = 64
+
+// add counts c observations into bucket i.
+func (d *denseStore) add(i int, c uint64) {
+	if j := i - d.offset; j < 0 || j >= len(d.counts) {
+		d.cover(i, i)
+	}
+	d.counts[i-d.offset] += c
+}
+
+// merge adds o's counts bucket-wise.
+func (d *denseStore) merge(o *denseStore) {
+	if len(o.counts) == 0 {
+		return
+	}
+	d.cover(o.offset, o.offset+len(o.counts)-1)
+	base := o.offset - d.offset
+	for j, c := range o.counts {
+		d.counts[base+j] += c
+	}
+}
+
+// cover widens the store to hold buckets lo..hi, rounded out to whole
+// chunks.
+func (d *denseStore) cover(lo, hi int) {
+	if n := len(d.counts); n > 0 {
+		if lo >= d.offset && hi < d.offset+n {
+			return
+		}
+		lo, hi = min(lo, d.offset), max(hi, d.offset+n-1)
+	}
+	lo &^= storeChunk - 1 // floor, for negative indices too
+	hi = hi&^(storeChunk-1) + storeChunk
+	counts := make([]uint64, hi-lo)
+	if len(d.counts) > 0 {
+		copy(counts[d.offset-lo:], d.counts)
+	}
+	d.counts, d.offset = counts, lo
 }

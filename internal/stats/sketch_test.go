@@ -212,6 +212,8 @@ func TestSketchRejectsBadInputs(t *testing.T) {
 		fn()
 	}
 	mustPanic("NaN add", func() { NewSketch(0).Add(math.NaN()) })
+	mustPanic("+Inf add", func() { NewSketch(0).Add(math.Inf(1)) })
+	mustPanic("-Inf add", func() { NewSketch(0).Add(math.Inf(-1)) })
 	mustPanic("q=0", func() { s := NewSketch(0); s.Add(1); s.Quantile(0) })
 	mustPanic("q=1", func() { s := NewSketch(0); s.Add(1); s.Quantile(1) })
 	mustPanic("alpha>=1", func() { NewSketch(1.5) })
@@ -221,5 +223,167 @@ func TestSketchRejectsBadInputs(t *testing.T) {
 	b.Add(3)
 	if err := a.Merge(b); err == nil {
 		t.Errorf("merging mismatched alphas should error")
+	}
+}
+
+// refSketch is the bucket store as it stood before the dense store: a
+// map of bucket counts per sign, read back in sorted key order. It
+// shares the bucket index and estimate with Sketch, so the two must
+// agree bit for bit.
+type refSketch struct {
+	sk       *Sketch // for index and bucketValue only
+	n, zero  uint64
+	pos, neg map[int]uint64
+}
+
+func newRefSketch() *refSketch {
+	return &refSketch{sk: NewSketch(0), pos: map[int]uint64{}, neg: map[int]uint64{}}
+}
+
+func (r *refSketch) add(x float64) {
+	r.n++
+	switch {
+	case x > 0:
+		r.pos[r.sk.index(x)]++
+	case x < 0:
+		r.neg[r.sk.index(-x)]++
+	default:
+		r.zero++
+	}
+}
+
+func (r *refSketch) merge(o *refSketch) {
+	r.n += o.n
+	r.zero += o.zero
+	for i, c := range o.pos {
+		r.pos[i] += c
+	}
+	for i, c := range o.neg {
+		r.neg[i] += c
+	}
+}
+
+func (r *refSketch) quantile(q float64) float64 {
+	if r.n == 0 {
+		return 0
+	}
+	target := uint64(math.Floor(q * float64(r.n-1)))
+	var cum uint64
+	neg := sortedBuckets(r.neg)
+	for k := len(neg) - 1; k >= 0; k-- {
+		if cum += r.neg[neg[k]]; cum > target {
+			return -r.sk.bucketValue(neg[k])
+		}
+	}
+	if cum += r.zero; cum > target {
+		return 0
+	}
+	pos := sortedBuckets(r.pos)
+	for _, i := range pos {
+		if cum += r.pos[i]; cum > target {
+			return r.sk.bucketValue(i)
+		}
+	}
+	return r.sk.bucketValue(pos[len(pos)-1])
+}
+
+func sortedBuckets(store map[int]uint64) []int {
+	keys := make([]int, 0, len(store))
+	for i := range store {
+		keys = append(keys, i)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// TestSketchMatchesMapStore feeds random streams of negatives, zeros
+// and magnitudes from 1e-6 to 1e9 into shards, merges the shards in
+// random groupings, and requires every N and quantile to equal the
+// map-based reference's bit for bit.
+func TestSketchMatchesMapStore(t *testing.T) {
+	r := rand.New(rand.NewSource(2026))
+	qs := []float64{0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999}
+	for c := 0; c < 200; c++ {
+		shards := 1 + r.Intn(6)
+		got := make([]*Sketch, shards)
+		want := make([]*refSketch, shards)
+		for i := range got {
+			got[i], want[i] = NewSketch(0), newRefSketch()
+		}
+		for i, n := 0, r.Intn(2000); i < n; i++ {
+			var x float64
+			switch k := r.Intn(10); {
+			case k == 0:
+				x = 0
+			default:
+				x = math.Pow(10, -6+15*r.Float64())
+				if k <= 3 {
+					x = -x
+				}
+			}
+			sh := r.Intn(shards)
+			got[sh].Add(x)
+			want[sh].add(x)
+		}
+		// Fold the shards in a random grouping: repeatedly merge one
+		// random shard into another until one remains.
+		for len(got) > 1 {
+			i, j := r.Intn(len(got)), r.Intn(len(got)-1)
+			if j >= i {
+				j++
+			}
+			if err := got[i].Merge(got[j]); err != nil {
+				t.Fatal(err)
+			}
+			want[i].merge(want[j])
+			got = append(got[:j], got[j+1:]...)
+			want = append(want[:j], want[j+1:]...)
+		}
+		if got[0].N() != int(want[0].n) {
+			t.Fatalf("case %d: N %d, reference %d", c, got[0].N(), want[0].n)
+		}
+		for _, q := range qs {
+			if g, w := got[0].Quantile(q), want[0].quantile(q); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("case %d q=%v: %v, reference %v", c, q, g, w)
+			}
+		}
+	}
+}
+
+// TestSketchAddAllocs pins Add at zero allocations once the stream's
+// bucket range is warm.
+func TestSketchAddAllocs(t *testing.T) {
+	sk := NewSketch(0)
+	xs := []float64{-250, -0.5, 0, 1e-3, 0.7, 3, 42, 1e4}
+	for _, x := range xs {
+		sk.Add(x)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, x := range xs {
+			sk.Add(x)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Add allocates %.1f objects; want 0", allocs)
+	}
+}
+
+// BenchmarkSketchAdd measures one warm Add of a latency-like stream
+// spanning three decades.
+func BenchmarkSketchAdd(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = math.Pow(10, 3*r.Float64())
+	}
+	sk := NewSketch(0)
+	for _, x := range xs {
+		sk.Add(x)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		sk.Add(xs[i&1023])
+		i++
 	}
 }

@@ -73,8 +73,8 @@ go test -run '^$' -bench 'BenchmarkEngineSweep' -benchmem \
     -benchtime 3x . | tee -a "$RAW"
 
 echo "== layer benchmarks =="
-# Design time, the hybrid run-time step and tile mapping, each on its
-# own. Their rows in BENCH_baseline.json carry allocs/op only (no ns/op),
+# Design time, the hybrid run-time step, tile mapping and the tail
+# sketch, each on its own. Their rows in BENCH_baseline.json carry allocs/op only (no ns/op),
 # so the gate holds their allocations whatever the host's width. The
 # fixed 1000 iterations, at which those rows were recorded, amortize a
 # warm-up scratch's growth below one allocation per op.
@@ -82,6 +82,8 @@ go test -run '^$' -bench '^(BenchmarkAnalyze|BenchmarkExecuteScratch)$' -benchme
     -benchtime 1000x ./internal/core | tee -a "$RAW"
 go test -run '^$' -bench '^BenchmarkMapInto$' -benchmem \
     -benchtime 1000x ./internal/reconfig | tee -a "$RAW"
+go test -run '^$' -bench '^BenchmarkSketchAdd$' -benchmem \
+    -benchtime 1000x ./internal/stats | tee -a "$RAW"
 
 echo "== multitask fabric benchmarks =="
 # The unanchored pattern also matches BenchmarkMultitaskRunParallel
